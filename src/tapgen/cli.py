@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import glob
 import json
+import math
 import os
 import sys
 import time
@@ -18,7 +19,7 @@ from concurrent.futures import ProcessPoolExecutor
 import click
 
 from tapgen import fusion, metrics, synth
-from tapgen.errors import TapgenError, UndefinedMetricError
+from tapgen.errors import DataError, InvalidInputError, TapgenError
 from tapgen.inference import InferenceConfig, infer as run_infer
 from tapgen.supervision import ScoreGrids, gen_labels
 from tapgen.tensorio import (
@@ -341,18 +342,44 @@ def cmd_infer(ctx, manifest_dir, grid_dir, sigma, score_floor, top_k, out):
 # eval
 # ---------------------------------------------------------------------------
 
+PROPOSAL_FIELDS = ("t_start_sec", "t_end_sec", "score")
+
+
 def load_proposals(proposal_dir: str, vid: str) -> list[metrics.ScoredInterval]:
+    """Read and validate one video's proposal file; a missing file means none."""
     path = os.path.join(proposal_dir, f"{vid}.proposals.json")
     if not os.path.exists(path):
         return []
     with open(path, "r", encoding="utf-8") as fh:
-        doc = json.load(fh)
-    return [
-        metrics.ScoredInterval(
-            start_sec=p["t_start_sec"], end_sec=p["t_end_sec"], score=p["score"]
-        )
-        for p in doc
-    ]
+        try:
+            # integers as floats: an overlong integer becomes inf and fails below
+            doc = json.load(fh, parse_int=float)
+        except json.JSONDecodeError as e:
+            raise InvalidInputError(f"{path}: not valid JSON ({e})") from e
+    if not isinstance(doc, list):
+        raise InvalidInputError(f"{path}: top level must be a list of proposals")
+    out = []
+    for k, entry in enumerate(doc):
+        where = f"{path}: entry {k}"
+        if not isinstance(entry, dict):
+            raise InvalidInputError(f"{where}: must be an object")
+        for name in PROPOSAL_FIELDS:
+            if name not in entry:
+                raise InvalidInputError(f"{where}: missing field {name!r}")
+            v = entry[name]
+            if not isinstance(v, float) or not math.isfinite(v):
+                raise InvalidInputError(
+                    f"{where}: field {name!r} must be a finite number, got {v!r}"
+                )
+        start, end, score = (entry[name] for name in PROPOSAL_FIELDS)
+        if not start < end:
+            raise InvalidInputError(
+                f"{where}: field 't_end_sec' ({end}) must exceed t_start_sec ({start})"
+            )
+        if not 0.0 <= score <= 1.0:
+            raise InvalidInputError(f"{where}: field 'score' ({score}) outside [0, 1]")
+        out.append(metrics.ScoredInterval(start_sec=start, end_sec=end, score=score))
+    return out
 
 
 @main.command("eval")
@@ -372,21 +399,16 @@ def cmd_eval(ctx, manifest_dir, proposal_dir, preset, out):
     os.makedirs(out, exist_ok=True)
     gts = {}
     props = {}
-    matched = 0
-    for path in _manifest_paths(manifest_dir):
-        manifest = read_manifest(path)
-        vid = manifest.video.video_id
-        gts[vid] = list(manifest.annotations)
-        loaded = load_proposals(proposal_dir, vid)
-        if loaded:
-            matched += 1
-        props[vid] = loaded
-    if matched == 0:
-        click.echo("error: no proposal files match any manifest video id", err=True)
-        sys.exit(1)
     try:
+        for path in _manifest_paths(manifest_dir):
+            manifest = read_manifest(path)
+            vid = manifest.video.video_id
+            gts[vid] = list(manifest.annotations)
+            props[vid] = load_proposals(proposal_dir, vid)
+        if not any(props.values()):
+            raise DataError("no proposal files match any manifest video id")
         result = metrics.evaluate(props, gts, thresholds=thresholds)
-    except UndefinedMetricError as e:
+    except TapgenError as e:
         click.echo(f"error: {e}", err=True)
         sys.exit(1)
     _write_json(os.path.join(out, "eval.json"), result.to_dict())

@@ -8,7 +8,12 @@ the duration-label cell convention. Its score is
     start_prob[t_s] * end_prob[t_e] * sqrt(conf_cls[d, t_s] * conf_reg[d, t_s])
 
 Soft-NMS decays overlapping survivors by exp(-iou^2 / sigma) instead of
-removing them.
+removing them. It keeps scores and intervals in arrays: each of the at
+most top_k steps takes an argmax and one IoU vector against the n
+candidates, so it costs O(top_k * n) time and O(n) memory, never an n x n
+matrix. The decay factors of the overlapping entries come from math.exp,
+not np.exp: the two differ in the last ulp on a few percent of inputs,
+and results must stay bit-identical to the scalar reference.
 """
 
 from __future__ import annotations
@@ -20,7 +25,9 @@ import numpy as np
 
 from tapgen.errors import InvalidInputError
 from tapgen.supervision import ScoreGrids
-from tapgen.timeline import SnippetGrid, temporal_iou
+from tapgen.timeline import SnippetGrid, broadcast_iou
+# Unused here, but perfbench's tracer counts calls through this binding.
+from tapgen.timeline import temporal_iou  # noqa: F401
 
 __all__ = [
     "Proposal",
@@ -109,28 +116,21 @@ def form_proposals(
     """
     if D is None:
         D = grids.D
-    proposals = []
-    for ts in start_peaks:
-        for te in end_peaks:
-            d = te - ts
-            if d < 1 or d > D:
-                continue
-            score = (
-                grids.start_probs[ts]
-                * grids.end_probs[te]
-                * np.sqrt(grids.conf_cls[d - 1, ts] * grids.conf_reg[d - 1, ts])
-            )
-            proposals.append(
-                Proposal(
-                    start_idx=ts,
-                    end_idx=te,
-                    score=float(score),
-                    start_sec=grid.snippet_left(ts),
-                    end_sec=grid.snippet_right(te - 1),
-                )
-            )
-    proposals.sort(key=lambda pr: (-pr.score, pr.start_idx, pr.end_idx))
-    return proposals
+    sp, ep = (np.asarray(p, dtype=np.int64) for p in (start_peaks, end_peaks))
+    dur = ep[None, :] - sp[:, None]
+    i, k = np.nonzero((dur >= 1) & (dur <= D))
+    ts, te, d = sp[i], ep[k], dur[i, k]
+    scores = (
+        grids.start_probs[ts]
+        * grids.end_probs[te]
+        * np.sqrt(grids.conf_cls[d - 1, ts] * grids.conf_reg[d - 1, ts])
+    )
+    order = np.lexsort((te, ts, -scores))
+    ss = grid.snippet_seconds
+    return [
+        Proposal(start_idx=s, end_idx=e, score=p, start_sec=s * ss, end_sec=e * ss)
+        for s, e, p in zip(ts[order].tolist(), te[order].tolist(), scores[order].tolist())
+    ]
 
 
 def soft_nms(
@@ -148,24 +148,21 @@ def soft_nms(
     """
     if sigma <= 0:
         raise InvalidInputError(f"sigma must be positive, got {sigma}")
-    remaining = list(proposals)
-    scores = np.array([p.score for p in remaining], dtype=np.float64)
+    # Stable (start, end) order makes argmax's first-index rule the tie-break.
+    pool = sorted(proposals, key=lambda p: (p.start_idx, p.end_idx))
+    scores = np.array([p.score for p in pool], dtype=np.float64)
+    starts = np.array([p.start_sec for p in pool], dtype=np.float64)
+    ends = np.array([p.end_sec for p in pool], dtype=np.float64)
     selected: list[Proposal] = []
-    while remaining and len(selected) < top_k:
-        best = min(
-            range(len(remaining)),
-            key=lambda i: (-scores[i], remaining[i].start_idx, remaining[i].end_idx),
-        )
+    while len(selected) < min(top_k, len(pool)):
+        best = int(np.argmax(scores))
         if scores[best] < score_floor:
             break
-        chosen = remaining.pop(best)
-        chosen_score = scores[best]
-        scores = np.delete(scores, best)
-        selected.append(replace(chosen, score=float(chosen_score)))
-        for i, other in enumerate(remaining):
-            iou = temporal_iou(chosen.interval, other.interval)
-            if iou > 0:
-                scores[i] *= math.exp(-(iou * iou) / sigma)
+        selected.append(replace(pool[best], score=float(scores[best])))
+        scores[best] = -np.inf  # removed from the pool
+        iou = broadcast_iou(starts[best], ends[best], starts, ends)
+        hit = np.flatnonzero((iou > 0) & (scores > -np.inf))
+        scores[hit] *= [math.exp(x) for x in (-(iou[hit] * iou[hit]) / sigma).tolist()]
     return selected
 
 

@@ -19,7 +19,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from tapgen.errors import DegenerateLabelsError, InvalidInputError
-from tapgen.timeline import GroundTruthAction, SnippetGrid, temporal_iou
+from tapgen.timeline import GroundTruthAction, SnippetGrid, broadcast_iou
+# Unused here, but perfbench's tracer counts calls through this binding.
+from tapgen.timeline import temporal_iou  # noqa: F401
 
 __all__ = [
     "LabelSet",
@@ -63,6 +65,8 @@ class ScoreGrids:
     def __post_init__(self):
         for name in ("start_probs", "end_probs", "conf_cls", "conf_reg"):
             a = np.asarray(getattr(self, name), dtype=np.float64)
+            if not np.isfinite(a).all():
+                raise InvalidInputError(f"{name} has NaN or infinite entries")
             if np.any(a < 0) or np.any(a > 1):
                 raise InvalidInputError(f"{name} entries must lie in [0, 1]")
             object.__setattr__(self, name, a)
@@ -143,19 +147,17 @@ def gen_duration_labels(
     T = grid.T
     if D < 1 or D > T:
         raise InvalidInputError(f"max duration D={D} outside [1, {T}]")
+    d = np.arange(1, D + 1)[:, None]
+    j = np.arange(T)[None, :]
+    lo, hi = j * grid.snippet_seconds, (j + d) * grid.snippet_seconds
+    invalid = ~valid_cell_mask(T, D)
     labels = np.zeros((D, T), dtype=np.float64)
-    if not gts:
-        return labels
-    mask = valid_cell_mask(T, D)
-    ious = np.zeros((D, T), dtype=np.float64)
     for gt in gts:
-        ious[:] = 0.0
-        for d in range(1, D + 1):
-            for j in range(T - d + 1):
-                ious[d - 1, j] = temporal_iou(grid.cell_interval(d, j), gt.interval)
+        ious = broadcast_iou(lo, hi, gt.start_sec, gt.end_sec)
+        ious[invalid] = 0.0  # cells past the video end never win the argmax
         best = ious.max()
         if best > 0:
-            labels[(ious == best) & mask] = 1.0
+            labels[ious == best] = 1.0
     return labels
 
 

@@ -19,6 +19,7 @@ __all__ = [
     "GroundTruthAction",
     "build_grid",
     "temporal_iou",
+    "broadcast_iou",
 ]
 
 
@@ -74,11 +75,6 @@ class SnippetGrid:
         """Right edge (seconds) of snippet i."""
         return (i + 1) * self.snippet_seconds
 
-    def cell_interval(self, duration: int, start: int) -> tuple[float, float]:
-        """Interval covered by the proposal starting at snippet `start` lasting
-        `duration` snippets: left edge of `start` to right edge of the last one."""
-        return self.snippet_left(start), self.snippet_right(start + duration - 1)
-
 
 @dataclass(frozen=True)
 class GroundTruthAction:
@@ -130,3 +126,15 @@ def temporal_iou(a: tuple[float, float], b: tuple[float, float]) -> float:
         return 0.0
     union = (a1 - a0) + (b1 - b0) - inter
     return inter / union
+
+
+def broadcast_iou(a0, a1, b0, b1) -> np.ndarray:
+    """Elementwise temporal_iou of intervals [a0, a1] and [b0, b1], broadcast.
+
+    Performs temporal_iou's float operations in the same order, so each
+    entry is bit-identical to the scalar result; intervals are not
+    validated.
+    """
+    inter = np.maximum(0.0, np.minimum(a1, b1) - np.maximum(a0, b0))
+    union = (a1 - a0) + (b1 - b0) - inter
+    return np.divide(inter, union, out=np.zeros(np.shape(inter)), where=inter > 0)

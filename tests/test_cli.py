@@ -162,6 +162,47 @@ class TestErrorHandling:
         assert r.exit_code == 1
         assert "no proposal files" in r.output
 
+    GOOD = {"t_start_sec": 0.0, "t_end_sec": 2.0, "score": 0.5}
+
+    @pytest.mark.parametrize("text, expected", [
+        pytest.param("not json", "not valid JSON", id="not-json"),
+        pytest.param(json.dumps(GOOD), "top level must be a list", id="not-a-list"),
+        pytest.param(json.dumps([GOOD, 3]), "entry 1: must be an object", id="not-an-object"),
+        pytest.param(json.dumps([{"t_start_sec": 0.0, "t_end_sec": 2.0}]),
+                     "entry 0: missing field 'score'", id="missing-key"),
+        pytest.param(json.dumps([{**GOOD, "t_end_sec": "2"}]),
+                     "entry 0: field 't_end_sec' must be a finite", id="string"),
+        pytest.param(json.dumps([{**GOOD, "score": True}]),
+                     "entry 0: field 'score' must be a finite", id="bool"),
+        pytest.param(json.dumps([GOOD, {**GOOD, "t_start_sec": float("nan")}]),
+                     "entry 1: field 't_start_sec' must be a finite", id="nan"),
+        pytest.param(json.dumps([{**GOOD, "t_end_sec": float("inf")}]),
+                     "entry 0: field 't_end_sec' must be a finite", id="inf"),
+        pytest.param('[{"t_start_sec": 0, "t_end_sec": 1' + "0" * 400 + ', "score": 0.5}]',
+                     "entry 0: field 't_end_sec' must be a finite", id="overlong-int"),
+        pytest.param(json.dumps([{**GOOD, "t_end_sec": 0.0}]),
+                     "entry 0: field 't_end_sec'", id="zero-length"),
+        pytest.param(json.dumps([{**GOOD, "t_start_sec": 3.0}]),
+                     "entry 0: field 't_end_sec'", id="reversed"),
+        pytest.param(json.dumps([{**GOOD, "score": 1.5}]), "entry 0: field 'score'", id="score-high"),
+        pytest.param(json.dumps([{**GOOD, "score": -0.1}]), "entry 0: field 'score'", id="score-low"),
+    ])
+    def test_eval_rejects_malformed_proposal_file(self, runner, tmp_path, text, expected):
+        invoke(runner, ["synth", "--n-videos", "2", "--out", str(tmp_path / "corpus")])
+        vids = sorted(n.split(".")[0] for n in os.listdir(tmp_path / "corpus/manifests")
+                      if n != "run_summary.json")
+        os.makedirs(tmp_path / "props")
+        (tmp_path / "props" / f"{vids[0]}.proposals.json").write_text(json.dumps([self.GOOD]))
+        bad = tmp_path / "props" / f"{vids[1]}.proposals.json"
+        bad.write_text(text)
+        # catch_exceptions=False: a traceback would fail the test
+        r = invoke(runner, ["eval", "--manifests", str(tmp_path / "corpus/manifests"),
+                            "--proposals", str(tmp_path / "props"),
+                            "--out", str(tmp_path / "eval")])
+        assert r.exit_code == 1
+        assert r.output.startswith(f"error: {bad}")
+        assert expected in r.output
+
     def test_missing_manifest_dir_contents(self, runner, tmp_path):
         os.makedirs(tmp_path / "empty")
         r = invoke(runner, ["labels", "--manifests", str(tmp_path / "empty"),

@@ -5,7 +5,7 @@ import itertools
 import numpy as np
 import pytest
 
-from tapgen.errors import UndefinedMetricError
+from tapgen.errors import InvalidInputError, UndefinedMetricError
 from tapgen.metrics import (
     ACTIVITYNET_THRESHOLDS,
     THUMOS_THRESHOLDS,
@@ -40,6 +40,15 @@ def brute_force_match_count(proposals, gts, tiou, an):
                 if all(ok[g][p] for g, p in zip(g_sub, p_perm)):
                     return k
     return best
+
+
+class TestScoredInterval:
+    @pytest.mark.parametrize("a, b", [
+        (1.0, 1.0), (2.0, 1.0), (float("nan"), 1.0), (0.0, float("inf")), (float("-inf"), 1.0),
+    ])
+    def test_rejects_bad_interval(self, a, b):
+        with pytest.raises(InvalidInputError):
+            ScoredInterval(start_sec=a, end_sec=b, score=0.5)
 
 
 class TestRecallAt:

@@ -150,6 +150,22 @@ class TestDurationLabels:
             np.testing.assert_array_equal(got, want)
 
 
+class TestScoreGrids:
+    @pytest.mark.parametrize("field", ["start_probs", "end_probs", "conf_cls", "conf_reg"])
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_rejected_naming_field(self, field, bad):
+        T = 4
+        arrays = {
+            "start_probs": np.full(T, 0.5),
+            "end_probs": np.full(T, 0.5),
+            "conf_cls": 0.5 * valid_cell_mask(T, T),
+            "conf_reg": 0.5 * valid_cell_mask(T, T),
+        }
+        arrays[field][0] = bad  # index 0 / cell (1, 0) is valid in both shapes
+        with pytest.raises(InvalidInputError, match=field):
+            ScoreGrids(**arrays)
+
+
 class TestWeightedBinaryLoss:
     def test_perfect_prediction_near_zero(self):
         p = np.array([1.0, 1.0, 0.0, 0.0])
