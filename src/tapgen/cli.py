@@ -67,30 +67,43 @@ def _manifest_paths(manifest_dir: str) -> list[str]:
     return paths
 
 
-def _run_batch(jobs, workers: int, keep_going: bool):
-    """Run (name, callable) jobs; returns (ok_names, error_map)."""
+def _run_batch(jobs, workers: int, keep_going: bool, initializer=None, initargs=()):
+    """Run (name, fn, args) jobs; returns (ok_names, error_map).
+
+    initializer(*initargs) runs once per process before its first job.
+    Without keep_going the batch stops at the first error: serially, no
+    later job starts; in a pool, queued jobs are cancelled and the jobs
+    already running finish and are reported like the rest.
+    """
     errors: dict[str, str] = {}
     done: list[str] = []
+
+    def record(name, call) -> bool:
+        try:
+            call()
+        except (TapgenError, OSError) as e:
+            errors[name] = str(e)
+            return False
+        done.append(name)
+        return True
+
     if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            futures = {name: pool.submit(fn, *args) for name, fn, args in jobs}
-            for name, fut in futures.items():
-                try:
-                    fut.result()
-                    done.append(name)
-                except (TapgenError, OSError) as e:
-                    errors[name] = str(e)
-                    if not keep_going:
+        with ProcessPoolExecutor(workers, initializer=initializer, initargs=initargs) as pool:
+            futures = [(name, pool.submit(fn, *args)) for name, fn, args in jobs]
+            if not keep_going:
+                for _, fut in futures:
+                    if fut.exception() is not None:
+                        pool.shutdown(cancel_futures=True)
                         break
+        for name, fut in futures:
+            if not fut.cancelled():
+                record(name, fut.result)
     else:
+        if initializer is not None:
+            initializer(*initargs)
         for name, fn, args in jobs:
-            try:
-                fn(*args)
-                done.append(name)
-            except (TapgenError, OSError) as e:
-                errors[name] = str(e)
-                if not keep_going:
-                    break
+            if not record(name, lambda: fn(*args)) and not keep_going:
+                break
     return done, errors
 
 
@@ -193,19 +206,25 @@ def cmd_synth(ctx, n_videos, max_actions, t_min, t_max, d_policy, write_grids, o
 # featurize
 # ---------------------------------------------------------------------------
 
-def _featurize_one(manifest_path: str, out_dir: str, weights_dir: str | None,
-                   features_dir: str | None, seed: int, fusion_cfg: dict) -> None:
+# The current run's weights, set once per process by _use_weights: as the
+# pool initializer in each worker, directly on the serial path. Jobs then
+# carry no weights, so a bundle is built and sent once per run.
+_weights: fusion.FusionWeights | None = None
+
+
+def _use_weights(weights: fusion.FusionWeights) -> None:
+    global _weights
+    _weights = weights
+
+
+def _featurize_one(manifest_path: str, out_dir: str, features_dir: str | None,
+                   seed: int) -> None:
     manifest = read_manifest(manifest_path)
-    if weights_dir:
-        weights = fusion.load_weights(weights_dir)
-    else:
-        weights = fusion.random_weights(fusion.FusionConfig(**fusion_cfg), seed)
     if features_dir:
         source = fusion.FileFeatureSource(features_dir)
     else:
-        c = weights.config.channels
-        source = fusion.StubFeatureSource(seed, (c, 8, 8))
-    feats = fusion.featurize_video(manifest, weights, source)
+        source = fusion.StubFeatureSource(seed, (_weights.config.channels, 8, 8))
+    feats = fusion.featurize_video(manifest, _weights, source)
     vid = manifest.video.video_id
     write_tensor(Tensor.from_array(feats), os.path.join(out_dir, f"{vid}.features.aent"))
 
@@ -233,11 +252,20 @@ def cmd_featurize(ctx, manifest_dir, features_dir, weights_dir, d_model, heads, 
         "channels": int(cfg.get("channels", 8)),
     }
     seed = ctx.obj["seed"]
+    try:  # once per run; every worker gets this one copy
+        if weights_dir:
+            weights = fusion.load_weights(weights_dir)
+        else:
+            weights = fusion.random_weights(fusion.FusionConfig(**fusion_cfg), seed)
+    except (TapgenError, OSError) as e:
+        click.echo(f"error: {e}", err=True)
+        sys.exit(1)
     jobs = []
     for path in _manifest_paths(manifest_dir):
         name = os.path.splitext(os.path.basename(path))[0]
-        jobs.append((name, _featurize_one, (path, out, weights_dir, features_dir, seed, fusion_cfg)))
-    done, errors = _run_batch(jobs, ctx.obj["workers"], ctx.obj["keep_going"])
+        jobs.append((name, _featurize_one, (path, out, features_dir, seed)))
+    done, errors = _run_batch(jobs, ctx.obj["workers"], ctx.obj["keep_going"],
+                              _use_weights, (weights,))
     effective = {**fusion_cfg, "seed": seed, "weights": weights_dir, "features": features_dir}
     _finish("featurize", out, effective, done, errors, t0, ctx.obj["keep_going"])
 

@@ -22,7 +22,11 @@ class ManifestValidationError(TapgenError, ValueError):
 
     def __init__(self, path: str, message: str):
         self.path = path
+        self.message = message
         super().__init__(f"{path}: {message}")
+
+    def __reduce__(self):  # picklable, so pool workers can report it
+        return type(self), (self.path, self.message)
 
 
 class DataError(TapgenError, RuntimeError):

@@ -9,6 +9,19 @@ vector per snippet.
 All math is float64. Encoders use pre-normalization and carry no
 positional encodings: agent sets are unordered, which makes the fusion
 permutation-invariant by construction.
+
+`featurize_video` runs a video in blocks of BLOCK_SNIPPETS snippets, and
+each layer function takes a whole block, with a single snippet as the
+B=1 case. Per block: one pooled [B, C] matrix through the environment
+stack; one RoIAlign call per distinct map size over all boxes on maps of
+that size; one agent-encoder batch [B_n, n, d_model] per agent count n
+(equal counts need no attention mask); one fuse-encoder batch for the
+snippets without agents (1 token) and one for the rest (2 tokens).
+RoIAlign is separable: a bilinear weight is a row weight times a column
+weight, and so is its mean over a bin's regular sub-samples, so each
+patch is Ay @ map @ Ax^T with Ay [gh, H] and Ax [gw, W] the per-bin mean
+interpolation weights. Blocks, not whole videos, bound the size of the
+temporaries. Results match the per-snippet path to rounding (~1e-15).
 """
 
 from __future__ import annotations
@@ -25,6 +38,7 @@ from tapgen.tensorio import Tensor, read_tensor, write_tensor, atomic_write_byte
 from tapgen.timeline import build_grid
 
 LN_EPS = 1e-5
+BLOCK_SNIPPETS = 64  # snippets per featurize batch
 
 __all__ = [
     "FeatureMap",
@@ -190,78 +204,79 @@ def _softmax(x: np.ndarray, axis: int = -1) -> np.ndarray:
     return e / np.sum(e, axis=axis, keepdims=True)
 
 
-def environment_pathway(fmap: FeatureMap, w: FusionWeights) -> np.ndarray:
+def environment_pathway(fmap, w: FusionWeights) -> np.ndarray:
     """Global average pool over H x W, fully connected stack, softmax.
 
     Returns the scene descriptor as a probability vector of length d_model
-    (or raw logits when config.env_softmax is off).
+    (or raw logits when config.env_softmax is off). Given a sequence of B
+    feature maps (sizes may differ), returns one row per map, [B, d_model].
     """
-    if fmap.C != w.config.channels:
-        raise ConfigError(
-            f"feature map has {fmap.C} channels, weights expect {w.config.channels}"
-        )
-    x = fmap.values.mean(axis=(1, 2))
+    single = isinstance(fmap, FeatureMap)
+    maps = (fmap,) if single else fmap
+    for m in maps:
+        if m.C != w.config.channels:
+            raise ConfigError(
+                f"feature map has {m.C} channels, weights expect {w.config.channels}"
+            )
+    x = np.stack([m.values.mean(axis=(1, 2)) for m in maps])
     last = len(w.env_affine) - 1
     for i, (mat, bias) in enumerate(w.env_affine):
-        x = mat @ x + bias
+        x = x @ mat.T + bias
         if i < last:
             x = np.maximum(x, 0.0)
-    return _softmax(x) if w.config.env_softmax else x
+    out = _softmax(x) if w.config.env_softmax else x
+    return out[0] if single else out
 
 
-def _bilinear(values: np.ndarray, ys: np.ndarray, xs: np.ndarray) -> np.ndarray:
-    """Sample values [C, H, W] at continuous points; pixel centers sit at
-    integer index + 0.5. Returns [C, n]."""
-    _, h, w = values.shape
-    u = np.clip(xs - 0.5, 0.0, w - 1.0)
-    v = np.clip(ys - 0.5, 0.0, h - 1.0)
-    x0 = np.clip(np.floor(u).astype(np.int64), 0, w - 1)
-    y0 = np.clip(np.floor(v).astype(np.int64), 0, h - 1)
-    x1 = np.minimum(x0 + 1, w - 1)
-    y1 = np.minimum(y0 + 1, h - 1)
-    fx = u - x0
-    fy = v - y0
-    v00 = values[:, y0, x0]
-    v01 = values[:, y0, x1]
-    v10 = values[:, y1, x0]
-    v11 = values[:, y1, x1]
-    return (
-        v00 * (1 - fy) * (1 - fx)
-        + v01 * (1 - fy) * fx
-        + v10 * fy * (1 - fx)
-        + v11 * fy * fx
-    )
+def _bin_weights(lo: np.ndarray, hi: np.ndarray, size: int, bins: int, samples: int) -> np.ndarray:
+    """Interpolation weights along one axis, averaged over each bin's samples.
+
+    lo, hi: [N] normalized box edges. Returns [N, bins, size]: row b holds
+    the mean bilinear weight of every map cell over the samples of bin b.
+    Pixel centers sit at integer index + 0.5; coordinates clamp to the map.
+    """
+    lo = lo * size
+    step = (hi * size - lo) / bins
+    offsets = np.arange(bins)[:, None] + (np.arange(samples)[None, :] + 0.5) / samples
+    pos = np.clip(lo[:, None, None] + offsets * step[:, None, None] - 0.5, 0.0, size - 1.0)
+    near = np.floor(pos).astype(np.int64)
+    far = np.minimum(near + 1, size - 1)
+    frac = (pos - near)[..., None]
+    cells = np.arange(size)
+    weights = (cells == near[..., None]) * (1 - frac) + (cells == far[..., None]) * frac
+    return weights.mean(axis=2)
 
 
 def roi_align(
-    fmap: FeatureMap,
-    box: tuple[float, float, float, float],
+    fmap,
+    box,
     out_grid: tuple[int, int] = (4, 4),
     samples_per_bin: tuple[int, int] = (2, 2),
+    map_index=None,
 ) -> np.ndarray:
     """Average-pooled bilinear sampling of a normalized box, shape [C, gh, gw].
 
     The box is scaled to continuous feature coordinates (x * W, y * H);
     each output bin averages sh x sw samples at regular fractional
     offsets, with no coordinate rounding anywhere.
+
+    Batched form: fmap is a stack [M, C, H, W] of equal-size maps, box an
+    [N, 4] array and map_index [N] the map of each box (default map 0);
+    returns [N, C, gh, gw]. Each patch is Ay @ map @ Ax^T (module docstring).
     """
     gh, gw = out_grid
     sh, sw = samples_per_bin
-    x1, y1, x2, y2 = box
-    x1 *= fmap.W
-    x2 *= fmap.W
-    y1 *= fmap.H
-    y2 *= fmap.H
-    bin_h = (y2 - y1) / gh
-    bin_w = (x2 - x1) / gw
-    # sample centers for every (bin, sub-sample) pair along each axis
-    ys = y1 + (np.arange(gh)[:, None] + (np.arange(sh)[None, :] + 0.5) / sh) * bin_h
-    xs = x1 + (np.arange(gw)[:, None] + (np.arange(sw)[None, :] + 0.5) / sw) * bin_w
-    yy = np.repeat(ys.ravel(), gw * sw)  # gh*sh blocks
-    xx = np.tile(xs.ravel(), gh * sh)
-    sampled = _bilinear(fmap.values, yy, xx)  # [C, gh*sh*gw*sw]
-    sampled = sampled.reshape(fmap.C, gh, sh, gw, sw)
-    return sampled.mean(axis=(2, 4))
+    values = fmap.values[None] if isinstance(fmap, FeatureMap) else np.asarray(fmap, np.float64)
+    boxes = np.asarray(box, dtype=np.float64)
+    single = boxes.ndim == 1
+    boxes = boxes.reshape(-1, 4)
+    if map_index is None:
+        map_index = np.zeros(len(boxes), dtype=np.intp)
+    _, _, h, w = values.shape
+    ay = _bin_weights(boxes[:, 1], boxes[:, 3], h, gh, sh)  # [N, gh, H]
+    ax = _bin_weights(boxes[:, 0], boxes[:, 2], w, gw, sw)  # [N, gw, W]
+    patches = ay[:, None] @ values[map_index] @ ax[:, None].transpose(0, 1, 3, 2)
+    return patches[0] if single else patches
 
 
 def _layer_norm(x: np.ndarray, scale: np.ndarray, shift: np.ndarray) -> np.ndarray:
@@ -270,18 +285,24 @@ def _layer_norm(x: np.ndarray, scale: np.ndarray, shift: np.ndarray) -> np.ndarr
     return (x - mean) / np.sqrt(var + LN_EPS) * scale + shift
 
 
+def _linear(x: np.ndarray, mat: np.ndarray, bias: np.ndarray) -> np.ndarray:
+    """x @ mat.T + bias over the last axis, as one 2-D matrix product."""
+    flat = x.reshape(-1, x.shape[-1]) @ mat.T + bias
+    return flat.reshape(*x.shape[:-1], mat.shape[0])
+
+
 def _self_attention(
     x: np.ndarray, lw: EncoderLayerWeights, num_heads: int
 ) -> tuple[np.ndarray, np.ndarray]:
-    n, d = x.shape
-    dh = d // num_heads
-    q = (x @ lw.wq.T + lw.bq).reshape(n, num_heads, dh)
-    k = (x @ lw.wk.T + lw.bk).reshape(n, num_heads, dh)
-    v = (x @ lw.wv.T + lw.bv).reshape(n, num_heads, dh)
-    scores = np.einsum("qhd,khd->hqk", q, k) / np.sqrt(dh)
-    attn = _softmax(scores, axis=-1)  # [heads, n, n]
-    mixed = np.einsum("hqk,khd->qhd", attn, v).reshape(n, d)
-    return mixed @ lw.wo.T + lw.bo, attn
+    *lead, n, d = x.shape
+    heads = (*lead, n, num_heads, d // num_heads)
+    q = _linear(x, lw.wq, lw.bq).reshape(heads)
+    k = _linear(x, lw.wk, lw.bk).reshape(heads)
+    v = _linear(x, lw.wv, lw.bv).reshape(heads)
+    scores = np.einsum("...qhd,...khd->...hqk", q, k) / np.sqrt(heads[-1])
+    attn = _softmax(scores, axis=-1)  # [..., heads, n, n]
+    mixed = np.einsum("...hqk,...khd->...qhd", attn, v).reshape(x.shape)
+    return _linear(mixed, lw.wo, lw.bo), attn
 
 
 def attention_encoder(
@@ -289,18 +310,19 @@ def attention_encoder(
 ):
     """Pre-norm self-attention encoder over an unordered token set.
 
-    tokens: [n, d_model]. With no positional encodings, the map is
+    tokens: [n, d_model], or [B, n, d_model] for B independent sets of n
+    tokens each. With no positional encodings, the map is
     permutation-equivariant. When return_attn is set, also returns the
-    per-layer attention tensors [num_heads, n, n].
+    per-layer attention tensors [num_heads, n, n] ([B, num_heads, n, n]).
     """
     x = np.asarray(tokens, dtype=np.float64)
     if x.ndim == 1:
         x = x[None, :]
-    if x.shape[0] < 1:
+    if x.shape[-2] < 1:
         raise InvalidInputError("attention_encoder needs at least one token")
     d = w.layers[0].wq.shape[0]
-    if x.shape[1] != d:
-        raise ConfigError(f"token dim {x.shape[1]} != encoder d_model {d}")
+    if x.shape[-1] != d:
+        raise ConfigError(f"token dim {x.shape[-1]} != encoder d_model {d}")
     attns = []
     for lw in w.layers:
         h = _layer_norm(x, lw.ln1_scale, lw.ln1_shift)
@@ -308,43 +330,53 @@ def attention_encoder(
         attns.append(attn)
         x = x + mixed
         h = _layer_norm(x, lw.ln2_scale, lw.ln2_shift)
-        ff = np.maximum(h @ lw.ff1_w.T + lw.ff1_b, 0.0) @ lw.ff2_w.T + lw.ff2_b
+        ff = _linear(np.maximum(_linear(h, lw.ff1_w, lw.ff1_b), 0.0), lw.ff2_w, lw.ff2_b)
         x = x + ff
     if return_attn:
         return x, attns
     return x
 
 
-def agent_fusion(patches: list[np.ndarray], w: FusionWeights) -> np.ndarray | None:
-    """Fuse per-agent RoI patches into one vector; None when no agents."""
-    if not patches:
+def agent_fusion(patches, w: FusionWeights) -> np.ndarray | None:
+    """Fuse per-agent RoI patches into one vector; None when no agents.
+
+    Batched form: an array [B, n, C, gh, gw] of n patches for each of B
+    snippets gives [B, d_model].
+    """
+    if len(patches) == 0:
         return None
     gh, gw = w.config.roi_grid
     expected = (w.config.channels, gh, gw)
-    for p in patches:
-        if p.shape != expected:
-            raise InvalidInputError(
-                f"patch shape {p.shape} != expected {expected} (mixed or wrong dims)"
-            )
+    batch = isinstance(patches, np.ndarray) and patches.ndim == 5
+    shapes = {patches.shape[2:]} if batch else {np.shape(p) for p in patches}
+    if shapes != {expected}:
+        raise InvalidInputError(
+            f"patch shapes {sorted(shapes)} != expected {expected} (mixed or wrong dims)"
+        )
+    stacked = patches if batch else np.stack(patches)[None]
+    b, n = stacked.shape[:2]
     pw, pb = w.patch_proj
-    tokens = np.stack([pw @ p.ravel() + pb for p in patches])
-    encoded = attention_encoder(tokens, w.agent_encoder)
-    return encoded.mean(axis=0)
+    tokens = _linear(stacked.reshape(b, n, -1), pw, pb)
+    fused = attention_encoder(tokens, w.agent_encoder).mean(axis=-2)
+    return fused if batch else fused[0]
 
 
 def ae_fuse(env: np.ndarray, agents: np.ndarray | None, w: FusionWeights) -> np.ndarray:
-    """Re-weight scene vs agent information through the fusion encoder."""
+    """Re-weight scene vs agent information through the fusion encoder.
+
+    env [d_model] (agents the same, or None); or [B, d_model] rows, each
+    fused with the agents row of the same index.
+    """
     d = w.config.d_model
-    if env.shape != (d,):
+    if env.ndim not in (1, 2) or env.shape[-1] != d:
         raise ConfigError(f"env vector shape {env.shape} != ({d},)")
     if agents is None:
-        tokens = env[None, :]
+        tokens = env[..., None, :]
     else:
-        if agents.shape != (d,):
-            raise ConfigError(f"agents vector shape {agents.shape} != ({d},)")
-        tokens = np.stack([env, agents])
-    encoded = attention_encoder(tokens, w.fuse_encoder)
-    return encoded.mean(axis=0)
+        if agents.shape != env.shape:
+            raise ConfigError(f"agents vector shape {agents.shape} != {env.shape}")
+        tokens = np.stack([env, agents], axis=-2)
+    return attention_encoder(tokens, w.fuse_encoder).mean(axis=-2)
 
 
 # ---------------------------------------------------------------------------
@@ -386,83 +418,59 @@ def featurize_video(manifest, w: FusionWeights, source) -> np.ndarray:
     """Run the full two-pathway pipeline over every snippet.
 
     Returns the [T, d_model] feature matrix with rows in snippet order.
-    Snippets absent from the manifest contribute no agent boxes.
+    Snippets absent from the manifest contribute no agent boxes. Snippets
+    go through the layers BLOCK_SNIPPETS at a time (module docstring).
     """
     grid = build_grid(manifest.video)
     smap = manifest.snippet_map()
-    gh_gw = w.config.roi_grid
-    samples = w.config.roi_samples
     out = np.empty((grid.T, w.config.d_model), dtype=np.float64)
-    for i in range(grid.T):
-        entry = smap.get(i)
-        fmap = source.get(manifest.video.video_id, i, entry)
-        env = environment_pathway(fmap, w)
-        boxes = entry.agent_boxes if entry is not None else ()
-        patches = [roi_align(fmap, b, gh_gw, samples) for b in boxes]
-        agents = agent_fusion(patches, w)
-        out[i] = ae_fuse(env, agents, w)
+    for start in range(0, grid.T, BLOCK_SNIPPETS):
+        rows = range(start, min(start + BLOCK_SNIPPETS, grid.T))
+        entries = [smap.get(i) for i in rows]
+        maps = [source.get(manifest.video.video_id, i, e) for i, e in zip(rows, entries)]
+        env = environment_pathway(maps, w)
+        boxes = [e.agent_boxes if e is not None else () for e in entries]
+        counts = np.array([len(b) for b in boxes])
+        agents = _block_agents(maps, boxes, counts, w)
+        block = out[start:rows.stop]
+        alone = counts == 0
+        if alone.any():
+            block[alone] = ae_fuse(env[alone], None, w)
+        if not alone.all():
+            block[~alone] = ae_fuse(env[~alone], agents[~alone], w)
     return out
+
+
+def _block_agents(maps, boxes, counts: np.ndarray, w: FusionWeights) -> np.ndarray:
+    """Agent vectors [B, d_model] of one block; rows of snippets without
+    agents stay zero. Boxes are RoI-aligned per map size, then encoded per
+    agent count."""
+    cfg = w.config
+    owner = np.repeat(np.arange(len(maps)), counts)  # snippet of each box
+    flat = np.array([b for bs in boxes for b in bs], dtype=np.float64).reshape(-1, 4)
+    patches = np.empty((len(flat), cfg.channels, *cfg.roi_grid))
+    by_size: dict[tuple[int, int], list[int]] = {}
+    for i in np.flatnonzero(counts):
+        by_size.setdefault(maps[i].values.shape[1:], []).append(i)
+    for snips in by_size.values():
+        local = np.full(len(maps), -1)
+        local[snips] = np.arange(len(snips))
+        sel = local[owner] >= 0
+        stack = np.stack([maps[i].values for i in snips])
+        patches[sel] = roi_align(
+            stack, flat[sel], cfg.roi_grid, cfg.roi_samples, local[owner[sel]]
+        )
+    agents = np.zeros((len(maps), cfg.d_model))
+    first = np.cumsum(counts) - counts  # each snippet's first box
+    for n in sorted(set(counts.tolist()) - {0}):  # np.unique would import numpy.ma
+        snips = np.flatnonzero(counts == n)
+        agents[snips] = agent_fusion(patches[first[snips][:, None] + np.arange(n)], w)
+    return agents
 
 
 # ---------------------------------------------------------------------------
 # Weight construction and bundles
 # ---------------------------------------------------------------------------
-
-def _rand(rng: np.random.Generator, shape: tuple[int, ...], scale: float) -> np.ndarray:
-    return rng.uniform(-scale, scale, size=shape)
-
-
-def _random_encoder(rng, cfg: FusionConfig, scale: float) -> EncoderWeights:
-    d, ff = cfg.d_model, cfg.ff_dim
-    layers = []
-    for _ in range(cfg.num_layers):
-        layers.append(
-            EncoderLayerWeights(
-                wq=_rand(rng, (d, d), scale),
-                bq=_rand(rng, (d,), scale),
-                wk=_rand(rng, (d, d), scale),
-                bk=_rand(rng, (d,), scale),
-                wv=_rand(rng, (d, d), scale),
-                bv=_rand(rng, (d,), scale),
-                wo=_rand(rng, (d, d), scale),
-                bo=_rand(rng, (d,), scale),
-                ff1_w=_rand(rng, (ff, d), scale),
-                ff1_b=_rand(rng, (ff,), scale),
-                ff2_w=_rand(rng, (d, ff), scale),
-                ff2_b=_rand(rng, (d,), scale),
-                ln1_scale=np.ones(d),
-                ln1_shift=np.zeros(d),
-                ln2_scale=np.ones(d),
-                ln2_shift=np.zeros(d),
-            )
-        )
-    return EncoderWeights(layers=tuple(layers), num_heads=cfg.num_heads)
-
-
-def random_weights(cfg: FusionConfig, seed: int) -> FusionWeights:
-    """Seeded weights, uniform in [-1/sqrt(d_model), +1/sqrt(d_model)]."""
-    rng = np.random.Generator(np.random.Philox(seed))
-    scale = 1.0 / np.sqrt(cfg.d_model)
-    dims = [cfg.channels, *cfg.env_hidden, cfg.d_model]
-    env_affine = tuple(
-        (_rand(rng, (dims[i + 1], dims[i]), scale), _rand(rng, (dims[i + 1],), scale))
-        for i in range(len(dims) - 1)
-    )
-    gh, gw = cfg.roi_grid
-    patch_proj = (
-        _rand(rng, (cfg.d_model, cfg.channels * gh * gw), scale),
-        _rand(rng, (cfg.d_model,), scale),
-    )
-    agent_encoder = _random_encoder(rng, cfg, scale)
-    fuse_encoder = _random_encoder(rng, cfg, scale)
-    return FusionWeights(
-        config=cfg,
-        env_affine=env_affine,
-        patch_proj=patch_proj,
-        agent_encoder=agent_encoder,
-        fuse_encoder=fuse_encoder,
-    )
-
 
 _LAYER_PARAMS = (
     "wq", "bq", "wk", "bk", "wv", "bv", "wo", "bo",
@@ -511,46 +519,124 @@ def save_weights(w: FusionWeights, directory: str | os.PathLike) -> None:
     atomic_write_bytes(os.path.join(directory, "index.json"), payload + b"\n")
 
 
-def load_weights(directory: str | os.PathLike) -> FusionWeights:
-    directory = os.fspath(directory)
-    with open(os.path.join(directory, "index.json"), "r", encoding="utf-8") as fh:
-        index = json.load(fh)
-    c = index["config"]
-    cfg = FusionConfig(
-        channels=c["channels"],
-        d_model=c["d_model"],
-        num_heads=c["num_heads"],
-        num_layers=c["num_layers"],
-        ff_dim=c["ff_dim"],
-        env_hidden=tuple(c["env_hidden"]),
-        roi_grid=tuple(c["roi_grid"]),
-        roi_samples=tuple(c["roi_samples"]),
-        env_softmax=c["env_softmax"],
-    )
-
-    def load(name: str) -> np.ndarray:
-        fname = index["params"].get(name)
-        if fname is None:
-            raise ConfigError(f"weight bundle {directory}: missing parameter {name}")
-        return read_tensor(os.path.join(directory, fname)).to_array()
-
-    n_env = 1 + len(cfg.env_hidden)
-    env_affine = tuple(
-        (load(f"env_affine.{i}.weight"), load(f"env_affine.{i}.bias")) for i in range(n_env)
-    )
-    patch_proj = (load("patch_proj.weight"), load("patch_proj.bias"))
-
-    def load_encoder(enc_name: str) -> EncoderWeights:
-        layers = []
+def _param_shapes(cfg: FusionConfig) -> dict[str, tuple[int, ...]]:
+    """The shape of every parameter of a bundle, by name."""
+    d, ff = cfg.d_model, cfg.ff_dim
+    dims = [cfg.channels, *cfg.env_hidden, d]
+    shapes: dict[str, tuple[int, ...]] = {}
+    for i in range(len(dims) - 1):
+        shapes[f"env_affine.{i}.weight"] = (dims[i + 1], dims[i])
+        shapes[f"env_affine.{i}.bias"] = (dims[i + 1],)
+    gh, gw = cfg.roi_grid
+    shapes["patch_proj.weight"] = (d, cfg.channels * gh * gw)
+    shapes["patch_proj.bias"] = (d,)
+    layer = {p: (d,) for p in _LAYER_PARAMS}
+    layer.update(wq=(d, d), wk=(d, d), wv=(d, d), wo=(d, d),
+                 ff1_w=(ff, d), ff1_b=(ff,), ff2_w=(d, ff))
+    for enc_name in ("agent_encoder", "fuse_encoder"):
         for li in range(cfg.num_layers):
-            kwargs = {p: load(f"{enc_name}.{li}.{p}") for p in _LAYER_PARAMS}
-            layers.append(EncoderLayerWeights(**kwargs))
-        return EncoderWeights(layers=tuple(layers), num_heads=cfg.num_heads)
+            shapes.update({f"{enc_name}.{li}.{p}": shape for p, shape in layer.items()})
+    return shapes
+
+
+def _weights_from_params(cfg: FusionConfig, params: dict[str, np.ndarray]) -> FusionWeights:
+    def encoder(enc_name: str) -> EncoderWeights:
+        layers = tuple(
+            EncoderLayerWeights(**{p: params[f"{enc_name}.{li}.{p}"] for p in _LAYER_PARAMS})
+            for li in range(cfg.num_layers)
+        )
+        return EncoderWeights(layers=layers, num_heads=cfg.num_heads)
 
     return FusionWeights(
         config=cfg,
-        env_affine=env_affine,
-        patch_proj=patch_proj,
-        agent_encoder=load_encoder("agent_encoder"),
-        fuse_encoder=load_encoder("fuse_encoder"),
+        env_affine=tuple(
+            (params[f"env_affine.{i}.weight"], params[f"env_affine.{i}.bias"])
+            for i in range(1 + len(cfg.env_hidden))
+        ),
+        patch_proj=(params["patch_proj.weight"], params["patch_proj.bias"]),
+        agent_encoder=encoder("agent_encoder"),
+        fuse_encoder=encoder("fuse_encoder"),
     )
+
+
+def random_weights(cfg: FusionConfig, seed: int) -> FusionWeights:
+    """Seeded weights, uniform in [-1/sqrt(d_model), +1/sqrt(d_model)];
+    layer norms start as the identity."""
+    rng = np.random.Generator(np.random.Philox(seed))
+    scale = 1.0 / np.sqrt(cfg.d_model)
+    params = {}
+    for name, shape in _param_shapes(cfg).items():  # draw order fixes the values
+        if ".ln" not in name:
+            params[name] = rng.uniform(-scale, scale, size=shape)
+        else:
+            params[name] = np.ones(shape) if name.endswith("scale") else np.zeros(shape)
+    return _weights_from_params(cfg, params)
+
+
+def _is_int(v) -> bool:
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
+def _config_from_index(index, where: str) -> FusionConfig:
+    """Validate index.json down to each config field; errors name the field."""
+    if not isinstance(index, dict):
+        raise ConfigError(f"{where}: top level must be an object")
+    for key in ("config", "params"):
+        if key not in index:
+            raise ConfigError(f"{where}: missing field {key!r}")
+        if not isinstance(index[key], dict):
+            raise ConfigError(f"{where}: field {key!r} must be an object")
+    c = index["config"]
+
+    def field(name: str, ok, kind: str):
+        if name not in c:
+            raise ConfigError(f"{where}: missing field 'config.{name}'")
+        if not ok(c[name]):
+            raise ConfigError(f"{where}: field 'config.{name}' must be {kind}, got {c[name]!r}")
+        return c[name]
+
+    def int_list(n: int | None):
+        return lambda v: (isinstance(v, list) and (n is None or len(v) == n)
+                          and all(_is_int(x) and x >= 1 for x in v))
+
+    kwargs = {n: field(n, _is_int, "an integer")
+              for n in ("channels", "d_model", "num_heads", "num_layers", "ff_dim")}
+    kwargs["env_hidden"] = tuple(field("env_hidden", int_list(None), "a list of positive integers"))
+    for name in ("roi_grid", "roi_samples"):
+        kwargs[name] = tuple(field(name, int_list(2), "a list of 2 positive integers"))
+    kwargs["env_softmax"] = field("env_softmax", lambda v: isinstance(v, bool), "true or false")
+    try:
+        return FusionConfig(**kwargs)
+    except ConfigError as e:
+        raise ConfigError(f"{where}: field 'config': {e}") from e
+
+
+def load_weights(directory: str | os.PathLike) -> FusionWeights:
+    """Read a bundle written by save_weights.
+
+    Every index field and every parameter shape is checked; a bad one
+    raises ConfigError naming the file and the field.
+    """
+    directory = os.fspath(directory)
+    index_path = os.path.join(directory, "index.json")
+    with open(index_path, "r", encoding="utf-8") as fh:
+        try:
+            index = json.load(fh)
+        except ValueError as e:  # JSONDecodeError or UnicodeDecodeError
+            raise ConfigError(f"{index_path}: not valid JSON ({e})") from e
+    cfg = _config_from_index(index, index_path)
+    files = index["params"]
+    params = {}
+    for name, shape in _param_shapes(cfg).items():
+        fname = files.get(name)
+        if fname is None:
+            raise ConfigError(f"{index_path}: missing field 'params.{name}'")
+        if not isinstance(fname, str):
+            raise ConfigError(f"{index_path}: field 'params.{name}' must be a file name")
+        path = os.path.join(directory, fname)
+        params[name] = read_tensor(path).to_array()
+        if params[name].shape != shape:
+            raise ConfigError(
+                f"{path}: parameter {name!r} has shape {params[name].shape}, expected {shape}"
+            )
+    return _weights_from_params(cfg, params)

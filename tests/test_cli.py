@@ -8,6 +8,7 @@ import pytest
 from click.testing import CliRunner
 
 from tapgen.cli import main
+from tapgen.fusion import FusionConfig, random_weights, save_weights
 
 
 @pytest.fixture
@@ -139,6 +140,30 @@ class TestErrorHandling:
                             "--grids", str(tmp_path / "corpus/grids"),
                             "--out", str(tmp_path / "proposals")])
         assert r.exit_code == 1
+
+    def test_parallel_stop_on_first_error_reports_every_written_output(self, runner, tmp_path):
+        invoke(runner, ["synth", "--n-videos", "8", "--out", str(tmp_path / "corpus")])
+        # sorts first, so the batch stops while most jobs are still queued
+        (tmp_path / "corpus" / "manifests" / "aaa_bad.json").write_text("{}")
+        out = tmp_path / "feats"
+        r = invoke(runner, ["--workers", "2", "featurize",
+                            "--manifests", str(tmp_path / "corpus/manifests"),
+                            "--d-model", "16", "--heads", "2", "--out", str(out)])
+        assert r.exit_code == 1
+        summary = json.loads((out / "run_summary.json").read_text())
+        assert list(summary["errors"]) == ["aaa_bad"]
+        written = {n.split(".")[0] for n in os.listdir(out) if n.endswith(".features.aent")}
+        assert written == set(summary["completed"])
+
+    def test_bad_weight_bundle_fails_once(self, runner, tmp_path):
+        invoke(runner, ["synth", "--n-videos", "3", "--out", str(tmp_path / "corpus")])
+        bundle = tmp_path / "bundle"
+        save_weights(random_weights(FusionConfig(d_model=16, num_heads=2), seed=1), bundle)
+        (bundle / "index.json").write_text('{"config": {}}')
+        r = invoke(runner, ["featurize", "--manifests", str(tmp_path / "corpus/manifests"),
+                            "--weights", str(bundle), "--out", str(tmp_path / "feats")])
+        assert r.exit_code == 1
+        assert r.output == f"error: {bundle / 'index.json'}: missing field 'params'\n"
 
     def test_keep_going_partial_failure_exits_2(self, runner, tmp_path):
         invoke(runner, ["synth", "--n-videos", "4", "--out", str(tmp_path / "corpus")])

@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -25,7 +26,7 @@ from tapgen.fusion import (
     stub_backbone,
 )
 from tapgen.tensorio import Manifest, SnippetEntry, Tensor, write_tensor
-from tapgen.timeline import VideoMeta
+from tapgen.timeline import VideoMeta, build_grid
 
 
 SMALL_CFG = FusionConfig(channels=3, d_model=8, num_heads=2, num_layers=1, ff_dim=16)
@@ -197,7 +198,32 @@ class TestRoiAlign:
             assert np.max(np.abs(got - want)) < 1e-9
 
 
+    def test_batched_boxes_match_brute_force_per_map(self):
+        rng = np.random.default_rng(12)
+        stack = rng.standard_normal((3, 2, 5, 7))
+        boxes = np.array([[0.0, 0.0, 1.0, 1.0], [0.1, 0.5, 0.4, 0.9],
+                          [0.6, 0.2, 0.95, 0.3], [0.3, 0.3, 0.31, 0.32]])
+        owner = np.array([2, 0, 2, 1])
+        got = roi_align(stack, boxes, (3, 2), (2, 3), owner)
+        assert got.shape == (4, 2, 3, 2)
+        for k, (box, m) in enumerate(zip(boxes, owner)):
+            want = brute_force_roi_align(stack[m], tuple(box), (3, 2), (2, 3))
+            assert np.max(np.abs(got[k] - want)) < 1e-12
+
+
 class TestAttentionEncoder:
+    def test_batch_matches_one_set_at_a_time(self):
+        rng = np.random.default_rng(13)
+        cfg = FusionConfig(channels=3, d_model=8, num_heads=4, num_layers=2, ff_dim=16)
+        enc = random_weights(cfg, seed=14).agent_encoder
+        sets = rng.standard_normal((5, 3, 8))
+        out, attns = attention_encoder(sets, enc, return_attn=True)
+        assert out.shape == (5, 3, 8) and attns[0].shape == (5, 4, 3, 3)
+        for b in range(5):
+            one, one_attns = attention_encoder(sets[b], enc, return_attn=True)
+            np.testing.assert_allclose(out[b], one, rtol=0, atol=1e-12)
+            np.testing.assert_allclose(attns[1][b], one_attns[1], rtol=0, atol=1e-12)
+
     def test_zero_weights_single_token_passthrough(self):
         # all-zero projections: attention and feed-forward contribute nothing,
         # residuals carry the input through unchanged
@@ -320,6 +346,21 @@ def tiny_manifest(T=3, boxes=((0.1, 0.1, 0.6, 0.7),)):
     return Manifest(video=meta, annotations=(), snippets=snippets)
 
 
+def reference_featurize_video(manifest, w, source):
+    """Per-snippet reference for featurize_video: every layer called once
+    per snippet, RoIAlign once per box."""
+    smap = manifest.snippet_map()
+    out = np.empty((build_grid(manifest.video).T, w.config.d_model))
+    for i in range(len(out)):
+        entry = smap.get(i)
+        fmap = source.get(manifest.video.video_id, i, entry)
+        env = environment_pathway(fmap, w)
+        boxes = entry.agent_boxes if entry is not None else ()
+        patches = [roi_align(fmap, b, w.config.roi_grid, w.config.roi_samples) for b in boxes]
+        out[i] = ae_fuse(env, agent_fusion(patches, w), w)
+    return out
+
+
 class TestFeaturizeVideo:
     def test_deterministic(self):
         w = random_weights(SMALL_CFG, seed=10)
@@ -388,3 +429,100 @@ class TestWeightBundles:
     def test_d_model_head_divisibility_enforced(self):
         with pytest.raises(ConfigError):
             FusionConfig(d_model=10, num_heads=4)
+
+
+def _bundle(tmp_path):
+    cfg = FusionConfig(channels=3, d_model=8, num_heads=2, num_layers=1, ff_dim=16)
+    directory = tmp_path / "bundle"
+    save_weights(random_weights(cfg, seed=21), directory)
+    return directory
+
+
+def _edit_index(directory, edit):
+    path = directory / "index.json"
+    index = json.loads(path.read_text())
+    edit(index)
+    path.write_text(json.dumps(index))
+
+
+class TestWeightBundleValidation:
+    """A malformed bundle raises ConfigError naming the file and the field."""
+
+    def test_non_json_index(self, tmp_path):
+        directory = _bundle(tmp_path)
+        (directory / "index.json").write_text("{not json")
+        with pytest.raises(ConfigError, match=r"index\.json: not valid JSON"):
+            load_weights(directory)
+
+    def test_non_object_index(self, tmp_path):
+        directory = _bundle(tmp_path)
+        (directory / "index.json").write_text("[]")
+        with pytest.raises(ConfigError, match=r"index\.json: top level must be an object"):
+            load_weights(directory)
+
+    @pytest.mark.parametrize("key", ["config", "params"])
+    def test_missing_section(self, tmp_path, key):
+        directory = _bundle(tmp_path)
+        _edit_index(directory, lambda index: index.pop(key))
+        with pytest.raises(ConfigError, match=rf"index\.json: missing field '{key}'"):
+            load_weights(directory)
+
+    @pytest.mark.parametrize("key", ["channels", "d_model", "num_heads", "num_layers",
+                                     "ff_dim", "env_hidden", "roi_grid", "roi_samples",
+                                     "env_softmax"])
+    def test_missing_config_key(self, tmp_path, key):
+        directory = _bundle(tmp_path)
+        _edit_index(directory, lambda index: index["config"].pop(key))
+        with pytest.raises(ConfigError, match=rf"index\.json: missing field 'config\.{key}'"):
+            load_weights(directory)
+
+    @pytest.mark.parametrize("key,value", [
+        ("d_model", "8"), ("d_model", 8.0), ("channels", True), ("num_heads", None),
+        ("env_hidden", 5), ("env_hidden", [0]), ("roi_grid", [4]), ("roi_grid", [4, "4"]),
+        ("roi_samples", None), ("env_softmax", 1),
+    ])
+    def test_wrong_value_type(self, tmp_path, key, value):
+        directory = _bundle(tmp_path)
+        _edit_index(directory, lambda index: index["config"].__setitem__(key, value))
+        with pytest.raises(ConfigError, match=rf"index\.json: field 'config\.{key}' must be"):
+            load_weights(directory)
+
+    def test_inconsistent_config(self, tmp_path):
+        directory = _bundle(tmp_path)
+        _edit_index(directory, lambda index: index["config"].__setitem__("num_heads", 3))
+        with pytest.raises(ConfigError, match=r"index\.json: field 'config': d_model 8"):
+            load_weights(directory)
+
+    def test_params_not_an_object(self, tmp_path):
+        directory = _bundle(tmp_path)
+        _edit_index(directory, lambda index: index.__setitem__("params", ["a.aent"]))
+        with pytest.raises(ConfigError, match=r"index\.json: field 'params' must be an object"):
+            load_weights(directory)
+
+    def test_missing_parameter(self, tmp_path):
+        directory = _bundle(tmp_path)
+        _edit_index(directory, lambda index: index["params"].pop("fuse_encoder.0.wq"))
+        with pytest.raises(ConfigError,
+                           match=r"index\.json: missing field 'params\.fuse_encoder\.0\.wq'"):
+            load_weights(directory)
+
+    def test_parameter_file_name_not_a_string(self, tmp_path):
+        directory = _bundle(tmp_path)
+        _edit_index(directory, lambda index: index["params"].__setitem__("patch_proj.bias", 3))
+        with pytest.raises(ConfigError,
+                           match=r"field 'params\.patch_proj\.bias' must be a file name"):
+            load_weights(directory)
+
+    @pytest.mark.parametrize("name,shape", [
+        ("agent_encoder.0.wq", (8, 4)),
+        ("agent_encoder.0.ff1_w", (8, 16)),
+        ("fuse_encoder.0.ln2_shift", (7,)),
+        ("env_affine.0.weight", (8, 4)),
+        ("patch_proj.weight", (8, 3, 16)),
+    ])
+    def test_wrong_parameter_shape(self, tmp_path, name, shape):
+        directory = _bundle(tmp_path)
+        fname = json.loads((directory / "index.json").read_text())["params"][name]
+        write_tensor(Tensor.from_array(np.zeros(shape)), directory / fname)
+        with pytest.raises(ConfigError, match=rf"{fname}: parameter '{name}' has shape"):
+            load_weights(directory)

@@ -1,15 +1,33 @@
-"""Property tests: the array paths against their scalar references, by
-exact equality (no tolerances), on generated inputs."""
+"""Property tests: the array paths against their scalar references, on
+generated inputs. Proposal, label and metric paths must match exactly;
+batched featurize reorders floating-point sums, so it must match to 1e-12."""
+
+from dataclasses import replace
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+
+from tapgen.errors import ConfigError, DataError
+from tapgen.fusion import (
+    BLOCK_SNIPPETS,
+    FeatureMap,
+    FileFeatureSource,
+    FusionConfig,
+    featurize_video,
+    random_weights,
+)
 
 from tapgen.inference import soft_nms
 from tapgen.metrics import evaluate
 from tapgen.supervision import gen_duration_labels
 from tapgen.timeline import GroundTruthAction
 
+from tapgen.tensorio import Manifest, SnippetEntry, Tensor, write_tensor
+from tapgen.timeline import VideoMeta
+
+from test_fusion import reference_featurize_video
 from test_inference import mk, reference_soft_nms
 from test_metrics import brute_force_match_count, gt, si
 from test_supervision import brute_force_duration_labels, make_grid, random_gts
@@ -120,3 +138,96 @@ def test_duration_labels_spot_checks_at_long_videos():
         assert np.array_equal(
             gen_duration_labels(grid, gts, D), brute_force_duration_labels(grid, gts, D)
         )
+
+
+# ---------------------------------------------------------------------------
+# Batched featurize against the per-snippet reference
+# ---------------------------------------------------------------------------
+
+FUSION_CONFIGS = (
+    FusionConfig(channels=3, d_model=8, num_heads=2, num_layers=1, ff_dim=16),
+    FusionConfig(channels=2, d_model=6, num_heads=3, num_layers=2, ff_dim=8,
+                 env_hidden=(5,), roi_grid=(2, 3), roi_samples=(1, 2), env_softmax=False),
+)
+# T below, at and just past one and two block boundaries
+BLOCK_EDGES = (1, BLOCK_SNIPPETS - 1, BLOCK_SNIPPETS, BLOCK_SNIPPETS + 1, 2 * BLOCK_SNIPPETS + 3)
+
+
+class MapSource:
+    """Feature maps handed out by snippet index, as a feature source."""
+
+    def __init__(self, maps):
+        self.maps = maps
+
+    def get(self, video_id, snippet_index, entry):
+        fmap = self.maps[snippet_index]
+        if fmap is None:
+            raise DataError(f"video {video_id!r}: no feature file for snippet {snippet_index}")
+        return fmap
+
+
+def random_box(rng):
+    x1, y1 = rng.uniform(0.0, 0.95, 2)
+    return (float(x1), float(y1),
+            float(rng.uniform(x1 + 0.01, 1.0)), float(rng.uniform(y1 + 0.01, 1.0)))
+
+
+def block_video(T, counts, sizes, channels, seed, listed=None):
+    """A manifest with counts[i] boxes on snippet i (snippets not in listed
+    are absent from it) and a source of sizes[i]-shaped maps."""
+    rng = np.random.default_rng(seed)
+    listed = range(T) if listed is None else listed
+    meta = VideoMeta(video_id="blk", num_frames=T * 8, fps=8.0, snippet_len=8)
+    snippets = tuple(
+        SnippetEntry(index=i, feature_file=None,
+                     agent_boxes=tuple(random_box(rng) for _ in range(counts[i])))
+        for i in listed
+    )
+    maps = [FeatureMap(values=rng.standard_normal((channels, *sizes[i]))) for i in range(T)]
+    return Manifest(video=meta, annotations=(), snippets=snippets), MapSource(maps)
+
+
+@st.composite
+def block_videos(draw, T):
+    counts = draw(st.lists(st.integers(0, 4), min_size=T, max_size=T))
+    size_pool = draw(st.sampled_from([[(8, 8)], [(1, 1), (3, 5), (6, 4)], [(2, 7), (8, 8)]]))
+    sizes = draw(st.lists(st.sampled_from(size_pool), min_size=T, max_size=T))
+    listed = [i for i in range(T) if draw(st.booleans()) or counts[i]]
+    return T, counts, sizes, listed, draw(st.integers(0, 2**32 - 1))
+
+
+@pytest.mark.parametrize("T", BLOCK_EDGES)
+@settings(PROPERTY, max_examples=6)
+@given(data=st.data(), cfg=st.sampled_from(FUSION_CONFIGS))
+def test_batched_featurize_matches_per_snippet(T, data, cfg):
+    T, counts, sizes, listed, seed = data.draw(block_videos(T))
+    manifest, source = block_video(T, counts, sizes, cfg.channels, seed, listed)
+    w = random_weights(cfg, seed=seed % 1000)
+    got = featurize_video(manifest, w, source)
+    want = reference_featurize_video(manifest, w, source)
+    assert got.shape == (T, cfg.d_model)
+    np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+
+
+def test_batched_featurize_channel_mismatch_in_a_later_block():
+    cfg = FUSION_CONFIGS[0]
+    T = BLOCK_SNIPPETS + 3
+    manifest, source = block_video(T, [1] * T, [(4, 4)] * T, cfg.channels, seed=5)
+    source.maps[BLOCK_SNIPPETS + 1] = FeatureMap(values=np.ones((cfg.channels + 1, 4, 4)))
+    with pytest.raises(ConfigError, match="channels"):
+        featurize_video(manifest, random_weights(cfg, seed=1), source)
+
+
+def test_batched_featurize_missing_file_names_video_and_snippet(tmp_path):
+    cfg = FUSION_CONFIGS[0]
+    T = 2 * BLOCK_SNIPPETS + 3
+    missing = BLOCK_SNIPPETS + 7
+    write_tensor(Tensor.from_array(np.ones((cfg.channels, 4, 4))), tmp_path / "map.aent")
+    manifest, _ = block_video(T, [2] * T, [(4, 4)] * T, cfg.channels, seed=6)
+    snippets = tuple(
+        replace(s, feature_file="gone.aent" if s.index == missing else "map.aent")
+        for s in manifest.snippets
+    )
+    manifest = replace(manifest, snippets=snippets)
+    with pytest.raises(DataError, match=rf"video 'blk': feature file .*gone\.aent for snippet {missing} "):
+        featurize_video(manifest, random_weights(cfg, seed=1), FileFeatureSource(tmp_path))

@@ -1,4 +1,5 @@
 import json
+import pickle
 import struct
 
 import numpy as np
@@ -132,6 +133,13 @@ class TestManifest:
         doc["annotations"][0]["end_sec"] = 99.0
         with pytest.raises(ManifestValidationError, match=r"annotations\[0\]"):
             manifest_from_dict(doc)
+
+    def test_validation_error_survives_pickling(self):
+        # pool workers send it to the parent process this way
+        err = pickle.loads(pickle.dumps(ManifestValidationError("video.fps", "must be positive")))
+        assert (err.path, err.message, str(err)) == (
+            "video.fps", "must be positive", "video.fps: must be positive"
+        )
 
     def test_malformed_box(self):
         doc = minimal_manifest_doc()
