@@ -1,9 +1,11 @@
 """Batch command-line front end over manifests and tensor files.
 
 Subcommands: synth, featurize, labels, infer, eval. Options may come from
-a JSON config file (--config); explicit flags win. Every run writes a
-machine-readable run_summary.json next to its outputs. Exit codes:
-0 success, 1 validation/data error, 2 partial failure under --keep-going.
+a JSON config file (--config), which becomes click's default map: its
+values are typed and checked exactly like flags, and explicit flags win.
+Every run writes a machine-readable run_summary.json next to its outputs.
+Exit codes: 0 success, 1 validation/data error, 2 partial failure under
+--keep-going.
 """
 
 from __future__ import annotations
@@ -34,24 +36,40 @@ from tapgen.timeline import build_grid
 
 GRID_PARTS = ("start", "end", "cls", "reg")
 
+# Input paths and synth's output switch are per-run choices, given as flags only.
+FLAG_ONLY = ("features_dir", "weights_dir", "write_grids")
 
-def _load_config(path: str | None) -> dict:
-    if not path:
-        return {}
-    with open(path, "r", encoding="utf-8") as fh:
-        doc = json.load(fh)
+
+def _use_config(ctx, param, path: str | None) -> None:
+    """Install a JSON config file as the default map of main and every subcommand.
+
+    Each value is checked as the text of its flag would be, so a config value
+    resolves exactly like the same flag; a bad file or field exits 1.
+    """
+    if path is None:
+        return
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            doc = json.load(fh)
+    except ValueError as e:  # JSONDecodeError or UnicodeDecodeError
+        raise click.ClickException(f"config {path}: not valid JSON ({e})") from e
     if not isinstance(doc, dict):
-        raise click.ClickException(f"config {path} must be a JSON object")
-    return doc
-
-
-def _effective(flag, cfg: dict, key: str, default):
-    """Explicit flag wins, then the config file, then the built-in default."""
-    if flag is not None:
-        return flag
-    if key in cfg:
-        return cfg[key]
-    return default
+        raise click.ClickException(f"config {path}: must be a JSON object")
+    options = {
+        p.name: p
+        for cmd in (ctx.command, *ctx.command.commands.values())
+        for p in cmd.params
+        if p.expose_value and not p.required and p.name not in FLAG_ONLY
+    }
+    doc = {key: str(value) for key, value in doc.items()}
+    for key, text in doc.items():
+        if key not in options:
+            raise click.ClickException(f"config {path}: unknown field {key!r}")
+        try:
+            options[key].type_cast_value(ctx, text)
+        except click.BadParameter as e:
+            raise click.ClickException(f"config {path}: field {key!r}: {e.message}") from e
+    ctx.default_map = {**doc, **{name: doc for name in ctx.command.commands}}
 
 
 def _write_json(path: str, obj) -> None:
@@ -107,16 +125,15 @@ def _run_batch(jobs, workers: int, keep_going: bool, initializer=None, initargs=
     return done, errors
 
 
-def _finish(command: str, out_dir: str, config: dict, done, errors, t0: float,
-            keep_going: bool, extra: dict | None = None) -> None:
+def _finish(ctx, out_dir: str, config: dict, done, errors, extra: dict | None = None) -> None:
     summary = {
-        "command": command,
+        "command": ctx.info_name,
         "config": config,
         "completed": sorted(done),
         "errors": {k: v for k, v in sorted(errors.items())},
         "num_completed": len(done),
         "num_errors": len(errors),
-        "wall_time_sec": time.monotonic() - t0,
+        "wall_time_sec": time.monotonic() - ctx.obj["t0"],
     }
     if extra:
         summary.update(extra)
@@ -124,26 +141,35 @@ def _finish(command: str, out_dir: str, config: dict, done, errors, t0: float,
     if errors:
         for name, msg in sorted(errors.items()):
             click.echo(f"error: {name}: {msg}", err=True)
-        sys.exit(2 if keep_going and done else 1)
+        sys.exit(2 if ctx.obj["keep_going"] and done else 1)
+
+
+def _each_manifest(ctx, manifest_dir: str, out: str, fn, args: tuple, config: dict,
+                   initializer=None, initargs=()) -> None:
+    """Run fn(manifest_path, out, *args) for every manifest, then write the summary."""
+    os.makedirs(out, exist_ok=True)
+    jobs = [
+        (os.path.splitext(os.path.basename(path))[0], fn, (path, out, *args))
+        for path in _manifest_paths(manifest_dir)
+    ]
+    done, errors = _run_batch(jobs, ctx.obj["workers"], ctx.obj["keep_going"],
+                              initializer, initargs)
+    _finish(ctx, out, config, done, errors)
 
 
 @click.group()
-@click.option("--config", "config_path", type=click.Path(exists=True), default=None,
-              help="JSON file of default option values; explicit flags win.")
-@click.option("--seed", type=int, default=None, help="Global seed override.")
-@click.option("--workers", type=int, default=None, help="Parallel worker count.")
+@click.option("--config", type=click.Path(exists=True, dir_okay=False), is_eager=True,
+              expose_value=False, callback=_use_config,
+              help="JSON object of option defaults, checked like flags; explicit flags win.")
+@click.option("--seed", type=int, default=0, help="Global seed.")
+@click.option("--workers", type=int, default=1, help="Parallel worker count.")
 @click.option("--keep-going", is_flag=True, default=False,
               help="Collect per-video errors instead of stopping at the first.")
 @click.pass_context
-def main(ctx, config_path, seed, workers, keep_going):
+def main(ctx, seed, workers, keep_going):
     """Deterministic temporal action proposal pipeline."""
-    cfg = _load_config(config_path)
-    ctx.obj = {
-        "cfg": cfg,
-        "seed": _effective(seed, cfg, "seed", 0),
-        "workers": max(1, int(_effective(workers, cfg, "workers", 1))),
-        "keep_going": keep_going or bool(cfg.get("keep_going", False)),
-    }
+    ctx.obj = {"t0": time.monotonic(), "seed": seed, "workers": max(1, workers),
+               "keep_going": keep_going}
 
 
 # ---------------------------------------------------------------------------
@@ -151,24 +177,17 @@ def main(ctx, config_path, seed, workers, keep_going):
 # ---------------------------------------------------------------------------
 
 @main.command("synth")
-@click.option("--n-videos", type=int, default=None)
-@click.option("--max-actions", type=int, default=None)
-@click.option("--t-min", type=int, default=None)
-@click.option("--t-max", type=int, default=None)
-@click.option("--d-policy", type=click.Choice(["full", "half"]), default=None)
+@click.option("--n-videos", type=int, default=10)
+@click.option("--max-actions", type=int, default=3)
+@click.option("--t-min", type=int, default=8)
+@click.option("--t-max", type=int, default=32)
+@click.option("--d-policy", type=click.Choice(["full", "half"]), default="full")
 @click.option("--grids/--no-grids", "write_grids", default=True,
               help="Also write oracle score grids built from the labels.")
 @click.option("--out", required=True, type=click.Path())
 @click.pass_context
 def cmd_synth(ctx, n_videos, max_actions, t_min, t_max, d_policy, write_grids, out):
     """Generate a seeded synthetic corpus of manifests (and oracle grids)."""
-    t0 = time.monotonic()
-    cfg = ctx.obj["cfg"]
-    n_videos = int(_effective(n_videos, cfg, "n_videos", 10))
-    max_actions = int(_effective(max_actions, cfg, "max_actions", 3))
-    t_min = int(_effective(t_min, cfg, "t_min", 8))
-    t_max = int(_effective(t_max, cfg, "t_max", 32))
-    d_policy = _effective(d_policy, cfg, "d_policy", "full")
     seed = ctx.obj["seed"]
     if n_videos < 1:
         raise click.ClickException("--n-videos must be >= 1")
@@ -197,9 +216,7 @@ def cmd_synth(ctx, n_videos, max_actions, t_min, t_max, d_policy, write_grids, o
         "n_videos": n_videos, "max_actions": max_actions, "seed": seed,
         "t_min": t_min, "t_max": t_max, "d_policy": d_policy, "grids": write_grids,
     }
-    _finish("synth", out, effective,
-            [sv.manifest.video.video_id for sv in videos], {}, t0,
-            ctx.obj["keep_going"])
+    _finish(ctx, out, effective, [sv.manifest.video.video_id for sv in videos], {})
 
 
 # ---------------------------------------------------------------------------
@@ -235,39 +252,33 @@ def _featurize_one(manifest_path: str, out_dir: str, features_dir: str | None,
               help="Directory of per-snippet feature tensors; omit to use the seeded stub.")
 @click.option("--weights", "weights_dir", type=click.Path(exists=True), default=None,
               help="Weight bundle directory; omit to generate seeded weights.")
-@click.option("--d-model", type=int, default=None)
-@click.option("--heads", type=int, default=None)
-@click.option("--layers", type=int, default=None)
+@click.option("--d-model", type=int, default=64)
+@click.option("--heads", type=int, default=4)
+@click.option("--layers", type=int, default=1)
+@click.option("--channels", type=int, default=8, hidden=True)
 @click.option("--out", required=True, type=click.Path())
 @click.pass_context
-def cmd_featurize(ctx, manifest_dir, features_dir, weights_dir, d_model, heads, layers, out):
+def cmd_featurize(ctx, manifest_dir, features_dir, weights_dir, d_model, heads, layers,
+                  channels, out):
     """Run the two-pathway fusion over every manifest."""
-    t0 = time.monotonic()
-    cfg = ctx.obj["cfg"]
-    os.makedirs(out, exist_ok=True)
-    fusion_cfg = {
-        "d_model": int(_effective(d_model, cfg, "d_model", 64)),
-        "num_heads": int(_effective(heads, cfg, "heads", 4)),
-        "num_layers": int(_effective(layers, cfg, "layers", 1)),
-        "channels": int(cfg.get("channels", 8)),
-    }
     seed = ctx.obj["seed"]
     try:  # once per run; every worker gets this one copy
         if weights_dir:
             weights = fusion.load_weights(weights_dir)
         else:
-            weights = fusion.random_weights(fusion.FusionConfig(**fusion_cfg), seed)
+            weights = fusion.random_weights(fusion.FusionConfig(
+                channels=channels, d_model=d_model, num_heads=heads, num_layers=layers,
+            ), seed)
     except (TapgenError, OSError) as e:
         click.echo(f"error: {e}", err=True)
         sys.exit(1)
-    jobs = []
-    for path in _manifest_paths(manifest_dir):
-        name = os.path.splitext(os.path.basename(path))[0]
-        jobs.append((name, _featurize_one, (path, out, features_dir, seed)))
-    done, errors = _run_batch(jobs, ctx.obj["workers"], ctx.obj["keep_going"],
-                              _use_weights, (weights,))
-    effective = {**fusion_cfg, "seed": seed, "weights": weights_dir, "features": features_dir}
-    _finish("featurize", out, effective, done, errors, t0, ctx.obj["keep_going"])
+    ran = weights.config  # a loaded bundle's own config, not the flags
+    effective = {
+        "d_model": ran.d_model, "num_heads": ran.num_heads, "num_layers": ran.num_layers,
+        "channels": ran.channels, "seed": seed, "weights": weights_dir, "features": features_dir,
+    }
+    _each_manifest(ctx, manifest_dir, out, _featurize_one, (features_dir, seed), effective,
+                   _use_weights, (weights,))
 
 
 # ---------------------------------------------------------------------------
@@ -290,21 +301,12 @@ def _labels_one(manifest_path: str, out_dir: str, d_policy: str) -> None:
 
 @main.command("labels")
 @click.option("--manifests", "manifest_dir", required=True, type=click.Path(exists=True))
-@click.option("--d-policy", type=click.Choice(["full", "half"]), default=None)
+@click.option("--d-policy", type=click.Choice(["full", "half"]), default="full")
 @click.option("--out", required=True, type=click.Path())
 @click.pass_context
 def cmd_labels(ctx, manifest_dir, d_policy, out):
     """Write boundary and duration label tensors for every manifest."""
-    t0 = time.monotonic()
-    cfg = ctx.obj["cfg"]
-    d_policy = _effective(d_policy, cfg, "d_policy", "full")
-    os.makedirs(out, exist_ok=True)
-    jobs = []
-    for path in _manifest_paths(manifest_dir):
-        name = os.path.splitext(os.path.basename(path))[0]
-        jobs.append((name, _labels_one, (path, out, d_policy)))
-    done, errors = _run_batch(jobs, ctx.obj["workers"], ctx.obj["keep_going"])
-    _finish("labels", out, {"d_policy": d_policy}, done, errors, t0, ctx.obj["keep_going"])
+    _each_manifest(ctx, manifest_dir, out, _labels_one, (d_policy,), {"d_policy": d_policy})
 
 
 # ---------------------------------------------------------------------------
@@ -327,7 +329,7 @@ def read_grids(grid_dir: str, vid: str) -> ScoreGrids:
     )
 
 
-def _infer_one(manifest_path: str, grid_dir: str, out_dir: str, inf_cfg: dict) -> None:
+def _infer_one(manifest_path: str, out_dir: str, grid_dir: str, inf_cfg: dict) -> None:
     manifest = read_manifest(manifest_path)
     grid = build_grid(manifest.video)
     vid = manifest.video.video_id
@@ -343,27 +345,15 @@ def _infer_one(manifest_path: str, grid_dir: str, out_dir: str, inf_cfg: dict) -
 @main.command("infer")
 @click.option("--manifests", "manifest_dir", required=True, type=click.Path(exists=True))
 @click.option("--grids", "grid_dir", required=True, type=click.Path(exists=True))
-@click.option("--sigma", type=float, default=None)
-@click.option("--score-floor", type=float, default=None)
-@click.option("--top-k", type=int, default=None)
+@click.option("--sigma", type=float, default=0.4)
+@click.option("--score-floor", type=float, default=0.001)
+@click.option("--top-k", type=int, default=100)
 @click.option("--out", required=True, type=click.Path())
 @click.pass_context
 def cmd_infer(ctx, manifest_dir, grid_dir, sigma, score_floor, top_k, out):
     """Run peak pairing, scoring, and Soft-NMS over stored score grids."""
-    t0 = time.monotonic()
-    cfg = ctx.obj["cfg"]
-    os.makedirs(out, exist_ok=True)
-    inf_cfg = {
-        "sigma": float(_effective(sigma, cfg, "sigma", 0.4)),
-        "score_floor": float(_effective(score_floor, cfg, "score_floor", 0.001)),
-        "top_k": int(_effective(top_k, cfg, "top_k", 100)),
-    }
-    jobs = []
-    for path in _manifest_paths(manifest_dir):
-        name = os.path.splitext(os.path.basename(path))[0]
-        jobs.append((name, _infer_one, (path, grid_dir, out, inf_cfg)))
-    done, errors = _run_batch(jobs, ctx.obj["workers"], ctx.obj["keep_going"])
-    _finish("infer", out, inf_cfg, done, errors, t0, ctx.obj["keep_going"])
+    inf_cfg = {"sigma": sigma, "score_floor": score_floor, "top_k": top_k}
+    _each_manifest(ctx, manifest_dir, out, _infer_one, (grid_dir, inf_cfg), inf_cfg)
 
 
 # ---------------------------------------------------------------------------
@@ -382,7 +372,7 @@ def load_proposals(proposal_dir: str, vid: str) -> list[metrics.ScoredInterval]:
         try:
             # integers as floats: an overlong integer becomes inf and fails below
             doc = json.load(fh, parse_int=float)
-        except json.JSONDecodeError as e:
+        except ValueError as e:  # JSONDecodeError or UnicodeDecodeError
             raise InvalidInputError(f"{path}: not valid JSON ({e})") from e
     if not isinstance(doc, list):
         raise InvalidInputError(f"{path}: top level must be a list of proposals")
@@ -413,14 +403,11 @@ def load_proposals(proposal_dir: str, vid: str) -> list[metrics.ScoredInterval]:
 @main.command("eval")
 @click.option("--manifests", "manifest_dir", required=True, type=click.Path(exists=True))
 @click.option("--proposals", "proposal_dir", required=True, type=click.Path(exists=True))
-@click.option("--preset", type=click.Choice(["activitynet", "thumos"]), default=None)
+@click.option("--preset", type=click.Choice(["activitynet", "thumos"]), default="activitynet")
 @click.option("--out", required=True, type=click.Path())
 @click.pass_context
 def cmd_eval(ctx, manifest_dir, proposal_dir, preset, out):
     """Compute AR@AN and AUC over stored proposal files."""
-    t0 = time.monotonic()
-    cfg = ctx.obj["cfg"]
-    preset = _effective(preset, cfg, "preset", "activitynet")
     thresholds = (
         metrics.ACTIVITYNET_THRESHOLDS if preset == "activitynet" else metrics.THUMOS_THRESHOLDS
     )
@@ -441,8 +428,7 @@ def cmd_eval(ctx, manifest_dir, proposal_dir, preset, out):
         sys.exit(1)
     _write_json(os.path.join(out, "eval.json"), result.to_dict())
     atomic_write_bytes(os.path.join(out, "eval.csv"), result.to_csv().encode("utf-8"))
-    _finish("eval", out, {"preset": preset}, sorted(gts), {}, t0, ctx.obj["keep_going"],
-            extra={"auc": result.auc})
+    _finish(ctx, out, {"preset": preset}, sorted(gts), {}, extra={"auc": result.auc})
     click.echo(f"AUC: {result.auc:.4f}")
 
 

@@ -168,7 +168,8 @@ def gen_labels(grid: SnippetGrid, gts: list[GroundTruthAction], D: int) -> Label
     return LabelSet(starts=starts, ends=ends, durations=durations, max_duration=D)
 
 
-def _check_shapes(p: np.ndarray, l: np.ndarray, mask: np.ndarray | None) -> np.ndarray:
+def _prepare(p, l, mask):
+    """Shared loss prologue: float arrays, shape checks, mask and its size n."""
     p = np.asarray(p, dtype=np.float64)
     l = np.asarray(l, dtype=np.float64)
     if p.shape != l.shape:
@@ -179,27 +180,29 @@ def _check_shapes(p: np.ndarray, l: np.ndarray, mask: np.ndarray | None) -> np.n
         mask = np.asarray(mask, dtype=bool)
         if mask.shape != p.shape:
             raise InvalidInputError(f"mask shape {mask.shape} != {p.shape}")
-    return mask
-
-
-def weighted_binary_loss(
-    p: np.ndarray, l: np.ndarray, mask: np.ndarray | None = None, eps: float = 1e-12
-) -> float:
-    """Class-balanced negative log-likelihood over the masked entries."""
-    mask = _check_shapes(p, l, mask)
-    p = np.asarray(p, dtype=np.float64)
-    l = np.asarray(l, dtype=np.float64)
     n = int(mask.sum())
     if n == 0:
         raise InvalidInputError("empty mask")
+    return p, l, mask, n
+
+
+def _class_weights(l: np.ndarray, mask: np.ndarray, n: int) -> tuple[float, float]:
+    """Class-balance weights (a+, a-) = (N/N+, N/N-) over the masked entries."""
     n_pos = float(l[mask].sum())
     n_neg = n - n_pos
     if n_pos == 0 or n_neg == 0:
         raise DegenerateLabelsError(
             f"need both positives and negatives inside the mask (N+={n_pos:g}, N-={n_neg:g})"
         )
-    a_pos = n / n_pos
-    a_neg = n / n_neg
+    return n / n_pos, n / n_neg
+
+
+def weighted_binary_loss(
+    p: np.ndarray, l: np.ndarray, mask: np.ndarray | None = None, eps: float = 1e-12
+) -> float:
+    """Class-balanced negative log-likelihood over the masked entries."""
+    p, l, mask, n = _prepare(p, l, mask)
+    a_pos, a_neg = _class_weights(l, mask, n)
     pc = np.clip(p, eps, 1.0 - eps)
     terms = a_pos * l * np.log(pc) + a_neg * (1.0 - l) * np.log(1.0 - pc)
     return float(-(terms[mask].sum()) / n)
@@ -209,20 +212,8 @@ def weighted_binary_loss_grad(
     p: np.ndarray, l: np.ndarray, mask: np.ndarray | None = None, eps: float = 1e-12
 ) -> np.ndarray:
     """dLoss/dp, zero where masked out or inside the clamped zones."""
-    mask = _check_shapes(p, l, mask)
-    p = np.asarray(p, dtype=np.float64)
-    l = np.asarray(l, dtype=np.float64)
-    n = int(mask.sum())
-    if n == 0:
-        raise InvalidInputError("empty mask")
-    n_pos = float(l[mask].sum())
-    n_neg = n - n_pos
-    if n_pos == 0 or n_neg == 0:
-        raise DegenerateLabelsError(
-            f"need both positives and negatives inside the mask (N+={n_pos:g}, N-={n_neg:g})"
-        )
-    a_pos = n / n_pos
-    a_neg = n / n_neg
+    p, l, mask, n = _prepare(p, l, mask)
+    a_pos, a_neg = _class_weights(l, mask, n)
     pc = np.clip(p, eps, 1.0 - eps)
     grad = -(a_pos * l / pc - a_neg * (1.0 - l) / (1.0 - pc)) / n
     grad[~mask] = 0.0
@@ -232,23 +223,13 @@ def weighted_binary_loss_grad(
 
 def l2_loss(p: np.ndarray, l: np.ndarray, mask: np.ndarray | None = None) -> float:
     """Mean squared error over the masked entries."""
-    mask = _check_shapes(p, l, mask)
-    p = np.asarray(p, dtype=np.float64)
-    l = np.asarray(l, dtype=np.float64)
-    n = int(mask.sum())
-    if n == 0:
-        raise InvalidInputError("empty mask")
+    p, l, mask, n = _prepare(p, l, mask)
     diff = p - l
     return float((diff[mask] ** 2).sum() / n)
 
 
 def l2_loss_grad(p: np.ndarray, l: np.ndarray, mask: np.ndarray | None = None) -> np.ndarray:
-    mask = _check_shapes(p, l, mask)
-    p = np.asarray(p, dtype=np.float64)
-    l = np.asarray(l, dtype=np.float64)
-    n = int(mask.sum())
-    if n == 0:
-        raise InvalidInputError("empty mask")
+    p, l, mask, n = _prepare(p, l, mask)
     grad = 2.0 * (p - l) / n
     grad[~mask] = 0.0
     return grad

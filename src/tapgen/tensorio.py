@@ -284,7 +284,7 @@ def read_manifest(source: str | os.PathLike) -> Manifest:
     try:
         with open(source, "r", encoding="utf-8") as fh:
             doc = json.load(fh)
-    except json.JSONDecodeError as e:
+    except ValueError as e:  # JSONDecodeError or UnicodeDecodeError
         raise ManifestValidationError(name, f"invalid JSON: {e}") from e
     return manifest_from_dict(doc, name=name)
 

@@ -112,6 +112,17 @@ class TestPipeline:
         names = os.listdir(tmp_path / "feats")
         assert sum(n.endswith(".features.aent") for n in names) == 2
 
+    def test_featurize_reports_loaded_bundle_config(self, runner, tmp_path):
+        invoke(runner, ["synth", "--n-videos", "2", "--out", str(tmp_path / "corpus")])
+        bundle = tmp_path / "bundle"
+        save_weights(random_weights(FusionConfig(d_model=16, num_heads=2), seed=1), bundle)
+        r = invoke(runner, ["featurize", "--manifests", str(tmp_path / "corpus/manifests"),
+                            "--weights", str(bundle), "--out", str(tmp_path / "feats")])
+        assert r.exit_code == 0, r.output
+        summary = json.loads((tmp_path / "feats" / "run_summary.json").read_text())
+        assert summary["config"]["d_model"] == 16
+        assert summary["config"]["num_heads"] == 2
+
     def test_parallel_matches_serial(self, runner, tmp_path):
         run_pipeline(runner, str(tmp_path / "serial"), n_videos=5, seed=11, workers=1)
         run_pipeline(runner, str(tmp_path / "par"), n_videos=5, seed=11, workers=3)
@@ -178,6 +189,21 @@ class TestErrorHandling:
         assert summary["num_completed"] == 3
         assert bad_vid in summary["errors"]
 
+    @pytest.mark.parametrize("keep_going, exit_code", [(False, 1), (True, 2)])
+    def test_non_utf8_manifest_is_a_per_video_error(self, runner, tmp_path, keep_going,
+                                                    exit_code):
+        invoke(runner, ["synth", "--n-videos", "3", "--out", str(tmp_path / "corpus")])
+        (tmp_path / "corpus" / "manifests" / "aaa_bad.json").write_bytes(b"\xff\xfe{}")
+        base = ["--keep-going"] if keep_going else []
+        # catch_exceptions=False: a traceback would fail the test
+        r = invoke(runner, base + ["labels", "--manifests", str(tmp_path / "corpus/manifests"),
+                                   "--out", str(tmp_path / "labels")])
+        assert r.exit_code == exit_code
+        assert r.output.startswith("error: aaa_bad: ")
+        summary = json.loads((tmp_path / "labels" / "run_summary.json").read_text())
+        assert list(summary["errors"]) == ["aaa_bad"]
+        assert summary["num_completed"] == (3 if keep_going else 0)
+
     def test_eval_with_no_matching_proposals_exits_1(self, runner, tmp_path):
         invoke(runner, ["synth", "--n-videos", "2", "--out", str(tmp_path / "corpus")])
         os.makedirs(tmp_path / "empty")
@@ -211,6 +237,7 @@ class TestErrorHandling:
                      "entry 0: field 't_end_sec'", id="reversed"),
         pytest.param(json.dumps([{**GOOD, "score": 1.5}]), "entry 0: field 'score'", id="score-high"),
         pytest.param(json.dumps([{**GOOD, "score": -0.1}]), "entry 0: field 'score'", id="score-low"),
+        pytest.param(b"\xff\xfe[]", "not valid JSON", id="not-utf8"),
     ])
     def test_eval_rejects_malformed_proposal_file(self, runner, tmp_path, text, expected):
         invoke(runner, ["synth", "--n-videos", "2", "--out", str(tmp_path / "corpus")])
@@ -219,7 +246,7 @@ class TestErrorHandling:
         os.makedirs(tmp_path / "props")
         (tmp_path / "props" / f"{vids[0]}.proposals.json").write_text(json.dumps([self.GOOD]))
         bad = tmp_path / "props" / f"{vids[1]}.proposals.json"
-        bad.write_text(text)
+        bad.write_bytes(text if isinstance(text, bytes) else text.encode())
         # catch_exceptions=False: a traceback would fail the test
         r = invoke(runner, ["eval", "--manifests", str(tmp_path / "corpus/manifests"),
                             "--proposals", str(tmp_path / "props"),
@@ -266,3 +293,42 @@ class TestConfigFile:
         r = invoke(runner, ["--config", str(cfg), "synth", "--out", str(tmp_path / "a")])
         assert r.exit_code == 1
         assert "JSON object" in r.output
+
+    @pytest.mark.parametrize("doc, stage, exit_code, expected", [
+        pytest.param('{"preset": "ActivityNet"}', "eval", 1, "config {cfg}: field 'preset'", id="preset-case"),
+        pytest.param('{"d_policy": "Full"}', "labels", 1, "config {cfg}: field 'd_policy'", id="d-policy-case"),
+        pytest.param('{"top_k": "ten"}', "infer", 1, "config {cfg}: field 'top_k'", id="top-k-text"),
+        pytest.param('{"workers": "two"}', "labels", 1, "config {cfg}: field 'workers'", id="workers-text"),
+        pytest.param('{"seed": "abc"}', "synth", 1, "config {cfg}: field 'seed'", id="seed-text"),
+        pytest.param('{"seed": null}', "synth", 1, "config {cfg}: field 'seed'", id="seed-null"),
+        pytest.param('{"seed": 1', "synth", 1, "config {cfg}: not valid JSON", id="invalid-json"),
+        pytest.param('{"topk": 10}', "infer", 1, "config {cfg}: unknown field 'topk'", id="unknown-key"),
+        # "false" is false, as for a flag: the bad manifest stops the run (exit 1, not 2)
+        pytest.param('{"keep_going": "false"}', "labels-bad", 1, "error: aaa_bad: ",
+                     id="keep-going-text"),
+    ])
+    def test_config_values_are_checked_like_flags(self, runner, tmp_path, doc, stage,
+                                                  exit_code, expected):
+        root = str(tmp_path)
+        run_pipeline(runner, root, n_videos=3)
+        bad = tmp_path / "bad_manifests"
+        os.makedirs(bad)
+        for name in os.listdir(tmp_path / "corpus/manifests"):
+            (bad / name).write_bytes((tmp_path / "corpus/manifests" / name).read_bytes())
+        (bad / "aaa_bad.json").write_text("{}")
+        manifests = ["--manifests", f"{root}/corpus/manifests"]
+        argv = {
+            "synth": ["synth", "--out", f"{root}/synth"],
+            "labels": ["labels", *manifests, "--out", f"{root}/out"],
+            "labels-bad": ["labels", "--manifests", str(bad), "--out", f"{root}/out"],
+            "infer": ["infer", *manifests, "--grids", f"{root}/corpus/grids",
+                      "--out", f"{root}/out"],
+            "eval": ["eval", *manifests, "--proposals", f"{root}/proposals",
+                     "--out", f"{root}/out"],
+        }[stage]
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(doc)
+        # catch_exceptions=False: a traceback would fail the test
+        r = invoke(runner, ["--config", str(cfg), *argv])
+        assert r.exit_code == exit_code, r.output
+        assert expected.format(cfg=cfg) in r.output

@@ -197,3 +197,10 @@ class TestManifest:
         path.write_text("{not json")
         with pytest.raises(ManifestValidationError, match="invalid JSON"):
             read_manifest(path)
+
+    def test_non_utf8_reported_with_file_name(self, tmp_path):
+        path = tmp_path / "bad.json"
+        path.write_bytes(b"\xff\xfe{}")
+        with pytest.raises(ManifestValidationError, match="invalid JSON") as info:
+            read_manifest(path)
+        assert info.value.path == str(path)
