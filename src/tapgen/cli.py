@@ -10,6 +10,7 @@ Exit codes: 0 success, 1 validation/data error, 2 partial failure under
 
 from __future__ import annotations
 
+import dataclasses
 import glob
 import json
 import math
@@ -17,12 +18,13 @@ import os
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import contextmanager
 
 import click
 
 from tapgen import fusion, metrics, synth
 from tapgen.errors import DataError, InvalidInputError, TapgenError
-from tapgen.inference import InferenceConfig, infer as run_infer
+from tapgen.inference import InferenceConfig, Proposal, infer as run_infer
 from tapgen.supervision import ScoreGrids, gen_labels
 from tapgen.tensorio import (
     Tensor,
@@ -34,7 +36,8 @@ from tapgen.tensorio import (
 )
 from tapgen.timeline import build_grid
 
-GRID_PARTS = ("start", "end", "cls", "reg")
+# Score grid files, <video>.<part>.aent, by the ScoreGrids field each holds.
+GRID_PARTS = {"start": "start_probs", "end": "end_probs", "cls": "conf_cls", "reg": "conf_reg"}
 
 # Input paths and synth's output switch are per-run choices, given as flags only.
 FLAG_ONLY = ("features_dir", "weights_dir", "write_grids")
@@ -70,6 +73,16 @@ def _use_config(ctx, param, path: str | None) -> None:
         except click.BadParameter as e:
             raise click.ClickException(f"config {path}: field {key!r}: {e.message}") from e
     ctx.default_map = {**doc, **{name: doc for name in ctx.command.commands}}
+
+
+@contextmanager
+def _exit_on_error():
+    """Stop the run with `error: ...` and exit code 1 on a TapgenError or OSError."""
+    try:
+        yield
+    except (TapgenError, OSError) as e:
+        click.echo(f"error: {e}", err=True)
+        sys.exit(1)
 
 
 def _write_json(path: str, obj) -> None:
@@ -191,6 +204,8 @@ def cmd_synth(ctx, n_videos, max_actions, t_min, t_max, d_policy, write_grids, o
     seed = ctx.obj["seed"]
     if n_videos < 1:
         raise click.ClickException("--n-videos must be >= 1")
+    if not 1 <= t_min <= t_max:
+        raise click.ClickException("--t-min must be >= 1 and at most --t-max")
     manifest_dir = os.path.join(out, "manifests")
     os.makedirs(manifest_dir, exist_ok=True)
     grid_dir = os.path.join(out, "grids")
@@ -201,17 +216,9 @@ def cmd_synth(ctx, n_videos, max_actions, t_min, t_max, d_policy, write_grids, o
         vid = sv.manifest.video.video_id
         write_manifest(sv.manifest, os.path.join(manifest_dir, f"{vid}.json"))
         if write_grids:
-            arrays = {
-                "start": sv.grids.start_probs,
-                "end": sv.grids.end_probs,
-                "cls": sv.grids.conf_cls,
-                "reg": sv.grids.conf_reg,
-            }
-            for part, arr in arrays.items():
-                write_tensor(
-                    Tensor.from_array(arr),
-                    os.path.join(grid_dir, f"{vid}.{part}.aent"),
-                )
+            for part, name in GRID_PARTS.items():
+                write_tensor(Tensor.from_array(getattr(sv.grids, name)),
+                             os.path.join(grid_dir, f"{vid}.{part}.aent"))
     effective = {
         "n_videos": n_videos, "max_actions": max_actions, "seed": seed,
         "t_min": t_min, "t_max": t_max, "d_policy": d_policy, "grids": write_grids,
@@ -262,16 +269,13 @@ def cmd_featurize(ctx, manifest_dir, features_dir, weights_dir, d_model, heads, 
                   channels, out):
     """Run the two-pathway fusion over every manifest."""
     seed = ctx.obj["seed"]
-    try:  # once per run; every worker gets this one copy
+    with _exit_on_error():  # once per run; every worker gets this one copy
         if weights_dir:
             weights = fusion.load_weights(weights_dir)
         else:
             weights = fusion.random_weights(fusion.FusionConfig(
                 channels=channels, d_model=d_model, num_heads=heads, num_layers=layers,
             ), seed)
-    except (TapgenError, OSError) as e:
-        click.echo(f"error: {e}", err=True)
-        sys.exit(1)
     ran = weights.config  # a loaded bundle's own config, not the flags
     effective = {
         "d_model": ran.d_model, "num_heads": ran.num_heads, "num_layers": ran.num_layers,
@@ -316,25 +320,20 @@ def cmd_labels(ctx, manifest_dir, d_policy, out):
 def read_grids(grid_dir: str, vid: str) -> ScoreGrids:
     """Load the four score tensors written by synth (or an external producer)."""
     arrays = {}
-    for part in GRID_PARTS:
+    for part, name in GRID_PARTS.items():
         path = os.path.join(grid_dir, f"{vid}.{part}.aent")
         if not os.path.exists(path):
             raise TapgenError(f"video {vid!r}: missing score grid {path}")
-        arrays[part] = read_tensor(path).to_array()
-    return ScoreGrids(
-        start_probs=arrays["start"],
-        end_probs=arrays["end"],
-        conf_cls=arrays["cls"],
-        conf_reg=arrays["reg"],
-    )
+        arrays[name] = read_tensor(path).to_array()
+    return ScoreGrids(**arrays)
 
 
-def _infer_one(manifest_path: str, out_dir: str, grid_dir: str, inf_cfg: dict) -> None:
+def _infer_one(manifest_path: str, out_dir: str, grid_dir: str, cfg: InferenceConfig) -> None:
     manifest = read_manifest(manifest_path)
     grid = build_grid(manifest.video)
     vid = manifest.video.video_id
     grids = read_grids(grid_dir, vid)
-    proposals = run_infer(grids, grid, InferenceConfig(**inf_cfg))
+    proposals = run_infer(grids, grid, cfg)
     doc = [
         {"t_start_sec": p.start_sec, "t_end_sec": p.end_sec, "score": p.score}
         for p in proposals
@@ -352,8 +351,9 @@ def _infer_one(manifest_path: str, out_dir: str, grid_dir: str, inf_cfg: dict) -
 @click.pass_context
 def cmd_infer(ctx, manifest_dir, grid_dir, sigma, score_floor, top_k, out):
     """Run peak pairing, scoring, and Soft-NMS over stored score grids."""
-    inf_cfg = {"sigma": sigma, "score_floor": score_floor, "top_k": top_k}
-    _each_manifest(ctx, manifest_dir, out, _infer_one, (grid_dir, inf_cfg), inf_cfg)
+    with _exit_on_error():  # checked once, before any video
+        cfg = InferenceConfig(sigma=sigma, score_floor=score_floor, top_k=top_k)
+    _each_manifest(ctx, manifest_dir, out, _infer_one, (grid_dir, cfg), dataclasses.asdict(cfg))
 
 
 # ---------------------------------------------------------------------------
@@ -363,7 +363,7 @@ def cmd_infer(ctx, manifest_dir, grid_dir, sigma, score_floor, top_k, out):
 PROPOSAL_FIELDS = ("t_start_sec", "t_end_sec", "score")
 
 
-def load_proposals(proposal_dir: str, vid: str) -> list[metrics.ScoredInterval]:
+def load_proposals(proposal_dir: str, vid: str) -> list[Proposal]:
     """Read and validate one video's proposal file; a missing file means none."""
     path = os.path.join(proposal_dir, f"{vid}.proposals.json")
     if not os.path.exists(path):
@@ -372,7 +372,7 @@ def load_proposals(proposal_dir: str, vid: str) -> list[metrics.ScoredInterval]:
         try:
             # integers as floats: an overlong integer becomes inf and fails below
             doc = json.load(fh, parse_int=float)
-        except ValueError as e:  # JSONDecodeError or UnicodeDecodeError
+        except (ValueError, RecursionError) as e:  # bad JSON or UTF-8, or nesting too deep
             raise InvalidInputError(f"{path}: not valid JSON ({e})") from e
     if not isinstance(doc, list):
         raise InvalidInputError(f"{path}: top level must be a list of proposals")
@@ -396,7 +396,7 @@ def load_proposals(proposal_dir: str, vid: str) -> list[metrics.ScoredInterval]:
             )
         if not 0.0 <= score <= 1.0:
             raise InvalidInputError(f"{where}: field 'score' ({score}) outside [0, 1]")
-        out.append(metrics.ScoredInterval(start_sec=start, end_sec=end, score=score))
+        out.append(Proposal(start_sec=start, end_sec=end, score=score))
     return out
 
 
@@ -414,7 +414,7 @@ def cmd_eval(ctx, manifest_dir, proposal_dir, preset, out):
     os.makedirs(out, exist_ok=True)
     gts = {}
     props = {}
-    try:
+    with _exit_on_error():
         for path in _manifest_paths(manifest_dir):
             manifest = read_manifest(path)
             vid = manifest.video.video_id
@@ -423,9 +423,6 @@ def cmd_eval(ctx, manifest_dir, proposal_dir, preset, out):
         if not any(props.values()):
             raise DataError("no proposal files match any manifest video id")
         result = metrics.evaluate(props, gts, thresholds=thresholds)
-    except TapgenError as e:
-        click.echo(f"error: {e}", err=True)
-        sys.exit(1)
     _write_json(os.path.join(out, "eval.json"), result.to_dict())
     atomic_write_bytes(os.path.join(out, "eval.csv"), result.to_csv().encode("utf-8"))
     _finish(ctx, out, {"preset": preset}, sorted(gts), {}, extra={"auc": result.auc})

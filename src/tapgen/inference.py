@@ -41,23 +41,19 @@ __all__ = [
 
 @dataclass(frozen=True)
 class Proposal:
-    start_idx: int
-    end_idx: int
-    score: float
+    """A scored temporal interval in seconds, as inferred or as loaded for eval."""
+
     start_sec: float
     end_sec: float
+    score: float
 
     def __post_init__(self):
-        if not self.start_idx < self.end_idx:
+        if not -math.inf < self.start_sec < self.end_sec < math.inf:
             raise InvalidInputError(
-                f"proposal start {self.start_idx} must precede end {self.end_idx}"
+                f"interval {self.interval} needs finite bounds with start before end"
             )
         if not 0.0 <= self.score <= 1.0:
             raise InvalidInputError(f"score {self.score} outside [0, 1]")
-
-    @property
-    def duration(self) -> int:
-        return self.end_idx - self.start_idx
 
     @property
     def interval(self) -> tuple[float, float]:
@@ -66,11 +62,17 @@ class Proposal:
 
 @dataclass(frozen=True)
 class InferenceConfig:
-    peak_ratio: float = 0.5  # 0 disables the max-fraction fallback
-    local_max_only: bool = False
     sigma: float = 0.4
     score_floor: float = 0.001
     top_k: int = 100
+
+    def __post_init__(self):
+        if not 0 < self.sigma < math.inf:
+            raise InvalidInputError(f"sigma must be finite and positive, got {self.sigma}")
+        if not math.isfinite(self.score_floor):
+            raise InvalidInputError(f"score_floor must be finite, got {self.score_floor}")
+        if self.top_k < 1:
+            raise InvalidInputError(f"top_k must be >= 1, got {self.top_k}")
 
 
 def find_peaks(p: np.ndarray, peak_ratio: float = 0.5, local_max_only: bool = False) -> list[int]:
@@ -128,7 +130,7 @@ def form_proposals(
     order = np.lexsort((te, ts, -scores))
     ss = grid.snippet_seconds
     return [
-        Proposal(start_idx=s, end_idx=e, score=p, start_sec=s * ss, end_sec=e * ss)
+        Proposal(start_sec=s * ss, end_sec=e * ss, score=p)
         for s, e, p in zip(ts[order].tolist(), te[order].tolist(), scores[order].tolist())
     ]
 
@@ -149,7 +151,7 @@ def soft_nms(
     if sigma <= 0:
         raise InvalidInputError(f"sigma must be positive, got {sigma}")
     # Stable (start, end) order makes argmax's first-index rule the tie-break.
-    pool = sorted(proposals, key=lambda p: (p.start_idx, p.end_idx))
+    pool = sorted(proposals, key=lambda p: p.interval)
     scores = np.array([p.score for p in pool], dtype=np.float64)
     starts = np.array([p.start_sec for p in pool], dtype=np.float64)
     ends = np.array([p.end_sec for p in pool], dtype=np.float64)
@@ -170,7 +172,7 @@ def infer(grids: ScoreGrids, grid: SnippetGrid, cfg: InferenceConfig = Inference
     """Full inference chain; a pure function of its inputs."""
     if grids.T != grid.T:
         raise InvalidInputError(f"score grids T={grids.T} inconsistent with grid T={grid.T}")
-    start_peaks = find_peaks(grids.start_probs, cfg.peak_ratio, cfg.local_max_only)
-    end_peaks = find_peaks(grids.end_probs, cfg.peak_ratio, cfg.local_max_only)
+    start_peaks = find_peaks(grids.start_probs)
+    end_peaks = find_peaks(grids.end_probs)
     proposals = form_proposals(start_peaks, end_peaks, grids, grid)
     return soft_nms(proposals, cfg.sigma, cfg.score_floor, cfg.top_k)

@@ -2,10 +2,11 @@
 
 Recall at (tiou, an) pools ground truths over videos and counts those
 matched one-to-one by a video's top-an proposals under a maximum
-matching (equal to exhaustive assignment search). The average-recall
-curve means recall over the tIoU thresholds, and AUC is 100 times the
-trapezoidal area under AR(an) for an = 1..100, normalized by the
-an-range.
+matching (equal to exhaustive assignment search). A video's proposals are
+ranked by score, descending, before the top-an cut; equal scores keep
+their list order. The average-recall curve means recall over the tIoU
+thresholds, and AUC is 100 times the trapezoidal area under AR(an) for
+an = 1..100, normalized by the an-range.
 
 The AN sweep is incremental. By Berge's theorem a matching is maximum
 exactly when no augmenting path exists, so adding the next-ranked
@@ -20,8 +21,8 @@ from __future__ import annotations
 import csv
 import io
 import json
-import math
 from dataclasses import dataclass
+from operator import attrgetter
 
 import numpy as np
 
@@ -44,25 +45,6 @@ __all__ = [
     "THUMOS_THRESHOLDS",
     "DEFAULT_AN_VALUES",
 ]
-
-
-@dataclass(frozen=True)
-class ScoredInterval:
-    """Minimal scored proposal, e.g. loaded from the JSON interchange format."""
-
-    start_sec: float
-    end_sec: float
-    score: float
-
-    def __post_init__(self):
-        if not (math.isfinite(self.start_sec) and math.isfinite(self.end_sec)):
-            raise InvalidInputError(f"interval {self.interval} has a non-finite bound")
-        if not self.start_sec < self.end_sec:
-            raise InvalidInputError(f"interval {self.interval} has non-positive length")
-
-    @property
-    def interval(self) -> tuple[float, float]:
-        return self.start_sec, self.end_sec
 
 
 @dataclass(frozen=True)
@@ -147,7 +129,8 @@ def _recall_table(proposals_per_video, gts_per_video, thresholds, an_values) -> 
     for vid, gts in gts_per_video.items():
         if not gts:
             continue
-        ious = _iou_matrix(proposals_per_video.get(vid, [])[: max(an_values)], gts)
+        ranked = sorted(proposals_per_video.get(vid, []), key=attrgetter("score"), reverse=True)
+        ious = _iou_matrix(ranked[: max(an_values)], gts)
         pick = np.minimum(an_values, len(ious))
         for i, t in enumerate(thresholds):
             matched[i] += np.asarray(_match_sizes(ious >= t))[pick]

@@ -70,11 +70,17 @@ class ScoreGrids:
             if np.any(a < 0) or np.any(a > 1):
                 raise InvalidInputError(f"{name} entries must lie in [0, 1]")
             object.__setattr__(self, name, a)
-        if self.conf_cls.shape != self.conf_reg.shape:
-            raise InvalidInputError("conf_cls and conf_reg shapes differ")
-        if self.start_probs.shape != self.end_probs.shape:
-            raise InvalidInputError("start_probs and end_probs shapes differ")
-        mask = valid_cell_mask(self.start_probs.shape[0], self.conf_cls.shape[0])
+        if self.start_probs.ndim != 1 or self.conf_cls.ndim != 2:
+            raise InvalidInputError(
+                f"start_probs must be [T] and conf_cls [D, T], got shapes "
+                f"{self.start_probs.shape} and {self.conf_cls.shape}"
+            )
+        T, D = self.T, self.D
+        for name, want in (("end_probs", (T,)), ("conf_cls", (D, T)), ("conf_reg", (D, T))):
+            shape = getattr(self, name).shape
+            if shape != want:
+                raise InvalidInputError(f"{name} has shape {shape}, expected {want}")
+        mask = valid_cell_mask(T, D)
         for name in ("conf_cls", "conf_reg"):
             if np.any(getattr(self, name)[~mask] != 0):
                 raise InvalidInputError(f"{name} has mass on invalid cells (j + d > T)")

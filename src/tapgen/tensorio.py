@@ -16,15 +16,17 @@ checked at load, with errors naming the offending field path.
 from __future__ import annotations
 
 import json
+import math
 import os
 import struct
+import sys
 import tempfile
 from dataclasses import dataclass
 
 import numpy as np
 
 from tapgen.errors import InvalidInputError, ManifestValidationError, TensorFormatError
-from tapgen.timeline import GroundTruthAction, VideoMeta, build_grid
+from tapgen.timeline import GroundTruthAction, VideoMeta
 
 MAGIC = b"AENT"
 VERSION = 1
@@ -128,7 +130,7 @@ def tensor_from_bytes(blob: bytes, name: str = "<bytes>") -> Tensor:
     if code not in _CODE_DTYPES:
         raise TensorFormatError(f"{name}: unknown dtype code {code}")
     np_dtype = _CODE_DTYPES[code]
-    count = int(np.prod(dims, dtype=np.int64))
+    count = math.prod(dims)  # exact; an int64 product of large dims wraps around
     expected = off + count * np_dtype.itemsize
     if len(blob) != expected:
         raise TensorFormatError(
@@ -180,6 +182,8 @@ def _check_number(v, path: str, *, integer: bool = False) -> float:
         raise ManifestValidationError(path, f"expected a number, got {type(v).__name__}")
     if integer and not isinstance(v, int):
         raise ManifestValidationError(path, f"expected an integer, got {v!r}")
+    if not -sys.float_info.max <= v <= sys.float_info.max:  # NaN, inf, or an int beyond float
+        raise ManifestValidationError(path, "expected a finite number")
     return v
 
 
@@ -215,7 +219,7 @@ def manifest_from_dict(doc: dict, name: str = "manifest") -> Manifest:
         )
     except InvalidInputError as e:
         raise ManifestValidationError(vpath, str(e)) from e
-    T = build_grid(video).T
+    T = video.num_frames // video.snippet_len  # build_grid's T, without allocating the grid
 
     anns = doc["annotations"]
     if not isinstance(anns, list):
@@ -242,9 +246,12 @@ def manifest_from_dict(doc: dict, name: str = "manifest") -> Manifest:
             )
         annotations.append(gt)
 
+    raw_snippets = doc.get("snippets", [])
+    if not isinstance(raw_snippets, list):
+        raise ManifestValidationError(f"{name}.snippets", "must be a list")
     snippets = []
     seen: set[int] = set()
-    for i, s in enumerate(doc.get("snippets", [])):
+    for i, s in enumerate(raw_snippets):
         spath = f"{name}.snippets[{i}]"
         if not isinstance(s, dict):
             raise ManifestValidationError(spath, "must be an object")
@@ -284,7 +291,7 @@ def read_manifest(source: str | os.PathLike) -> Manifest:
     try:
         with open(source, "r", encoding="utf-8") as fh:
             doc = json.load(fh)
-    except ValueError as e:  # JSONDecodeError or UnicodeDecodeError
+    except (ValueError, RecursionError) as e:  # bad JSON or UTF-8, or nesting too deep
         raise ManifestValidationError(name, f"invalid JSON: {e}") from e
     return manifest_from_dict(doc, name=name)
 

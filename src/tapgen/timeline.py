@@ -7,6 +7,7 @@ trailing frames are dropped.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -36,8 +37,8 @@ class VideoMeta:
     def __post_init__(self):
         if self.num_frames < 1:
             raise InvalidInputError(f"num_frames must be positive, got {self.num_frames}")
-        if self.fps <= 0:
-            raise InvalidInputError(f"fps must be positive, got {self.fps}")
+        if not 0 < self.fps < math.inf:
+            raise InvalidInputError(f"fps must be finite and positive, got {self.fps}")
         if self.snippet_len < 1:
             raise InvalidInputError(f"snippet_len must be positive, got {self.snippet_len}")
         if self.num_frames < self.snippet_len:
@@ -45,9 +46,11 @@ class VideoMeta:
                 f"num_frames ({self.num_frames}) < snippet_len ({self.snippet_len})"
             )
         expected = self.num_frames / self.fps
+        if not math.isfinite(expected):
+            raise InvalidInputError(f"num_frames / fps = {expected} is not finite")
         if self.duration_seconds is None:
             object.__setattr__(self, "duration_seconds", expected)
-        elif abs(self.duration_seconds - expected) > 1e-9 * max(1.0, abs(expected)):
+        elif not abs(self.duration_seconds - expected) <= 1e-9 * max(1.0, abs(expected)):
             raise InvalidInputError(
                 f"duration_seconds {self.duration_seconds} inconsistent with "
                 f"num_frames/fps = {expected}"

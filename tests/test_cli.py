@@ -4,11 +4,14 @@ import hashlib
 import json
 import os
 
+import numpy as np
 import pytest
 from click.testing import CliRunner
 
 from tapgen.cli import main
 from tapgen.fusion import FusionConfig, random_weights, save_weights
+from tapgen.supervision import valid_cell_mask
+from tapgen.tensorio import Tensor, read_tensor, write_tensor
 
 
 @pytest.fixture
@@ -91,6 +94,14 @@ class TestSynth:
         r = invoke(runner, ["synth", "--n-videos", "0", "--out", str(tmp_path)])
         assert r.exit_code == 1
 
+    @pytest.mark.parametrize("t_min, t_max", [(0, 0), (50, 10)])
+    def test_invalid_t_range(self, runner, tmp_path, t_min, t_max):
+        # catch_exceptions=False: a traceback would fail the test
+        r = invoke(runner, ["synth", "--n-videos", "2", "--t-min", str(t_min),
+                            "--t-max", str(t_max), "--out", str(tmp_path)])
+        assert r.exit_code == 1
+        assert "--t-min" in r.output
+
 
 class TestPipeline:
     def test_oracle_roundtrip_scores_perfectly(self, runner, tmp_path):
@@ -129,6 +140,37 @@ class TestPipeline:
         a = tree_digests(tmp_path / "serial")
         b = tree_digests(tmp_path / "par")
         assert a and a == b
+
+    def test_eval_ranks_by_score_not_file_order(self, runner, tmp_path):
+        invoke(runner, ["--seed", "3", "synth", "--n-videos", "6", "--max-actions", "3",
+                        "--out", str(tmp_path / "corpus")])
+        # noisy grids, so each video gets many proposals with distinct scores
+        rng = np.random.default_rng(0)
+        grid_dir = tmp_path / "corpus" / "grids"
+        for name in sorted(os.listdir(grid_dir)):
+            arr = read_tensor(grid_dir / name).to_array()
+            noisy = 0.7 * arr + 0.3 * rng.random(arr.shape)
+            if arr.ndim == 2:
+                noisy *= valid_cell_mask(arr.shape[1], arr.shape[0])
+            write_tensor(Tensor.from_array(noisy), grid_dir / name)
+        manifests = ["--manifests", str(tmp_path / "corpus/manifests")]
+        r = invoke(runner, ["infer", *manifests, "--grids", str(grid_dir),
+                            "--out", str(tmp_path / "props")])
+        assert r.exit_code == 0, r.output
+
+        def auc(prop_dir, out):
+            r = invoke(runner, ["eval", *manifests, "--proposals", str(prop_dir),
+                                "--out", str(tmp_path / out)])
+            assert r.exit_code == 0, r.output
+            return json.loads((tmp_path / out / "eval.json").read_text())["auc"]
+
+        os.makedirs(tmp_path / "reversed")
+        for name in os.listdir(tmp_path / "props"):
+            if name.endswith(".proposals.json"):
+                doc = json.loads((tmp_path / "props" / name).read_text())
+                assert len({p["score"] for p in doc}) > 1
+                (tmp_path / "reversed" / name).write_text(json.dumps(doc[::-1]))
+        assert auc(tmp_path / "reversed", "eval_reversed") == auc(tmp_path / "props", "eval")
 
     def test_rerun_is_idempotent(self, runner, tmp_path):
         run_pipeline(runner, str(tmp_path), n_videos=4, seed=5)
@@ -204,6 +246,39 @@ class TestErrorHandling:
         assert list(summary["errors"]) == ["aaa_bad"]
         assert summary["num_completed"] == (3 if keep_going else 0)
 
+    @pytest.mark.parametrize("option, value", [
+        ("--sigma", "0"), ("--sigma", "nan"), ("--score-floor", "nan"), ("--top-k", "0"),
+    ])
+    def test_bad_inference_option_fails_once_before_any_video(self, runner, tmp_path,
+                                                               option, value):
+        invoke(runner, ["synth", "--n-videos", "3", "--out", str(tmp_path / "corpus")])
+        r = invoke(runner, ["infer", "--manifests", str(tmp_path / "corpus/manifests"),
+                            "--grids", str(tmp_path / "corpus/grids"), option, value,
+                            "--out", str(tmp_path / "proposals")])
+        assert r.exit_code == 1
+        field = option[2:].replace("-", "_")
+        assert r.output.startswith(f"error: {field} ") and r.output.count("\n") == 1
+        assert not (tmp_path / "proposals").exists()
+
+    @pytest.mark.parametrize("shape", ["1-d", "wider-than-T"])
+    def test_malformed_score_grid_is_a_per_video_error(self, runner, tmp_path, shape):
+        invoke(runner, ["synth", "--n-videos", "3", "--out", str(tmp_path / "corpus")])
+        grid_dir = tmp_path / "corpus" / "grids"
+        bad_vid = sorted(os.listdir(grid_dir))[0].split(".")[0]
+        T = read_tensor(grid_dir / f"{bad_vid}.start.aent").dims[0]
+        dims = (T,) if shape == "1-d" else (T, T + 3)
+        for part in ("cls", "reg"):
+            write_tensor(Tensor.from_array(np.zeros(dims)), grid_dir / f"{bad_vid}.{part}.aent")
+        # catch_exceptions=False: a traceback would fail the test
+        r = invoke(runner, ["--keep-going", "infer",
+                            "--manifests", str(tmp_path / "corpus/manifests"),
+                            "--grids", str(grid_dir), "--out", str(tmp_path / "proposals")])
+        assert r.exit_code == 2
+        summary = json.loads((tmp_path / "proposals" / "run_summary.json").read_text())
+        assert list(summary["errors"]) == [bad_vid]
+        assert "conf_cls" in summary["errors"][bad_vid]
+        assert summary["num_completed"] == 2
+
     def test_eval_with_no_matching_proposals_exits_1(self, runner, tmp_path):
         invoke(runner, ["synth", "--n-videos", "2", "--out", str(tmp_path / "corpus")])
         os.makedirs(tmp_path / "empty")
@@ -238,6 +313,7 @@ class TestErrorHandling:
         pytest.param(json.dumps([{**GOOD, "score": 1.5}]), "entry 0: field 'score'", id="score-high"),
         pytest.param(json.dumps([{**GOOD, "score": -0.1}]), "entry 0: field 'score'", id="score-low"),
         pytest.param(b"\xff\xfe[]", "not valid JSON", id="not-utf8"),
+        pytest.param("[" * 100_000, "not valid JSON", id="deep-nesting"),
     ])
     def test_eval_rejects_malformed_proposal_file(self, runner, tmp_path, text, expected):
         invoke(runner, ["synth", "--n-videos", "2", "--out", str(tmp_path / "corpus")])

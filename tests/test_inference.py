@@ -22,10 +22,12 @@ def make_grid(T):
 
 def reference_soft_nms(proposals, sigma, score_floor, top_k):
     """Step-by-step reference: explicit list bookkeeping, no vectorization."""
-    pool = [[p.start_sec, p.end_sec, p.score, p.start_idx, p.end_idx] for p in proposals]
+    pool = [[p.start_sec, p.end_sec, p.score] for p in proposals]
     out = []
     while pool and len(out) < top_k:
-        pool.sort(key=lambda r: (-r[2], r[3], r[4]))
+        # ties by (start, end) in seconds; callers build seconds as index x one
+        # positive snippet length, so this is snippet-index order
+        pool.sort(key=lambda r: (-r[2], r[0], r[1]))
         best = pool[0]
         if best[2] < score_floor:
             break
@@ -93,7 +95,7 @@ class TestFormProposals:
         props = form_proposals([2], [7], grids, make_grid(10))
         assert len(props) == 1
         assert props[0].score == 1.0
-        assert (props[0].start_idx, props[0].end_idx) == (2, 7)
+        assert props[0].interval == (2.0, 7.0)
 
     def test_hand_scored_value(self):
         T, D = 10, 10
@@ -132,8 +134,18 @@ class TestFormProposals:
 
 
 def mk(start, end, score, s=1.0):
-    return Proposal(start_idx=start, end_idx=end, score=score,
-                    start_sec=start * s, end_sec=end * s)
+    return Proposal(start_sec=start * s, end_sec=end * s, score=score)
+
+
+class TestInferenceConfig:
+    @pytest.mark.parametrize("field, value", [
+        ("sigma", 0.0), ("sigma", -0.4), ("sigma", math.nan), ("sigma", math.inf),
+        ("score_floor", math.nan), ("score_floor", math.inf), ("score_floor", -math.inf),
+        ("top_k", 0), ("top_k", -3),
+    ])
+    def test_rejects_bad_value_naming_field(self, field, value):
+        with pytest.raises(InvalidInputError, match=field):
+            InferenceConfig(**{field: value})
 
 
 class TestSoftNms:
@@ -167,13 +179,12 @@ class TestSoftNms:
                 props.append(mk(a, b, float(rng.random())))
             best = {}
             for p in props:
-                key = (p.start_idx, p.end_idx)
-                best[key] = max(best.get(key, 0.0), p.score)
+                best[p.interval] = max(best.get(p.interval, 0.0), p.score)
             out = soft_nms(props, score_floor=0.0)
             for p in out:
                 # several inputs may share an interval; decayed score never
                 # exceeds the best input score on that interval
-                assert p.score <= best[(p.start_idx, p.end_idx)] + 1e-15
+                assert p.score <= best[p.interval] + 1e-15
 
     def test_matches_reference_oracle(self):
         rng = np.random.default_rng(11)
@@ -229,8 +240,9 @@ class TestInfer:
             D = int(rng.integers(1, T + 1))
             grids = random_grids(rng, T, D)
             for p in infer(grids, make_grid(T)):
-                assert 1 <= p.duration <= D
-                assert p.end_idx <= T
+                # make_grid snippets are 1.0 s, so seconds are snippet indices
+                assert 1 <= p.end_sec - p.start_sec <= D
+                assert p.end_sec <= T
 
     def test_score_monotone_in_each_factor(self):
         rng = np.random.default_rng(19)
@@ -267,9 +279,7 @@ class TestInfer:
             conf_cls=grids.conf_cls * c, conf_reg=grids.conf_reg * c,
         )
         out = form_proposals(peaks, peaks, scaled, grid)
-        assert [(p.start_idx, p.end_idx) for p in out] == [
-            (p.start_idx, p.end_idx) for p in base
-        ]
+        assert [p.interval for p in out] == [p.interval for p in base]
         for b, s in zip(base, out):
             # score has three probability factors and a sqrt of a product of
             # two more: uniform scaling by c multiplies every score by c^3...

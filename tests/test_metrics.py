@@ -6,10 +6,10 @@ import numpy as np
 import pytest
 
 from tapgen.errors import InvalidInputError, UndefinedMetricError
+from tapgen.inference import Proposal
 from tapgen.metrics import (
     ACTIVITYNET_THRESHOLDS,
     THUMOS_THRESHOLDS,
-    ScoredInterval,
     evaluate,
     recall_at,
     split_eval,
@@ -18,7 +18,7 @@ from tapgen.timeline import GroundTruthAction, temporal_iou
 
 
 def si(a, b, score):
-    return ScoredInterval(start_sec=float(a), end_sec=float(b), score=float(score))
+    return Proposal(start_sec=float(a), end_sec=float(b), score=float(score))
 
 
 def gt(a, b, label="x"):
@@ -42,13 +42,13 @@ def brute_force_match_count(proposals, gts, tiou, an):
     return best
 
 
-class TestScoredInterval:
+class TestProposal:
     @pytest.mark.parametrize("a, b", [
         (1.0, 1.0), (2.0, 1.0), (float("nan"), 1.0), (0.0, float("inf")), (float("-inf"), 1.0),
     ])
     def test_rejects_bad_interval(self, a, b):
         with pytest.raises(InvalidInputError):
-            ScoredInterval(start_sec=a, end_sec=b, score=0.5)
+            Proposal(start_sec=a, end_sec=b, score=0.5)
 
 
 class TestRecallAt:
@@ -63,6 +63,17 @@ class TestRecallAt:
         gts = {"v": [gt(0, 2)]}
         assert recall_at(props, gts, 0.9, 1) == 0.0
         assert recall_at(props, gts, 0.9, 2) == 1.0
+
+    def test_ranks_by_score_not_list_order(self):
+        # a 0.1-score miss listed before a 0.9-score hit: ranking puts the hit on top
+        props = {"v": [si(5, 7, 0.1), si(0, 2, 0.9)]}
+        gts = {"v": [gt(0, 2)]}
+        assert recall_at(props, gts, 0.9, 1) == 1.0
+
+    def test_equal_scores_keep_list_order(self):
+        props = {"v": [si(5, 7, 0.5), si(0, 2, 0.5)]}
+        gts = {"v": [gt(0, 2)]}
+        assert recall_at(props, gts, 0.9, 1) == 0.0
 
     def test_one_to_one_not_double_counted(self):
         # one proposal overlaps both ground truths; only one can be matched

@@ -2,6 +2,10 @@
 generated inputs. Proposal, label and metric paths must match exactly;
 batched featurize reorders floating-point sums, so it must match to 1e-12."""
 
+import json
+import math
+import os
+import tempfile
 from dataclasses import replace
 
 import numpy as np
@@ -9,7 +13,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tapgen.errors import ConfigError, DataError
+from tapgen.cli import load_proposals
+from tapgen.errors import (
+    ConfigError,
+    DataError,
+    InvalidInputError,
+    ManifestValidationError,
+    TensorFormatError,
+)
 from tapgen.fusion import (
     BLOCK_SNIPPETS,
     FeatureMap,
@@ -24,7 +35,15 @@ from tapgen.metrics import evaluate
 from tapgen.supervision import gen_duration_labels
 from tapgen.timeline import GroundTruthAction
 
-from tapgen.tensorio import Manifest, SnippetEntry, Tensor, write_tensor
+from tapgen.tensorio import (
+    Manifest,
+    SnippetEntry,
+    Tensor,
+    manifest_from_dict,
+    tensor_bytes,
+    tensor_from_bytes,
+    write_tensor,
+)
 from tapgen.timeline import VideoMeta
 
 from test_fusion import reference_featurize_video
@@ -60,7 +79,7 @@ def snippet_proposals(draw):
 def test_soft_nms_matches_reference(props, sigma, floor, top_k):
     got = soft_nms(props, sigma=sigma, score_floor=floor, top_k=top_k)
     want = reference_soft_nms(props, sigma, floor, top_k)
-    assert [(p.start_sec, p.end_sec, p.score, p.start_idx, p.end_idx) for p in got] == want
+    assert [(p.start_sec, p.end_sec, p.score) for p in got] == want
 
 
 @st.composite
@@ -108,6 +127,26 @@ def test_evaluate_matches_per_cell_brute_force(corpus, thresholds, an_values):
     else:
         auc = 100.0 * float(ar[0])
     assert res.auc == auc
+
+
+@PROPERTY
+@given(
+    corpus=corpora(),
+    scores=st.lists(tied_scores, min_size=6, max_size=6),
+    an_values=st.lists(st.integers(1, 9), min_size=1, max_size=5, unique=True).map(sorted),
+)
+def test_evaluate_ranks_each_video_by_score(corpus, scores, an_values):
+    """Any list order scores as the same list sorted by score, descending,
+    with ties kept in list order."""
+    props, gts = corpus
+    rescored = {
+        v: [si(p.start_sec, p.end_sec, scores[i % len(scores)]) for i, p in enumerate(ps)]
+        for v, ps in props.items()
+    }
+    ranked = {v: sorted(ps, key=lambda p: -p.score) for v, ps in rescored.items()}
+    got = evaluate(rescored, gts, an_values=tuple(an_values))
+    want = evaluate(ranked, gts, an_values=tuple(an_values))
+    assert np.array_equal(got.per_tiou_recall, want.per_tiou_recall)
 
 
 @PROPERTY
@@ -231,3 +270,108 @@ def test_batched_featurize_missing_file_names_video_and_snippet(tmp_path):
     manifest = replace(manifest, snippets=snippets)
     with pytest.raises(DataError, match=rf"video 'blk': feature file .*gone\.aent for snippet {missing} "):
         featurize_video(manifest, random_weights(cfg, seed=1), FileFeatureSource(tmp_path))
+
+
+# ---------------------------------------------------------------------------
+# Parser fuzzing: malformed input fails with the parser's own error type
+# ---------------------------------------------------------------------------
+
+# Any JSON value, NaN and +-inf included (Python's json reads and writes them).
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+    max_leaves=6,
+)
+
+
+@PROPERTY
+@given(
+    dtype=st.sampled_from(["f32", "f64"]),
+    edits=st.lists(st.tuples(st.integers(0, 10**6), st.integers(0, 255)), max_size=4),
+    cut=st.integers(0, 10**6),
+    tail=st.binary(max_size=12),
+)
+def test_tensor_parser_raises_only_tensor_format_error(dtype, edits, cut, tail):
+    blob = bytearray(tensor_bytes(Tensor.from_array(np.arange(1.0, 7.0).reshape(2, 3), dtype)))
+    for pos, byte in edits:
+        blob[pos % len(blob)] = byte
+    blob = bytes(blob[: cut % (len(blob) + 1)]) + tail
+    try:
+        t = tensor_from_bytes(blob)
+    except TensorFormatError:
+        return
+    assert t.data.shape == (math.prod(t.dims),)
+    assert np.isfinite(t.data).all()
+
+
+def valid_manifest_doc():
+    return {
+        "video": {"video_id": "v", "num_frames": 170, "fps": 16.0, "snippet_len": 16,
+                  "duration_seconds": 10.625},
+        "annotations": [{"label": "a", "start_sec": 1.0, "end_sec": 4.0}],
+        "snippets": [{"index": 0, "feature_file": "f.aent",
+                      "agent_boxes": [[0.1, 0.2, 0.5, 0.6]]}],
+    }
+
+
+MANIFEST_FIELDS = [
+    (), ("video",), ("video", "video_id"), ("video", "num_frames"), ("video", "fps"),
+    ("video", "snippet_len"), ("video", "duration_seconds"),
+    ("annotations",), ("annotations", 0), ("annotations", 0, "label"),
+    ("annotations", 0, "start_sec"), ("annotations", 0, "end_sec"),
+    ("snippets",), ("snippets", 0), ("snippets", 0, "index"), ("snippets", 0, "feature_file"),
+    ("snippets", 0, "agent_boxes"), ("snippets", 0, "agent_boxes", 0),
+    ("snippets", 0, "agent_boxes", 0, 2),
+]
+
+
+@PROPERTY
+@given(field=st.sampled_from(MANIFEST_FIELDS), value=json_values)
+def test_manifest_parser_raises_only_validation_error(field, value):
+    doc = valid_manifest_doc()
+    if field:
+        node = doc
+        for key in field[:-1]:
+            node = node[key]
+        node[field[-1]] = value
+    else:
+        doc = value
+    try:
+        m = manifest_from_dict(doc)
+    except ManifestValidationError:
+        return
+    video = m.video
+    assert math.isfinite(video.duration_seconds) and video.duration_seconds > 0
+    assert math.isfinite(video.snippet_seconds) and video.snippet_seconds > 0
+    T = video.num_frames // video.snippet_len
+    assert T >= 1
+    for a in m.annotations:
+        assert 0 <= a.start_sec < a.end_sec <= video.duration_seconds + 1e-9
+    assert all(0 <= s.index < T for s in m.snippets)
+
+
+proposal_numbers = st.floats() | json_values
+proposal_entries = st.fixed_dictionaries(
+    {"t_start_sec": proposal_numbers, "t_end_sec": proposal_numbers, "score": proposal_numbers}
+)
+
+
+@PROPERTY
+@given(
+    doc=st.lists(proposal_entries | json_values, max_size=4) | json_values,
+    cut=st.none() | st.integers(0, 200),
+)
+def test_proposal_loader_raises_only_invalid_input_error(doc, cut):
+    payload = json.dumps(doc).encode()
+    if cut is not None:
+        payload = payload[:cut]
+    with tempfile.TemporaryDirectory() as d:
+        with open(os.path.join(d, "v.proposals.json"), "wb") as fh:
+            fh.write(payload)
+        try:
+            proposals = load_proposals(d, "v")
+        except InvalidInputError:
+            return
+    for p in proposals:
+        assert math.isfinite(p.start_sec) and p.start_sec < p.end_sec
+        assert math.isfinite(p.end_sec) and 0.0 <= p.score <= 1.0

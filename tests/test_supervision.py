@@ -166,6 +166,28 @@ class TestScoreGrids:
             ScoreGrids(**arrays)
 
 
+    @pytest.mark.parametrize("fields, shape", [
+        (("start_probs", "end_probs"), (4, 1)),
+        (("end_probs",), (5,)),
+        (("conf_cls", "conf_reg"), (4,)),
+        (("conf_cls", "conf_reg"), (4, 5)),
+        (("conf_cls", "conf_reg"), (4, 3)),
+        (("conf_cls", "conf_reg"), (2, 4, 4)),
+    ])
+    def test_wrong_shape_rejected_naming_field(self, fields, shape):
+        T = 4
+        arrays = {
+            "start_probs": np.full(T, 0.5),
+            "end_probs": np.full(T, 0.5),
+            "conf_cls": np.zeros((T, T)),
+            "conf_reg": np.zeros((T, T)),
+        }
+        for field in fields:
+            arrays[field] = np.zeros(shape)
+        with pytest.raises(InvalidInputError, match=fields[0]):
+            ScoreGrids(**arrays)
+
+
 class TestWeightedBinaryLoss:
     def test_perfect_prediction_near_zero(self):
         p = np.array([1.0, 1.0, 0.0, 0.0])

@@ -1,4 +1,5 @@
 import json
+import math
 import pickle
 import struct
 
@@ -18,6 +19,9 @@ from tapgen.tensorio import (
     write_manifest,
     write_tensor,
 )
+
+
+MAGIC_HEADER = b"AENT" + struct.pack("<II", 1, 3)
 
 
 def minimal_manifest_doc():
@@ -108,6 +112,12 @@ class TestTensorFormat:
         with pytest.raises(TensorFormatError, match="zero-sized"):
             tensor_from_bytes(bytes(blob))
 
+    def test_dims_product_beyond_int64_rejected(self):
+        # 2**96 elements: a product taken in int64 wraps to 0 and matches an empty payload
+        blob = MAGIC_HEADER + struct.pack("<3Q", 2**32, 2**32, 2**32) + struct.pack("<I", 2)
+        with pytest.raises(TensorFormatError, match="size mismatch"):
+            tensor_from_bytes(blob)
+
     def test_nonfinite_payload(self):
         blob = bytearray(tensor_bytes(Tensor.from_array(np.ones(1))))
         blob[-8:] = struct.pack("<d", float("nan"))
@@ -191,6 +201,53 @@ class TestManifest:
             mutate(doc)
             with pytest.raises(ManifestValidationError):
                 manifest_from_dict(doc)
+
+    @pytest.mark.parametrize("value", [None, 3, "abc", {"index": 0}])
+    def test_snippets_must_be_a_list(self, value):
+        doc = minimal_manifest_doc()
+        doc["snippets"] = value
+        with pytest.raises(ManifestValidationError, match=r"\.snippets: must be a list"):
+            manifest_from_dict(doc)
+
+    @pytest.mark.parametrize("path", [
+        ("video", "fps"), ("video", "duration_seconds"), ("video", "num_frames"),
+        ("annotations", 0, "start_sec"), ("annotations", 0, "end_sec"),
+    ])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, 10**400])
+    def test_non_finite_number_rejected_naming_field(self, path, bad):
+        doc = minimal_manifest_doc()
+        node = doc
+        for key in path[:-1]:
+            node = node[key]
+        node[path[-1]] = bad
+        with pytest.raises(ManifestValidationError, match=r"\." + path[-1] + ": expected"):
+            manifest_from_dict(doc)
+
+    def test_nan_duration_does_not_disable_end_check(self):
+        doc = minimal_manifest_doc()
+        doc["video"]["duration_seconds"] = math.nan
+        doc["annotations"][0]["end_sec"] = 1e6
+        with pytest.raises(ManifestValidationError, match="duration_seconds"):
+            manifest_from_dict(doc)
+
+    def test_nan_literal_in_file_rejected(self, tmp_path):
+        doc = minimal_manifest_doc()
+        doc["video"]["fps"] = math.nan
+        path = tmp_path / "m.json"
+        path.write_text(json.dumps(doc))  # writes the literal NaN, which json parses back
+        with pytest.raises(ManifestValidationError, match=r"video\.fps"):
+            read_manifest(path)
+
+    def test_huge_video_parses_without_allocating_its_grid(self):
+        doc = minimal_manifest_doc()
+        doc["video"]["num_frames"] = 16 * 10**15
+        assert manifest_from_dict(doc).video.num_frames == 16 * 10**15
+
+    def test_deep_nesting_reported(self, tmp_path):
+        path = tmp_path / "deep.json"
+        path.write_text("[" * 100_000)
+        with pytest.raises(ManifestValidationError, match="invalid JSON"):
+            read_manifest(path)
 
     def test_invalid_json_reported(self, tmp_path):
         path = tmp_path / "bad.json"

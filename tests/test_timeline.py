@@ -41,6 +41,18 @@ def test_meta_rejects_inconsistent_duration():
         VideoMeta(video_id="v", num_frames=160, fps=16.0, snippet_len=16, duration_seconds=11.0)
 
 
+@pytest.mark.parametrize("kwargs", [
+    {"fps": float("inf")},
+    {"fps": float("nan")},
+    {"fps": 5e-324},  # num_frames / fps overflows to inf
+    {"duration_seconds": float("nan")},
+    {"duration_seconds": float("inf")},
+])
+def test_meta_rejects_non_finite_timeline(kwargs):
+    with pytest.raises(InvalidInputError):
+        VideoMeta(**{"video_id": "v", "num_frames": 160, "fps": 16.0, "snippet_len": 16, **kwargs})
+
+
 def test_grid_floor_property_randomized():
     rng = np.random.default_rng(3)
     for _ in range(200):
