@@ -4,6 +4,8 @@ Subcommands: synth, featurize, labels, infer, eval. Options may come from
 a JSON config file (--config), which becomes click's default map: its
 values are typed and checked exactly like flags, and explicit flags win.
 Every run writes a machine-readable run_summary.json next to its outputs.
+Each command imports the heavy modules only it uses (fusion, metrics,
+synth, the process pool) itself, so a process pays for no other stage.
 Exit codes: 0 success, 1 validation/data error, 2 partial failure under
 --keep-going.
 """
@@ -17,12 +19,11 @@ import math
 import os
 import sys
 import time
-from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager
+from typing import TYPE_CHECKING
 
 import click
 
-from tapgen import fusion, metrics, synth
 from tapgen.errors import DataError, InvalidInputError, TapgenError
 from tapgen.inference import InferenceConfig, Proposal, infer as run_infer
 from tapgen.supervision import ScoreGrids, gen_labels
@@ -35,6 +36,9 @@ from tapgen.tensorio import (
     write_tensor,
 )
 from tapgen.timeline import build_grid
+
+if TYPE_CHECKING:
+    from tapgen.fusion import FusionWeights
 
 # Score grid files, <video>.<part>.aent, by the ScoreGrids field each holds.
 GRID_PARTS = {"start": "start_probs", "end": "end_probs", "cls": "conf_cls", "reg": "conf_reg"}
@@ -54,7 +58,7 @@ def _use_config(ctx, param, path: str | None) -> None:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             doc = json.load(fh)
-    except ValueError as e:  # JSONDecodeError or UnicodeDecodeError
+    except (ValueError, RecursionError) as e:  # bad JSON or UTF-8, or nesting too deep
         raise click.ClickException(f"config {path}: not valid JSON ({e})") from e
     if not isinstance(doc, dict):
         raise click.ClickException(f"config {path}: must be a JSON object")
@@ -119,6 +123,8 @@ def _run_batch(jobs, workers: int, keep_going: bool, initializer=None, initargs=
         return True
 
     if workers > 1:
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(workers, initializer=initializer, initargs=initargs) as pool:
             futures = [(name, pool.submit(fn, *args)) for name, fn, args in jobs]
             if not keep_going:
@@ -201,6 +207,8 @@ def main(ctx, seed, workers, keep_going):
 @click.pass_context
 def cmd_synth(ctx, n_videos, max_actions, t_min, t_max, d_policy, write_grids, out):
     """Generate a seeded synthetic corpus of manifests (and oracle grids)."""
+    from tapgen import synth
+
     seed = ctx.obj["seed"]
     if n_videos < 1:
         raise click.ClickException("--n-videos must be >= 1")
@@ -233,16 +241,18 @@ def cmd_synth(ctx, n_videos, max_actions, t_min, t_max, d_policy, write_grids, o
 # The current run's weights, set once per process by _use_weights: as the
 # pool initializer in each worker, directly on the serial path. Jobs then
 # carry no weights, so a bundle is built and sent once per run.
-_weights: fusion.FusionWeights | None = None
+_weights: FusionWeights | None = None
 
 
-def _use_weights(weights: fusion.FusionWeights) -> None:
+def _use_weights(weights: FusionWeights) -> None:
     global _weights
     _weights = weights
 
 
 def _featurize_one(manifest_path: str, out_dir: str, features_dir: str | None,
                    seed: int) -> None:
+    from tapgen import fusion
+
     manifest = read_manifest(manifest_path)
     if features_dir:
         source = fusion.FileFeatureSource(features_dir)
@@ -268,6 +278,8 @@ def _featurize_one(manifest_path: str, out_dir: str, features_dir: str | None,
 def cmd_featurize(ctx, manifest_dir, features_dir, weights_dir, d_model, heads, layers,
                   channels, out):
     """Run the two-pathway fusion over every manifest."""
+    from tapgen import fusion
+
     seed = ctx.obj["seed"]
     with _exit_on_error():  # once per run; every worker gets this one copy
         if weights_dir:
@@ -408,6 +420,8 @@ def load_proposals(proposal_dir: str, vid: str) -> list[Proposal]:
 @click.pass_context
 def cmd_eval(ctx, manifest_dir, proposal_dir, preset, out):
     """Compute AR@AN and AUC over stored proposal files."""
+    from tapgen import metrics
+
     thresholds = (
         metrics.ACTIVITYNET_THRESHOLDS if preset == "activitynet" else metrics.THUMOS_THRESHOLDS
     )

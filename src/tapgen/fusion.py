@@ -22,6 +22,14 @@ weight, and so is its mean over a bin's regular sub-samples, so each
 patch is Ay @ map @ Ax^T with Ay [gh, H] and Ax [gw, W] the per-bin mean
 interpolation weights. Blocks, not whole videos, bound the size of the
 temporaries. Results match the per-snippet path to rounding (~1e-15).
+
+The stub backbone keys one counter-based Philox stream per (seed, video,
+snippet). A process builds a single Philox generator, on its first stub
+call, and re-keys it for every snippet: counter 0, empty output buffer.
+Philox output is a pure function of key and counter (Salmon et al.,
+SC 2011), so this gives the same bits as a fresh generator per snippet,
+at well under half the cost. Building it lazily keeps numpy.random out
+of stages that never run the stub.
 """
 
 from __future__ import annotations
@@ -29,6 +37,7 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -179,22 +188,41 @@ class FusionWeights:
             )
 
 
+# The stub's one generator per process, built on first use (module
+# docstring). Every call overwrites its whole state under the lock.
+_stub_lock = threading.Lock()
+_stub_rng = None
+_ZERO4 = np.zeros(4, dtype=np.uint64)
+
+
 def stub_backbone(
     video_id: str, snippet_index: int, dims: tuple[int, int, int], seed: int
 ) -> FeatureMap:
     """Deterministic stand-in for the convolutional backbone.
 
     A counter-mode generator keyed on (seed, video_id, snippet_index)
-    produces bit-identical maps across platforms and processes.
+    produces bit-identical maps across platforms and processes. The key
+    is the first 16 bytes of a SHA-256 of the three. Values equal
+    Generator(Philox(key=key)).random((c, h, w)): the process's one
+    Philox generator is re-keyed with counter 0 and an empty buffer,
+    which is exactly the state a new Philox(key=key) starts from.
     """
+    global _stub_rng
     c, h, w = dims
     if c < 1 or h < 1 or w < 1:
         raise InvalidInputError(f"stub dims must be positive, got {dims}")
     key_material = f"{seed}\x00{video_id}\x00{snippet_index}".encode("utf-8")
     digest = hashlib.sha256(key_material).digest()
-    key = np.frombuffer(digest[:16], dtype=np.uint64)
-    rng = np.random.Generator(np.random.Philox(key=key))
-    values = rng.random((c, h, w), dtype=np.float64)
+    state = {
+        "bit_generator": "Philox",
+        "state": {"counter": _ZERO4, "key": np.frombuffer(digest[:16], dtype=np.uint64)},
+        "buffer": _ZERO4, "buffer_pos": 4, "has_uint32": 0, "uinteger": 0,
+    }
+    with _stub_lock:
+        if _stub_rng is None:
+            _stub_rng = np.random.Generator(np.random.Philox(0))
+        _stub_rng.bit_generator.state = state
+        values = _stub_rng.random((c, h, w), dtype=np.float64)
     return FeatureMap(values=values)
 
 
@@ -622,7 +650,7 @@ def load_weights(directory: str | os.PathLike) -> FusionWeights:
     with open(index_path, "r", encoding="utf-8") as fh:
         try:
             index = json.load(fh)
-        except ValueError as e:  # JSONDecodeError or UnicodeDecodeError
+        except (ValueError, RecursionError) as e:  # bad JSON or UTF-8, or nesting too deep
             raise ConfigError(f"{index_path}: not valid JSON ({e})") from e
     cfg = _config_from_index(index, index_path)
     files = index["params"]

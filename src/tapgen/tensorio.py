@@ -10,11 +10,14 @@ Tensor file layout (little-endian throughout):
     payload       raw row-major values
 
 Manifests are strict JSON: unknown keys are rejected and every invariant is
-checked at load, with errors naming the offending field path.
+checked at load, with errors naming the offending field path. Agent boxes
+are checked as one array, and box by box only to name a failure. A
+manifest file may describe at most _MAX_SNIPPETS snippets.
 """
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 import os
@@ -33,6 +36,11 @@ VERSION = 1
 _DTYPE_CODES = {"f32": 1, "f64": 2}
 _CODE_DTYPES = {1: np.dtype("<f4"), 2: np.dtype("<f8")}
 _MAX_DIM = 2**32  # sanity cap per axis; desk-scale files are far smaller
+# Cap on the snippet count T of a manifest file. Stages allocate [D, T]
+# grids with D up to T, so without it a huge num_frames fails as an
+# allocation deep in a stage. At the cap a [T, T] float64 grid is 2 GiB; a
+# two-hour video at 30 fps in 16-frame snippets has 13,500 snippets.
+_MAX_SNIPPETS = 2**14
 
 __all__ = [
     "Tensor",
@@ -249,26 +257,74 @@ def manifest_from_dict(doc: dict, name: str = "manifest") -> Manifest:
     raw_snippets = doc.get("snippets", [])
     if not isinstance(raw_snippets, list):
         raise ManifestValidationError(f"{name}.snippets", "must be a list")
+    snippets = _snippets_at_once(raw_snippets, T, name)
+    if snippets is None:  # a check failed: repeat them in order, to raise the first
+        snippets = _snippets_one_by_one(raw_snippets, T, name)
+    return Manifest(video=video, annotations=tuple(annotations), snippets=snippets)
+
+
+def _snippet_head(s, spath: str, T: int, seen: set[int]) -> tuple[int, str | None, list]:
+    """Check one snippet entry, except its box coordinates."""
+    if not isinstance(s, dict):
+        raise ManifestValidationError(spath, "must be an object")
+    _require_keys(s, {"index", "feature_file", "agent_boxes"}, {"index"}, spath)
+    idx = int(_check_number(s["index"], f"{spath}.index", integer=True))
+    if not 0 <= idx < T:
+        raise ManifestValidationError(f"{spath}.index", f"index {idx} outside [0, {T})")
+    if idx in seen:
+        raise ManifestValidationError(f"{spath}.index", f"duplicate snippet index {idx}")
+    seen.add(idx)
+    feature_file = s.get("feature_file")
+    if feature_file is not None and not isinstance(feature_file, str):
+        raise ManifestValidationError(f"{spath}.feature_file", "must be a string path")
+    raw_boxes = s.get("agent_boxes", [])
+    if not isinstance(raw_boxes, list):
+        raise ManifestValidationError(f"{spath}.agent_boxes", "must be a list")
+    return idx, feature_file, raw_boxes
+
+
+def _snippets_at_once(raw_snippets: list, T: int, name: str) -> tuple[SnippetEntry, ...] | None:
+    """The snippets, with all boxes checked as one [N, 4] array; None if any check fails.
+
+    Only plain int and float coordinates pass the type check (bool and str
+    do not), and an int beyond float range fails its conversion, so what
+    this accepts _snippets_one_by_one accepts too, with equal values.
+    """
+    seen: set[int] = set()
+    try:
+        heads = [_snippet_head(s, f"{name}.snippets[{i}]", T, seen)
+                 for i, s in enumerate(raw_snippets)]
+    except ManifestValidationError:
+        return None
+    raw = [b for _, _, boxes in heads for b in boxes]
+    if not all(type(b) is list and len(b) == 4 for b in raw):
+        return None
+    if not set(map(type, itertools.chain.from_iterable(raw))) <= {float, int}:
+        return None
+    try:
+        a = np.array(raw, dtype=np.float64).reshape(-1, 4)
+    except OverflowError:
+        return None
+    if not (((a >= 0.0) & (a <= 1.0)).all()  # NaN fails too
+            and (a[:, 0] < a[:, 2]).all() and (a[:, 1] < a[:, 3]).all()):
+        return None
+    rows = map(tuple, a.tolist())
+    return tuple(
+        SnippetEntry(index=idx, feature_file=feature_file,
+                     agent_boxes=tuple(itertools.islice(rows, len(boxes))))
+        for idx, feature_file, boxes in heads
+    )
+
+
+def _snippets_one_by_one(raw_snippets: list, T: int, name: str) -> tuple[SnippetEntry, ...]:
+    """The snippets, checked entry by entry and box by box: the first
+    failure raises, naming its field down to snippets[i].agent_boxes[j][k]."""
     snippets = []
     seen: set[int] = set()
     for i, s in enumerate(raw_snippets):
         spath = f"{name}.snippets[{i}]"
-        if not isinstance(s, dict):
-            raise ManifestValidationError(spath, "must be an object")
-        _require_keys(s, {"index", "feature_file", "agent_boxes"}, {"index"}, spath)
-        idx = int(_check_number(s["index"], f"{spath}.index", integer=True))
-        if not 0 <= idx < T:
-            raise ManifestValidationError(f"{spath}.index", f"index {idx} outside [0, {T})")
-        if idx in seen:
-            raise ManifestValidationError(f"{spath}.index", f"duplicate snippet index {idx}")
-        seen.add(idx)
-        feature_file = s.get("feature_file")
-        if feature_file is not None and not isinstance(feature_file, str):
-            raise ManifestValidationError(f"{spath}.feature_file", "must be a string path")
+        idx, feature_file, raw_boxes = _snippet_head(s, spath, T, seen)
         boxes = []
-        raw_boxes = s.get("agent_boxes", [])
-        if not isinstance(raw_boxes, list):
-            raise ManifestValidationError(f"{spath}.agent_boxes", "must be a list")
         for j, b in enumerate(raw_boxes):
             bpath = f"{spath}.agent_boxes[{j}]"
             if not isinstance(b, list) or len(b) != 4:
@@ -282,8 +338,7 @@ def manifest_from_dict(doc: dict, name: str = "manifest") -> Manifest:
                 raise ManifestValidationError(bpath, f"y1 >= y2 in {b}")
             boxes.append((x1, y1, x2, y2))
         snippets.append(SnippetEntry(index=idx, feature_file=feature_file, agent_boxes=tuple(boxes)))
-
-    return Manifest(video=video, annotations=tuple(annotations), snippets=tuple(snippets))
+    return tuple(snippets)
 
 
 def read_manifest(source: str | os.PathLike) -> Manifest:
@@ -293,7 +348,13 @@ def read_manifest(source: str | os.PathLike) -> Manifest:
             doc = json.load(fh)
     except (ValueError, RecursionError) as e:  # bad JSON or UTF-8, or nesting too deep
         raise ManifestValidationError(name, f"invalid JSON: {e}") from e
-    return manifest_from_dict(doc, name=name)
+    m = manifest_from_dict(doc, name=name)
+    T = m.video.num_frames // m.video.snippet_len
+    if T > _MAX_SNIPPETS:
+        raise ManifestValidationError(
+            f"{name}.video.num_frames", f"{T} snippets, above the cap of {_MAX_SNIPPETS}"
+        )
+    return m
 
 
 def manifest_to_dict(m: Manifest) -> dict:

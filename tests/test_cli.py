@@ -3,11 +3,14 @@
 import hashlib
 import json
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 from click.testing import CliRunner
 
+import tapgen
 from tapgen.cli import main
 from tapgen.fusion import FusionConfig, random_weights, save_weights
 from tapgen.supervision import valid_cell_mask
@@ -246,6 +249,26 @@ class TestErrorHandling:
         assert list(summary["errors"]) == ["aaa_bad"]
         assert summary["num_completed"] == (3 if keep_going else 0)
 
+    @pytest.mark.parametrize("keep_going, exit_code", [(False, 1), (True, 2)])
+    def test_huge_num_frames_is_a_per_video_error(self, runner, tmp_path, keep_going,
+                                                  exit_code):
+        invoke(runner, ["synth", "--n-videos", "2", "--out", str(tmp_path / "corpus")])
+        manifests = tmp_path / "corpus" / "manifests"
+        doc = json.loads(next(manifests.iterdir()).read_text())
+        doc["video"].update(video_id="aaa_huge", num_frames=16 * 10**12)
+        doc["video"].pop("duration_seconds")
+        (manifests / "aaa_huge.json").write_text(json.dumps(doc))
+        base = ["--keep-going"] if keep_going else []
+        # catch_exceptions=False: an allocation error's traceback would fail the test
+        r = invoke(runner, base + ["labels", "--manifests", str(manifests),
+                                   "--out", str(tmp_path / "labels")])
+        assert r.exit_code == exit_code, r.output
+        assert r.output.startswith(f"error: aaa_huge: {manifests / 'aaa_huge.json'}"
+                                   ".video.num_frames: 1000000000000 snippets, above the cap")
+        summary = json.loads((tmp_path / "labels" / "run_summary.json").read_text())
+        assert list(summary["errors"]) == ["aaa_huge"]
+        assert summary["num_completed"] == (2 if keep_going else 0)
+
     @pytest.mark.parametrize("option, value", [
         ("--sigma", "0"), ("--sigma", "nan"), ("--score-floor", "nan"), ("--top-k", "0"),
     ])
@@ -378,6 +401,7 @@ class TestConfigFile:
         pytest.param('{"seed": "abc"}', "synth", 1, "config {cfg}: field 'seed'", id="seed-text"),
         pytest.param('{"seed": null}', "synth", 1, "config {cfg}: field 'seed'", id="seed-null"),
         pytest.param('{"seed": 1', "synth", 1, "config {cfg}: not valid JSON", id="invalid-json"),
+        pytest.param("[" * 100_000, "synth", 1, "config {cfg}: not valid JSON", id="deep-nesting"),
         pytest.param('{"topk": 10}', "infer", 1, "config {cfg}: unknown field 'topk'", id="unknown-key"),
         # "false" is false, as for a flag: the bad manifest stops the run (exit 1, not 2)
         pytest.param('{"keep_going": "false"}', "labels-bad", 1, "error: aaa_bad: ",
@@ -408,3 +432,17 @@ class TestConfigFile:
         r = invoke(runner, ["--config", str(cfg), *argv])
         assert r.exit_code == exit_code, r.output
         assert expected.format(cfg=cfg) in r.output
+
+
+def test_cli_import_loads_no_stage_only_module():
+    """Each command imports its heavy modules itself, so a stage process
+    starts without the others' (checked in a fresh interpreter)."""
+    stage_only = ("tapgen.fusion", "tapgen.metrics", "tapgen.synth", "concurrent.futures",
+                  "multiprocessing", "numpy.random")
+    code = ("import sys, tapgen.cli; "
+            f"print(*[m for m in {stage_only!r} if m in sys.modules])")
+    src = os.path.dirname(os.path.dirname(tapgen.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                         check=True, timeout=60)
+    assert out.stdout.strip() == ""

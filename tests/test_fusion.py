@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 
@@ -63,6 +64,24 @@ class TestStubBackbone:
     def test_degenerate_dims_rejected(self):
         with pytest.raises(InvalidInputError):
             stub_backbone("vid", 0, (0, 4, 4), seed=1)
+
+    @pytest.mark.parametrize("seed", [0, 1, 42, 2**40])
+    def test_equals_a_fresh_philox_generator_per_snippet(self, seed):
+        for vid in ("vid", "v_0007", "é"):
+            for index, dims in ((0, (8, 8, 8)), (1, (3, 5, 7)), (63, (1, 1, 1)), (64, (2, 9, 4))):
+                key_material = f"{seed}\x00{vid}\x00{index}".encode("utf-8")
+                key = np.frombuffer(hashlib.sha256(key_material).digest()[:16], dtype=np.uint64)
+                expected = np.random.Generator(np.random.Philox(key=key)).random(dims)
+                got = stub_backbone(vid, index, dims, seed).values
+                assert got.tobytes() == expected.tobytes()
+
+    def test_interleaved_videos_give_the_same_maps(self):
+        dims = (4, 3, 5)
+        alone = {vid: [stub_backbone(vid, i, dims, 7).values for i in range(6)]
+                 for vid in ("a", "b")}
+        for i in range(6):
+            for vid in ("b", "a") if i % 2 else ("a", "b"):
+                assert stub_backbone(vid, i, dims, 7).values.tobytes() == alone[vid][i].tobytes()
 
 
 class TestEnvironmentPathway:
@@ -451,6 +470,12 @@ class TestWeightBundleValidation:
     def test_non_json_index(self, tmp_path):
         directory = _bundle(tmp_path)
         (directory / "index.json").write_text("{not json")
+        with pytest.raises(ConfigError, match=r"index\.json: not valid JSON"):
+            load_weights(directory)
+
+    def test_deeply_nested_index(self, tmp_path):
+        directory = _bundle(tmp_path)
+        (directory / "index.json").write_text("[" * 100_000)
         with pytest.raises(ConfigError, match=r"index\.json: not valid JSON"):
             load_weights(directory)
 

@@ -1,7 +1,8 @@
 """Property tests: the array paths against their scalar references, on
-generated inputs. Proposal, label and metric paths must match exactly;
+generated inputs. Proposal, label, metric and manifest paths must match exactly;
 batched featurize reorders floating-point sums, so it must match to 1e-12."""
 
+import copy
 import json
 import math
 import os
@@ -50,6 +51,7 @@ from test_fusion import reference_featurize_video
 from test_inference import mk, reference_soft_nms
 from test_metrics import brute_force_match_count, gt, si
 from test_supervision import brute_force_duration_labels, make_grid, random_gts
+from test_tensorio import reference_manifest_from_dict
 
 PROPERTY = settings(derandomize=True, deadline=None, max_examples=60)
 
@@ -348,6 +350,68 @@ def test_manifest_parser_raises_only_validation_error(field, value):
     for a in m.annotations:
         assert 0 <= a.start_sec < a.end_sec <= video.duration_seconds + 1e-9
     assert all(0 <= s.index < T for s in m.snippets)
+
+
+# Box coordinates: valid ones, mixed with every kind the checks reject.
+odd_coords = st.sampled_from(
+    [0, 1, 2, -1, True, False, "0.5", None, [0.5], 10**400, 2**70, math.nan, math.inf,
+     -math.inf, -0.0, 1.0000001, -1e-300, 5e-324]
+)
+unit = st.floats(0.0, 1.0)
+
+
+@st.composite
+def boxes(draw):
+    x1, x2, y1, y2 = sorted(draw(st.tuples(unit, unit))) + sorted(draw(st.tuples(unit, unit)))
+    box = [x1, y1, x2, y2]
+    kind = draw(st.sampled_from(["ordered"] * 6 + ["ints"] * 2 + ["odd", "swapped", "length"]))
+    if kind == "ints":  # the unit square's edges as JSON integers
+        box = [0, 0, 1, 1] if draw(st.booleans()) else [0, y1, 1, y2]
+    elif kind == "odd":
+        box[draw(st.integers(0, 3))] = draw(odd_coords)
+    elif kind == "swapped":
+        box = [x2, y1, x1, y2] if draw(st.booleans()) else [x1, y2, x2, y1]
+    elif kind == "length":
+        box = draw(st.sampled_from([box[:3], box + [0.5], [], {"x1": x1}, None, "box"]))
+    return box
+
+
+@st.composite
+def snippet_entries(draw):
+    """Mostly valid entries, so that most manifests reach the box checks."""
+    entry = {"index": draw(st.integers(0, 9))}
+    if draw(st.integers(0, 3)):
+        entry["agent_boxes"] = draw(st.lists(boxes(), max_size=4))
+    if draw(st.booleans()):
+        entry["feature_file"] = draw(st.sampled_from([None, "f.aent"]))
+    if draw(st.sampled_from([False] * 9 + [True])):
+        key, value = draw(st.sampled_from([
+            ("index", -1), ("index", 10), ("index", 2.0), ("index", True), ("index", "3"),
+            ("agent_boxes", None), ("agent_boxes", "boxes"), ("feature_file", 3),
+        ]))
+        entry[key] = value
+    return entry
+
+
+@settings(PROPERTY, max_examples=400)
+@given(
+    snippets=st.lists(snippet_entries(), max_size=6, unique_by=lambda s: repr(s["index"]))
+    | st.lists(snippet_entries(), max_size=6)
+)
+def test_manifest_boxes_match_the_box_by_box_reference(snippets):
+    """Array box checks accept exactly what the per-box loop accepts, with
+    the same values, and otherwise raise the same error (first in order)."""
+    doc = valid_manifest_doc()
+    doc["snippets"] = snippets
+
+    def outcome(parse):
+        try:
+            m = parse(copy.deepcopy(doc))
+        except Exception as e:  # the type and message are what is compared
+            return type(e), str(e)
+        return "ok", repr(m)
+
+    assert outcome(manifest_from_dict) == outcome(reference_manifest_from_dict)
 
 
 proposal_numbers = st.floats() | json_values

@@ -2,13 +2,16 @@ import json
 import math
 import pickle
 import struct
+import sys
 
 import numpy as np
 import pytest
 
 from tapgen.errors import InvalidInputError, ManifestValidationError, TensorFormatError
 from tapgen.tensorio import (
+    _MAX_SNIPPETS,
     Manifest,
+    SnippetEntry,
     Tensor,
     manifest_from_dict,
     manifest_to_dict,
@@ -19,9 +22,134 @@ from tapgen.tensorio import (
     write_manifest,
     write_tensor,
 )
+from tapgen.timeline import GroundTruthAction, VideoMeta
 
 
 MAGIC_HEADER = b"AENT" + struct.pack("<II", 1, 3)
+
+
+# ---------------------------------------------------------------------------
+# Reference: manifest_from_dict as it was before boxes were checked as one
+# array, kept verbatim (helpers renamed), box by box in document order.
+# ---------------------------------------------------------------------------
+
+def _ref_require_keys(obj: dict, allowed: set[str], required: set[str], path: str) -> None:
+    for k in obj:
+        if k not in allowed:
+            raise ManifestValidationError(f"{path}.{k}", "unknown field")
+    for k in required:
+        if k not in obj:
+            raise ManifestValidationError(f"{path}.{k}", "missing required field")
+
+
+def _ref_check_number(v, path: str, *, integer: bool = False) -> float:
+    if isinstance(v, bool) or not isinstance(v, (int, float)):
+        raise ManifestValidationError(path, f"expected a number, got {type(v).__name__}")
+    if integer and not isinstance(v, int):
+        raise ManifestValidationError(path, f"expected an integer, got {v!r}")
+    if not -sys.float_info.max <= v <= sys.float_info.max:  # NaN, inf, or an int beyond float
+        raise ManifestValidationError(path, "expected a finite number")
+    return v
+
+
+def reference_manifest_from_dict(doc: dict, name: str = "manifest") -> Manifest:
+    """Validate a parsed manifest document and build the Manifest."""
+    if not isinstance(doc, dict):
+        raise ManifestValidationError(name, "document must be a JSON object")
+    _ref_require_keys(doc, {"video", "annotations", "snippets"}, {"video", "annotations"}, name)
+
+    v = doc["video"]
+    vpath = f"{name}.video"
+    if not isinstance(v, dict):
+        raise ManifestValidationError(vpath, "must be an object")
+    _ref_require_keys(
+        v,
+        {"video_id", "num_frames", "fps", "snippet_len", "duration_seconds"},
+        {"video_id", "num_frames", "fps", "snippet_len"},
+        vpath,
+    )
+    if not isinstance(v["video_id"], str) or not v["video_id"]:
+        raise ManifestValidationError(f"{vpath}.video_id", "must be a non-empty string")
+    try:
+        video = VideoMeta(
+            video_id=v["video_id"],
+            num_frames=int(_ref_check_number(v["num_frames"], f"{vpath}.num_frames", integer=True)),
+            fps=float(_ref_check_number(v["fps"], f"{vpath}.fps")),
+            snippet_len=int(_ref_check_number(v["snippet_len"], f"{vpath}.snippet_len", integer=True)),
+            duration_seconds=(
+                float(_ref_check_number(v["duration_seconds"], f"{vpath}.duration_seconds"))
+                if "duration_seconds" in v
+                else None
+            ),
+        )
+    except InvalidInputError as e:
+        raise ManifestValidationError(vpath, str(e)) from e
+    T = video.num_frames // video.snippet_len  # build_grid's T, without allocating the grid
+
+    anns = doc["annotations"]
+    if not isinstance(anns, list):
+        raise ManifestValidationError(f"{name}.annotations", "must be a list")
+    annotations = []
+    for i, a in enumerate(anns):
+        apath = f"{name}.annotations[{i}]"
+        if not isinstance(a, dict):
+            raise ManifestValidationError(apath, "must be an object")
+        _ref_require_keys(a, {"label", "start_sec", "end_sec"}, {"label", "start_sec", "end_sec"}, apath)
+        if not isinstance(a["label"], str):
+            raise ManifestValidationError(f"{apath}.label", "must be a string")
+        start = float(_ref_check_number(a["start_sec"], f"{apath}.start_sec"))
+        end = float(_ref_check_number(a["end_sec"], f"{apath}.end_sec"))
+        try:
+            gt = GroundTruthAction(label=a["label"], start_sec=start, end_sec=end)
+        except InvalidInputError as e:
+            raise ManifestValidationError(apath, str(e)) from e
+        if gt.end_sec > video.duration_seconds + 1e-9:
+            raise ManifestValidationError(
+                f"{apath}.end_sec",
+                f"annotation ends at {gt.end_sec}, beyond video duration "
+                f"{video.duration_seconds}",
+            )
+        annotations.append(gt)
+
+    raw_snippets = doc.get("snippets", [])
+    if not isinstance(raw_snippets, list):
+        raise ManifestValidationError(f"{name}.snippets", "must be a list")
+    snippets = []
+    seen: set[int] = set()
+    for i, s in enumerate(raw_snippets):
+        spath = f"{name}.snippets[{i}]"
+        if not isinstance(s, dict):
+            raise ManifestValidationError(spath, "must be an object")
+        _ref_require_keys(s, {"index", "feature_file", "agent_boxes"}, {"index"}, spath)
+        idx = int(_ref_check_number(s["index"], f"{spath}.index", integer=True))
+        if not 0 <= idx < T:
+            raise ManifestValidationError(f"{spath}.index", f"index {idx} outside [0, {T})")
+        if idx in seen:
+            raise ManifestValidationError(f"{spath}.index", f"duplicate snippet index {idx}")
+        seen.add(idx)
+        feature_file = s.get("feature_file")
+        if feature_file is not None and not isinstance(feature_file, str):
+            raise ManifestValidationError(f"{spath}.feature_file", "must be a string path")
+        boxes = []
+        raw_boxes = s.get("agent_boxes", [])
+        if not isinstance(raw_boxes, list):
+            raise ManifestValidationError(f"{spath}.agent_boxes", "must be a list")
+        for j, b in enumerate(raw_boxes):
+            bpath = f"{spath}.agent_boxes[{j}]"
+            if not isinstance(b, list) or len(b) != 4:
+                raise ManifestValidationError(bpath, "box must be [x1, y1, x2, y2]")
+            x1, y1, x2, y2 = (float(_ref_check_number(c, f"{bpath}[{k}]")) for k, c in enumerate(b))
+            if not all(0.0 <= c <= 1.0 for c in (x1, y1, x2, y2)):
+                raise ManifestValidationError(bpath, f"coordinates outside [0, 1]: {b}")
+            if not x1 < x2:
+                raise ManifestValidationError(bpath, f"x1 >= x2 in {b}")
+            if not y1 < y2:
+                raise ManifestValidationError(bpath, f"y1 >= y2 in {b}")
+            boxes.append((x1, y1, x2, y2))
+        snippets.append(SnippetEntry(index=idx, feature_file=feature_file, agent_boxes=tuple(boxes)))
+
+    return Manifest(video=video, annotations=tuple(annotations), snippets=tuple(snippets))
+
 
 
 def minimal_manifest_doc():
@@ -242,6 +370,18 @@ class TestManifest:
         doc = minimal_manifest_doc()
         doc["video"]["num_frames"] = 16 * 10**15
         assert manifest_from_dict(doc).video.num_frames == 16 * 10**15
+
+    def test_manifest_file_caps_snippet_count(self, tmp_path):
+        doc = minimal_manifest_doc()
+        doc["video"]["num_frames"] = 16 * (_MAX_SNIPPETS + 1)
+        path = tmp_path / "m.json"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ManifestValidationError, match="above the cap") as info:
+            read_manifest(path)
+        assert info.value.path == f"{path}.video.num_frames"
+        doc["video"]["num_frames"] = 16 * _MAX_SNIPPETS + 15
+        path.write_text(json.dumps(doc))
+        assert read_manifest(path).video.num_frames == 16 * _MAX_SNIPPETS + 15
 
     def test_deep_nesting_reported(self, tmp_path):
         path = tmp_path / "deep.json"
