@@ -105,10 +105,13 @@ def _manifest_paths(manifest_dir: str) -> list[str]:
 def _run_batch(jobs, workers: int, keep_going: bool, initializer=None, initargs=()):
     """Run (name, fn, args) jobs; returns (ok_names, error_map).
 
-    initializer(*initargs) runs once per process before its first job.
-    Without keep_going the batch stops at the first error: serially, no
-    later job starts; in a pool, queued jobs are cancelled and the jobs
-    already running finish and are reported like the rest.
+    Uses at most one process per job, and none besides this one for a
+    single job. initializer(*initargs) runs once per process before its
+    first job. Any exception a job raises is that job's error: a
+    TapgenError or OSError by its message, any other by its class and
+    message. Without keep_going the batch stops at the first error:
+    serially, no later job starts; in a pool, queued jobs are cancelled
+    and the jobs already running finish and are reported like the rest.
     """
     errors: dict[str, str] = {}
     done: list[str] = []
@@ -116,12 +119,14 @@ def _run_batch(jobs, workers: int, keep_going: bool, initializer=None, initargs=
     def record(name, call) -> bool:
         try:
             call()
-        except (TapgenError, OSError) as e:
-            errors[name] = str(e)
+        except Exception as e:  # even a bug or a MemoryError is one job's error
+            known = isinstance(e, (TapgenError, OSError))
+            errors[name] = str(e) if known else f"{type(e).__name__}: {e}"
             return False
         done.append(name)
         return True
 
+    workers = min(workers, len(jobs))  # a pool forks all its workers at once
     if workers > 1:
         from concurrent.futures import ProcessPoolExecutor
 

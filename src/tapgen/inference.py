@@ -7,19 +7,29 @@ the duration-label cell convention. Its score is
 
     start_prob[t_s] * end_prob[t_e] * sqrt(conf_cls[d, t_s] * conf_reg[d, t_s])
 
+form_proposals returns the candidates as Candidates: start, end and score
+columns in float64, with no object per candidate. Indexing or iterating
+it yields Proposal, and it equals any sequence of the same proposals.
+
 Soft-NMS decays overlapping survivors by exp(-iou^2 / sigma) instead of
-removing them. It keeps scores and intervals in arrays: each of the at
-most top_k steps takes an argmax and one IoU vector against the n
+removing them. It works on those columns (a list of Proposal is turned
+into columns once) and builds a Proposal only for each survivor. Each of
+the at most top_k steps takes an argmax and one IoU vector against the n
 candidates, so it costs O(top_k * n) time and O(n) memory, never an n x n
-matrix. The decay factors of the overlapping entries come from math.exp,
-not np.exp: the two differ in the last ulp on a few percent of inputs,
-and results must stay bit-identical to the scalar reference.
+matrix. The decay factors come from math.exp, not np.exp: the two differ
+in the last ulp on a few percent of inputs, and results must stay
+bit-identical to the scalar reference. IoUs of snippet-aligned intervals
+are ratios of small integers, so a step's arguments repeat: math.exp runs
+once per distinct argument, found by sorting and comparing neighbours.
+np.unique would find them too, but it imports numpy.ma, about 1 MB more
+resident memory in every infer process.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from collections.abc import Sequence
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -31,6 +41,7 @@ from tapgen.timeline import temporal_iou  # noqa: F401
 
 __all__ = [
     "Proposal",
+    "Candidates",
     "InferenceConfig",
     "find_peaks",
     "form_proposals",
@@ -58,6 +69,44 @@ class Proposal:
     @property
     def interval(self) -> tuple[float, float]:
         return self.start_sec, self.end_sec
+
+
+@dataclass(frozen=True, eq=False)
+class Candidates(Sequence):
+    """Scored intervals in seconds as three float64 columns, one row per proposal.
+
+    Rows are not checked one by one: form_proposals builds them from
+    validated grids, and Candidates.of from Proposals.
+    """
+
+    starts: np.ndarray
+    ends: np.ndarray
+    scores: np.ndarray
+
+    @classmethod
+    def of(cls, proposals: Sequence[Proposal]) -> Candidates:
+        """The columns of a sequence of Proposal, in its order."""
+        if isinstance(proposals, Candidates):
+            return proposals
+        return cls(*(
+            np.array([getattr(p, name) for p in proposals], dtype=np.float64)
+            for name in ("start_sec", "end_sec", "score")
+        ))
+
+    def __len__(self) -> int:
+        return self.scores.shape[0]
+
+    def __getitem__(self, i: int) -> Proposal:
+        return Proposal(float(self.starts[i]), float(self.ends[i]), float(self.scores[i]))
+
+    def __iter__(self):
+        columns = (self.starts.tolist(), self.ends.tolist(), self.scores.tolist())
+        return (Proposal(s, e, p) for s, e, p in zip(*columns))
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, Sequence):
+            return NotImplemented
+        return len(self) == len(other) and all(a == b for a, b in zip(self, other))
 
 
 @dataclass(frozen=True)
@@ -110,11 +159,12 @@ def form_proposals(
     grids: ScoreGrids,
     grid: SnippetGrid,
     D: int | None = None,
-) -> list[Proposal]:
+) -> Candidates:
     """Pair every start peak with later end peaks within the duration range.
 
     Output is sorted by score descending, ties broken by (start, end)
-    ascending.
+    ascending. Grid entries lie in [0, 1] and durations are positive, so
+    every row is a valid Proposal.
     """
     if D is None:
         D = grids.D
@@ -128,15 +178,26 @@ def form_proposals(
         * np.sqrt(grids.conf_cls[d - 1, ts] * grids.conf_reg[d - 1, ts])
     )
     order = np.lexsort((te, ts, -scores))
-    ss = grid.snippet_seconds
-    return [
-        Proposal(start_sec=s * ss, end_sec=e * ss, score=p)
-        for s, e, p in zip(ts[order].tolist(), te[order].tolist(), scores[order].tolist())
-    ]
+    ss = grid.snippet_seconds  # index * ss is the same double in NumPy as in Python
+    return Candidates(starts=ts[order] * ss, ends=te[order] * ss, scores=scores[order])
+
+
+def _gaussian_decay(iou: np.ndarray, sigma: float) -> np.ndarray:
+    """math.exp(-iou^2 / sigma) per entry, with one math.exp per distinct argument."""
+    args = -(iou * iou) / sigma
+    order = np.argsort(args)
+    ranked = args[order]
+    first = np.empty(ranked.shape, dtype=bool)  # starts a run of equal arguments
+    first[:1] = True
+    np.not_equal(ranked[1:], ranked[:-1], out=first[1:])
+    factors = np.array(list(map(math.exp, ranked[first].tolist())), dtype=np.float64)
+    out = np.empty_like(args)
+    out[order] = factors[np.cumsum(first) - 1]
+    return out
 
 
 def soft_nms(
-    proposals: list[Proposal],
+    proposals: Sequence[Proposal],
     sigma: float = 0.4,
     score_floor: float = 0.001,
     top_k: int = 100,
@@ -146,25 +207,25 @@ def soft_nms(
     Repeatedly selects the highest-score remaining proposal (ties by
     (start, end) ascending) and decays every other remaining score by
     exp(-iou^2 / sigma). Stops once top_k are selected or all remaining
-    scores fall below score_floor.
+    scores fall below score_floor. Takes Candidates or any sequence of
+    Proposal.
     """
     if sigma <= 0:
         raise InvalidInputError(f"sigma must be positive, got {sigma}")
+    pool = Candidates.of(proposals)
     # Stable (start, end) order makes argmax's first-index rule the tie-break.
-    pool = sorted(proposals, key=lambda p: p.interval)
-    scores = np.array([p.score for p in pool], dtype=np.float64)
-    starts = np.array([p.start_sec for p in pool], dtype=np.float64)
-    ends = np.array([p.end_sec for p in pool], dtype=np.float64)
+    order = np.lexsort((pool.ends, pool.starts))
+    starts, ends, scores = pool.starts[order], pool.ends[order], pool.scores[order]
     selected: list[Proposal] = []
-    while len(selected) < min(top_k, len(pool)):
+    while len(selected) < min(top_k, len(scores)):
         best = int(np.argmax(scores))
         if scores[best] < score_floor:
             break
-        selected.append(replace(pool[best], score=float(scores[best])))
+        selected.append(Proposal(float(starts[best]), float(ends[best]), float(scores[best])))
         scores[best] = -np.inf  # removed from the pool
         iou = broadcast_iou(starts[best], ends[best], starts, ends)
         hit = np.flatnonzero((iou > 0) & (scores > -np.inf))
-        scores[hit] *= [math.exp(x) for x in (-(iou[hit] * iou[hit]) / sigma).tolist()]
+        scores[hit] *= _gaussian_decay(iou[hit], sigma)
     return selected
 
 

@@ -1,7 +1,9 @@
 """End-to-end tests of the batch command line interface."""
 
+import concurrent.futures
 import hashlib
 import json
+import multiprocessing
 import os
 import subprocess
 import sys
@@ -11,6 +13,7 @@ import pytest
 from click.testing import CliRunner
 
 import tapgen
+from tapgen import cli
 from tapgen.cli import main
 from tapgen.fusion import FusionConfig, random_weights, save_weights
 from tapgen.supervision import valid_cell_mask
@@ -269,6 +272,32 @@ class TestErrorHandling:
         assert list(summary["errors"]) == ["aaa_huge"]
         assert summary["num_completed"] == (2 if keep_going else 0)
 
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("keep_going, exit_code", [(False, 1), (True, 2)])
+    def test_unexpected_exception_is_a_per_video_error(self, runner, tmp_path, monkeypatch,
+                                                       workers, keep_going, exit_code):
+        if workers > 1 and multiprocessing.get_start_method() != "fork":
+            pytest.skip("the patched reader reaches pool workers only through fork")
+        invoke(runner, ["synth", "--n-videos", "3", "--out", str(tmp_path / "corpus")])
+        read_manifest = cli.read_manifest
+
+        def buggy_read(path):
+            if os.path.basename(path) == "synth_0001.json":
+                raise RuntimeError("boom")
+            return read_manifest(path)
+
+        monkeypatch.setattr(cli, "read_manifest", buggy_read)
+        base = ["--workers", str(workers)] + (["--keep-going"] if keep_going else [])
+        # catch_exceptions=False: a traceback would fail the test
+        r = invoke(runner, base + ["labels", "--manifests", str(tmp_path / "corpus/manifests"),
+                                   "--out", str(tmp_path / "labels")])
+        assert r.exit_code == exit_code, r.output
+        assert "error: synth_0001: RuntimeError: boom\n" in r.output
+        summary = json.loads((tmp_path / "labels" / "run_summary.json").read_text())
+        assert summary["errors"] == {"synth_0001": "RuntimeError: boom"}
+        if keep_going:
+            assert summary["completed"] == ["synth_0000", "synth_0002"]
+
     @pytest.mark.parametrize("option, value", [
         ("--sigma", "0"), ("--sigma", "nan"), ("--score-floor", "nan"), ("--top-k", "0"),
     ])
@@ -433,6 +462,27 @@ class TestConfigFile:
         assert r.exit_code == exit_code, r.output
         assert expected.format(cfg=cfg) in r.output
 
+
+@pytest.mark.parametrize("n_videos, workers, pools", [(3, 8, [3]), (1, 4, []), (3, 1, [])])
+def test_pool_has_at_most_one_worker_per_job(runner, tmp_path, monkeypatch, n_videos, workers,
+                                             pools):
+    """A pool forks all its workers at the first submit, so it is sized to the jobs."""
+    sizes = []
+
+    class RecordingPool(concurrent.futures.ThreadPoolExecutor):
+        def __init__(self, max_workers, **kwargs):
+            sizes.append(max_workers)
+            super().__init__(max_workers, **kwargs)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+    invoke(runner, ["synth", "--n-videos", str(n_videos), "--out", str(tmp_path / "corpus")])
+    r = invoke(runner, ["--workers", str(workers), "labels",
+                        "--manifests", str(tmp_path / "corpus/manifests"),
+                        "--out", str(tmp_path / "labels")])
+    assert r.exit_code == 0, r.output
+    assert sizes == pools
+    summary = json.loads((tmp_path / "labels" / "run_summary.json").read_text())
+    assert summary["num_completed"] == n_videos
 
 def test_cli_import_loads_no_stage_only_module():
     """Each command imports its heavy modules itself, so a stage process

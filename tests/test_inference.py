@@ -1,10 +1,12 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from tapgen.errors import InvalidInputError
 from tapgen.inference import (
+    Candidates,
     InferenceConfig,
     Proposal,
     find_peaks,
@@ -13,7 +15,7 @@ from tapgen.inference import (
     soft_nms,
 )
 from tapgen.supervision import ScoreGrids, valid_cell_mask
-from tapgen.timeline import VideoMeta, build_grid, temporal_iou
+from tapgen.timeline import SnippetGrid, VideoMeta, build_grid, temporal_iou
 
 
 def make_grid(T):
@@ -39,6 +41,39 @@ def reference_soft_nms(proposals, sigma, score_floor, top_k):
             iou = inter / union if inter > 0 else 0.0
             r[2] = r[2] * math.exp(-(iou * iou) / sigma)
     return out
+
+
+# form_proposals as it was when it built one Proposal per candidate, kept
+# verbatim: the columnar version must equal it item by item.
+def reference_form_proposals(
+    start_peaks: list[int],
+    end_peaks: list[int],
+    grids: ScoreGrids,
+    grid: SnippetGrid,
+    D: int | None = None,
+) -> list[Proposal]:
+    """Pair every start peak with later end peaks within the duration range.
+
+    Output is sorted by score descending, ties broken by (start, end)
+    ascending.
+    """
+    if D is None:
+        D = grids.D
+    sp, ep = (np.asarray(p, dtype=np.int64) for p in (start_peaks, end_peaks))
+    dur = ep[None, :] - sp[:, None]
+    i, k = np.nonzero((dur >= 1) & (dur <= D))
+    ts, te, d = sp[i], ep[k], dur[i, k]
+    scores = (
+        grids.start_probs[ts]
+        * grids.end_probs[te]
+        * np.sqrt(grids.conf_cls[d - 1, ts] * grids.conf_reg[d - 1, ts])
+    )
+    order = np.lexsort((te, ts, -scores))
+    ss = grid.snippet_seconds
+    return [
+        Proposal(start_sec=s * ss, end_sec=e * ss, score=p)
+        for s, e, p in zip(ts[order].tolist(), te[order].tolist(), scores[order].tolist())
+    ]
 
 
 class TestFindPeaks:
@@ -131,6 +166,31 @@ class TestFormProposals:
         p = form_proposals([2], [7], grids, make_grid(10))[0]
         assert p.start_sec == pytest.approx(2.0)
         assert p.end_sec == pytest.approx(7.0)
+
+    def test_columns_behave_as_a_sequence_of_proposals(self):
+        T = 8
+        grids = random_grids(np.random.default_rng(5), T, T)
+        got = form_proposals(list(range(T)), list(range(T)), grids, make_grid(T))
+        want = reference_form_proposals(list(range(T)), list(range(T)), grids, make_grid(T))
+        assert isinstance(got, Candidates)
+        assert len(got) == len(want) > 1
+        assert got == want and want == got and got == tuple(want)
+        assert list(got) == want
+        assert got[-1] == want[-1]
+        assert all(isinstance(x, float) for x in (got[0].start_sec, got[0].end_sec, got[0].score))
+        assert got != want[:-1]
+        assert got != [replace(want[0], score=want[0].score / 2), *want[1:]]
+        assert got != "not proposals"
+        with pytest.raises(IndexError):
+            got[len(want)]
+
+    def test_soft_nms_leaves_its_candidates_unchanged(self):
+        T = 8
+        grids = random_grids(np.random.default_rng(6), T, T)
+        cands = form_proposals(list(range(T)), list(range(T)), grids, make_grid(T))
+        before = list(cands)
+        soft_nms(cands, score_floor=0.0)
+        assert cands == before
 
 
 def mk(start, end, score, s=1.0):

@@ -7,11 +7,11 @@ import json
 import math
 import os
 import tempfile
-from dataclasses import replace
+from dataclasses import astuple, replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from tapgen.cli import load_proposals
@@ -31,9 +31,9 @@ from tapgen.fusion import (
     random_weights,
 )
 
-from tapgen.inference import soft_nms
+from tapgen.inference import find_peaks, form_proposals, soft_nms
 from tapgen.metrics import evaluate
-from tapgen.supervision import gen_duration_labels
+from tapgen.supervision import ScoreGrids, gen_duration_labels, valid_cell_mask
 from tapgen.timeline import GroundTruthAction
 
 from tapgen.tensorio import (
@@ -48,7 +48,7 @@ from tapgen.tensorio import (
 from tapgen.timeline import VideoMeta
 
 from test_fusion import reference_featurize_video
-from test_inference import mk, reference_soft_nms
+from test_inference import mk, reference_form_proposals, reference_soft_nms
 from test_metrics import brute_force_match_count, gt, si
 from test_supervision import brute_force_duration_labels, make_grid, random_gts
 from test_tensorio import reference_manifest_from_dict
@@ -82,6 +82,100 @@ def test_soft_nms_matches_reference(props, sigma, floor, top_k):
     got = soft_nms(props, sigma=sigma, score_floor=floor, top_k=top_k)
     want = reference_soft_nms(props, sigma, floor, top_k)
     assert [(p.start_sec, p.end_sec, p.score) for p in got] == want
+
+
+def seeded_grids(seed: int, T: int, D: int, quantized: bool) -> ScoreGrids:
+    """Valid score grids; quantized ones hold quarters only, so scores tie often."""
+    rng = np.random.default_rng(seed)
+
+    def draw(shape):
+        return rng.integers(0, 5, shape) / 4 if quantized else rng.random(shape)
+
+    mask = valid_cell_mask(T, D)
+    return ScoreGrids(start_probs=draw(T), end_probs=draw(T),
+                      conf_cls=draw((D, T)) * mask, conf_reg=draw((D, T)) * mask)
+
+
+snippet_shapes = st.sampled_from([(1, 1.0), (16, 30.0), (5, 30.0), (16, 29.97)])
+
+
+@st.composite
+def peak_lists(draw, T):
+    """No peak, one, or many, in any order."""
+    kind = draw(st.sampled_from(["none", "one", "many"]))
+    size = {"none": 0, "one": 1, "many": draw(st.integers(min(2, T), T))}[kind]
+    return draw(st.permutations(range(T)))[:size]
+
+
+@PROPERTY
+@given(
+    T=st.integers(1, 40),
+    data=st.data(),
+    seed=st.integers(0, 2**32 - 1),
+    quantized=st.booleans(),
+    pass_d=st.booleans(),
+    shape=snippet_shapes,
+)
+def test_form_proposals_matches_the_list_reference(T, data, seed, quantized, pass_d, shape):
+    """Columns hold the reference's proposals, bit for bit and in its order;
+    D comes from the grids or, below their row count, from the caller."""
+    D = data.draw(st.integers(1, T))
+    grids = seeded_grids(seed, T, T if pass_d else D, quantized)
+    grid = make_grid(T, *shape)
+    starts, ends = data.draw(peak_lists(T)), data.draw(peak_lists(T))
+    d_arg = D if pass_d else None
+    got = form_proposals(starts, ends, grids, grid, d_arg)
+    want = reference_form_proposals(starts, ends, grids, grid, d_arg)
+    assert len(got) == len(want)
+    assert [astuple(p) for p in got] == [astuple(p) for p in want]
+    assert [astuple(got[i]) for i in range(len(got))] == [astuple(p) for p in want]
+    assert got == want
+
+
+@settings(PROPERTY, max_examples=20)
+@given(
+    T=st.integers(1, 60),
+    seed=st.integers(0, 2**32 - 1),
+    quantized=st.booleans(),
+    all_peaks=st.booleans(),
+    shape=snippet_shapes,
+    sigma=st.sampled_from([1e-300, 0.2, 0.4, 0.8]),
+    floor=st.sampled_from([-1.0, 0.0, 0.001, 0.05]),
+    top_k=st.sampled_from([1, 7, 100, "above n"]),
+    n_dups=st.integers(0, 30),
+)
+# inputs the draws rarely reach: 1,540 and 1,770 candidates, top_k above 435
+@example(T=56, seed=1, quantized=True, all_peaks=True, shape=(16, 30.0), sigma=0.4,
+         floor=0.001, top_k=100, n_dups=30)
+@example(T=60, seed=2, quantized=False, all_peaks=True, shape=(5, 30.0), sigma=1e-300,
+         floor=-1.0, top_k=100, n_dups=10)
+@example(T=30, seed=3, quantized=True, all_peaks=True, shape=(1, 1.0), sigma=0.8,
+         floor=-1.0, top_k="above n", n_dups=20)
+def test_soft_nms_matches_reference_on_dense_snippet_aligned_candidates(
+    T, seed, quantized, all_peaks, shape, sigma, floor, top_k, n_dups
+):
+    """Up to 1,770 candidates over at most 60 snippets, so IoUs, and with them
+    the decay arguments, repeat. sigma=1e-300 decays every overlap to 0; a
+    negative floor lets zero scores through. The list input adds duplicate
+    intervals, with equal and with other scores, and is shuffled."""
+    if top_k == "above n":
+        T = min(T, 30)  # the reference runs to exhaustion: O(n^2 log n)
+    grids = seeded_grids(seed, T, T, quantized)
+    if all_peaks:
+        starts = ends = list(range(T))
+    else:
+        starts, ends = find_peaks(grids.start_probs), find_peaks(grids.end_probs)
+    cands = form_proposals(starts, ends, grids, make_grid(T, *shape))
+    k = len(cands) + 3 if top_k == "above n" else top_k
+    rng = np.random.default_rng(seed)
+    listed = list(cands)
+    for i in rng.integers(0, len(listed), n_dups if listed else 0).tolist():
+        p = listed[i]
+        listed.append(p if rng.random() < 0.5 else replace(p, score=float(rng.random())))
+    listed = [listed[i] for i in rng.permutation(len(listed))]
+    for props in (cands, listed):
+        got = soft_nms(props, sigma=sigma, score_floor=floor, top_k=k)
+        assert [astuple(p) for p in got] == reference_soft_nms(props, sigma, floor, k)
 
 
 @st.composite
