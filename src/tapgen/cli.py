@@ -109,9 +109,10 @@ def _run_batch(jobs, workers: int, keep_going: bool, initializer=None, initargs=
     single job. initializer(*initargs) runs once per process before its
     first job. Any exception a job raises is that job's error: a
     TapgenError or OSError by its message, any other by its class and
-    message. Without keep_going the batch stops at the first error:
-    serially, no later job starts; in a pool, queued jobs are cancelled
-    and the jobs already running finish and are reported like the rest.
+    message, with its traceback written to stderr. Without keep_going the
+    batch stops at the first error: serially, no later job starts; in a
+    pool, queued jobs are cancelled and the jobs already running finish
+    and are reported like the rest.
     """
     errors: dict[str, str] = {}
     done: list[str] = []
@@ -120,14 +121,23 @@ def _run_batch(jobs, workers: int, keep_going: bool, initializer=None, initargs=
         try:
             call()
         except Exception as e:  # even a bug or a MemoryError is one job's error
-            known = isinstance(e, (TapgenError, OSError))
-            errors[name] = str(e) if known else f"{type(e).__name__}: {e}"
+            if isinstance(e, (TapgenError, OSError)):
+                errors[name] = str(e)
+            else:
+                import traceback
+
+                errors[name] = f"{type(e).__name__}: {e}"
+                # a pool attaches the worker's traceback as __cause__; the rest is its own frames
+                shown = e.__cause__ if pooled and e.__cause__ is not None else e
+                click.echo(f"{name}: " + "".join(traceback.format_exception(shown)),
+                           err=True, nl=False)
             return False
         done.append(name)
         return True
 
     workers = min(workers, len(jobs))  # a pool forks all its workers at once
-    if workers > 1:
+    pooled = workers > 1
+    if pooled:
         from concurrent.futures import ProcessPoolExecutor
 
         with ProcessPoolExecutor(workers, initializer=initializer, initargs=initargs) as pool:

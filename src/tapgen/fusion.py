@@ -12,16 +12,23 @@ permutation-invariant by construction.
 
 `featurize_video` runs a video in blocks of BLOCK_SNIPPETS snippets, and
 each layer function takes a whole block, with a single snippet as the
-B=1 case. Per block: one pooled [B, C] matrix through the environment
-stack; one RoIAlign call per distinct map size over all boxes on maps of
-that size; one agent-encoder batch [B_n, n, d_model] per agent count n
-(equal counts need no attention mask); one fuse-encoder batch for the
-snippets without agents (1 token) and one for the rest (2 tokens).
-RoIAlign is separable: a bilinear weight is a row weight times a column
-weight, and so is its mean over a bin's regular sub-samples, so each
-patch is Ay @ map @ Ax^T with Ay [gh, H] and Ax [gw, W] the per-bin mean
+B=1 case. A feature source hands over a block's maps in one call: the
+stub as one [B, C, H, W] buffer, checked once; the file source as one
+array per snippet, which the block groups into one stack per distinct
+map shape. Per block: one mean over H x W per stack, and one pooled
+[B, C] matrix through the environment stack; one RoIAlign call per
+stack that holds boxes, over all of them; one agent-encoder batch
+[B_n, n, d_model] per agent count n (equal counts need no attention
+mask); one fuse-encoder batch for the snippets without agents (1 token)
+and one for the rest (2 tokens). Attention over a single token skips the
+queries, keys and softmax, which is exactly 1 there. RoIAlign is
+separable: a bilinear weight is a row weight times a column weight, and
+so is its mean over a bin's regular sub-samples, so each patch is
+Ay @ map @ Ax^T with Ay [gh, H] and Ax [gw, W] the per-bin mean
 interpolation weights. Blocks, not whole videos, bound the size of the
 temporaries. Results match the per-snippet path to rounding (~1e-15).
+Layer norm centres its input once and takes the variance as the mean
+square of that.
 
 The stub backbone keys one counter-based Philox stream per (seed, video,
 snippet). A process builds a single Philox generator, on its first stub
@@ -78,10 +85,7 @@ class FeatureMap:
 
     def __post_init__(self):
         v = np.asarray(self.values, dtype=np.float64)
-        if v.ndim != 3:
-            raise InvalidInputError(f"feature map must be [C, H, W], got shape {v.shape}")
-        if any(d < 1 for d in v.shape):
-            raise InvalidInputError(f"feature map dims must be positive, got {v.shape}")
+        _check_map_shape(v.shape)
         if not np.all(np.isfinite(v)):
             raise InvalidInputError("feature map contains non-finite values")
         object.__setattr__(self, "values", v)
@@ -97,6 +101,13 @@ class FeatureMap:
     @property
     def W(self) -> int:
         return self.values.shape[2]
+
+
+def _check_map_shape(shape: tuple[int, ...]) -> None:
+    if len(shape) != 3:
+        raise InvalidInputError(f"feature map must be [C, H, W], got shape {shape}")
+    if any(d < 1 for d in shape):
+        raise InvalidInputError(f"feature map dims must be positive, got {shape}")
 
 
 @dataclass(frozen=True)
@@ -195,9 +206,7 @@ _stub_rng = None
 _ZERO4 = np.zeros(4, dtype=np.uint64)
 
 
-def stub_backbone(
-    video_id: str, snippet_index: int, dims: tuple[int, int, int], seed: int
-) -> FeatureMap:
+def stub_backbone(video_id: str, snippet_index, dims: tuple[int, int, int], seed: int):
     """Deterministic stand-in for the convolutional backbone.
 
     A counter-mode generator keyed on (seed, video_id, snippet_index)
@@ -206,24 +215,33 @@ def stub_backbone(
     Generator(Philox(key=key)).random((c, h, w)): the process's one
     Philox generator is re-keyed with counter 0 and an empty buffer,
     which is exactly the state a new Philox(key=key) starts from.
+
+    Returns a FeatureMap for one index; for a sequence of B indices, the
+    maps in that order as one [B, c, h, w] array.
     """
     global _stub_rng
     c, h, w = dims
     if c < 1 or h < 1 or w < 1:
         raise InvalidInputError(f"stub dims must be positive, got {dims}")
-    key_material = f"{seed}\x00{video_id}\x00{snippet_index}".encode("utf-8")
-    digest = hashlib.sha256(key_material).digest()
-    state = {
-        "bit_generator": "Philox",
-        "state": {"counter": _ZERO4, "key": np.frombuffer(digest[:16], dtype=np.uint64)},
-        "buffer": _ZERO4, "buffer_pos": 4, "has_uint32": 0, "uinteger": 0,
-    }
+    single = np.ndim(snippet_index) == 0
+    indices = (snippet_index,) if single else snippet_index
+    block = np.empty((len(indices), c, h, w), dtype=np.float64)
     with _stub_lock:
         if _stub_rng is None:
             _stub_rng = np.random.Generator(np.random.Philox(0))
-        _stub_rng.bit_generator.state = state
-        values = _stub_rng.random((c, h, w), dtype=np.float64)
-    return FeatureMap(values=values)
+        for k, index in enumerate(indices):
+            digest = hashlib.sha256(f"{seed}\x00{video_id}\x00{index}".encode("utf-8")).digest()
+            _stub_rng.bit_generator.state = {
+                "bit_generator": "Philox",
+                "state": {"counter": _ZERO4, "key": np.frombuffer(digest[:16], dtype=np.uint64)},
+                "buffer": _ZERO4, "buffer_pos": 4, "has_uint32": 0, "uinteger": 0,
+            }
+            _stub_rng.random(out=block[k])
+    if single:
+        return FeatureMap(values=block[0])
+    if not np.isfinite(block).all():
+        raise InvalidInputError("feature map contains non-finite values")
+    return block
 
 
 def _softmax(x: np.ndarray, axis: int = -1) -> np.ndarray:
@@ -236,17 +254,19 @@ def environment_pathway(fmap, w: FusionWeights) -> np.ndarray:
     """Global average pool over H x W, fully connected stack, softmax.
 
     Returns the scene descriptor as a probability vector of length d_model
-    (or raw logits when config.env_softmax is off). Given a sequence of B
-    feature maps (sizes may differ), returns one row per map, [B, d_model].
+    (or raw logits when config.env_softmax is off). Batched form: a list
+    of (rows, [b, C, H, W] stack) pairs, one per map shape, whose rows
+    together are 0..B-1; returns one row per map, [B, d_model].
     """
     single = isinstance(fmap, FeatureMap)
-    maps = (fmap,) if single else fmap
-    for m in maps:
-        if m.C != w.config.channels:
+    stacks = [(np.zeros(1, dtype=np.intp), fmap.values[None])] if single else fmap
+    x = np.empty((sum(len(rows) for rows, _ in stacks), w.config.channels))
+    for rows, stack in stacks:
+        if stack.shape[1] != w.config.channels:
             raise ConfigError(
-                f"feature map has {m.C} channels, weights expect {w.config.channels}"
+                f"feature map has {stack.shape[1]} channels, weights expect {w.config.channels}"
             )
-    x = np.stack([m.values.mean(axis=(1, 2)) for m in maps])
+        x[rows] = stack.mean(axis=(2, 3))
     last = len(w.env_affine) - 1
     for i, (mat, bias) in enumerate(w.env_affine):
         x = x @ mat.T + bias
@@ -308,9 +328,9 @@ def roi_align(
 
 
 def _layer_norm(x: np.ndarray, scale: np.ndarray, shift: np.ndarray) -> np.ndarray:
-    mean = x.mean(axis=-1, keepdims=True)
-    var = x.var(axis=-1, keepdims=True)
-    return (x - mean) / np.sqrt(var + LN_EPS) * scale + shift
+    c = x - x.mean(axis=-1, keepdims=True)
+    var = (c * c).mean(axis=-1, keepdims=True)  # what x.var computes, without centring again
+    return c / np.sqrt(var + LN_EPS) * scale + shift
 
 
 def _linear(x: np.ndarray, mat: np.ndarray, bias: np.ndarray) -> np.ndarray:
@@ -324,9 +344,12 @@ def _self_attention(
 ) -> tuple[np.ndarray, np.ndarray]:
     *lead, n, d = x.shape
     heads = (*lead, n, num_heads, d // num_heads)
+    v = _linear(x, lw.wv, lw.bv)
+    if n == 1:  # softmax over one key is exactly 1, and einsum's sum of 1 * v is 0.0 + v
+        return _linear(v + 0.0, lw.wo, lw.bo), np.ones((*lead, num_heads, 1, 1))
+    v = v.reshape(heads)
     q = _linear(x, lw.wq, lw.bq).reshape(heads)
     k = _linear(x, lw.wk, lw.bk).reshape(heads)
-    v = _linear(x, lw.wv, lw.bv).reshape(heads)
     scores = np.einsum("...qhd,...khd->...hqk", q, k) / np.sqrt(heads[-1])
     attn = _softmax(scores, axis=-1)  # [..., heads, n, n]
     mixed = np.einsum("...hqk,...khd->...qhd", attn, v).reshape(x.shape)
@@ -418,8 +441,8 @@ class StubFeatureSource:
         self.seed = seed
         self.dims = dims
 
-    def get(self, video_id: str, snippet_index: int, entry) -> FeatureMap:
-        return stub_backbone(video_id, snippet_index, self.dims, self.seed)
+    def get_block(self, video_id: str, indices, entries) -> np.ndarray:
+        return stub_backbone(video_id, indices, self.dims, self.seed)
 
 
 class FileFeatureSource:
@@ -428,18 +451,35 @@ class FileFeatureSource:
     def __init__(self, base_dir: str | os.PathLike):
         self.base_dir = os.fspath(base_dir)
 
-    def get(self, video_id: str, snippet_index: int, entry) -> FeatureMap:
-        if entry is None or entry.feature_file is None:
-            raise DataError(
-                f"video {video_id!r}: no feature file for snippet {snippet_index}"
-            )
-        path = os.path.join(self.base_dir, entry.feature_file)
-        if not os.path.exists(path):
-            raise DataError(
-                f"video {video_id!r}: feature file {path} for snippet "
-                f"{snippet_index} is missing"
-            )
-        return FeatureMap(values=read_tensor(path).to_array())
+    def get_block(self, video_id: str, indices, entries) -> list[np.ndarray]:
+        maps = []
+        for snippet_index, entry in zip(indices, entries):
+            if entry is None or entry.feature_file is None:
+                raise DataError(
+                    f"video {video_id!r}: no feature file for snippet {snippet_index}"
+                )
+            path = os.path.join(self.base_dir, entry.feature_file)
+            try:
+                values = read_tensor(path).to_array()  # finite, dims positive
+            except FileNotFoundError as e:
+                raise DataError(
+                    f"video {video_id!r}: feature file {path} for snippet "
+                    f"{snippet_index} is missing"
+                ) from e
+            _check_map_shape(values.shape)
+            maps.append(values)
+        return maps
+
+
+def _stacks(maps) -> list[tuple[np.ndarray, np.ndarray]]:
+    """A block's maps as (rows, [b, C, H, W] stack) pairs, one per map
+    shape in order of first appearance; a 4-D array is one stack already."""
+    if isinstance(maps, np.ndarray):
+        return [(np.arange(len(maps)), maps)]
+    rows: dict[tuple[int, ...], list[int]] = {}
+    for k, m in enumerate(maps):
+        rows.setdefault(m.shape, []).append(k)
+    return [(np.array(r), np.stack([maps[k] for k in r])) for r in rows.values()]
 
 
 def featurize_video(manifest, w: FusionWeights, source) -> np.ndarray:
@@ -447,7 +487,9 @@ def featurize_video(manifest, w: FusionWeights, source) -> np.ndarray:
 
     Returns the [T, d_model] feature matrix with rows in snippet order.
     Snippets absent from the manifest contribute no agent boxes. Snippets
-    go through the layers BLOCK_SNIPPETS at a time (module docstring).
+    go through the layers BLOCK_SNIPPETS at a time (module docstring):
+    source.get_block(video_id, indices, entries) gives a block's maps,
+    as one [B, C, H, W] array or as B [C, H, W] arrays in index order.
     """
     grid = build_grid(manifest.video)
     smap = manifest.snippet_map()
@@ -455,11 +497,11 @@ def featurize_video(manifest, w: FusionWeights, source) -> np.ndarray:
     for start in range(0, grid.T, BLOCK_SNIPPETS):
         rows = range(start, min(start + BLOCK_SNIPPETS, grid.T))
         entries = [smap.get(i) for i in rows]
-        maps = [source.get(manifest.video.video_id, i, e) for i, e in zip(rows, entries)]
-        env = environment_pathway(maps, w)
+        stacks = _stacks(source.get_block(manifest.video.video_id, rows, entries))
+        env = environment_pathway(stacks, w)
         boxes = [e.agent_boxes if e is not None else () for e in entries]
         counts = np.array([len(b) for b in boxes])
-        agents = _block_agents(maps, boxes, counts, w)
+        agents = _block_agents(stacks, boxes, counts, w)
         block = out[start:rows.stop]
         alone = counts == 0
         if alone.any():
@@ -469,26 +511,23 @@ def featurize_video(manifest, w: FusionWeights, source) -> np.ndarray:
     return out
 
 
-def _block_agents(maps, boxes, counts: np.ndarray, w: FusionWeights) -> np.ndarray:
+def _block_agents(stacks, boxes, counts: np.ndarray, w: FusionWeights) -> np.ndarray:
     """Agent vectors [B, d_model] of one block; rows of snippets without
-    agents stay zero. Boxes are RoI-aligned per map size, then encoded per
+    agents stay zero. Boxes are RoI-aligned per stack, then encoded per
     agent count."""
     cfg = w.config
-    owner = np.repeat(np.arange(len(maps)), counts)  # snippet of each box
+    owner = np.repeat(np.arange(len(counts)), counts)  # snippet of each box
     flat = np.array([b for bs in boxes for b in bs], dtype=np.float64).reshape(-1, 4)
     patches = np.empty((len(flat), cfg.channels, *cfg.roi_grid))
-    by_size: dict[tuple[int, int], list[int]] = {}
-    for i in np.flatnonzero(counts):
-        by_size.setdefault(maps[i].values.shape[1:], []).append(i)
-    for snips in by_size.values():
-        local = np.full(len(maps), -1)
-        local[snips] = np.arange(len(snips))
+    for rows, stack in stacks:
+        local = np.full(len(counts), -1)
+        local[rows] = np.arange(len(rows))
         sel = local[owner] >= 0
-        stack = np.stack([maps[i].values for i in snips])
-        patches[sel] = roi_align(
-            stack, flat[sel], cfg.roi_grid, cfg.roi_samples, local[owner[sel]]
-        )
-    agents = np.zeros((len(maps), cfg.d_model))
+        if sel.any():
+            patches[sel] = roi_align(
+                stack, flat[sel], cfg.roi_grid, cfg.roi_samples, local[owner[sel]]
+            )
+    agents = np.zeros((len(counts), cfg.d_model))
     first = np.cumsum(counts) - counts  # each snippet's first box
     for n in sorted(set(counts.tolist()) - {0}):  # np.unique would import numpy.ma
         snips = np.flatnonzero(counts == n)

@@ -208,10 +208,9 @@ def soft_nms(
     (start, end) ascending) and decays every other remaining score by
     exp(-iou^2 / sigma). Stops once top_k are selected or all remaining
     scores fall below score_floor. Takes Candidates or any sequence of
-    Proposal.
+    Proposal. Options InferenceConfig rejects, NaN among them, raise.
     """
-    if sigma <= 0:
-        raise InvalidInputError(f"sigma must be positive, got {sigma}")
+    InferenceConfig(sigma, score_floor, top_k)  # its checks, which NaN fails
     pool = Candidates.of(proposals)
     # Stable (start, end) order makes argmax's first-index rule the tie-break.
     order = np.lexsort((pool.ends, pool.starts))

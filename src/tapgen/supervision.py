@@ -14,6 +14,7 @@ gradients are zero inside the clamped zones.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -102,13 +103,14 @@ class LossConfig:
     clamp_eps: float = 1e-12
 
     def __post_init__(self):
+        # written so that NaN fails each check
         for name in ("lambda_reg", "clamp_eps"):
-            if getattr(self, name) <= 0:
-                raise InvalidInputError(f"{name} must be positive")
+            if not 0 < getattr(self, name) < math.inf:
+                raise InvalidInputError(f"{name} must be finite and positive")
         # zero is allowed for the mixing weights so either term can be switched off
         for name in ("lambda_1", "lambda_2"):
-            if getattr(self, name) < 0:
-                raise InvalidInputError(f"{name} must be non-negative")
+            if not 0 <= getattr(self, name) < math.inf:
+                raise InvalidInputError(f"{name} must be finite and non-negative")
 
 
 def gen_boundary_labels(

@@ -10,9 +10,12 @@ Tensor file layout (little-endian throughout):
     payload       raw row-major values
 
 Manifests are strict JSON: unknown keys are rejected and every invariant is
-checked at load, with errors naming the offending field path. Agent boxes
-are checked as one array, and box by box only to name a failure. A
-manifest file may describe at most _MAX_SNIPPETS snippets.
+checked at load, with errors naming the offending field path. Snippet
+entries are checked as whole lists: entry types and keys, indices (type,
+range, duplicates), feature file and box list types, then all agent boxes
+as one array. Only when one of these checks fails are the entries checked
+again one by one, to name the first failure. A manifest file may
+describe at most _MAX_SNIPPETS snippets.
 """
 
 from __future__ import annotations
@@ -263,40 +266,33 @@ def manifest_from_dict(doc: dict, name: str = "manifest") -> Manifest:
     return Manifest(video=video, annotations=tuple(annotations), snippets=snippets)
 
 
-def _snippet_head(s, spath: str, T: int, seen: set[int]) -> tuple[int, str | None, list]:
-    """Check one snippet entry, except its box coordinates."""
-    if not isinstance(s, dict):
-        raise ManifestValidationError(spath, "must be an object")
-    _require_keys(s, {"index", "feature_file", "agent_boxes"}, {"index"}, spath)
-    idx = int(_check_number(s["index"], f"{spath}.index", integer=True))
-    if not 0 <= idx < T:
-        raise ManifestValidationError(f"{spath}.index", f"index {idx} outside [0, {T})")
-    if idx in seen:
-        raise ManifestValidationError(f"{spath}.index", f"duplicate snippet index {idx}")
-    seen.add(idx)
-    feature_file = s.get("feature_file")
-    if feature_file is not None and not isinstance(feature_file, str):
-        raise ManifestValidationError(f"{spath}.feature_file", "must be a string path")
-    raw_boxes = s.get("agent_boxes", [])
-    if not isinstance(raw_boxes, list):
-        raise ManifestValidationError(f"{spath}.agent_boxes", "must be a list")
-    return idx, feature_file, raw_boxes
+_SNIPPET_KEYS = frozenset({"index", "feature_file", "agent_boxes"})
 
 
 def _snippets_at_once(raw_snippets: list, T: int, name: str) -> tuple[SnippetEntry, ...] | None:
-    """The snippets, with all boxes checked as one [N, 4] array; None if any check fails.
+    """The snippets, each check made once over the whole list; None if any fails.
 
-    Only plain int and float coordinates pass the type check (bool and str
-    do not), and an int beyond float range fails its conversion, so what
-    this accepts _snippets_one_by_one accepts too, with equal values.
+    Only exact dicts, ints, strs and lists pass the type checks (bool
+    indices do not), only plain int and float coordinates pass the box
+    check, and an int beyond float range fails its range check or its
+    conversion, so what this accepts _snippets_one_by_one accepts too,
+    with equal values.
     """
-    seen: set[int] = set()
-    try:
-        heads = [_snippet_head(s, f"{name}.snippets[{i}]", T, seen)
-                 for i, s in enumerate(raw_snippets)]
-    except ManifestValidationError:
+    if not all(type(s) is dict and s.keys() <= _SNIPPET_KEYS and "index" in s
+               for s in raw_snippets):
         return None
-    raw = [b for _, _, boxes in heads for b in boxes]
+    indices = [s["index"] for s in raw_snippets]
+    if not all(type(i) is int for i in indices):
+        return None
+    if indices and not (min(indices) >= 0 and max(indices) < T
+                        and len(set(indices)) == len(indices)):
+        return None
+    files = [s.get("feature_file") for s in raw_snippets]
+    box_lists = [s.get("agent_boxes", []) for s in raw_snippets]
+    if not (all(f is None or type(f) is str for f in files)
+            and all(type(b) is list for b in box_lists)):
+        return None
+    raw = [b for boxes in box_lists for b in boxes]
     if not all(type(b) is list and len(b) == 4 for b in raw):
         return None
     if not set(map(type, itertools.chain.from_iterable(raw))) <= {float, int}:
@@ -312,7 +308,7 @@ def _snippets_at_once(raw_snippets: list, T: int, name: str) -> tuple[SnippetEnt
     return tuple(
         SnippetEntry(index=idx, feature_file=feature_file,
                      agent_boxes=tuple(itertools.islice(rows, len(boxes))))
-        for idx, feature_file, boxes in heads
+        for idx, feature_file, boxes in zip(indices, files, box_lists)
     )
 
 
@@ -323,7 +319,21 @@ def _snippets_one_by_one(raw_snippets: list, T: int, name: str) -> tuple[Snippet
     seen: set[int] = set()
     for i, s in enumerate(raw_snippets):
         spath = f"{name}.snippets[{i}]"
-        idx, feature_file, raw_boxes = _snippet_head(s, spath, T, seen)
+        if not isinstance(s, dict):
+            raise ManifestValidationError(spath, "must be an object")
+        _require_keys(s, _SNIPPET_KEYS, {"index"}, spath)
+        idx = int(_check_number(s["index"], f"{spath}.index", integer=True))
+        if not 0 <= idx < T:
+            raise ManifestValidationError(f"{spath}.index", f"index {idx} outside [0, {T})")
+        if idx in seen:
+            raise ManifestValidationError(f"{spath}.index", f"duplicate snippet index {idx}")
+        seen.add(idx)
+        feature_file = s.get("feature_file")
+        if feature_file is not None and not isinstance(feature_file, str):
+            raise ManifestValidationError(f"{spath}.feature_file", "must be a string path")
+        raw_boxes = s.get("agent_boxes", [])
+        if not isinstance(raw_boxes, list):
+            raise ManifestValidationError(f"{spath}.agent_boxes", "must be a list")
         boxes = []
         for j, b in enumerate(raw_boxes):
             bpath = f"{spath}.agent_boxes[{j}]"

@@ -298,6 +298,30 @@ class TestErrorHandling:
         if keep_going:
             assert summary["completed"] == ["synth_0000", "synth_0002"]
 
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_unexpected_exception_traceback_goes_to_stderr(self, runner, tmp_path, monkeypatch,
+                                                           workers):
+        if workers > 1 and multiprocessing.get_start_method() != "fork":
+            pytest.skip("the patched reader reaches pool workers only through fork")
+        invoke(runner, ["synth", "--n-videos", "3", "--out", str(tmp_path / "corpus")])
+        read_manifest = cli.read_manifest
+
+        def buggy_read(path):
+            if os.path.basename(path) == "synth_0001.json":
+                raise RuntimeError("boom")
+            return read_manifest(path)
+
+        monkeypatch.setattr(cli, "read_manifest", buggy_read)
+        r = invoke(runner, ["--workers", str(workers), "--keep-going", "labels",
+                            "--manifests", str(tmp_path / "corpus/manifests"),
+                            "--out", str(tmp_path / "labels")])
+        assert r.exit_code == 2, r.output
+        assert r.stderr.startswith("synth_0001: ")
+        assert "Traceback (most recent call last):" in r.stderr
+        assert "in buggy_read" in r.stderr  # the frame that raised, from the worker too
+        summary = json.loads((tmp_path / "labels" / "run_summary.json").read_text())
+        assert summary["errors"] == {"synth_0001": "RuntimeError: boom"}
+
     @pytest.mark.parametrize("option, value", [
         ("--sigma", "0"), ("--sigma", "nan"), ("--score-floor", "nan"), ("--top-k", "0"),
     ])

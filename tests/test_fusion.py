@@ -1,12 +1,14 @@
 import hashlib
 import json
 import math
+import os
 
 import numpy as np
 import pytest
 
-from tapgen.errors import ConfigError, DataError, InvalidInputError
+from tapgen.errors import ConfigError, DataError, InvalidInputError, TensorFormatError
 from tapgen.fusion import (
+    BLOCK_SNIPPETS,
     EncoderLayerWeights,
     EncoderWeights,
     FeatureMap,
@@ -25,8 +27,18 @@ from tapgen.fusion import (
     roi_align,
     save_weights,
     stub_backbone,
+    _layer_norm,
+    _linear,
+    _softmax,
 )
-from tapgen.tensorio import Manifest, SnippetEntry, Tensor, write_tensor
+from tapgen.tensorio import (
+    Manifest,
+    SnippetEntry,
+    Tensor,
+    read_tensor,
+    tensor_bytes,
+    write_tensor,
+)
 from tapgen.timeline import VideoMeta, build_grid
 
 
@@ -74,6 +86,17 @@ class TestStubBackbone:
                 expected = np.random.Generator(np.random.Philox(key=key)).random(dims)
                 got = stub_backbone(vid, index, dims, seed).values
                 assert got.tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("indices", [[0], [3, 1, 2], list(range(BLOCK_SNIPPETS + 1)), []])
+    def test_block_equals_one_call_per_snippet(self, indices):
+        block = stub_backbone("vid", indices, (3, 5, 4), 9)
+        assert block.shape == (len(indices), 3, 5, 4)
+        for k, i in enumerate(indices):
+            assert block[k].tobytes() == stub_backbone("vid", i, (3, 5, 4), 9).values.tobytes()
+
+    def test_one_index_gives_a_feature_map(self):
+        assert isinstance(stub_backbone("vid", np.int64(2), (3, 5, 4), 9), FeatureMap)
+        assert isinstance(stub_backbone("vid", range(2, 3), (3, 5, 4), 9), np.ndarray)
 
     def test_interleaved_videos_give_the_same_maps(self):
         dims = (4, 3, 5)
@@ -307,6 +330,66 @@ class TestAttentionEncoder:
             attention_encoder(np.zeros((0, 8)), enc)
 
 
+def test_layer_norm_equals_the_var_formula_bit_for_bit():
+    rng = np.random.default_rng(31)
+    for _ in range(300):
+        shape = (int(rng.integers(1, 6)), int(rng.integers(1, 5)), 64)
+        x = rng.standard_normal(shape) * rng.choice([1e-3, 1.0, 1e3]) + rng.normal()
+        scale, shift = rng.standard_normal(64), rng.standard_normal(64)
+        mean = x.mean(axis=-1, keepdims=True)
+        var = x.var(axis=-1, keepdims=True)
+        want = (x - mean) / np.sqrt(var + LN_EPS) * scale + shift
+        assert np.array_equal(_layer_norm(x, scale, shift), want)
+
+
+def reference_attention_encoder(tokens, w):
+    """attention_encoder with attention computed alike for every token
+    count and the variance from x.var: the reference for the one-token
+    case and the single centring pass, which must give the same bits."""
+    x = np.asarray(tokens, dtype=np.float64)
+    attns = []
+    for lw in w.layers:
+        mean, var = x.mean(axis=-1, keepdims=True), x.var(axis=-1, keepdims=True)
+        h = (x - mean) / np.sqrt(var + LN_EPS) * lw.ln1_scale + lw.ln1_shift
+        *lead, n, d = h.shape
+        heads = (*lead, n, w.num_heads, d // w.num_heads)
+        q = _linear(h, lw.wq, lw.bq).reshape(heads)
+        k = _linear(h, lw.wk, lw.bk).reshape(heads)
+        v = _linear(h, lw.wv, lw.bv).reshape(heads)
+        scores = np.einsum("...qhd,...khd->...hqk", q, k) / np.sqrt(heads[-1])
+        attn = _softmax(scores, axis=-1)
+        attns.append(attn)
+        mixed = np.einsum("...hqk,...khd->...qhd", attn, v).reshape(h.shape)
+        x = x + _linear(mixed, lw.wo, lw.bo)
+        mean, var = x.mean(axis=-1, keepdims=True), x.var(axis=-1, keepdims=True)
+        h = (x - mean) / np.sqrt(var + LN_EPS) * lw.ln2_scale + lw.ln2_shift
+        x = x + _linear(np.maximum(_linear(h, lw.ff1_w, lw.ff1_b), 0.0), lw.ff2_w, lw.ff2_b)
+    return x, attns
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+@pytest.mark.parametrize("zeros", [False, True])
+def test_attention_encoder_equals_the_reference_bit_for_bit(n, zeros):
+    """zeros: value weights of -0.0 and value and output biases of -0.0,
+    so that signed zeros reach the single-token path."""
+    rng = np.random.default_rng(37 + n)
+    cfg = FusionConfig(channels=3, d_model=8, num_heads=2, num_layers=2, ff_dim=16)
+    enc = random_weights(cfg, seed=n).agent_encoder
+    if zeros:
+        neg = {"wv": -np.zeros((8, 8)), "bv": -np.zeros(8), "bo": -np.zeros(8)}
+        enc = EncoderWeights(layers=tuple(
+            EncoderLayerWeights(**{**{f: getattr(lw, f) for f in lw.__dataclass_fields__},
+                                   **neg})
+            for lw in enc.layers), num_heads=enc.num_heads)
+    for shape in ((n, 8), (1, n, 8), (5, n, 8), (2, 3, n, 8)):
+        tokens = rng.standard_normal(shape) * rng.choice([1e-3, 1.0, 1e3])
+        got, got_attns = attention_encoder(tokens, enc, return_attn=True)
+        want, want_attns = reference_attention_encoder(tokens, enc)
+        assert got.tobytes() == want.tobytes()
+        for a, b in zip(got_attns, want_attns):
+            assert a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
 class TestAgentFusion:
     def test_empty_list_absent(self):
         w = random_weights(SMALL_CFG, seed=1)
@@ -380,6 +463,120 @@ def reference_featurize_video(manifest, w, source):
     return out
 
 
+# featurize_video and the two sources as they were when a source handed out
+# one FeatureMap per get call, verbatim but for the names: the reference
+# for the block sources, which must give the same bits.
+
+class PerSnippetStubSource:
+    """Seeded deterministic maps, keyed per (video, snippet)."""
+
+    def __init__(self, seed: int, dims: tuple[int, int, int]):
+        self.seed = seed
+        self.dims = dims
+
+    def get(self, video_id: str, snippet_index: int, entry) -> FeatureMap:
+        return stub_backbone(video_id, snippet_index, self.dims, self.seed)
+
+
+class PerSnippetFileSource:
+    """Feature maps read from tensor files named in the manifest."""
+
+    def __init__(self, base_dir: str | os.PathLike):
+        self.base_dir = os.fspath(base_dir)
+
+    def get(self, video_id: str, snippet_index: int, entry) -> FeatureMap:
+        if entry is None or entry.feature_file is None:
+            raise DataError(
+                f"video {video_id!r}: no feature file for snippet {snippet_index}"
+            )
+        path = os.path.join(self.base_dir, entry.feature_file)
+        if not os.path.exists(path):
+            raise DataError(
+                f"video {video_id!r}: feature file {path} for snippet "
+                f"{snippet_index} is missing"
+            )
+        return FeatureMap(values=read_tensor(path).to_array())
+
+
+def per_snippet_source_environment_pathway(fmap, w: FusionWeights) -> np.ndarray:
+    """Global average pool over H x W, fully connected stack, softmax.
+
+    Returns the scene descriptor as a probability vector of length d_model
+    (or raw logits when config.env_softmax is off). Given a sequence of B
+    feature maps (sizes may differ), returns one row per map, [B, d_model].
+    """
+    single = isinstance(fmap, FeatureMap)
+    maps = (fmap,) if single else fmap
+    for m in maps:
+        if m.C != w.config.channels:
+            raise ConfigError(
+                f"feature map has {m.C} channels, weights expect {w.config.channels}"
+            )
+    x = np.stack([m.values.mean(axis=(1, 2)) for m in maps])
+    last = len(w.env_affine) - 1
+    for i, (mat, bias) in enumerate(w.env_affine):
+        x = x @ mat.T + bias
+        if i < last:
+            x = np.maximum(x, 0.0)
+    out = _softmax(x) if w.config.env_softmax else x
+    return out[0] if single else out
+
+
+def per_snippet_source_featurize_video(manifest, w: FusionWeights, source) -> np.ndarray:
+    """Run the full two-pathway pipeline over every snippet.
+
+    Returns the [T, d_model] feature matrix with rows in snippet order.
+    Snippets absent from the manifest contribute no agent boxes. Snippets
+    go through the layers BLOCK_SNIPPETS at a time (module docstring).
+    """
+    grid = build_grid(manifest.video)
+    smap = manifest.snippet_map()
+    out = np.empty((grid.T, w.config.d_model), dtype=np.float64)
+    for start in range(0, grid.T, BLOCK_SNIPPETS):
+        rows = range(start, min(start + BLOCK_SNIPPETS, grid.T))
+        entries = [smap.get(i) for i in rows]
+        maps = [source.get(manifest.video.video_id, i, e) for i, e in zip(rows, entries)]
+        env = per_snippet_source_environment_pathway(maps, w)
+        boxes = [e.agent_boxes if e is not None else () for e in entries]
+        counts = np.array([len(b) for b in boxes])
+        agents = _per_snippet_source_block_agents(maps, boxes, counts, w)
+        block = out[start:rows.stop]
+        alone = counts == 0
+        if alone.any():
+            block[alone] = ae_fuse(env[alone], None, w)
+        if not alone.all():
+            block[~alone] = ae_fuse(env[~alone], agents[~alone], w)
+    return out
+
+
+def _per_snippet_source_block_agents(maps, boxes, counts: np.ndarray,
+                                     w: FusionWeights) -> np.ndarray:
+    """Agent vectors [B, d_model] of one block; rows of snippets without
+    agents stay zero. Boxes are RoI-aligned per map size, then encoded per
+    agent count."""
+    cfg = w.config
+    owner = np.repeat(np.arange(len(maps)), counts)  # snippet of each box
+    flat = np.array([b for bs in boxes for b in bs], dtype=np.float64).reshape(-1, 4)
+    patches = np.empty((len(flat), cfg.channels, *cfg.roi_grid))
+    by_size: dict[tuple[int, int], list[int]] = {}
+    for i in np.flatnonzero(counts):
+        by_size.setdefault(maps[i].values.shape[1:], []).append(i)
+    for snips in by_size.values():
+        local = np.full(len(maps), -1)
+        local[snips] = np.arange(len(snips))
+        sel = local[owner] >= 0
+        stack = np.stack([maps[i].values for i in snips])
+        patches[sel] = roi_align(
+            stack, flat[sel], cfg.roi_grid, cfg.roi_samples, local[owner[sel]]
+        )
+    agents = np.zeros((len(maps), cfg.d_model))
+    first = np.cumsum(counts) - counts  # each snippet's first box
+    for n in sorted(set(counts.tolist()) - {0}):  # np.unique would import numpy.ma
+        snips = np.flatnonzero(counts == n)
+        agents[snips] = agent_fusion(patches[first[snips][:, None] + np.arange(n)], w)
+    return agents
+
+
 class TestFeaturizeVideo:
     def test_deterministic(self):
         w = random_weights(SMALL_CFG, seed=10)
@@ -429,6 +626,39 @@ class TestFeaturizeVideo:
         out = featurize_video(m, w, FileFeatureSource(tmp_path))
         assert out.shape == (3, 8)
         assert np.all(np.isfinite(out))
+
+    @pytest.mark.parametrize("bad, error", [
+        ("2-d", InvalidInputError), ("channels", ConfigError), ("missing", DataError),
+        ("non-finite", TensorFormatError),
+    ])
+    def test_file_source_errors_match_the_per_snippet_source(self, tmp_path, bad, error):
+        w = random_weights(SMALL_CFG, seed=10)
+        rng = np.random.default_rng(2)
+        for i in range(3):
+            write_tensor(Tensor.from_array(rng.random((3, 6, 6))), tmp_path / f"s{i}.aent")
+        bad_file = tmp_path / "s1.aent"
+        if bad == "2-d":
+            write_tensor(Tensor.from_array(rng.random((6, 6))), bad_file)
+        elif bad == "channels":
+            write_tensor(Tensor.from_array(rng.random((4, 6, 6))), bad_file)
+        elif bad == "missing":
+            bad_file.unlink()
+        else:
+            nan = Tensor(dims=(3, 6, 6), dtype="f64", data=np.full(108, np.nan))
+            bad_file.write_bytes(tensor_bytes(nan))
+        snippets = tuple(SnippetEntry(index=i, feature_file=f"s{i}.aent") for i in range(3))
+        m = Manifest(video=tiny_manifest().video, annotations=(), snippets=snippets)
+
+        def outcome(run, source):
+            try:
+                run(m, w, source)
+            except Exception as e:  # the type and message are what is compared
+                return type(e), str(e)
+            return "ok", None
+
+        got = outcome(featurize_video, FileFeatureSource(tmp_path))
+        assert got[0] is error
+        assert got == outcome(per_snippet_source_featurize_video, PerSnippetFileSource(tmp_path))
 
 
 class TestWeightBundles:

@@ -229,6 +229,16 @@ class TestSoftNms:
         props = [mk(i, i + 1, 0.5) for i in range(0, 20, 2)]
         assert len(soft_nms(props, top_k=3)) == 3
 
+    @pytest.mark.parametrize("field, value", [
+        ("sigma", math.nan), ("sigma", math.inf), ("sigma", 0.0),
+        ("score_floor", math.nan), ("score_floor", math.inf), ("top_k", 0),
+    ])
+    def test_rejects_bad_option_naming_it(self, field, value):
+        # overlapping, so a NaN sigma would reach the decay
+        props = [mk(0, 2, 0.9), mk(1, 3, 0.8)]
+        with pytest.raises(InvalidInputError, match=rf"^{field} "):
+            soft_nms(props, **{field: value})
+
     def test_never_increases_scores_or_moves_intervals(self):
         rng = np.random.default_rng(7)
         for _ in range(50):

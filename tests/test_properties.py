@@ -27,6 +27,7 @@ from tapgen.fusion import (
     FeatureMap,
     FileFeatureSource,
     FusionConfig,
+    StubFeatureSource,
     featurize_video,
     random_weights,
 )
@@ -47,7 +48,12 @@ from tapgen.tensorio import (
 )
 from tapgen.timeline import VideoMeta
 
-from test_fusion import reference_featurize_video
+from test_fusion import (
+    PerSnippetFileSource,
+    PerSnippetStubSource,
+    per_snippet_source_featurize_video,
+    reference_featurize_video,
+)
 from test_inference import mk, reference_form_proposals, reference_soft_nms
 from test_metrics import brute_force_match_count, gt, si
 from test_supervision import brute_force_duration_labels, make_grid, random_gts
@@ -300,6 +306,9 @@ class MapSource:
             raise DataError(f"video {video_id!r}: no feature file for snippet {snippet_index}")
         return fmap
 
+    def get_block(self, video_id, indices, entries):
+        return [self.get(video_id, i, e).values for i, e in zip(indices, entries)]
+
 
 def random_box(rng):
     x1, y1 = rng.uniform(0.0, 0.95, 2)
@@ -342,6 +351,49 @@ def test_batched_featurize_matches_per_snippet(T, data, cfg):
     want = reference_featurize_video(manifest, w, source)
     assert got.shape == (T, cfg.d_model)
     np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("T", BLOCK_EDGES)
+@settings(PROPERTY, max_examples=6)
+@given(data=st.data(), cfg=st.sampled_from(FUSION_CONFIGS))
+def test_block_sources_match_the_per_snippet_sources_bit_for_bit(T, data, cfg):
+    """The stub, file and in-memory sources, handing over a block of maps
+    per call, give featurize_video the same bits as one get per snippet;
+    a file manifest with absent snippets fails the same way on both."""
+    T, counts, sizes, listed, seed = data.draw(block_videos(T))
+    manifest, maps = block_video(T, counts, sizes, cfg.channels, seed, listed)
+    w = random_weights(cfg, seed=seed % 1000)
+
+    def outcome(run, source, m):
+        try:
+            return "ok", run(m, w, source)
+        except Exception as e:  # the type and message are what is compared
+            return type(e), str(e)
+
+    def same(new_source, old_source, m):
+        got, want = outcome(featurize_video, new_source, m), outcome(
+            per_snippet_source_featurize_video, old_source, m)
+        assert got[0] == want[0]
+        if got[0] == "ok":
+            assert np.array_equal(got[1], want[1])
+        else:
+            assert got == want
+        return got[0]
+
+    assert same(maps, maps, manifest) == "ok"
+    dims = (cfg.channels, *sizes[0])
+    assert same(StubFeatureSource(seed, dims), PerSnippetStubSource(seed, dims), manifest) == "ok"
+    entries = manifest.snippet_map()
+    every = tuple(replace(entries.get(i, SnippetEntry(index=i, feature_file=None)),
+                          feature_file=f"s{i}.aent") for i in range(T))
+    with tempfile.TemporaryDirectory() as d:
+        for i, fmap in enumerate(maps.maps):
+            write_tensor(Tensor.from_array(fmap.values), os.path.join(d, f"s{i}.aent"))
+        files = (FileFeatureSource(d), PerSnippetFileSource(d))
+        assert same(*files, replace(manifest, snippets=every)) == "ok"
+        listed_only = tuple(s for s in every if s.index in set(listed))
+        expected = "ok" if len(listed) == T else DataError
+        assert same(*files, replace(manifest, snippets=listed_only)) == expected
 
 
 def test_batched_featurize_channel_mismatch_in_a_later_block():
@@ -495,6 +547,55 @@ def snippet_entries(draw):
 def test_manifest_boxes_match_the_box_by_box_reference(snippets):
     """Array box checks accept exactly what the per-box loop accepts, with
     the same values, and otherwise raise the same error (first in order)."""
+    doc = valid_manifest_doc()
+    doc["snippets"] = snippets
+
+    def outcome(parse):
+        try:
+            m = parse(copy.deepcopy(doc))
+        except Exception as e:  # the type and message are what is compared
+            return type(e), str(e)
+        return "ok", repr(m)
+
+    assert outcome(manifest_from_dict) == outcome(reference_manifest_from_dict)
+
+
+@st.composite
+def odd_snippet_entries(draw):
+    """Snippet entries broken in one way each, or not at all: every check
+    the whole-list pass makes, and values of the types JSON can give."""
+    entry = draw(snippet_entries())
+    kind = draw(st.sampled_from(["valid"] * 4 + ["not a dict", "unknown key", "no index",
+                                                 "index", "feature_file", "agent_boxes"]))
+    if kind == "not a dict":
+        return draw(st.sampled_from([None, 3, 0.5, True, "snippet", [], [entry]]))
+    if kind == "unknown key":
+        entry[draw(st.sampled_from(["Index", "boxes", "", "feature"]))] = 0
+    elif kind == "no index":
+        del entry["index"]
+    elif kind == "index":
+        entry["index"] = draw(st.sampled_from(
+            [True, False, 0.0, 3.0, 2.5, 10**400, -10**400, 2**63, -1, 10, 11, math.nan,
+             math.inf, None, "0", [0], {"i": 0}]))
+    elif kind == "feature_file":
+        entry["feature_file"] = draw(st.sampled_from([3, 0.5, True, False, ["f.aent"], {}, ""]))
+    elif kind == "agent_boxes":
+        entry["agent_boxes"] = draw(
+            st.sampled_from([None, 0, True, "boxes", {}, {"a": [0, 0, 1, 1]}]))
+    return entry
+
+
+@settings(PROPERTY, max_examples=400)
+@given(
+    snippets=st.lists(odd_snippet_entries(), max_size=6)
+    | st.lists(odd_snippet_entries(), max_size=6,
+               unique_by=lambda s: repr(s.get("index") if isinstance(s, dict) else s))
+    | st.lists(snippet_entries(), min_size=8, max_size=12)  # duplicates across the list
+)
+def test_manifest_snippet_checks_match_the_entry_by_entry_reference(snippets):
+    """The whole-list snippet checks accept exactly what the entry-by-entry
+    loop accepts, with the same values, and otherwise raise the same error
+    (first in order)."""
     doc = valid_manifest_doc()
     doc["snippets"] = snippets
 

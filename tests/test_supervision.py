@@ -338,6 +338,16 @@ class TestTotalLoss:
         assert total_loss(grids, labels, LossConfig(lambda_2=2.0)).total > base
         assert total_loss(grids, labels, LossConfig(lambda_reg=20.0)).total > base
 
+    @pytest.mark.parametrize("field, value", [
+        ("lambda_reg", math.nan), ("lambda_reg", math.inf), ("lambda_reg", 0.0),
+        ("clamp_eps", math.nan), ("clamp_eps", -1e-12),
+        ("lambda_1", math.nan), ("lambda_1", -1.0), ("lambda_2", math.nan),
+        ("lambda_2", math.inf),
+    ])
+    def test_rejects_bad_weight_naming_it(self, field, value):
+        with pytest.raises(InvalidInputError, match=rf"^{field} "):
+            LossConfig(**{field: value})
+
     def test_default_constants(self):
         cfg = LossConfig()
         assert cfg.lambda_reg == 10.0
