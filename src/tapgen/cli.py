@@ -15,7 +15,6 @@ from __future__ import annotations
 import dataclasses
 import glob
 import json
-import math
 import os
 import sys
 import time
@@ -24,12 +23,13 @@ from typing import TYPE_CHECKING
 
 import click
 
-from tapgen.errors import DataError, InvalidInputError, TapgenError
-from tapgen.inference import InferenceConfig, Proposal, infer as run_infer
+from tapgen.errors import DataError, TapgenError
+from tapgen.inference import InferenceConfig, infer as run_infer
 from tapgen.supervision import ScoreGrids, gen_labels
 from tapgen.tensorio import (
     Tensor,
     atomic_write_bytes,
+    load_proposals,
     read_manifest,
     read_tensor,
     write_manifest,
@@ -103,23 +103,36 @@ def _manifest_paths(manifest_dir: str) -> list[str]:
 
 
 def _run_batch(jobs, workers: int, keep_going: bool, initializer=None, initargs=()):
-    """Run (name, fn, args) jobs; returns (ok_names, error_map).
+    """Run (name, fn, args) jobs, args[0] a job's manifest path and its
+    return value the video id that names its outputs; returns
+    (ok_names, error_map).
 
     Uses at most one process per job, and none besides this one for a
     single job. initializer(*initargs) runs once per process before its
     first job. Any exception a job raises is that job's error: a
     TapgenError or OSError by its message, any other by its class and
-    message, with its traceback written to stderr. Without keep_going the
-    batch stops at the first error: serially, no later job starts; in a
-    pool, queued jobs are cancelled and the jobs already running finish
-    and are reported like the rest.
+    message, with its traceback written to stderr. A job whose video id
+    an earlier job returned wrote over that job's outputs, in a pool in
+    either order, so both are errors. Without keep_going the batch stops
+    at the first error: serially, no later job starts; in a pool, queued
+    jobs are cancelled and the jobs already running finish and are
+    reported like the rest.
     """
     errors: dict[str, str] = {}
     done: list[str] = []
+    owners: dict[str, tuple[str, str]] = {}  # video id -> (name, manifest path) of its first job
 
-    def record(name, call) -> bool:
+    def record(name, path, call) -> bool:
         try:
-            call()
+            vid = call()
+            if vid in owners:
+                first, first_path = owners[vid]
+                clash = f"manifests {first_path} and {path} both have video id {vid!r}"
+                if first in done:
+                    done.remove(first)
+                    errors[first] = clash
+                raise DataError(clash)
+            owners[vid] = (name, path)
         except Exception as e:  # even a bug or a MemoryError is one job's error
             if isinstance(e, (TapgenError, OSError)):
                 errors[name] = str(e)
@@ -141,20 +154,20 @@ def _run_batch(jobs, workers: int, keep_going: bool, initializer=None, initargs=
         from concurrent.futures import ProcessPoolExecutor
 
         with ProcessPoolExecutor(workers, initializer=initializer, initargs=initargs) as pool:
-            futures = [(name, pool.submit(fn, *args)) for name, fn, args in jobs]
+            futures = [(name, args[0], pool.submit(fn, *args)) for name, fn, args in jobs]
             if not keep_going:
-                for _, fut in futures:
+                for _, _, fut in futures:
                     if fut.exception() is not None:
                         pool.shutdown(cancel_futures=True)
                         break
-        for name, fut in futures:
+        for name, path, fut in futures:
             if not fut.cancelled():
-                record(name, fut.result)
+                record(name, path, fut.result)
     else:
         if initializer is not None:
             initializer(*initargs)
         for name, fn, args in jobs:
-            if not record(name, lambda: fn(*args)) and not keep_going:
+            if not record(name, args[0], lambda: fn(*args)) and not keep_going:
                 break
     return done, errors
 
@@ -180,7 +193,8 @@ def _finish(ctx, out_dir: str, config: dict, done, errors, extra: dict | None = 
 
 def _each_manifest(ctx, manifest_dir: str, out: str, fn, args: tuple, config: dict,
                    initializer=None, initargs=()) -> None:
-    """Run fn(manifest_path, out, *args) for every manifest, then write the summary."""
+    """Run fn(manifest_path, out, *args), which returns the video id, for
+    every manifest, then write the summary."""
     os.makedirs(out, exist_ok=True)
     jobs = [
         (os.path.splitext(os.path.basename(path))[0], fn, (path, out, *args))
@@ -265,7 +279,7 @@ def _use_weights(weights: FusionWeights) -> None:
 
 
 def _featurize_one(manifest_path: str, out_dir: str, features_dir: str | None,
-                   seed: int) -> None:
+                   seed: int) -> str:
     from tapgen import fusion
 
     manifest = read_manifest(manifest_path)
@@ -276,6 +290,7 @@ def _featurize_one(manifest_path: str, out_dir: str, features_dir: str | None,
     feats = fusion.featurize_video(manifest, _weights, source)
     vid = manifest.video.video_id
     write_tensor(Tensor.from_array(feats), os.path.join(out_dir, f"{vid}.features.aent"))
+    return vid
 
 
 @main.command("featurize")
@@ -316,7 +331,7 @@ def cmd_featurize(ctx, manifest_dir, features_dir, weights_dir, d_model, heads, 
 # labels
 # ---------------------------------------------------------------------------
 
-def _labels_one(manifest_path: str, out_dir: str, d_policy: str) -> None:
+def _labels_one(manifest_path: str, out_dir: str, d_policy: str) -> str:
     manifest = read_manifest(manifest_path)
     grid = build_grid(manifest.video)
     D = grid.T if d_policy == "full" else max(1, grid.T // 2)
@@ -328,6 +343,7 @@ def _labels_one(manifest_path: str, out_dir: str, d_policy: str) -> None:
         ("durations", labels.durations),
     ):
         write_tensor(Tensor.from_array(arr), os.path.join(out_dir, f"{vid}.{part}.aent"))
+    return vid
 
 
 @main.command("labels")
@@ -355,7 +371,7 @@ def read_grids(grid_dir: str, vid: str) -> ScoreGrids:
     return ScoreGrids(**arrays)
 
 
-def _infer_one(manifest_path: str, out_dir: str, grid_dir: str, cfg: InferenceConfig) -> None:
+def _infer_one(manifest_path: str, out_dir: str, grid_dir: str, cfg: InferenceConfig) -> str:
     manifest = read_manifest(manifest_path)
     grid = build_grid(manifest.video)
     vid = manifest.video.video_id
@@ -366,6 +382,7 @@ def _infer_one(manifest_path: str, out_dir: str, grid_dir: str, cfg: InferenceCo
         for p in proposals
     ]
     _write_json(os.path.join(out_dir, f"{vid}.proposals.json"), doc)
+    return vid
 
 
 @main.command("infer")
@@ -387,46 +404,6 @@ def cmd_infer(ctx, manifest_dir, grid_dir, sigma, score_floor, top_k, out):
 # eval
 # ---------------------------------------------------------------------------
 
-PROPOSAL_FIELDS = ("t_start_sec", "t_end_sec", "score")
-
-
-def load_proposals(proposal_dir: str, vid: str) -> list[Proposal]:
-    """Read and validate one video's proposal file; a missing file means none."""
-    path = os.path.join(proposal_dir, f"{vid}.proposals.json")
-    if not os.path.exists(path):
-        return []
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            # integers as floats: an overlong integer becomes inf and fails below
-            doc = json.load(fh, parse_int=float)
-        except (ValueError, RecursionError) as e:  # bad JSON or UTF-8, or nesting too deep
-            raise InvalidInputError(f"{path}: not valid JSON ({e})") from e
-    if not isinstance(doc, list):
-        raise InvalidInputError(f"{path}: top level must be a list of proposals")
-    out = []
-    for k, entry in enumerate(doc):
-        where = f"{path}: entry {k}"
-        if not isinstance(entry, dict):
-            raise InvalidInputError(f"{where}: must be an object")
-        for name in PROPOSAL_FIELDS:
-            if name not in entry:
-                raise InvalidInputError(f"{where}: missing field {name!r}")
-            v = entry[name]
-            if not isinstance(v, float) or not math.isfinite(v):
-                raise InvalidInputError(
-                    f"{where}: field {name!r} must be a finite number, got {v!r}"
-                )
-        start, end, score = (entry[name] for name in PROPOSAL_FIELDS)
-        if not start < end:
-            raise InvalidInputError(
-                f"{where}: field 't_end_sec' ({end}) must exceed t_start_sec ({start})"
-            )
-        if not 0.0 <= score <= 1.0:
-            raise InvalidInputError(f"{where}: field 'score' ({score}) outside [0, 1]")
-        out.append(Proposal(start_sec=start, end_sec=end, score=score))
-    return out
-
-
 @main.command("eval")
 @click.option("--manifests", "manifest_dir", required=True, type=click.Path(exists=True))
 @click.option("--proposals", "proposal_dir", required=True, type=click.Path(exists=True))
@@ -443,10 +420,14 @@ def cmd_eval(ctx, manifest_dir, proposal_dir, preset, out):
     os.makedirs(out, exist_ok=True)
     gts = {}
     props = {}
+    paths = {}  # video id -> manifest path
     with _exit_on_error():
         for path in _manifest_paths(manifest_dir):
             manifest = read_manifest(path)
             vid = manifest.video.video_id
+            if vid in paths:
+                raise DataError(f"manifests {paths[vid]} and {path} both have video id {vid!r}")
+            paths[vid] = path
             gts[vid] = list(manifest.annotations)
             props[vid] = load_proposals(proposal_dir, vid)
         if not any(props.values()):

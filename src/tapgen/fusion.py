@@ -12,21 +12,28 @@ permutation-invariant by construction.
 
 `featurize_video` runs a video in blocks of BLOCK_SNIPPETS snippets, and
 each layer function takes a whole block, with a single snippet as the
-B=1 case. A feature source hands over a block's maps in one call: the
-stub as one [B, C, H, W] buffer, checked once; the file source as one
-array per snippet, which the block groups into one stack per distinct
-map shape. Per block: one mean over H x W per stack, and one pooled
-[B, C] matrix through the environment stack; one RoIAlign call per
-stack that holds boxes, over all of them; one agent-encoder batch
-[B_n, n, d_model] per agent count n (equal counts need no attention
-mask); one fuse-encoder batch for the snippets without agents (1 token)
-and one for the rest (2 tokens). Attention over a single token skips the
-queries, keys and softmax, which is exactly 1 there. RoIAlign is
-separable: a bilinear weight is a row weight times a column weight, and
-so is its mean over a bin's regular sub-samples, so each patch is
-Ay @ map @ Ax^T with Ay [gh, H] and Ax [gw, W] the per-bin mean
-interpolation weights. Blocks, not whole videos, bound the size of the
-temporaries. Results match the per-snippet path to rounding (~1e-15).
+B=1 case. It reads the manifest's snippets as tensorio.Snippets columns:
+it maps snippet index to entry row once per video, gathers the agent
+boxes into snippet order as one [N, 4] array, and slices each block's
+box counts and boxes out of those. A feature source hands over a
+block's maps in one call: the stub as one [B, C, H, W] buffer, checked
+once; the file source as one array per snippet, which the block groups
+into one stack per distinct map shape. Per block: one mean over H x W
+per stack, and one pooled [B, C] matrix through the environment stack;
+one RoIAlign call per stack that holds boxes, over all of them; one
+agent-encoder batch [B_n, n, d_model] per agent count n (equal counts
+need no attention mask); one fuse-encoder batch for the snippets without
+agents (1 token) and one for the rest (2 tokens). Attention over a
+single token skips the queries, keys and softmax, which is exactly 1
+there. RoIAlign is separable: a bilinear weight is a row weight times
+a column weight, and so is its mean over a bin's regular sub-samples, so
+each patch is Ay @ map @ Ax^T with Ay [gh, H] and Ax [gw, W] the per-bin
+mean interpolation weights. Blocks, not whole videos, bound the size of the
+temporaries: 256 snippets of the stub's 8 x 8 x 8 maps are 1 MB, and one
+block holds a whole desk-corpus video (T 64..128). Results match the
+per-snippet path to rounding (~1e-15). Block size changes the batch that
+BLAS sums over, so it changes features in the last bits only: going
+from 64- to 256-snippet blocks moved them by at most 1.5e-15.
 Layer norm centres its input once and takes the variance as the mean
 square of that.
 
@@ -50,11 +57,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from tapgen.errors import ConfigError, DataError, InvalidInputError
-from tapgen.tensorio import Tensor, read_tensor, write_tensor, atomic_write_bytes
+from tapgen.tensorio import Snippets, Tensor, read_tensor, write_tensor, atomic_write_bytes
 from tapgen.timeline import build_grid
 
 LN_EPS = 1e-5
-BLOCK_SNIPPETS = 64  # snippets per featurize batch
+BLOCK_SNIPPETS = 256  # snippets per featurize batch
 
 __all__ = [
     "FeatureMap",
@@ -441,7 +448,7 @@ class StubFeatureSource:
         self.seed = seed
         self.dims = dims
 
-    def get_block(self, video_id: str, indices, entries) -> np.ndarray:
+    def get_block(self, video_id: str, indices, feature_files) -> np.ndarray:
         return stub_backbone(video_id, indices, self.dims, self.seed)
 
 
@@ -451,14 +458,14 @@ class FileFeatureSource:
     def __init__(self, base_dir: str | os.PathLike):
         self.base_dir = os.fspath(base_dir)
 
-    def get_block(self, video_id: str, indices, entries) -> list[np.ndarray]:
+    def get_block(self, video_id: str, indices, feature_files) -> list[np.ndarray]:
         maps = []
-        for snippet_index, entry in zip(indices, entries):
-            if entry is None or entry.feature_file is None:
+        for snippet_index, feature_file in zip(indices, feature_files):
+            if feature_file is None:
                 raise DataError(
                     f"video {video_id!r}: no feature file for snippet {snippet_index}"
                 )
-            path = os.path.join(self.base_dir, entry.feature_file)
+            path = os.path.join(self.base_dir, feature_file)
             try:
                 values = read_tensor(path).to_array()  # finite, dims positive
             except FileNotFoundError as e:
@@ -488,22 +495,34 @@ def featurize_video(manifest, w: FusionWeights, source) -> np.ndarray:
     Returns the [T, d_model] feature matrix with rows in snippet order.
     Snippets absent from the manifest contribute no agent boxes. Snippets
     go through the layers BLOCK_SNIPPETS at a time (module docstring):
-    source.get_block(video_id, indices, entries) gives a block's maps,
-    as one [B, C, H, W] array or as B [C, H, W] arrays in index order.
+    source.get_block(video_id, indices, feature_files) gives a block's
+    maps, as one [B, C, H, W] array or as B [C, H, W] arrays in index
+    order; feature_files holds each snippet's file name, None where the
+    manifest names none.
     """
-    grid = build_grid(manifest.video)
-    smap = manifest.snippet_map()
-    out = np.empty((grid.T, w.config.d_model), dtype=np.float64)
-    for start in range(0, grid.T, BLOCK_SNIPPETS):
-        rows = range(start, min(start + BLOCK_SNIPPETS, grid.T))
-        entries = [smap.get(i) for i in rows]
-        stacks = _stacks(source.get_block(manifest.video.video_id, rows, entries))
+    T = build_grid(manifest.video).T
+    snippets = Snippets.of(manifest.snippets)
+    row = np.full(T, -1)  # each snippet's entry row; -1 where the manifest lists none
+    listed = np.flatnonzero((snippets.indices >= 0) & (snippets.indices < T))
+    row[snippets.indices[listed]] = listed
+    present = row >= 0
+    counts = np.zeros(T, dtype=np.intp)
+    counts[present] = snippets.box_counts[row[present]]
+    first = np.zeros(T, dtype=np.intp)  # each snippet's first box in snippets.boxes
+    first[present] = (np.cumsum(snippets.box_counts) - snippets.box_counts)[row[present]]
+    edges = np.concatenate(([0], np.cumsum(counts)))  # snippet i's boxes in snippet order
+    boxes = snippets.boxes[np.repeat(first - edges[:-1], counts) + np.arange(edges[-1])]
+    files = [snippets.feature_files[r] if r >= 0 else None for r in row.tolist()]
+    out = np.empty((T, w.config.d_model), dtype=np.float64)
+    for start in range(0, T, BLOCK_SNIPPETS):
+        stop = min(start + BLOCK_SNIPPETS, T)
+        stacks = _stacks(source.get_block(manifest.video.video_id, range(start, stop),
+                                          files[start:stop]))
         env = environment_pathway(stacks, w)
-        boxes = [e.agent_boxes if e is not None else () for e in entries]
-        counts = np.array([len(b) for b in boxes])
-        agents = _block_agents(stacks, boxes, counts, w)
-        block = out[start:rows.stop]
-        alone = counts == 0
+        block_counts = counts[start:stop]
+        agents = _block_agents(stacks, boxes[edges[start]:edges[stop]], block_counts, w)
+        block = out[start:stop]
+        alone = block_counts == 0
         if alone.any():
             block[alone] = ae_fuse(env[alone], None, w)
         if not alone.all():
@@ -511,21 +530,21 @@ def featurize_video(manifest, w: FusionWeights, source) -> np.ndarray:
     return out
 
 
-def _block_agents(stacks, boxes, counts: np.ndarray, w: FusionWeights) -> np.ndarray:
-    """Agent vectors [B, d_model] of one block; rows of snippets without
+def _block_agents(stacks, boxes: np.ndarray, counts: np.ndarray, w: FusionWeights) -> np.ndarray:
+    """Agent vectors [B, d_model] of one block, from its [N, 4] boxes in
+    snippet order, counts[i] of them for snippet i; rows of snippets without
     agents stay zero. Boxes are RoI-aligned per stack, then encoded per
     agent count."""
     cfg = w.config
     owner = np.repeat(np.arange(len(counts)), counts)  # snippet of each box
-    flat = np.array([b for bs in boxes for b in bs], dtype=np.float64).reshape(-1, 4)
-    patches = np.empty((len(flat), cfg.channels, *cfg.roi_grid))
+    patches = np.empty((len(boxes), cfg.channels, *cfg.roi_grid))
     for rows, stack in stacks:
         local = np.full(len(counts), -1)
         local[rows] = np.arange(len(rows))
         sel = local[owner] >= 0
         if sel.any():
             patches[sel] = roi_align(
-                stack, flat[sel], cfg.roi_grid, cfg.roi_samples, local[owner[sel]]
+                stack, boxes[sel], cfg.roi_grid, cfg.roi_samples, local[owner[sel]]
             )
     agents = np.zeros((len(counts), cfg.d_model))
     first = np.cumsum(counts) - counts  # each snippet's first box

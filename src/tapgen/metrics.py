@@ -90,7 +90,10 @@ def _match_sizes(hits: np.ndarray) -> list[int]:
     """Maximum one-to-one matching size over the first k proposals (rows
     of the boolean proposal x ground-truth matrix), for k = 0..len(hits),
     by one augmenting-path search per added proposal (module docstring)."""
-    claims = [np.flatnonzero(row).tolist() for row in hits]
+    rows, cols = np.nonzero(hits)  # row-major, so each row's columns ascend
+    edges = np.searchsorted(rows, np.arange(len(hits) + 1)).tolist()
+    cols = cols.tolist()
+    claims = [cols[a:b] for a, b in zip(edges, edges[1:])]
     owner = [-1] * hits.shape[1]  # gt index -> proposal index
 
     def augment(i: int, visited: set[int]) -> bool:

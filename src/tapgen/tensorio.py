@@ -1,4 +1,4 @@
-"""Bit-exact tensor serialization and manifest JSON parsing.
+"""Bit-exact tensor serialization, manifest and proposal-file JSON parsing.
 
 Tensor file layout (little-endian throughout):
 
@@ -16,6 +16,14 @@ range, duplicates), feature file and box list types, then all agent boxes
 as one array. Only when one of these checks fails are the entries checked
 again one by one, to name the first failure. A manifest file may
 describe at most _MAX_SNIPPETS snippets.
+
+A parsed manifest keeps its snippets as Snippets columns, with no object
+per entry: indices, feature file names, box counts, and the [N, 4]
+float64 agent boxes of all entries in entry order, which the box checks
+built. Indexing or iterating them builds SnippetEntry values, and they
+equal, hash and print as the tuple of those entries, so a Manifest built
+from a tuple of SnippetEntry (Snippets.of turns one into columns) is the
+same value.
 """
 
 from __future__ import annotations
@@ -27,11 +35,13 @@ import os
 import struct
 import sys
 import tempfile
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
 
 from tapgen.errors import InvalidInputError, ManifestValidationError, TensorFormatError
+from tapgen.inference import Proposal
 from tapgen.timeline import GroundTruthAction, VideoMeta
 
 MAGIC = b"AENT"
@@ -48,11 +58,13 @@ _MAX_SNIPPETS = 2**14
 __all__ = [
     "Tensor",
     "SnippetEntry",
+    "Snippets",
     "Manifest",
     "write_tensor",
     "read_tensor",
     "read_manifest",
     "write_manifest",
+    "load_proposals",
     "atomic_write_bytes",
 ]
 
@@ -167,13 +179,68 @@ class SnippetEntry:
     agent_boxes: tuple[tuple[float, float, float, float], ...] = ()
 
 
+@dataclass(frozen=True, eq=False, repr=False)
+class Snippets(Sequence):
+    """Snippet entries as columns, one row per entry in entry order.
+
+    indices and box_counts are intp arrays, feature_files holds str or
+    None, and boxes stacks every entry's agent boxes in order, [N, 4]
+    float64. Rows are not checked here: _snippets_at_once builds them
+    from checked entries, Snippets.of from SnippetEntry values.
+    """
+
+    indices: np.ndarray
+    feature_files: tuple[str | None, ...]
+    box_counts: np.ndarray
+    boxes: np.ndarray
+
+    @classmethod
+    def of(cls, entries: Sequence[SnippetEntry]) -> Snippets:
+        """The columns of a sequence of SnippetEntry, in its order."""
+        if isinstance(entries, Snippets):
+            return entries
+        return cls(
+            np.array([s.index for s in entries], dtype=np.intp),
+            tuple(s.feature_file for s in entries),
+            np.array([len(s.agent_boxes) for s in entries], dtype=np.intp),
+            np.array([b for s in entries for b in s.agent_boxes], dtype=np.float64).reshape(-1, 4),
+        )
+
+    def __len__(self) -> int:
+        return len(self.feature_files)
+
+    def __getitem__(self, k: int) -> SnippetEntry:
+        k = range(len(self))[k]  # a negative or out-of-range k as a tuple takes it
+        return next(itertools.islice(self, k, None))
+
+    def __iter__(self):
+        rows = map(tuple, self.boxes.tolist())  # plain floats, as the JSON held them
+        return (SnippetEntry(i, f, tuple(itertools.islice(rows, n))) for i, f, n in
+                zip(self.indices.tolist(), self.feature_files, self.box_counts.tolist()))
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, Sequence):
+            return NotImplemented
+        return len(self) == len(other) and all(a == b for a, b in zip(self, other))
+
+    def __hash__(self) -> int:
+        return hash(tuple(self))
+
+    def __repr__(self) -> str:
+        return repr(tuple(self))
+
+
 @dataclass(frozen=True)
 class Manifest:
-    """One video's metadata, annotations, and per-snippet agent boxes."""
+    """One video's metadata, annotations, and per-snippet agent boxes.
+
+    snippets is a tuple of SnippetEntry or, as read_manifest gives it,
+    their Snippets columns; either is the same value.
+    """
 
     video: VideoMeta
     annotations: tuple[GroundTruthAction, ...]
-    snippets: tuple[SnippetEntry, ...] = ()
+    snippets: Sequence[SnippetEntry] = ()
 
     def snippet_map(self) -> dict[int, SnippetEntry]:
         return {s.index: s for s in self.snippets}
@@ -269,8 +336,9 @@ def manifest_from_dict(doc: dict, name: str = "manifest") -> Manifest:
 _SNIPPET_KEYS = frozenset({"index", "feature_file", "agent_boxes"})
 
 
-def _snippets_at_once(raw_snippets: list, T: int, name: str) -> tuple[SnippetEntry, ...] | None:
-    """The snippets, each check made once over the whole list; None if any fails.
+def _snippets_at_once(raw_snippets: list, T: int, name: str) -> Snippets | None:
+    """The snippets as columns, each check made once over the whole list;
+    None if any fails.
 
     Only exact dicts, ints, strs and lists pass the type checks (bool
     indices do not), only plain int and float coordinates pass the box
@@ -299,17 +367,14 @@ def _snippets_at_once(raw_snippets: list, T: int, name: str) -> tuple[SnippetEnt
         return None
     try:
         a = np.array(raw, dtype=np.float64).reshape(-1, 4)
-    except OverflowError:
+        columns = Snippets(np.array(indices, dtype=np.intp), tuple(files),
+                           np.array([len(b) for b in box_lists], dtype=np.intp), a)
+    except OverflowError:  # a coordinate beyond float, or an index below a huge T
         return None
     if not (((a >= 0.0) & (a <= 1.0)).all()  # NaN fails too
             and (a[:, 0] < a[:, 2]).all() and (a[:, 1] < a[:, 3]).all()):
         return None
-    rows = map(tuple, a.tolist())
-    return tuple(
-        SnippetEntry(index=idx, feature_file=feature_file,
-                     agent_boxes=tuple(itertools.islice(rows, len(boxes))))
-        for idx, feature_file, boxes in zip(indices, files, box_lists)
-    )
+    return columns
 
 
 def _snippets_one_by_one(raw_snippets: list, T: int, name: str) -> tuple[SnippetEntry, ...]:
@@ -394,3 +459,43 @@ def manifest_to_dict(m: Manifest) -> dict:
 def write_manifest(m: Manifest, destination: str | os.PathLike) -> None:
     payload = json.dumps(manifest_to_dict(m), indent=2, sort_keys=True).encode("utf-8")
     atomic_write_bytes(destination, payload + b"\n")
+
+
+PROPOSAL_FIELDS = ("t_start_sec", "t_end_sec", "score")
+
+
+def load_proposals(proposal_dir: str, vid: str) -> list[Proposal]:
+    """Read and validate one video's proposal file; a missing file means none."""
+    path = os.path.join(proposal_dir, f"{vid}.proposals.json")
+    if not os.path.exists(path):
+        return []
+    with open(path, "r", encoding="utf-8") as fh:
+        try:
+            # integers as floats: an overlong integer becomes inf and fails below
+            doc = json.load(fh, parse_int=float)
+        except (ValueError, RecursionError) as e:  # bad JSON or UTF-8, or nesting too deep
+            raise InvalidInputError(f"{path}: not valid JSON ({e})") from e
+    if not isinstance(doc, list):
+        raise InvalidInputError(f"{path}: top level must be a list of proposals")
+    out = []
+    for k, entry in enumerate(doc):
+        where = f"{path}: entry {k}"
+        if not isinstance(entry, dict):
+            raise InvalidInputError(f"{where}: must be an object")
+        for name in PROPOSAL_FIELDS:
+            if name not in entry:
+                raise InvalidInputError(f"{where}: missing field {name!r}")
+            v = entry[name]
+            if not isinstance(v, float) or not math.isfinite(v):
+                raise InvalidInputError(
+                    f"{where}: field {name!r} must be a finite number, got {v!r}"
+                )
+        start, end, score = (entry[name] for name in PROPOSAL_FIELDS)
+        if not start < end:
+            raise InvalidInputError(
+                f"{where}: field 't_end_sec' ({end}) must exceed t_start_sec ({start})"
+            )
+        if not 0.0 <= score <= 1.0:
+            raise InvalidInputError(f"{where}: field 'score' ({score}) outside [0, 1]")
+        out.append(Proposal(start_sec=start, end_sec=end, score=score))
+    return out

@@ -322,6 +322,51 @@ class TestErrorHandling:
         summary = json.loads((tmp_path / "labels" / "run_summary.json").read_text())
         assert summary["errors"] == {"synth_0001": "RuntimeError: boom"}
 
+    def _share_a_video_id(self, runner, tmp_path):
+        """Three manifests: zz_copy.json has synth_0000's video id and no annotations."""
+        invoke(runner, ["synth", "--n-videos", "2", "--out", str(tmp_path / "corpus")])
+        manifests = tmp_path / "corpus" / "manifests"
+        doc = json.loads((manifests / "synth_0000.json").read_text())
+        doc["annotations"] = []
+        (manifests / "zz_copy.json").write_text(json.dumps(doc))
+        return manifests
+
+    @pytest.mark.parametrize("stage", ["labels", "featurize", "infer"])
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("keep_going, exit_code", [(False, 1), (True, 2)])
+    def test_manifests_sharing_a_video_id_are_both_errors(self, runner, tmp_path, stage,
+                                                           workers, keep_going, exit_code):
+        """Outputs are named by video id, so the later manifest's overwrote the earlier's."""
+        manifests = self._share_a_video_id(runner, tmp_path)
+        extra = {"labels": [], "featurize": ["--d-model", "16", "--heads", "2"],
+                 "infer": ["--grids", str(tmp_path / "corpus" / "grids")]}[stage]
+        base = ["--workers", str(workers)] + (["--keep-going"] if keep_going else [])
+        out = tmp_path / "out"
+        r = invoke(runner, base + [stage, "--manifests", str(manifests), *extra, "--out", str(out)])
+        assert r.exit_code == exit_code, r.output
+        clash = (f"manifests {manifests / 'synth_0000.json'} and {manifests / 'zz_copy.json'} "
+                 "both have video id 'synth_0000'")
+        assert f"error: zz_copy: {clash}\n" in r.output
+        summary = json.loads((out / "run_summary.json").read_text())
+        assert summary["errors"] == {"synth_0000": clash, "zz_copy": clash}
+        assert summary["completed"] == ["synth_0001"]
+
+    def test_eval_rejects_manifests_sharing_a_video_id(self, runner, tmp_path):
+        manifests = self._share_a_video_id(runner, tmp_path)
+        proposals = tmp_path / "proposals"
+        proposals.mkdir()
+        (proposals / "synth_0000.proposals.json").write_text(
+            '[{"t_start_sec": 0.0, "t_end_sec": 1.0, "score": 0.5}]')
+        for keep_going in ([], ["--keep-going"]):
+            r = invoke(runner, keep_going + ["eval", "--manifests", str(manifests),
+                                             "--proposals", str(proposals),
+                                             "--out", str(tmp_path / "eval")])
+            assert r.exit_code == 1, r.output
+            assert r.output == (f"error: manifests {manifests / 'synth_0000.json'} and "
+                                f"{manifests / 'zz_copy.json'} both have video id 'synth_0000'\n")
+            assert not (tmp_path / "eval" / "eval.json").exists()
+
+
     @pytest.mark.parametrize("option, value", [
         ("--sigma", "0"), ("--sigma", "nan"), ("--score-floor", "nan"), ("--top-k", "0"),
     ])

@@ -40,10 +40,13 @@ from tapgen.timeline import GroundTruthAction
 from tapgen.tensorio import (
     Manifest,
     SnippetEntry,
+    Snippets,
     Tensor,
     manifest_from_dict,
+    read_manifest,
     tensor_bytes,
     tensor_from_bytes,
+    write_manifest,
     write_tensor,
 )
 from tapgen.timeline import VideoMeta
@@ -290,8 +293,11 @@ FUSION_CONFIGS = (
     FusionConfig(channels=2, d_model=6, num_heads=3, num_layers=2, ff_dim=8,
                  env_hidden=(5,), roi_grid=(2, 3), roi_samples=(1, 2), env_softmax=False),
 )
-# T below, at and just past one and two block boundaries
-BLOCK_EDGES = (1, BLOCK_SNIPPETS - 1, BLOCK_SNIPPETS, BLOCK_SNIPPETS + 1, 2 * BLOCK_SNIPPETS + 3)
+# T below, at and just past one and two block boundaries; 63, 64, 65 and 131
+# were those edges when blocks held 64 snippets, and are T within one block
+# now, as for every video of the desk corpus (T 64..128)
+BLOCK_EDGES = (1, 63, 64, 65, 131,
+               BLOCK_SNIPPETS - 1, BLOCK_SNIPPETS, BLOCK_SNIPPETS + 1, 2 * BLOCK_SNIPPETS + 3)
 
 
 class MapSource:
@@ -394,6 +400,45 @@ def test_block_sources_match_the_per_snippet_sources_bit_for_bit(T, data, cfg):
         listed_only = tuple(s for s in every if s.index in set(listed))
         expected = "ok" if len(listed) == T else DataError
         assert same(*files, replace(manifest, snippets=listed_only)) == expected
+
+
+@pytest.mark.parametrize("T", BLOCK_EDGES)
+@settings(PROPERTY, max_examples=4)
+@given(data=st.data(), cfg=st.sampled_from(FUSION_CONFIGS))
+def test_featurize_reads_snippet_columns_as_the_tuple_they_stand_for(T, data, cfg):
+    """featurize_video gives the same bits, or the same error, on a manifest
+    whose snippets are a tuple of SnippetEntry in index order, on one with
+    the entries shuffled, and on that one read back from its file as
+    Snippets columns, with the in-memory, stub and file sources."""
+    T, counts, sizes, listed, seed = data.draw(block_videos(T))
+    manifest, maps = block_video(T, counts, sizes, cfg.channels, seed, listed)
+    named = tuple(replace(s, feature_file=f"s{s.index}.aent") for s in manifest.snippets)
+    in_order = replace(manifest, snippets=named)
+    order = data.draw(st.permutations(range(len(named))))
+    manifest = replace(manifest, snippets=tuple(named[k] for k in order))
+    w = random_weights(cfg, seed=seed % 1000)
+
+    def outcome(m, source):
+        try:
+            return "ok", featurize_video(m, w, source)
+        except Exception as e:  # the type and message are what is compared
+            return type(e), str(e)
+
+    with tempfile.TemporaryDirectory() as d:
+        write_manifest(manifest, os.path.join(d, "m.json"))
+        columns = read_manifest(os.path.join(d, "m.json"))
+        assert isinstance(columns.snippets, Snippets) and columns == manifest
+        for i, fmap in enumerate(maps.maps):
+            write_tensor(Tensor.from_array(fmap.values), os.path.join(d, f"s{i}.aent"))
+        sources = (maps, StubFeatureSource(seed, (cfg.channels, *sizes[0])), FileFeatureSource(d))
+        for source in sources:
+            want = outcome(in_order, source)
+            for got in (outcome(manifest, source), outcome(columns, source)):
+                assert got[0] == want[0]
+                if got[0] == "ok":
+                    assert np.array_equal(got[1], want[1])
+                else:
+                    assert source is sources[2] and len(listed) < T and got == want
 
 
 def test_batched_featurize_channel_mismatch_in_a_later_block():

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import pickle
@@ -12,6 +13,7 @@ from tapgen.tensorio import (
     _MAX_SNIPPETS,
     Manifest,
     SnippetEntry,
+    Snippets,
     Tensor,
     manifest_from_dict,
     manifest_to_dict,
@@ -401,3 +403,106 @@ class TestManifest:
         with pytest.raises(ManifestValidationError, match="invalid JSON") as info:
             read_manifest(path)
         assert info.value.path == str(path)
+
+
+def columnar_manifest_doc():
+    """Four snippets out of index order: 2, 0 and 1 agent boxes, a JSON
+    integer coordinate among them, feature files named and not."""
+    doc = minimal_manifest_doc()
+    doc["snippets"] = [
+        {"index": 3, "feature_file": "a.aent", "agent_boxes": [[0.1, 0.2, 0.5, 0.6], [0, 0.25, 1, 0.75]]},
+        {"index": 0},
+        {"index": 7, "feature_file": None, "agent_boxes": [[0.3, 0.3, 0.4, 0.9]]},
+        {"index": 1, "feature_file": "b.aent", "agent_boxes": []},
+    ]
+    return doc
+
+
+class TestSnippets:
+    """A parsed manifest's Snippets columns behave as the tuple of SnippetEntry
+    that the entry-by-entry reference builds."""
+
+    def parsed(self):
+        doc = columnar_manifest_doc()
+        got = manifest_from_dict(doc).snippets
+        want = reference_manifest_from_dict(doc).snippets
+        assert isinstance(got, Snippets) and type(want) is tuple
+        return got, want
+
+    def test_columns(self):
+        got, _ = self.parsed()
+        assert got.indices.tolist() == [3, 0, 7, 1]
+        assert got.feature_files == ("a.aent", None, None, "b.aent")
+        assert got.box_counts.tolist() == [2, 0, 1, 0]
+        assert got.boxes.dtype == np.float64 and got.boxes.shape == (3, 4)
+
+    def test_len_indexing_and_iteration(self):
+        got, want = self.parsed()
+        assert len(got) == len(want) == 4
+        for k in range(-5, 5):
+            if -4 <= k < 4:
+                assert got[k] == want[k]
+            else:
+                with pytest.raises(IndexError):
+                    got[k]
+                with pytest.raises(IndexError):
+                    want[k]
+        assert list(got) == list(want)
+        for entry in got:
+            assert type(entry.index) is int
+            assert all(type(c) is float for box in entry.agent_boxes for c in box)
+        assert got[0].agent_boxes[1] == (0.0, 0.25, 1.0, 0.75)
+
+    def test_equality_hash_and_repr(self):
+        got, want = self.parsed()
+        assert got == want and want == got
+        assert got == list(want) and list(want) == got
+        assert not (got != want) and not (want != got)
+        other = want[:-1] + (dataclasses.replace(want[-1], index=2),)
+        assert got != other and other != got
+        assert got != want[:-1] and want[:-1] != got
+        assert got != 3 and got != "snippets"
+        assert hash(got) == hash(want)
+        assert repr(got) == repr(want)
+        assert Snippets.of(()) == () and repr(Snippets.of(())) == "()"
+
+    def test_of_round_trips(self):
+        got, want = self.parsed()
+        columns = Snippets.of(want)
+        assert Snippets.of(got) is got
+        assert tuple(columns) == want and columns == got
+        for name in ("indices", "box_counts", "boxes"):
+            assert np.array_equal(getattr(columns, name), getattr(got, name))
+        assert columns.feature_files == got.feature_files
+
+    def test_manifest_value_does_not_depend_on_the_path(self):
+        doc = columnar_manifest_doc()
+        m, ref = manifest_from_dict(doc), reference_manifest_from_dict(doc)
+        assert m == ref and ref == m
+        assert hash(m) == hash(ref)
+        assert repr(m) == repr(ref)
+        assert m.snippet_map() == ref.snippet_map()
+
+    def test_dataclasses_replace_on_entries_and_manifest(self):
+        """As a script rewrites a manifest's feature files: replace on each
+        iterated entry, then on the manifest with the tuple of them."""
+        m = manifest_from_dict(columnar_manifest_doc())
+        renamed = tuple(dataclasses.replace(e, feature_file=f"f{e.index}.aent") for e in m.snippets)
+        assert [e.feature_file for e in renamed] == ["f3.aent", "f0.aent", "f7.aent", "f1.aent"]
+        assert [e.agent_boxes for e in renamed] == [e.agent_boxes for e in m.snippets]
+        m2 = dataclasses.replace(m, snippets=renamed)
+        assert m2.snippets == renamed and m2 != m
+        assert dataclasses.replace(m, snippets=tuple(m.snippets)) == m
+
+    def test_write_read_write_reproduces_a_synth_manifest(self, tmp_path):
+        from tapgen.synth import synth_corpus
+
+        for sv in synth_corpus(3, 3, seed=4, t_min=5, t_max=40):
+            first, second = tmp_path / "first.json", tmp_path / "second.json"
+            write_manifest(sv.manifest, first)
+            back = read_manifest(first)
+            assert isinstance(back.snippets, Snippets)
+            assert back == sv.manifest
+            write_manifest(back, second)
+            assert second.read_bytes() == first.read_bytes()
+
