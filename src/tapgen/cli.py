@@ -210,13 +210,13 @@ def _each_manifest(ctx, manifest_dir: str, out: str, fn, args: tuple, config: di
               expose_value=False, callback=_use_config,
               help="JSON object of option defaults, checked like flags; explicit flags win.")
 @click.option("--seed", type=int, default=0, help="Global seed.")
-@click.option("--workers", type=int, default=1, help="Parallel worker count.")
+@click.option("--workers", type=click.IntRange(min=1), default=1, help="Parallel worker count.")
 @click.option("--keep-going", is_flag=True, default=False,
               help="Collect per-video errors instead of stopping at the first.")
 @click.pass_context
 def main(ctx, seed, workers, keep_going):
     """Deterministic temporal action proposal pipeline."""
-    ctx.obj = {"t0": time.monotonic(), "seed": seed, "workers": max(1, workers),
+    ctx.obj = {"t0": time.monotonic(), "seed": seed, "workers": workers,
                "keep_going": keep_going}
 
 
@@ -431,7 +431,11 @@ def cmd_eval(ctx, manifest_dir, proposal_dir, preset, out):
             gts[vid] = list(manifest.annotations)
             props[vid] = load_proposals(proposal_dir, vid)
         if not any(props.values()):
-            raise DataError("no proposal files match any manifest video id")
+            found = sum(os.path.exists(os.path.join(proposal_dir, f"{vid}.proposals.json"))
+                        for vid in props)
+            raise DataError(f"no proposals to evaluate: all {found} proposal files that match "
+                            "a manifest video id are empty" if found
+                            else "no proposal files match any manifest video id")
         result = metrics.evaluate(props, gts, thresholds=thresholds)
     _write_json(os.path.join(out, "eval.json"), result.to_dict())
     atomic_write_bytes(os.path.join(out, "eval.csv"), result.to_csv().encode("utf-8"))

@@ -117,6 +117,10 @@ def _check_map_shape(shape: tuple[int, ...]) -> None:
         raise InvalidInputError(f"feature map dims must be positive, got {shape}")
 
 
+# Past these, weights fail to allocate or grow layer by layer until memory runs out.
+_MAX_SIZES = {"channels": 2**12, "d_model": 2**12, "num_heads": 2**8, "num_layers": 2**6}
+
+
 @dataclass(frozen=True)
 class FusionConfig:
     """Architecture hyperparameters; defaults are desk-scale."""
@@ -132,13 +136,16 @@ class FusionConfig:
     env_softmax: bool = True  # False exposes pre-softmax logits
 
     def __post_init__(self):
+        for name in ("channels", "d_model", "num_heads", "num_layers", "ff_dim"):
+            if getattr(self, name) < 1:
+                raise ConfigError(f"{name} must be positive")
+        for name, cap in _MAX_SIZES.items():
+            if getattr(self, name) > cap:
+                raise ConfigError(f"{name} {getattr(self, name)} is above the cap of {cap}")
         if self.d_model % self.num_heads != 0:
             raise ConfigError(
                 f"d_model {self.d_model} not divisible by num_heads {self.num_heads}"
             )
-        for name in ("channels", "d_model", "num_heads", "num_layers", "ff_dim"):
-            if getattr(self, name) < 1:
-                raise ConfigError(f"{name} must be positive")
         if any(g < 1 for g in self.roi_grid) or any(s < 1 for s in self.roi_samples):
             raise ConfigError("roi grid and sample counts must be positive")
 

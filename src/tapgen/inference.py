@@ -14,15 +14,27 @@ it yields Proposal, and it equals any sequence of the same proposals.
 Soft-NMS decays overlapping survivors by exp(-iou^2 / sigma) instead of
 removing them. It works on those columns (a list of Proposal is turned
 into columns once) and builds a Proposal only for each survivor. Each of
-the at most top_k steps takes an argmax and one IoU vector against the n
-candidates, so it costs O(top_k * n) time and O(n) memory, never an n x n
-matrix. The decay factors come from math.exp, not np.exp: the two differ
-in the last ulp on a few percent of inputs, and results must stay
-bit-identical to the scalar reference. IoUs of snippet-aligned intervals
-are ratios of small integers, so a step's arguments repeat: math.exp runs
-once per distinct argument, found by sorting and comparing neighbours.
-np.unique would find them too, but it imports numpy.ma, about 1 MB more
-resident memory in every infer process.
+the at most top_k steps takes one IoU vector against the n candidates, so
+it costs O(top_k * n) time and O(n) memory, never an n x n matrix.
+
+Results must stay bit-identical to the scalar reference, whose factors
+come from math.exp. np.exp differs from math.exp by an ulp on a few
+percent of arguments, and math.exp costs a Python call per factor, so each
+row keeps two scores:
+- Its ranking score takes every step's factor from one vectorised np.exp.
+  It serves only to find the contenders: the rows within a proven error
+  bound of the top ranking score (see SLACK). The true top row is always
+  among them.
+- Its exact score is kept lazily. Each row counts the selections already
+  folded into it, and only when it becomes a contender are the missing
+  math.exp factors multiplied in, in selection order: the reference's
+  products, rounded the same way. An exact score of 0 stays 0 under any
+  factor, so it is never caught up.
+The selection is the argmax of the contenders' exact scores, and the floor
+check reads the exact score. On noisy dense grids a step's one contender
+is mostly its winner, caught up over the earlier selections: math.exp runs
+once per earlier selection that overlapped it, not once per row the step
+overlaps.
 """
 
 from __future__ import annotations
@@ -35,7 +47,7 @@ import numpy as np
 
 from tapgen.errors import InvalidInputError
 from tapgen.supervision import ScoreGrids
-from tapgen.timeline import SnippetGrid, broadcast_iou
+from tapgen.timeline import SnippetGrid
 # Unused here, but perfbench's tracer counts calls through this binding.
 from tapgen.timeline import temporal_iou  # noqa: F401
 
@@ -182,18 +194,36 @@ def form_proposals(
     return Candidates(starts=ts[order] * ss, ends=te[order] * ss, scores=scores[order])
 
 
+# Contenders after t selections are the rows whose ranking score is at least
+# m - (|m| * (t + 1) * SLACK + TINY), m the top ranking score. The bound: a
+# row's ranking and exact scores are the same start score times the same
+# factors, one per selection that overlapped it. np.exp is within an ulp or
+# two of math.exp, and each product rounds once on either side, so after t
+# selections the two differ by at most about t * 4 ulp of the row's score,
+# plus t times the absolute error of a subnormal result (np.exp may flush
+# one to zero, an error below 2.3e-308). The row with the top exact score
+# ranks at most that error below it, and m exceeds it by at most the same,
+# so the row lies within twice the per-row error of m. SLACK allows
+# thousands of ulps per step, and TINY some 10^17 subnormal flushes.
+SLACK = 1e-12
+TINY = 1e-290
+# Cells of one catch-up block, [rows x missed selections]: caps its float64
+# temporaries at 128 KiB each, however many rows catch up at once.
+BLOCK_CELLS = 1 << 14
+
+
 def _gaussian_decay(iou: np.ndarray, sigma: float) -> np.ndarray:
-    """math.exp(-iou^2 / sigma) per entry, with one math.exp per distinct argument."""
-    args = -(iou * iou) / sigma
-    order = np.argsort(args)
-    ranked = args[order]
-    first = np.empty(ranked.shape, dtype=bool)  # starts a run of equal arguments
-    first[:1] = True
-    np.not_equal(ranked[1:], ranked[:-1], out=first[1:])
-    factors = np.array(list(map(math.exp, ranked[first].tolist())), dtype=np.float64)
-    out = np.empty_like(args)
-    out[order] = factors[np.cumsum(first) - 1]
-    return out
+    """math.exp(-iou^2 / sigma) per entry: the reference's factors, bit for bit."""
+    return np.fromiter(map(math.exp, (-(iou * iou) / sigma).tolist()), np.float64, iou.size)
+
+
+def _iou(a0, a1, b0, b1) -> np.ndarray:
+    """timeline.broadcast_iou's values, from the same float operations, for
+    intervals of positive length. Their union is positive, so a disjoint
+    pair's intersection, clamped to 0, gives 0 without broadcast_iou's
+    masked divide, which costs more than the rest of it."""
+    inter = np.maximum(np.minimum(a1, b1) - np.maximum(a0, b0), 0.0)
+    return inter / ((a1 - a0) + (b1 - b0) - inter)
 
 
 def soft_nms(
@@ -214,17 +244,38 @@ def soft_nms(
     pool = Candidates.of(proposals)
     # Stable (start, end) order makes argmax's first-index rule the tie-break.
     order = np.lexsort((pool.ends, pool.starts))
-    starts, ends, scores = pool.starts[order], pool.ends[order], pool.scores[order]
+    starts, ends, exact = pool.starts[order], pool.ends[order], pool.scores[order]
+    ranking = exact.copy()
+    folded = np.zeros(len(exact), dtype=np.intp)  # selections folded into exact
+    chosen = np.empty(min(top_k, len(exact)), dtype=np.intp)  # rows, in selection order
     selected: list[Proposal] = []
-    while len(selected) < min(top_k, len(scores)):
-        best = int(np.argmax(scores))
-        if scores[best] < score_floor:
+    for t in range(len(chosen)):
+        m = ranking.max()
+        rows = np.flatnonzero(ranking >= m - (abs(m) * (t + 1) * SLACK + TINY))
+        lag = rows[(folded[rows] < t) & (exact[rows] != 0)]  # 0 times a factor is 0
+        width = max(1, BLOCK_CELLS // max(t, 1))  # rows per catch-up block
+        for i in range(0, lag.size, width):
+            block = lag[i:i + width]
+            since = folded[block]
+            past = chosen[since.min():t]
+            iou = _iou(starts[past], ends[past], starts[block, None], ends[block, None])
+            iou[np.arange(t - past.size, t) < since[:, None]] = 0.0  # folded in already
+            r, c = np.nonzero(iou)  # row-major: each row's hits in selection order
+            # multiply.at is unbuffered: a row takes its factors one by one, in order
+            np.multiply.at(exact, block[r], _gaussian_decay(iou[r, c], sigma))
+        folded[rows] = t
+        best = int(rows[np.argmax(exact[rows])])  # rows ascend, so ties go to the first
+        if exact[best] < score_floor:
             break
-        selected.append(Proposal(float(starts[best]), float(ends[best]), float(scores[best])))
-        scores[best] = -np.inf  # removed from the pool
-        iou = broadcast_iou(starts[best], ends[best], starts, ends)
-        hit = np.flatnonzero((iou > 0) & (scores > -np.inf))
-        scores[hit] *= _gaussian_decay(iou[hit], sigma)
+        s, e = starts[best], ends[best]
+        selected.append(Proposal(float(s), float(e), float(exact[best])))
+        chosen[t] = best
+        ranking[best] = -np.inf  # removed from the pool
+        x = _iou(s, e, starts, ends)
+        x[chosen[:t + 1]] = 0.0  # removed rows stay at -inf
+        x *= x
+        x /= -sigma
+        ranking *= np.exp(x, out=x)
     return selected
 
 

@@ -409,6 +409,60 @@ class TestErrorHandling:
         assert r.exit_code == 1
         assert "no proposal files" in r.output
 
+    def test_eval_with_only_empty_proposal_files_names_them_empty(self, runner, tmp_path):
+        # one-snippet videos give no proposal with a later end peak, so infer writes []
+        invoke(runner, ["synth", "--n-videos", "2", "--t-min", "1", "--t-max", "1",
+                        "--out", str(tmp_path / "corpus")])
+        invoke(runner, ["infer", "--manifests", str(tmp_path / "corpus/manifests"),
+                        "--grids", str(tmp_path / "corpus/grids"),
+                        "--out", str(tmp_path / "proposals")])
+        assert sorted(os.listdir(tmp_path / "proposals")) == [
+            "run_summary.json", "synth_0000.proposals.json", "synth_0001.proposals.json"]
+        r = invoke(runner, ["eval", "--manifests", str(tmp_path / "corpus/manifests"),
+                            "--proposals", str(tmp_path / "proposals"),
+                            "--out", str(tmp_path / "eval")])
+        assert r.exit_code == 1
+        assert r.output == ("error: no proposals to evaluate: all 2 proposal files that "
+                            "match a manifest video id are empty\n")
+
+    @pytest.mark.parametrize("value", ["0", "-3"])
+    @pytest.mark.parametrize("via", ["flag", "config"])
+    def test_workers_below_one_is_rejected_like_any_bad_option(self, runner, tmp_path, via,
+                                                               value):
+        invoke(runner, ["synth", "--n-videos", "2", "--out", str(tmp_path / "corpus")])
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"workers": int(value)}))
+        option = ["--workers", value] if via == "flag" else ["--config", str(cfg)]
+        r = invoke(runner, option + ["labels", "--manifests", str(tmp_path / "corpus/manifests"),
+                                     "--out", str(tmp_path / "labels")])
+        if via == "flag":
+            assert r.exit_code == 2  # click's usage error, as for any bad flag
+            assert "Invalid value for '--workers'" in r.output
+        else:
+            assert r.exit_code == 1
+            assert f"config {cfg}: field 'workers'" in r.output
+        assert ">=1" in r.output
+        assert not (tmp_path / "labels").exists()
+
+    @pytest.mark.parametrize("option, value, expected", [
+        ("--d-model", "100000000", "d_model 100000000 is above the cap of 4096"),
+        ("--heads", "0", "num_heads must be positive"),
+    ])
+    @pytest.mark.parametrize("via", ["flag", "config"])
+    def test_fusion_size_out_of_bounds_fails_once_naming_it(self, runner, tmp_path, option,
+                                                             value, expected, via):
+        invoke(runner, ["synth", "--n-videos", "2", "--out", str(tmp_path / "corpus")])
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({option[2:].replace("-", "_"): int(value)}))
+        given = [option, value] if via == "flag" else []
+        head = [] if via == "flag" else ["--config", str(cfg)]
+        # catch_exceptions=False: a traceback would fail the test
+        r = invoke(runner, head + ["featurize", "--manifests", str(tmp_path / "corpus/manifests"),
+                                   *given, "--out", str(tmp_path / "features")])
+        assert r.exit_code == 1
+        assert r.output == f"error: {expected}\n"
+        assert not (tmp_path / "features").exists()
+
     GOOD = {"t_start_sec": 0.0, "t_end_sec": 2.0, "score": 0.5}
 
     @pytest.mark.parametrize("text, expected", [

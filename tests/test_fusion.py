@@ -679,6 +679,19 @@ class TestWeightBundles:
         with pytest.raises(ConfigError):
             FusionConfig(d_model=10, num_heads=4)
 
+    @pytest.mark.parametrize("field, cap", [
+        ("channels", 4096), ("d_model", 4096), ("num_heads", 256), ("num_layers", 64),
+    ])
+    def test_sizes_above_the_cap_are_rejected_naming_field_and_cap(self, field, cap):
+        assert getattr(FusionConfig(**{"d_model": 4096, field: cap}), field) == cap
+        for size in (cap + 1, 100_000_000):
+            with pytest.raises(ConfigError, match=rf"^{field} {size} is above the cap of {cap}$"):
+                FusionConfig(**{field: size})
+
+    def test_zero_heads_is_a_config_error(self):
+        with pytest.raises(ConfigError, match="num_heads must be positive"):
+            FusionConfig(num_heads=0)
+
 
 def _bundle(tmp_path):
     cfg = FusionConfig(channels=3, d_model=8, num_heads=2, num_layers=1, ff_dim=16)
@@ -740,6 +753,13 @@ class TestWeightBundleValidation:
         directory = _bundle(tmp_path)
         _edit_index(directory, lambda index: index["config"].__setitem__(key, value))
         with pytest.raises(ConfigError, match=rf"index\.json: field 'config\.{key}' must be"):
+            load_weights(directory)
+
+    def test_size_above_the_cap(self, tmp_path):
+        directory = _bundle(tmp_path)
+        _edit_index(directory, lambda index: index["config"].__setitem__("num_layers", 10**8))
+        with pytest.raises(ConfigError, match=r"index\.json: field 'config': num_layers "
+                                              r"100000000 is above the cap of 64"):
             load_weights(directory)
 
     def test_inconsistent_config(self, tmp_path):

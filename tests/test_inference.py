@@ -274,6 +274,27 @@ class TestSoftNms:
                 assert (g.start_sec, g.end_sec) == (w[0], w[1])
                 assert g.score == pytest.approx(w[2], rel=1e-12, abs=1e-15)
 
+    def test_returns_math_exp_scores_where_np_exp_ranks_an_ulp_lower(self):
+        """A = [0, 2] is selected first. B = [1, 3] overlaps it with IoU 1/3,
+        so B's exact score becomes math.exp(-(1/9) / sigma). C = [2, 4] misses
+        A and starts at that very score. The sigma is searched for at run time
+        so that np.exp gives an ulp less there: B then ranks below C but ties
+        it exactly, and must win on its earlier start, with math.exp's score."""
+        iou = temporal_iou((0.0, 2.0), (1.0, 3.0))
+        sigmas = np.linspace(0.05, 5.0, 20001)
+        args = -(iou * iou) / sigmas
+        lower = np.flatnonzero(np.exp(args) < np.array([math.exp(a) for a in args.tolist()]))
+        if not lower.size:
+            pytest.skip("np.exp is never below math.exp on the searched arguments")
+        sigma = float(sigmas[lower[0]])
+        factor = math.exp(-(iou * iou) / sigma)
+        props = [mk(0, 2, 1.0), mk(1, 3, 1.0), mk(2, 4, factor)]
+        got = soft_nms(props, sigma=sigma, score_floor=0.0, top_k=3)
+        assert [(p.start_sec, p.end_sec, p.score) for p in got] == reference_soft_nms(
+            props, sigma, 0.0, 3
+        )
+        assert (got[1].interval, got[1].score) == ((1.0, 3.0), factor)
+
 
 class TestInfer:
     def test_oracle_grids_single_gt_iou_one(self):

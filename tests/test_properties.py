@@ -188,6 +188,42 @@ def test_soft_nms_matches_reference_on_dense_snippet_aligned_candidates(
 
 
 @st.composite
+def near_tie_proposals(draw):
+    """Scores a few ulps around one base, exact ties, zeros and subnormals,
+    so ranking scores from np.exp and exact ones from math.exp can order
+    rows differently by an ulp."""
+    snippet = draw(st.sampled_from([1.0, 0.5, 16 / 30]))
+    base = draw(st.sampled_from([1.0, 0.75, 0.5, 0.3, 1e-300, 5e-324]) | st.floats(0, 1))
+    rows = draw(st.lists(
+        st.tuples(st.integers(0, 15), st.integers(1, 6), st.sampled_from([0, 0, 1, -1, 2, "zero"])),
+        max_size=60,
+    ))
+    props = []
+    for a, length, ulps in rows:
+        if ulps == "zero":
+            score = 0.0
+        else:
+            score = base
+            for _ in range(abs(ulps)):
+                score = math.nextafter(score, 2.0 if ulps > 0 else 0.0)
+        props.append(mk(a, a + length, min(score, 1.0), snippet))
+    return props
+
+
+@PROPERTY
+@given(
+    props=near_tie_proposals(),
+    sigma=st.sampled_from([1e-300, 1e-3, 0.4, 50.0]),
+    floor=st.sampled_from([-1.0, 0.0, 0.001]),
+    top_k=st.sampled_from([1, 5, "above n"]),
+)
+def test_soft_nms_matches_reference_on_near_ties(props, sigma, floor, top_k):
+    k = len(props) + 1 if top_k == "above n" else top_k
+    got = soft_nms(props, sigma=sigma, score_floor=floor, top_k=k)
+    assert [astuple(p) for p in got] == reference_soft_nms(props, sigma, floor, k)
+
+
+@st.composite
 def corpora(draw):
     """Integer-aligned intervals, so IoU often lands exactly on a threshold;
     some videos have no proposal list at all, some an empty one."""
