@@ -421,6 +421,7 @@ def cmd_eval(ctx, manifest_dir, proposal_dir, preset, out):
     gts = {}
     props = {}
     paths = {}  # video id -> manifest path
+    found = 0  # proposal files present
     with _exit_on_error():
         for path in _manifest_paths(manifest_dir):
             manifest = read_manifest(path)
@@ -429,10 +430,10 @@ def cmd_eval(ctx, manifest_dir, proposal_dir, preset, out):
                 raise DataError(f"manifests {paths[vid]} and {path} both have video id {vid!r}")
             paths[vid] = path
             gts[vid] = list(manifest.annotations)
-            props[vid] = load_proposals(proposal_dir, vid)
+            loaded = load_proposals(proposal_dir, vid)
+            found += loaded is not None
+            props[vid] = loaded or []  # a missing file means no proposals
         if not any(props.values()):
-            found = sum(os.path.exists(os.path.join(proposal_dir, f"{vid}.proposals.json"))
-                        for vid in props)
             raise DataError(f"no proposals to evaluate: all {found} proposal files that match "
                             "a manifest video id are empty" if found
                             else "no proposal files match any manifest video id")

@@ -47,7 +47,7 @@ import numpy as np
 
 from tapgen.errors import InvalidInputError
 from tapgen.supervision import ScoreGrids
-from tapgen.timeline import SnippetGrid
+from tapgen.timeline import SnippetGrid, broadcast_iou
 # Unused here, but perfbench's tracer counts calls through this binding.
 from tapgen.timeline import temporal_iou  # noqa: F401
 
@@ -217,15 +217,6 @@ def _gaussian_decay(iou: np.ndarray, sigma: float) -> np.ndarray:
     return np.fromiter(map(math.exp, (-(iou * iou) / sigma).tolist()), np.float64, iou.size)
 
 
-def _iou(a0, a1, b0, b1) -> np.ndarray:
-    """timeline.broadcast_iou's values, from the same float operations, for
-    intervals of positive length. Their union is positive, so a disjoint
-    pair's intersection, clamped to 0, gives 0 without broadcast_iou's
-    masked divide, which costs more than the rest of it."""
-    inter = np.maximum(np.minimum(a1, b1) - np.maximum(a0, b0), 0.0)
-    return inter / ((a1 - a0) + (b1 - b0) - inter)
-
-
 def soft_nms(
     proposals: Sequence[Proposal],
     sigma: float = 0.4,
@@ -258,7 +249,7 @@ def soft_nms(
             block = lag[i:i + width]
             since = folded[block]
             past = chosen[since.min():t]
-            iou = _iou(starts[past], ends[past], starts[block, None], ends[block, None])
+            iou = broadcast_iou(starts[past], ends[past], starts[block, None], ends[block, None])
             iou[np.arange(t - past.size, t) < since[:, None]] = 0.0  # folded in already
             r, c = np.nonzero(iou)  # row-major: each row's hits in selection order
             # multiply.at is unbuffered: a row takes its factors one by one, in order
@@ -271,7 +262,7 @@ def soft_nms(
         selected.append(Proposal(float(s), float(e), float(exact[best])))
         chosen[t] = best
         ranking[best] = -np.inf  # removed from the pool
-        x = _iou(s, e, starts, ends)
+        x = broadcast_iou(s, e, starts, ends)
         x[chosen[:t + 1]] = 0.0  # removed rows stay at -inf
         x *= x
         x /= -sigma

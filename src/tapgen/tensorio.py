@@ -464,11 +464,11 @@ def write_manifest(m: Manifest, destination: str | os.PathLike) -> None:
 PROPOSAL_FIELDS = ("t_start_sec", "t_end_sec", "score")
 
 
-def load_proposals(proposal_dir: str, vid: str) -> list[Proposal]:
-    """Read and validate one video's proposal file; a missing file means none."""
+def load_proposals(proposal_dir: str, vid: str) -> list[Proposal] | None:
+    """Read and validate one video's proposal file; None if it is missing."""
     path = os.path.join(proposal_dir, f"{vid}.proposals.json")
     if not os.path.exists(path):
-        return []
+        return None
     with open(path, "r", encoding="utf-8") as fh:
         try:
             # integers as floats: an overlong integer becomes inf and fails below

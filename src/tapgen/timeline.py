@@ -135,9 +135,10 @@ def broadcast_iou(a0, a1, b0, b1) -> np.ndarray:
     """Elementwise temporal_iou of intervals [a0, a1] and [b0, b1], broadcast.
 
     Performs temporal_iou's float operations in the same order, so each
-    entry is bit-identical to the scalar result; intervals are not
-    validated.
+    entry is bit-identical to the scalar result, provided every interval
+    has positive length (not validated here). Then each union is positive,
+    and a disjoint pair's intersection, clamped to 0, gives 0 with a plain
+    divide: a masked one costs more than the rest of the function.
     """
-    inter = np.maximum(0.0, np.minimum(a1, b1) - np.maximum(a0, b0))
-    union = (a1 - a0) + (b1 - b0) - inter
-    return np.divide(inter, union, out=np.zeros(np.shape(inter)), where=inter > 0)
+    inter = np.maximum(np.minimum(a1, b1) - np.maximum(a0, b0), 0.0)
+    return inter / ((a1 - a0) + (b1 - b0) - inter)

@@ -15,6 +15,7 @@ from tapgen.tensorio import (
     SnippetEntry,
     Snippets,
     Tensor,
+    load_proposals,
     manifest_from_dict,
     manifest_to_dict,
     read_manifest,
@@ -506,3 +507,13 @@ class TestSnippets:
             write_manifest(back, second)
             assert second.read_bytes() == first.read_bytes()
 
+
+
+def test_load_proposals_tells_a_missing_file_from_an_empty_one(tmp_path):
+    assert load_proposals(str(tmp_path), "v") is None
+    (tmp_path / "v.proposals.json").write_text("[]")
+    assert load_proposals(str(tmp_path), "v") == []
+    (tmp_path / "v.proposals.json").write_text(
+        json.dumps([{"t_start_sec": 0.5, "t_end_sec": 2, "score": 1}]))
+    [p] = load_proposals(str(tmp_path), "v")
+    assert (p.start_sec, p.end_sec, p.score) == (0.5, 2.0, 1.0)
