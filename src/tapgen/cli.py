@@ -32,7 +32,9 @@ from tapgen.tensorio import (
     load_proposals,
     read_manifest,
     read_tensor,
+    write_json,
     write_manifest,
+    write_proposals,
     write_tensor,
 )
 from tapgen.timeline import build_grid
@@ -87,11 +89,6 @@ def _exit_on_error():
     except (TapgenError, OSError) as e:
         click.echo(f"error: {e}", err=True)
         sys.exit(1)
-
-
-def _write_json(path: str, obj) -> None:
-    payload = json.dumps(obj, indent=2, sort_keys=True).encode("utf-8")
-    atomic_write_bytes(path, payload + b"\n")
 
 
 def _manifest_paths(manifest_dir: str) -> list[str]:
@@ -184,7 +181,7 @@ def _finish(ctx, out_dir: str, config: dict, done, errors, extra: dict | None = 
     }
     if extra:
         summary.update(extra)
-    _write_json(os.path.join(out_dir, "run_summary.json"), summary)
+    write_json(os.path.join(out_dir, "run_summary.json"), summary)
     if errors:
         for name, msg in sorted(errors.items()):
             click.echo(f"error: {name}: {msg}", err=True)
@@ -195,7 +192,8 @@ def _each_manifest(ctx, manifest_dir: str, out: str, fn, args: tuple, config: di
                    initializer=None, initargs=()) -> None:
     """Run fn(manifest_path, out, *args), which returns the video id, for
     every manifest, then write the summary."""
-    os.makedirs(out, exist_ok=True)
+    with _exit_on_error():  # an --out that is, or lies under, a file
+        os.makedirs(out, exist_ok=True)
     jobs = [
         (os.path.splitext(os.path.basename(path))[0], fn, (path, out, *args))
         for path in _manifest_paths(manifest_dir)
@@ -244,10 +242,11 @@ def cmd_synth(ctx, n_videos, max_actions, t_min, t_max, d_policy, write_grids, o
     if not 1 <= t_min <= t_max:
         raise click.ClickException("--t-min must be >= 1 and at most --t-max")
     manifest_dir = os.path.join(out, "manifests")
-    os.makedirs(manifest_dir, exist_ok=True)
     grid_dir = os.path.join(out, "grids")
-    if write_grids:
-        os.makedirs(grid_dir, exist_ok=True)
+    with _exit_on_error():  # an --out that is, or lies under, a file
+        os.makedirs(manifest_dir, exist_ok=True)
+        if write_grids:
+            os.makedirs(grid_dir, exist_ok=True)
     videos = synth.synth_corpus(n_videos, max_actions, seed, t_min, t_max, d_policy)
     for sv in videos:
         vid = sv.manifest.video.video_id
@@ -376,12 +375,7 @@ def _infer_one(manifest_path: str, out_dir: str, grid_dir: str, cfg: InferenceCo
     grid = build_grid(manifest.video)
     vid = manifest.video.video_id
     grids = read_grids(grid_dir, vid)
-    proposals = run_infer(grids, grid, cfg)
-    doc = [
-        {"t_start_sec": p.start_sec, "t_end_sec": p.end_sec, "score": p.score}
-        for p in proposals
-    ]
-    _write_json(os.path.join(out_dir, f"{vid}.proposals.json"), doc)
+    write_proposals(out_dir, vid, run_infer(grids, grid, cfg))
     return vid
 
 
@@ -417,12 +411,12 @@ def cmd_eval(ctx, manifest_dir, proposal_dir, preset, out):
     thresholds = (
         metrics.ACTIVITYNET_THRESHOLDS if preset == "activitynet" else metrics.THUMOS_THRESHOLDS
     )
-    os.makedirs(out, exist_ok=True)
     gts = {}
     props = {}
     paths = {}  # video id -> manifest path
     found = 0  # proposal files present
     with _exit_on_error():
+        os.makedirs(out, exist_ok=True)
         for path in _manifest_paths(manifest_dir):
             manifest = read_manifest(path)
             vid = manifest.video.video_id
@@ -438,7 +432,7 @@ def cmd_eval(ctx, manifest_dir, proposal_dir, preset, out):
                             "a manifest video id are empty" if found
                             else "no proposal files match any manifest video id")
         result = metrics.evaluate(props, gts, thresholds=thresholds)
-    _write_json(os.path.join(out, "eval.json"), result.to_dict())
+    write_json(os.path.join(out, "eval.json"), result.to_dict())
     atomic_write_bytes(os.path.join(out, "eval.csv"), result.to_csv().encode("utf-8"))
     _finish(ctx, out, {"preset": preset}, sorted(gts), {}, extra={"auc": result.auc})
     click.echo(f"AUC: {result.auc:.4f}")

@@ -52,12 +52,12 @@ import hashlib
 import json
 import os
 import threading
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
 from tapgen.errors import ConfigError, DataError, InvalidInputError
-from tapgen.tensorio import Snippets, Tensor, read_tensor, write_tensor, atomic_write_bytes
+from tapgen.tensorio import Snippets, Tensor, read_tensor, write_json, write_tensor
 from tapgen.timeline import build_grid
 
 LN_EPS = 1e-5
@@ -589,27 +589,12 @@ def save_weights(w: FusionWeights, directory: str | os.PathLike) -> None:
     """Write the bundle: one tensor file per parameter plus a JSON index."""
     directory = os.fspath(directory)
     os.makedirs(directory, exist_ok=True)
-    cfg = w.config
-    index = {
-        "config": {
-            "channels": cfg.channels,
-            "d_model": cfg.d_model,
-            "num_heads": cfg.num_heads,
-            "num_layers": cfg.num_layers,
-            "ff_dim": cfg.ff_dim,
-            "env_hidden": list(cfg.env_hidden),
-            "roi_grid": list(cfg.roi_grid),
-            "roi_samples": list(cfg.roi_samples),
-            "env_softmax": cfg.env_softmax,
-        },
-        "params": {},
-    }
+    index = {"config": asdict(w.config), "params": {}}  # tuples as JSON lists
     for name, arr in sorted(_named_params(w).items()):
         fname = name.replace(".", "_") + ".aent"
         write_tensor(Tensor.from_array(arr), os.path.join(directory, fname))
         index["params"][name] = fname
-    payload = json.dumps(index, indent=2, sort_keys=True).encode("utf-8")
-    atomic_write_bytes(os.path.join(directory, "index.json"), payload + b"\n")
+    write_json(os.path.join(directory, "index.json"), index)
 
 
 def _param_shapes(cfg: FusionConfig) -> dict[str, tuple[int, ...]]:

@@ -147,22 +147,13 @@ def find_peaks(p: np.ndarray, peak_ratio: float = 0.5, local_max_only: bool = Fa
     p = np.asarray(p, dtype=np.float64)
     if p.ndim != 1 or p.shape[0] < 1:
         raise InvalidInputError("find_peaks expects a non-empty 1-d vector")
-    n = p.shape[0]
-    peaks: set[int] = set()
-    i = 0
-    while i < n:
-        j = i
-        while j + 1 < n and p[j + 1] == p[i]:
-            j += 1
-        left = p[i - 1] if i > 0 else -np.inf
-        right = p[j + 1] if j + 1 < n else -np.inf
-        if p[i] > left and p[i] > right:
-            peaks.add(i)
-        i = j + 1
+    first = np.flatnonzero(np.r_[True, p[1:] != p[:-1]])  # run starts; NaN runs alone
+    runs = np.r_[-np.inf, p[first], -np.inf]
+    peaks = np.zeros(p.shape[0], dtype=bool)
+    peaks[first] = (runs[1:-1] > runs[:-2]) & (runs[1:-1] > runs[2:])
     if not local_max_only:
-        thresh = peak_ratio * p.max()
-        peaks.update(np.flatnonzero(p >= thresh).tolist())
-    return sorted(peaks)
+        peaks |= p >= peak_ratio * p.max()
+    return np.flatnonzero(peaks).tolist()
 
 
 def form_proposals(

@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import csv
 import io
-import json
 from dataclasses import dataclass
 from operator import attrgetter
 
@@ -63,9 +62,6 @@ class EvalResult:
             "ar_at_an": {str(an): ar for an, ar in self.ar_at_an.items()},
             "per_tiou_recall": self.per_tiou_recall.tolist(),
         }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2, sort_keys=True)
 
     def to_csv(self) -> str:
         """Rows = AN values, columns = per-threshold recall plus the mean."""

@@ -123,18 +123,14 @@ def gen_boundary_labels(
     """
     starts = np.zeros(grid.T, dtype=np.float64)
     ends = np.zeros(grid.T, dtype=np.float64)
-    warnings = 0
     if not gts:
         return starts, ends, 1
-    for gt in gts:
-        starts[_nearest_center(grid, gt.start_sec)] = 1.0
-        ends[_nearest_center(grid, gt.end_sec)] = 1.0
-    return starts, ends, warnings
-
-
-def _nearest_center(grid: SnippetGrid, t: float) -> int:
+    times = np.array([(gt.start_sec, gt.end_sec) for gt in gts], dtype=np.float64)
     # argmin returns the first (earliest) index on exact ties
-    return int(np.argmin(np.abs(grid.centers - t)))
+    nearest = np.argmin(np.abs(grid.centers - times[:, :, None]), axis=2)
+    starts[nearest[:, 0]] = 1.0
+    ends[nearest[:, 1]] = 1.0
+    return starts, ends, 0
 
 
 def valid_cell_mask(T: int, D: int) -> np.ndarray:

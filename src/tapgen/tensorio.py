@@ -1,4 +1,4 @@
-"""Bit-exact tensor serialization, manifest and proposal-file JSON parsing.
+"""Bit-exact tensor serialization; tapgen's JSON files, written and parsed.
 
 Tensor file layout (little-endian throughout):
 
@@ -24,6 +24,10 @@ built. Indexing or iterating them builds SnippetEntry values, and they
 equal, hash and print as the tuple of those entries, so a Manifest built
 from a tuple of SnippetEntry (Snippets.of turns one into columns) is the
 same value.
+
+Every JSON file tapgen writes (manifests, proposal files, eval.json, run
+summaries, a weight bundle's index.json) goes through write_json: indent
+2, sorted keys, a final newline, written atomically.
 """
 
 from __future__ import annotations
@@ -64,6 +68,8 @@ __all__ = [
     "read_tensor",
     "read_manifest",
     "write_manifest",
+    "write_json",
+    "write_proposals",
     "load_proposals",
     "atomic_write_bytes",
 ]
@@ -456,17 +462,32 @@ def manifest_to_dict(m: Manifest) -> dict:
     }
 
 
-def write_manifest(m: Manifest, destination: str | os.PathLike) -> None:
-    payload = json.dumps(manifest_to_dict(m), indent=2, sort_keys=True).encode("utf-8")
+def write_json(destination: str | os.PathLike, doc) -> None:
+    """Write doc as every tapgen JSON file is written (module docstring)."""
+    payload = json.dumps(doc, indent=2, sort_keys=True).encode("utf-8")
     atomic_write_bytes(destination, payload + b"\n")
+
+
+def write_manifest(m: Manifest, destination: str | os.PathLike) -> None:
+    write_json(destination, manifest_to_dict(m))
 
 
 PROPOSAL_FIELDS = ("t_start_sec", "t_end_sec", "score")
 
 
+def _proposal_path(proposal_dir: str, vid: str) -> str:
+    return os.path.join(proposal_dir, f"{vid}.proposals.json")
+
+
+def write_proposals(proposal_dir: str, vid: str, proposals: Sequence[Proposal]) -> None:
+    """Write one video's proposal file, in the order given."""
+    write_json(_proposal_path(proposal_dir, vid),
+               [dict(zip(PROPOSAL_FIELDS, (p.start_sec, p.end_sec, p.score))) for p in proposals])
+
+
 def load_proposals(proposal_dir: str, vid: str) -> list[Proposal] | None:
     """Read and validate one video's proposal file; None if it is missing."""
-    path = os.path.join(proposal_dir, f"{vid}.proposals.json")
+    path = _proposal_path(proposal_dir, vid)
     if not os.path.exists(path):
         return None
     with open(path, "r", encoding="utf-8") as fh:

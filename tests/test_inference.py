@@ -76,6 +76,27 @@ def reference_form_proposals(
     ]
 
 
+def reference_find_peaks(p, peak_ratio=0.5, local_max_only=False):
+    """Scan reference: walk each maximal run of equal values."""
+    p = np.asarray(p, dtype=np.float64)
+    n = p.shape[0]
+    peaks: set[int] = set()
+    i = 0
+    while i < n:
+        j = i
+        while j + 1 < n and p[j + 1] == p[i]:
+            j += 1
+        left = p[i - 1] if i > 0 else -np.inf
+        right = p[j + 1] if j + 1 < n else -np.inf
+        if p[i] > left and p[i] > right:
+            peaks.add(i)
+        i = j + 1
+    if not local_max_only:
+        thresh = peak_ratio * p.max()
+        peaks.update(np.flatnonzero(p >= thresh).tolist())
+    return sorted(peaks)
+
+
 class TestFindPeaks:
     def test_interior_maximum(self):
         assert find_peaks(np.array([0.1, 0.9, 0.1])) == [1]

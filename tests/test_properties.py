@@ -8,12 +8,15 @@ import math
 import os
 import tempfile
 from dataclasses import astuple, replace
+from unittest.mock import patch
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import test_fusion
+from tapgen import fusion
 from tapgen.cli import load_proposals
 from tapgen.errors import (
     ConfigError,
@@ -34,7 +37,12 @@ from tapgen.fusion import (
 
 from tapgen.inference import find_peaks, form_proposals, soft_nms
 from tapgen.metrics import evaluate
-from tapgen.supervision import ScoreGrids, gen_duration_labels, valid_cell_mask
+from tapgen.supervision import (
+    ScoreGrids,
+    gen_boundary_labels,
+    gen_duration_labels,
+    valid_cell_mask,
+)
 from tapgen.timeline import GroundTruthAction
 
 from tapgen.tensorio import (
@@ -57,9 +65,14 @@ from test_fusion import (
     per_snippet_source_featurize_video,
     reference_featurize_video,
 )
-from test_inference import mk, reference_form_proposals, reference_soft_nms
+from test_inference import mk, reference_find_peaks, reference_form_proposals, reference_soft_nms
 from test_metrics import brute_force_match_count, gt, si
-from test_supervision import brute_force_duration_labels, make_grid, random_gts
+from test_supervision import (
+    brute_force_duration_labels,
+    make_grid,
+    random_gts,
+    reference_boundary_labels,
+)
 from test_tensorio import reference_manifest_from_dict
 
 PROPERTY = settings(derandomize=True, deadline=None, max_examples=60)
@@ -91,6 +104,25 @@ def test_soft_nms_matches_reference(props, sigma, floor, top_k):
     got = soft_nms(props, sigma=sigma, score_floor=floor, top_k=top_k)
     want = reference_soft_nms(props, sigma, floor, top_k)
     assert [(p.start_sec, p.end_sec, p.score) for p in got] == want
+
+
+# A small pool, so plateaus and exact ties are common, with signed zeros,
+# infinities and NaN among them; any float too.
+peak_values = (st.sampled_from([0.0, -0.0, 0.25, 0.5, 0.5, 1.0, math.inf, -math.inf, math.nan])
+               | st.floats())
+
+
+@settings(PROPERTY, max_examples=200)
+@given(
+    p=st.lists(peak_values, min_size=1, max_size=40),
+    peak_ratio=st.sampled_from([0.0, 0.5, 1.0]),
+    local_max_only=st.booleans(),
+)
+def test_find_peaks_matches_the_scan_reference(p, peak_ratio, local_max_only):
+    with np.errstate(invalid="ignore"):  # 0 * inf as the threshold
+        got = find_peaks(np.array(p), peak_ratio, local_max_only)
+        assert got == reference_find_peaks(np.array(p), peak_ratio, local_max_only)
+    assert all(type(i) is int for i in got)
 
 
 def seeded_grids(seed: int, T: int, D: int, quantized: bool) -> ScoreGrids:
@@ -308,6 +340,27 @@ def test_duration_labels_match_exhaustive_scan(T, d_frac, seed, n_gts, overhang)
     assert np.array_equal(gen_duration_labels(grid, gts, D), want)
 
 
+@PROPERTY
+@given(
+    T=st.integers(1, 40),
+    shape=snippet_shapes,
+    halves=st.lists(st.tuples(st.integers(0, 90), st.integers(1, 20)), max_size=5),
+    floats=st.lists(st.tuples(st.floats(0, 1), st.floats(0, 1)), max_size=3),
+)
+def test_boundary_labels_match_one_argmin_per_timestamp(T, shape, halves, floats):
+    """Times on half-snippet steps tie exactly between two centers; some lie
+    past the video end."""
+    grid = make_grid(T, *shape)
+    half = grid.snippet_seconds / 2
+    spans = [(a * half, (a + n) * half) for a, n in halves]
+    spans += [(a * T * half, (a + b + 1e-3) * T * half) for a, b in floats]
+    gts = [GroundTruthAction("g", a, b) for a, b in spans]
+    got = gen_boundary_labels(grid, gts)
+    want = reference_boundary_labels(grid, gts)
+    assert got[2] == want[2]
+    assert got[0].tobytes() == want[0].tobytes() and got[1].tobytes() == want[1].tobytes()
+
+
 def test_duration_labels_spot_checks_at_long_videos():
     rng = np.random.default_rng(77)
     for T, D in ((120, 120), (200, 64), (200, 200)):
@@ -329,11 +382,28 @@ FUSION_CONFIGS = (
     FusionConfig(channels=2, d_model=6, num_heads=3, num_layers=2, ff_dim=8,
                  env_hidden=(5,), roi_grid=(2, 3), roi_samples=(1, 2), env_softmax=False),
 )
-# T below, at and just past one and two block boundaries; 63, 64, 65 and 131
-# were those edges when blocks held 64 snippets, and are T within one block
-# now, as for every video of the desk corpus (T 64..128)
-BLOCK_EDGES = (1, 63, 64, 65, 131,
-               BLOCK_SNIPPETS - 1, BLOCK_SNIPPETS, BLOCK_SNIPPETS + 1, 2 * BLOCK_SNIPPETS + 3)
+SMALL_BLOCK = 8
+# (T, snippets per featurize block). At a small block patched in, T below,
+# at and just past one and two block boundaries, where each property runs
+# its full examples. At the real block, one example each: T of the desk
+# corpus (64..128), one block per video, and T at the same edges.
+BLOCK_EDGES = [pytest.param(T, SMALL_BLOCK, id=str(T)) for T in (1, 7, 8, 9, 19)] + [
+    pytest.param(T, BLOCK_SNIPPETS, id=str(T))
+    for T in (63, 64, 65, 131,
+              BLOCK_SNIPPETS - 1, BLOCK_SNIPPETS, BLOCK_SNIPPETS + 1, 2 * BLOCK_SNIPPETS + 3)
+]
+
+
+def at_block_size(T, block, max_examples, prop):
+    """Run prop(T, data, cfg) as a property with block snippets per featurize
+    block, in featurize_video and its per-snippet reference alike:
+    max_examples times at the small block, once at the real one."""
+    run = settings(PROPERTY, max_examples=max_examples if block == SMALL_BLOCK else 1)(
+        given(data=st.data(), cfg=st.sampled_from(FUSION_CONFIGS))(
+            lambda data, cfg: prop(T, data, cfg)))
+    with patch.object(fusion, "BLOCK_SNIPPETS", block), \
+            patch.object(test_fusion, "BLOCK_SNIPPETS", block):
+        run()
 
 
 class MapSource:
@@ -382,11 +452,13 @@ def block_videos(draw, T):
     return T, counts, sizes, listed, draw(st.integers(0, 2**32 - 1))
 
 
-@pytest.mark.parametrize("T", BLOCK_EDGES)
-@settings(PROPERTY, max_examples=6)
-@given(data=st.data(), cfg=st.sampled_from(FUSION_CONFIGS))
-def test_batched_featurize_matches_per_snippet(T, data, cfg):
-    T, counts, sizes, listed, seed = data.draw(block_videos(T))
+@pytest.mark.parametrize("T, block", BLOCK_EDGES)
+def test_batched_featurize_matches_per_snippet(T, block):
+    at_block_size(T, block, 6, batched_featurize_property)
+
+
+def batched_featurize_property(T, data, cfg):
+    _, counts, sizes, listed, seed = data.draw(block_videos(T))
     manifest, source = block_video(T, counts, sizes, cfg.channels, seed, listed)
     w = random_weights(cfg, seed=seed % 1000)
     got = featurize_video(manifest, w, source)
@@ -395,14 +467,16 @@ def test_batched_featurize_matches_per_snippet(T, data, cfg):
     np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
 
 
-@pytest.mark.parametrize("T", BLOCK_EDGES)
-@settings(PROPERTY, max_examples=6)
-@given(data=st.data(), cfg=st.sampled_from(FUSION_CONFIGS))
-def test_block_sources_match_the_per_snippet_sources_bit_for_bit(T, data, cfg):
+@pytest.mark.parametrize("T, block", BLOCK_EDGES)
+def test_block_sources_match_the_per_snippet_sources_bit_for_bit(T, block):
     """The stub, file and in-memory sources, handing over a block of maps
     per call, give featurize_video the same bits as one get per snippet;
     a file manifest with absent snippets fails the same way on both."""
-    T, counts, sizes, listed, seed = data.draw(block_videos(T))
+    at_block_size(T, block, 6, block_sources_property)
+
+
+def block_sources_property(T, data, cfg):
+    _, counts, sizes, listed, seed = data.draw(block_videos(T))
     manifest, maps = block_video(T, counts, sizes, cfg.channels, seed, listed)
     w = random_weights(cfg, seed=seed % 1000)
 
@@ -438,15 +512,17 @@ def test_block_sources_match_the_per_snippet_sources_bit_for_bit(T, data, cfg):
         assert same(*files, replace(manifest, snippets=listed_only)) == expected
 
 
-@pytest.mark.parametrize("T", BLOCK_EDGES)
-@settings(PROPERTY, max_examples=4)
-@given(data=st.data(), cfg=st.sampled_from(FUSION_CONFIGS))
-def test_featurize_reads_snippet_columns_as_the_tuple_they_stand_for(T, data, cfg):
+@pytest.mark.parametrize("T, block", BLOCK_EDGES)
+def test_featurize_reads_snippet_columns_as_the_tuple_they_stand_for(T, block):
     """featurize_video gives the same bits, or the same error, on a manifest
     whose snippets are a tuple of SnippetEntry in index order, on one with
     the entries shuffled, and on that one read back from its file as
     Snippets columns, with the in-memory, stub and file sources."""
-    T, counts, sizes, listed, seed = data.draw(block_videos(T))
+    at_block_size(T, block, 4, snippet_columns_property)
+
+
+def snippet_columns_property(T, data, cfg):
+    _, counts, sizes, listed, seed = data.draw(block_videos(T))
     manifest, maps = block_video(T, counts, sizes, cfg.channels, seed, listed)
     named = tuple(replace(s, feature_file=f"s{s.index}.aent") for s in manifest.snippets)
     in_order = replace(manifest, snippets=named)

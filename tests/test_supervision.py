@@ -36,6 +36,16 @@ def random_gts(rng, duration, n):
     return gts
 
 
+def reference_boundary_labels(grid, gts):
+    """Per-timestamp reference: one argmin over the snippet centers for each
+    start and end time; argmin keeps the earliest index on exact ties."""
+    starts, ends = np.zeros(grid.T), np.zeros(grid.T)
+    for gt in gts:
+        starts[int(np.argmin(np.abs(grid.centers - gt.start_sec)))] = 1.0
+        ends[int(np.argmin(np.abs(grid.centers - gt.end_sec)))] = 1.0
+    return starts, ends, 0 if gts else 1
+
+
 def brute_force_duration_labels(grid, gts, D):
     """Independent argmax-IoU scan using raw interval arithmetic."""
     labels = np.zeros((D, grid.T))

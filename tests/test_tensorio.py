@@ -23,8 +23,10 @@ from tapgen.tensorio import (
     tensor_bytes,
     tensor_from_bytes,
     write_manifest,
+    write_proposals,
     write_tensor,
 )
+from tapgen.inference import Proposal
 from tapgen.timeline import GroundTruthAction, VideoMeta
 
 
@@ -517,3 +519,12 @@ def test_load_proposals_tells_a_missing_file_from_an_empty_one(tmp_path):
         json.dumps([{"t_start_sec": 0.5, "t_end_sec": 2, "score": 1}]))
     [p] = load_proposals(str(tmp_path), "v")
     assert (p.start_sec, p.end_sec, p.score) == (0.5, 2.0, 1.0)
+
+
+def test_write_proposals_round_trips_through_load_proposals(tmp_path):
+    props = [Proposal(0.1, 0.3, 0.7), Proposal(2.0, 5.5, 1.0), Proposal(0.0, 1e-9, 0.0)]
+    write_proposals(str(tmp_path), "v", props)
+    assert load_proposals(str(tmp_path), "v") == props
+    text = (tmp_path / "v.proposals.json").read_text()
+    assert json.loads(text)[0] == {"score": 0.7, "t_end_sec": 0.3, "t_start_sec": 0.1}
+    assert text.startswith('[\n  {\n    "score": 0.7,') and text.endswith("}\n]\n")
