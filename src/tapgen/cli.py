@@ -243,11 +243,20 @@ def cmd_synth(ctx, n_videos, max_actions, t_min, t_max, d_policy, write_grids, o
         raise click.ClickException("--t-min must be >= 1 and at most --t-max")
     manifest_dir = os.path.join(out, "manifests")
     grid_dir = os.path.join(out, "grids")
+    videos = synth.synth_corpus(n_videos, max_actions, seed, t_min, t_max, d_policy)
+    vids = [sv.manifest.video.video_id for sv in videos]
+    writes = {manifest_dir: {f"{vid}.json" for vid in vids},
+              grid_dir: {f"{vid}.{part}.aent" for vid in vids for part in GRID_PARTS}
+              if write_grids else set()}
     with _exit_on_error():  # an --out that is, or lies under, a file
+        for d, names in writes.items():  # a later stage would take an earlier run's files
+            stale = sorted(set(os.listdir(d)) - names) if os.path.isdir(d) else []
+            if stale:
+                raise DataError(f"{os.path.join(d, stale[0])}: not a file this run writes; "
+                                "remove it or give another --out")
         os.makedirs(manifest_dir, exist_ok=True)
         if write_grids:
             os.makedirs(grid_dir, exist_ok=True)
-    videos = synth.synth_corpus(n_videos, max_actions, seed, t_min, t_max, d_policy)
     for sv in videos:
         vid = sv.manifest.video.video_id
         write_manifest(sv.manifest, os.path.join(manifest_dir, f"{vid}.json"))
@@ -259,7 +268,7 @@ def cmd_synth(ctx, n_videos, max_actions, t_min, t_max, d_policy, write_grids, o
         "n_videos": n_videos, "max_actions": max_actions, "seed": seed,
         "t_min": t_min, "t_max": t_max, "d_policy": d_policy, "grids": write_grids,
     }
-    _finish(ctx, out, effective, [sv.manifest.video.video_id for sv in videos], {})
+    _finish(ctx, out, effective, vids, {})
 
 
 # ---------------------------------------------------------------------------

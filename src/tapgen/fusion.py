@@ -17,8 +17,9 @@ it maps snippet index to entry row once per video, gathers the agent
 boxes into snippet order as one [N, 4] array, and slices each block's
 box counts and boxes out of those. A feature source hands over a
 block's maps in one call: the stub as one [B, C, H, W] buffer, checked
-once; the file source as one array per snippet, which the block groups
-into one stack per distinct map shape. Per block: one mean over H x W
+once; the file source, when its files share one layout, as one such
+array, checked once too (else one array per snippet, which the block
+groups into one stack per distinct map shape). Per block: one mean over H x W
 per stack, and one pooled [B, C] matrix through the environment stack;
 one RoIAlign call per stack that holds boxes, over all of them; one
 agent-encoder batch [B_n, n, d_model] per agent count n (equal counts
@@ -57,7 +58,8 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from tapgen.errors import ConfigError, DataError, InvalidInputError
-from tapgen.tensorio import Snippets, Tensor, read_tensor, write_json, write_tensor
+from tapgen.tensorio import (Snippets, Tensor, read_tensor, tensor_block_from_bytes,
+                             tensor_from_bytes, write_json, write_tensor)
 from tapgen.timeline import build_grid
 
 LN_EPS = 1e-5
@@ -460,29 +462,47 @@ class StubFeatureSource:
 
 
 class FileFeatureSource:
-    """Feature maps read from tensor files named in the manifest."""
+    """Feature maps read from tensor files named in the manifest, each
+    file once; a block of one file layout becomes one array (module
+    docstring), any other block is parsed file by file."""
 
     def __init__(self, base_dir: str | os.PathLike):
         self.base_dir = os.fspath(base_dir)
 
-    def get_block(self, video_id: str, indices, feature_files) -> list[np.ndarray]:
-        maps = []
+    def get_block(self, video_id: str, indices, feature_files):
+        paths, blobs, failure = [], [], None
         for snippet_index, feature_file in zip(indices, feature_files):
-            if feature_file is None:
-                raise DataError(
-                    f"video {video_id!r}: no feature file for snippet {snippet_index}"
-                )
-            path = os.path.join(self.base_dir, feature_file)
             try:
-                values = read_tensor(path).to_array()  # finite, dims positive
-            except FileNotFoundError as e:
-                raise DataError(
-                    f"video {video_id!r}: feature file {path} for snippet "
-                    f"{snippet_index} is missing"
-                ) from e
+                path, blob = self._read(video_id, snippet_index, feature_file)
+            except (DataError, OSError, ValueError) as e:  # no file, or a bad name for one
+                failure = e  # raised below, once the files before it are checked
+                break
+            paths.append(path)
+            blobs.append(blob)
+        if failure is None and blobs:
+            block = tensor_block_from_bytes(blobs)
+            if block is not None and block.ndim == 4:
+                return block
+        maps = []
+        for path, blob in zip(paths, blobs):
+            values = tensor_from_bytes(blob, name=path).to_array()  # finite, dims positive
             _check_map_shape(values.shape)
             maps.append(values)
+        if failure is not None:
+            raise failure
         return maps
+
+    def _read(self, video_id: str, snippet_index: int, feature_file) -> tuple[str, bytes]:
+        if feature_file is None:
+            raise DataError(f"video {video_id!r}: no feature file for snippet {snippet_index}")
+        path = os.path.join(self.base_dir, feature_file)
+        try:
+            with open(path, "rb") as fh:
+                return path, fh.read()
+        except FileNotFoundError as e:
+            raise DataError(
+                f"video {video_id!r}: feature file {path} for snippet {snippet_index} is missing"
+            ) from e
 
 
 def _stacks(maps) -> list[tuple[np.ndarray, np.ndarray]]:

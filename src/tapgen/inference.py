@@ -142,8 +142,12 @@ def find_peaks(p: np.ndarray, peak_ratio: float = 0.5, local_max_only: bool = Fa
     A maximal run of equal values is a local maximum when it exceeds both
     run neighbors (missing neighbors count as -inf); only the run's first
     index is a candidate. Unless local_max_only, indices with
-    p[t] >= peak_ratio * max(p) are also included.
+    p[t] >= peak_ratio * max(p) are also included; peak_ratio must be in
+    [0, 1]. A NaN threshold (max(p) NaN, or 0 * inf) admits no index.
     """
+    if not 0 <= peak_ratio <= 1:
+        raise InvalidInputError(
+            f"peak_ratio must be a finite number in [0, 1], got {peak_ratio!r}")
     p = np.asarray(p, dtype=np.float64)
     if p.ndim != 1 or p.shape[0] < 1:
         raise InvalidInputError("find_peaks expects a non-empty 1-d vector")
@@ -152,7 +156,7 @@ def find_peaks(p: np.ndarray, peak_ratio: float = 0.5, local_max_only: bool = Fa
     peaks = np.zeros(p.shape[0], dtype=bool)
     peaks[first] = (runs[1:-1] > runs[:-2]) & (runs[1:-1] > runs[2:])
     if not local_max_only:
-        peaks |= p >= peak_ratio * p.max()
+        peaks |= p >= float(peak_ratio) * float(p.max())  # 0 * inf: NaN, with no NumPy warning
     return np.flatnonzero(peaks).tolist()
 
 

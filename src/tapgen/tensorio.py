@@ -172,6 +172,31 @@ def tensor_from_bytes(blob: bytes, name: str = "<bytes>") -> Tensor:
     return Tensor(dims=tuple(int(d) for d in dims), dtype=dtype, data=data)
 
 
+def tensor_block_from_bytes(blobs: Sequence[bytes]) -> np.ndarray | None:
+    """Tensors of one layout as one [B, *dims] float64 array; None when
+    tensor_from_bytes would reject any of them or their layouts differ.
+
+    blobs[0] is parsed in full. Every other blob must have its length and
+    header bytes, so every header and size check holds for it as well;
+    one finiteness check then covers all payloads. Values are the bits
+    tensor_from_bytes gives, f32 widened the same way.
+    """
+    try:
+        first = tensor_from_bytes(blobs[0])
+    except TensorFormatError:
+        return None
+    np_dtype = _CODE_DTYPES[_DTYPE_CODES[first.dtype]]
+    size = len(blobs[0])
+    head = size - first.data.size * np_dtype.itemsize
+    header = blobs[0][:head]
+    if not all(len(b) == size and b.startswith(header) for b in blobs):
+        return None
+    block = np.empty((len(blobs), *first.dims))
+    for row, blob in zip(block.reshape(len(blobs), -1), blobs):
+        row[...] = np.frombuffer(blob, dtype=np_dtype, offset=head)
+    return block if np.isfinite(block).all() else None
+
+
 # ---------------------------------------------------------------------------
 # Manifests
 # ---------------------------------------------------------------------------

@@ -114,6 +114,35 @@ class TestSynth:
         r = invoke(runner, ["synth", "--n-videos", "0", "--out", str(tmp_path)])
         assert r.exit_code == 1
 
+    @pytest.mark.parametrize("first, second, stale", [
+        (["synth", "--n-videos", "4"], ["--seed", "1", "synth", "--n-videos", "2"],
+         "manifests/synth_0002.json"),
+        (["synth", "--n-videos", "2"], ["synth", "--n-videos", "2", "--no-grids"],
+         "grids/synth_0000.cls.aent"),
+        (["synth", "--n-videos", "2", "--no-grids"], ["synth", "--n-videos", "1", "--no-grids"],
+         "manifests/synth_0001.json"),
+    ])
+    def test_rerun_that_would_leave_files_behind_exits_1_naming_one(
+            self, runner, tmp_path, first, second, stale):
+        out = tmp_path / "s"
+        invoke(runner, [*first, "--out", str(out)])
+        before = {**tree_digests(out), "summary": (out / "run_summary.json").read_bytes()}
+        r = invoke(runner, [*second, "--out", str(out)])
+        assert r.exit_code == 1
+        assert r.output == (f"error: {out / stale}: not a file this run writes; "
+                            "remove it or give another --out\n")
+        assert {**tree_digests(out), "summary": (out / "run_summary.json").read_bytes()} == before
+
+    @pytest.mark.parametrize("n_first", [2, 3])
+    def test_rerun_with_as_many_videos_or_more_writes_a_fresh_corpus(self, runner, tmp_path,
+                                                                     n_first):
+        invoke(runner, ["--seed", "5", "synth", "--n-videos", str(n_first),
+                        "--out", str(tmp_path / "a")])
+        r = invoke(runner, ["synth", "--n-videos", "3", "--out", str(tmp_path / "a")])
+        assert r.exit_code == 0, r.output
+        invoke(runner, ["synth", "--n-videos", "3", "--out", str(tmp_path / "b")])
+        assert tree_digests(tmp_path / "a") == tree_digests(tmp_path / "b")
+
     @pytest.mark.parametrize("t_min, t_max", [(0, 0), (50, 10)])
     def test_invalid_t_range(self, runner, tmp_path, t_min, t_max):
         # catch_exceptions=False: a traceback would fail the test

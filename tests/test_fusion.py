@@ -661,6 +661,123 @@ class TestFeaturizeVideo:
         assert got == outcome(per_snippet_source_featurize_video, PerSnippetFileSource(tmp_path))
 
 
+# The valid [3, 6, 6] map that write_feature_file's kinds are made from.
+GOOD = np.arange(1.0, 109.0).reshape(3, 6, 6) / 7
+
+
+def write_feature_file(path, kind: str, shift: float = 0.0) -> None:
+    if kind in ("f32", "f64"):
+        write_tensor(Tensor.from_array(GOOD + shift, kind), path)
+    elif kind == "other-shape":  # valid header, different length
+        write_tensor(Tensor.from_array(np.ones((3, 4, 5))), path)
+    elif kind == "same-length-other-shape":  # 3 * 4 * 9 = 3 * 6 * 6
+        write_tensor(Tensor.from_array(GOOD.reshape(3, 4, 9) + shift), path)
+    elif kind == "same-length-f32":  # as long as an f64 map of half the values
+        write_tensor(Tensor.from_array(np.concatenate([GOOD, GOOD], axis=2) - shift, "f32"), path)
+    elif kind == "2-d":
+        write_tensor(Tensor.from_array(np.ones((6, 6))), path)
+    elif kind == "non-finite":
+        path.write_bytes(tensor_bytes(Tensor(dims=(3, 6, 6), dtype="f64",
+                                             data=np.where(GOOD.ravel() > 9, np.inf, 1.0))))
+    elif kind == "non-finite-f32":
+        path.write_bytes(tensor_bytes(Tensor(dims=(3, 6, 6), dtype="f32",
+                                             data=np.full(108, np.nan))))
+    elif kind == "bad-version":  # same length as an f64 map, header differs
+        blob = bytearray(tensor_bytes(Tensor.from_array(GOOD)))
+        blob[4] = 9
+        path.write_bytes(bytes(blob))
+    elif kind == "truncated":
+        path.write_bytes(tensor_bytes(Tensor.from_array(GOOD))[:-8])
+    elif kind == "directory":
+        path.mkdir()
+    else:
+        assert kind in ("missing", "unnamed"), kind
+
+
+class TestFileSourceBlockRead:
+    """FileFeatureSource reads a block's files into one array when they share
+    one layout, and parses them one by one otherwise; either way it gives
+    the per-snippet reader's bits, or its error for the first bad snippet."""
+
+    @pytest.mark.parametrize("kinds, error", [
+        (("f64",) * 4, None),
+        (("f32",) * 4, None),
+        (("f64", "f32", "f64", "f32"), None),
+        (("f64", "other-shape", "f64", "f64"), None),
+        (("other-shape", "f32", "f64", "other-shape"), None),
+        (("non-finite", "missing", "f64", "f64"), TensorFormatError),
+        (("2-d", "f64", "non-finite", "f64"), InvalidInputError),
+        (("f64", "f64", "f64", "non-finite"), TensorFormatError),
+        (("f32", "non-finite-f32", "f32", "f32"), TensorFormatError),
+        (("f64", "bad-version", "non-finite", "f64"), TensorFormatError),
+        (("f64", "f64", "f64", "bad-version"), TensorFormatError),
+        (("f64", "same-length-other-shape", "f64", "f64"), None),
+        (("f64", "f64", "same-length-f32", "f64"), None),
+        (("f64", "f64", "truncated", "missing"), TensorFormatError),
+        (("f64", "f64", "truncated", "f64"), TensorFormatError),
+        (("f64", "missing", "non-finite", "f64"), DataError),
+        (("f64", "f32", "unnamed", "2-d"), DataError),
+        (("f64", "other-shape", "directory", "non-finite"), IsADirectoryError),
+        (("f32", "2-d", "f64", "f64"), InvalidInputError),
+    ])
+    def test_matches_the_per_snippet_source(self, tmp_path, monkeypatch, kinds, error):
+        for i, kind in enumerate(kinds):
+            write_feature_file(tmp_path / f"s{i}.aent", kind, shift=i / 3)
+        snippets = tuple(
+            SnippetEntry(index=i, feature_file=None if kind == "unnamed" else f"s{i}.aent",
+                         agent_boxes=((0.1, 0.2, 0.6, 0.9),) * (i % 3))
+            for i, kind in enumerate(kinds)
+        )
+        video = VideoMeta(video_id="blk", num_frames=16 * len(kinds), fps=16.0, snippet_len=16)
+        m = Manifest(video=video, annotations=(), snippets=snippets)
+        w = random_weights(SMALL_CFG, seed=10)
+        opened = []
+
+        def counting_open(path, *args, **kwargs):
+            opened.append(os.path.basename(path))
+            return open(path, *args, **kwargs)
+
+        def outcome(run, source):
+            try:
+                return "ok", run(m, w, source)
+            except Exception as e:  # the type and message are what is compared
+                return type(e), str(e)
+
+        want = outcome(per_snippet_source_featurize_video, PerSnippetFileSource(tmp_path))
+        monkeypatch.setattr("tapgen.fusion.open", counting_open, raising=False)
+        got = outcome(featurize_video, FileFeatureSource(tmp_path))
+        monkeypatch.undo()
+        if error is None:
+            assert got[0] == want[0] == "ok"
+            assert got[1].tobytes() == want[1].tobytes()
+        else:
+            assert got[0] is error
+            assert got == want
+        # each file once, in index order, up to the first one that cannot be read
+        stop = next((i for i, k in enumerate(kinds) if k in ("missing", "directory", "unnamed")),
+                    len(kinds) - 1)
+        assert opened == [f"s{i}.aent" for i in range(stop + (kinds[stop] != "unnamed"))]
+
+    @pytest.mark.parametrize("dtype", ["f32", "f64"])
+    def test_one_layout_is_one_array(self, tmp_path, dtype):
+        rng = np.random.default_rng(3)
+        maps = rng.random((5, 3, 4, 6)) * 1e30
+        for i, arr in enumerate(maps):
+            write_tensor(Tensor.from_array(arr, dtype), tmp_path / f"s{i}.aent")
+        names = [f"s{i}.aent" for i in range(5)]
+        block = FileFeatureSource(tmp_path).get_block("v", range(5), names)
+        assert isinstance(block, np.ndarray) and block.shape == (5, 3, 4, 6)
+        want = np.stack([read_tensor(tmp_path / n).to_array() for n in names])
+        assert block.tobytes() == want.tobytes()
+
+    def test_several_shapes_are_one_array_per_snippet(self, tmp_path):
+        write_feature_file(tmp_path / "a.aent", "f64")
+        write_feature_file(tmp_path / "b.aent", "other-shape")
+        maps = FileFeatureSource(tmp_path).get_block("v", range(3), ["a.aent", "b.aent", "a.aent"])
+        assert [m.shape for m in maps] == [(3, 6, 6), (3, 4, 5), (3, 6, 6)]
+        assert maps[0].tobytes() == maps[2].tobytes() == GOOD.tobytes()
+
+
 class TestWeightBundles:
     def test_save_load_roundtrip(self, tmp_path):
         cfg = FusionConfig(channels=3, d_model=8, num_heads=2, num_layers=2, ff_dim=16,

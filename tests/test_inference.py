@@ -1,4 +1,5 @@
 import math
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -120,6 +121,20 @@ class TestFindPeaks:
     def test_empty_rejected(self):
         with pytest.raises(InvalidInputError):
             find_peaks(np.array([]))
+
+    @pytest.mark.parametrize("ratio", [math.nan, -0.1, 1.5, math.inf, -math.inf])
+    def test_peak_ratio_outside_0_1_rejected_naming_it(self, ratio):
+        with pytest.raises(InvalidInputError, match=rf"peak_ratio .* got {ratio!r}$"):
+            find_peaks(np.array([0.1, 0.9, 0.1]), peak_ratio=ratio)
+
+    @pytest.mark.parametrize("p", [[math.inf, 1.0, 0.5], [0.0, -math.inf, math.inf, math.inf],
+                                   [math.nan, 2.0], [-math.inf, -math.inf]])
+    def test_zero_ratio_on_infinities_matches_the_reference_without_a_warning(self, p):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = find_peaks(np.array(p), peak_ratio=0.0)
+        with np.errstate(invalid="ignore"):  # the reference's 0 * inf
+            assert got == reference_find_peaks(np.array(p), peak_ratio=0.0)
 
 
 def random_grids(rng, T, D):

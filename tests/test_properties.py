@@ -6,6 +6,7 @@ import copy
 import json
 import math
 import os
+import pathlib
 import tempfile
 from dataclasses import astuple, replace
 from unittest.mock import patch
@@ -64,6 +65,7 @@ from test_fusion import (
     PerSnippetStubSource,
     per_snippet_source_featurize_video,
     reference_featurize_video,
+    write_feature_file,
 )
 from test_inference import mk, reference_find_peaks, reference_form_proposals, reference_soft_nms
 from test_metrics import brute_force_match_count, gt, si
@@ -575,6 +577,46 @@ def test_batched_featurize_missing_file_names_video_and_snippet(tmp_path):
     manifest = replace(manifest, snippets=snippets)
     with pytest.raises(DataError, match=rf"video 'blk': feature file .*gone\.aent for snippet {missing} "):
         featurize_video(manifest, random_weights(cfg, seed=1), FileFeatureSource(tmp_path))
+
+
+# Mostly valid files, so blocks of one layout and blocks of several both
+# occur, with every kind of bad file among them.
+feature_file_kinds = st.sampled_from(
+    ["f64"] * 8 + ["f32"] * 3 + ["other-shape", "same-length-other-shape", "same-length-f32",
+                                 "2-d", "non-finite", "non-finite-f32", "bad-version",
+                                 "truncated", "directory", "missing", "unnamed"])
+
+
+@settings(PROPERTY, max_examples=80)
+@given(kinds=st.lists(feature_file_kinds, min_size=1, max_size=12),
+       block=st.sampled_from([1, 3, 8]))
+def test_file_source_matches_the_per_snippet_source_on_any_mix_of_files(kinds, block):
+    """The block file reader gives the per-snippet reader's bits, or its
+    error type and message, whatever files a block holds."""
+    cfg = FUSION_CONFIGS[0]
+    snippets = tuple(
+        SnippetEntry(index=i, feature_file=None if kind == "unnamed" else f"s{i}.aent",
+                     agent_boxes=((0.1, 0.2, 0.6, 0.9),) * (i % 3))
+        for i, kind in enumerate(kinds)
+    )
+    meta = VideoMeta(video_id="mix", num_frames=8 * len(kinds), fps=8.0, snippet_len=8)
+    manifest = Manifest(video=meta, annotations=(), snippets=snippets)
+    w = random_weights(cfg, seed=len(kinds))
+
+    def outcome(run, source):
+        try:
+            return "ok", run(manifest, w, source).tobytes()
+        except Exception as e:  # the type and message are what is compared
+            return type(e), str(e)
+
+    with tempfile.TemporaryDirectory() as d:
+        for i, kind in enumerate(kinds):
+            write_feature_file(pathlib.Path(d) / f"s{i}.aent", kind, shift=i / 3)
+        with patch.object(fusion, "BLOCK_SNIPPETS", block), \
+                patch.object(test_fusion, "BLOCK_SNIPPETS", block):
+            got = outcome(featurize_video, FileFeatureSource(d))
+            want = outcome(per_snippet_source_featurize_video, PerSnippetFileSource(d))
+    assert got == want
 
 
 # ---------------------------------------------------------------------------
