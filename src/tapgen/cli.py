@@ -4,6 +4,9 @@ Subcommands: synth, featurize, labels, infer, eval. Options may come from
 a JSON config file (--config), which becomes click's default map: its
 values are typed and checked exactly like flags, and explicit flags win.
 Every run writes a machine-readable run_summary.json next to its outputs.
+labels, featurize and infer are stages, stage(manifest, out_dir, *args)
+of a parsed Manifest, all run by one job body (_run_one) that reads the
+manifest; a stage's arguments reach each process once.
 Each command imports the heavy modules only it uses (fusion, metrics,
 synth, the process pool) itself, so a process pays for no other stage.
 Exit codes: 0 success, 1 validation/data error, 2 partial failure under
@@ -27,6 +30,7 @@ from tapgen.errors import DataError, TapgenError
 from tapgen.inference import InferenceConfig, infer as run_infer
 from tapgen.supervision import ScoreGrids, gen_labels
 from tapgen.tensorio import (
+    Manifest,
     Tensor,
     atomic_write_bytes,
     load_proposals,
@@ -99,27 +103,46 @@ def _manifest_paths(manifest_dir: str) -> list[str]:
     return paths
 
 
-def _run_batch(jobs, workers: int, keep_going: bool, initializer=None, initargs=()):
-    """Run (name, fn, args) jobs, args[0] a job's manifest path and its
-    return value the video id that names its outputs; returns
-    (ok_names, error_map).
+# (stage, args) of the current run, set once per process by _install.
+_installed: tuple = ()
 
-    Uses at most one process per job, and none besides this one for a
-    single job. initializer(*initargs) runs once per process before its
-    first job. Any exception a job raises is that job's error: a
-    TapgenError or OSError by its message, any other by its class and
-    message, with its traceback written to stderr. A job whose video id
-    an earlier job returned wrote over that job's outputs, in a pool in
-    either order, so both are errors. Without keep_going the batch stops
-    at the first error: serially, no later job starts; in a pool, queued
-    jobs are cancelled and the jobs already running finish and are
-    reported like the rest.
+
+def _install(stage, args: tuple) -> None:
+    global _installed
+    _installed = (stage, args)
+
+
+def _run_one(path: str) -> str:
+    """Run the installed stage on the manifest at path; return its video id."""
+    stage, args = _installed
+    manifest = read_manifest(path)
+    stage(manifest, *args)
+    return manifest.video.video_id
+
+
+def _run_batch(paths, stage, args: tuple, workers: int, keep_going: bool):
+    """Run stage(manifest, *args) on the manifest at each path; returns
+    (ok_names, error_map), each job named by its manifest's file name.
+
+    (stage, args) reach each process once, by _install: the pool
+    initializer in each worker, a direct call on the serial path. A job is
+    one _run_one call, which carries only its manifest path and returns
+    the video id that names its outputs. Uses at most one process per
+    job, and none besides this one for a single job. Any exception a job
+    raises is that job's error: a TapgenError or OSError by its message,
+    any other by its class and message, with its traceback written to
+    stderr. A job whose video id an earlier job returned wrote over that
+    job's outputs, in a pool in either order, so both are errors. Without
+    keep_going the batch stops at the first error: serially, no later job
+    starts; in a pool, queued jobs are cancelled and the jobs already
+    running finish and are reported like the rest.
     """
     errors: dict[str, str] = {}
     done: list[str] = []
     owners: dict[str, tuple[str, str]] = {}  # video id -> (name, manifest path) of its first job
 
-    def record(name, path, call) -> bool:
+    def record(path, call) -> bool:
+        name = os.path.splitext(os.path.basename(path))[0]
         try:
             vid = call()
             if vid in owners:
@@ -145,26 +168,25 @@ def _run_batch(jobs, workers: int, keep_going: bool, initializer=None, initargs=
         done.append(name)
         return True
 
-    workers = min(workers, len(jobs))  # a pool forks all its workers at once
+    workers = min(workers, len(paths))  # a pool forks all its workers at once
     pooled = workers > 1
     if pooled:
         from concurrent.futures import ProcessPoolExecutor
 
-        with ProcessPoolExecutor(workers, initializer=initializer, initargs=initargs) as pool:
-            futures = [(name, args[0], pool.submit(fn, *args)) for name, fn, args in jobs]
+        with ProcessPoolExecutor(workers, initializer=_install, initargs=(stage, args)) as pool:
+            futures = [(path, pool.submit(_run_one, path)) for path in paths]
             if not keep_going:
-                for _, _, fut in futures:
+                for _, fut in futures:
                     if fut.exception() is not None:
                         pool.shutdown(cancel_futures=True)
                         break
-        for name, path, fut in futures:
+        for path, fut in futures:
             if not fut.cancelled():
-                record(name, path, fut.result)
+                record(path, fut.result)
     else:
-        if initializer is not None:
-            initializer(*initargs)
-        for name, fn, args in jobs:
-            if not record(name, args[0], lambda: fn(*args)) and not keep_going:
+        _install(stage, args)
+        for path in paths:
+            if not record(path, lambda: _run_one(path)) and not keep_going:
                 break
     return done, errors
 
@@ -188,18 +210,12 @@ def _finish(ctx, out_dir: str, config: dict, done, errors, extra: dict | None = 
         sys.exit(2 if ctx.obj["keep_going"] and done else 1)
 
 
-def _each_manifest(ctx, manifest_dir: str, out: str, fn, args: tuple, config: dict,
-                   initializer=None, initargs=()) -> None:
-    """Run fn(manifest_path, out, *args), which returns the video id, for
-    every manifest, then write the summary."""
+def _each_manifest(ctx, manifest_dir: str, out: str, stage, args: tuple, config: dict) -> None:
+    """Run stage(manifest, out, *args) on every manifest, then write the summary."""
     with _exit_on_error():  # an --out that is, or lies under, a file
         os.makedirs(out, exist_ok=True)
-    jobs = [
-        (os.path.splitext(os.path.basename(path))[0], fn, (path, out, *args))
-        for path in _manifest_paths(manifest_dir)
-    ]
-    done, errors = _run_batch(jobs, ctx.obj["workers"], ctx.obj["keep_going"],
-                              initializer, initargs)
+    done, errors = _run_batch(_manifest_paths(manifest_dir), stage, (out, *args),
+                              ctx.obj["workers"], ctx.obj["keep_going"])
     _finish(ctx, out, config, done, errors)
 
 
@@ -275,30 +291,12 @@ def cmd_synth(ctx, n_videos, max_actions, t_min, t_max, d_policy, write_grids, o
 # featurize
 # ---------------------------------------------------------------------------
 
-# The current run's weights, set once per process by _use_weights: as the
-# pool initializer in each worker, directly on the serial path. Jobs then
-# carry no weights, so a bundle is built and sent once per run.
-_weights: FusionWeights | None = None
-
-
-def _use_weights(weights: FusionWeights) -> None:
-    global _weights
-    _weights = weights
-
-
-def _featurize_one(manifest_path: str, out_dir: str, features_dir: str | None,
-                   seed: int) -> str:
+def _featurize_one(manifest: Manifest, out_dir: str, weights: FusionWeights, source) -> None:
     from tapgen import fusion
 
-    manifest = read_manifest(manifest_path)
-    if features_dir:
-        source = fusion.FileFeatureSource(features_dir)
-    else:
-        source = fusion.StubFeatureSource(seed, (_weights.config.channels, 8, 8))
-    feats = fusion.featurize_video(manifest, _weights, source)
-    vid = manifest.video.video_id
-    write_tensor(Tensor.from_array(feats), os.path.join(out_dir, f"{vid}.features.aent"))
-    return vid
+    feats = fusion.featurize_video(manifest, weights, source)
+    write_tensor(Tensor.from_array(feats),
+                 os.path.join(out_dir, f"{manifest.video.video_id}.features.aent"))
 
 
 @main.command("featurize")
@@ -327,20 +325,20 @@ def cmd_featurize(ctx, manifest_dir, features_dir, weights_dir, d_model, heads, 
                 channels=channels, d_model=d_model, num_heads=heads, num_layers=layers,
             ), seed)
     ran = weights.config  # a loaded bundle's own config, not the flags
+    source = (fusion.FileFeatureSource(features_dir) if features_dir
+              else fusion.StubFeatureSource(seed, (ran.channels, 8, 8)))
     effective = {
         "d_model": ran.d_model, "num_heads": ran.num_heads, "num_layers": ran.num_layers,
         "channels": ran.channels, "seed": seed, "weights": weights_dir, "features": features_dir,
     }
-    _each_manifest(ctx, manifest_dir, out, _featurize_one, (features_dir, seed), effective,
-                   _use_weights, (weights,))
+    _each_manifest(ctx, manifest_dir, out, _featurize_one, (weights, source), effective)
 
 
 # ---------------------------------------------------------------------------
 # labels
 # ---------------------------------------------------------------------------
 
-def _labels_one(manifest_path: str, out_dir: str, d_policy: str) -> str:
-    manifest = read_manifest(manifest_path)
+def _labels_one(manifest: Manifest, out_dir: str, d_policy: str) -> None:
     grid = build_grid(manifest.video)
     D = grid.T if d_policy == "full" else max(1, grid.T // 2)
     labels = gen_labels(grid, list(manifest.annotations), D)
@@ -351,7 +349,6 @@ def _labels_one(manifest_path: str, out_dir: str, d_policy: str) -> str:
         ("durations", labels.durations),
     ):
         write_tensor(Tensor.from_array(arr), os.path.join(out_dir, f"{vid}.{part}.aent"))
-    return vid
 
 
 @main.command("labels")
@@ -379,13 +376,10 @@ def read_grids(grid_dir: str, vid: str) -> ScoreGrids:
     return ScoreGrids(**arrays)
 
 
-def _infer_one(manifest_path: str, out_dir: str, grid_dir: str, cfg: InferenceConfig) -> str:
-    manifest = read_manifest(manifest_path)
+def _infer_one(manifest: Manifest, out_dir: str, grid_dir: str, cfg: InferenceConfig) -> None:
     grid = build_grid(manifest.video)
     vid = manifest.video.video_id
-    grids = read_grids(grid_dir, vid)
-    write_proposals(out_dir, vid, run_infer(grids, grid, cfg))
-    return vid
+    write_proposals(out_dir, vid, run_infer(read_grids(grid_dir, vid), grid, cfg))
 
 
 @main.command("infer")

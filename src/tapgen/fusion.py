@@ -729,7 +729,7 @@ def load_weights(directory: str | os.PathLike) -> FusionWeights:
         fname = files.get(name)
         if fname is None:
             raise ConfigError(f"{index_path}: missing field 'params.{name}'")
-        if not isinstance(fname, str):
+        if not isinstance(fname, str) or "\0" in fname:
             raise ConfigError(f"{index_path}: field 'params.{name}' must be a file name")
         path = os.path.join(directory, fname)
         params[name] = read_tensor(path).to_array()

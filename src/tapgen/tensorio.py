@@ -314,6 +314,8 @@ def manifest_from_dict(doc: dict, name: str = "manifest") -> Manifest:
     )
     if not isinstance(v["video_id"], str) or not v["video_id"]:
         raise ManifestValidationError(f"{vpath}.video_id", "must be a non-empty string")
+    if any(c and c in v["video_id"] for c in (os.sep, os.altsep, "\0")):  # it names output files
+        raise ManifestValidationError(f"{vpath}.video_id", "must hold no path separator or NUL")
     try:
         video = VideoMeta(
             video_id=v["video_id"],
@@ -388,7 +390,7 @@ def _snippets_at_once(raw_snippets: list, T: int, name: str) -> Snippets | None:
         return None
     files = [s.get("feature_file") for s in raw_snippets]
     box_lists = [s.get("agent_boxes", []) for s in raw_snippets]
-    if not (all(f is None or type(f) is str for f in files)
+    if not (all(f is None or (type(f) is str and "\0" not in f) for f in files)
             and all(type(b) is list for b in box_lists)):
         return None
     raw = [b for boxes in box_lists for b in boxes]
@@ -427,6 +429,8 @@ def _snippets_one_by_one(raw_snippets: list, T: int, name: str) -> tuple[Snippet
         feature_file = s.get("feature_file")
         if feature_file is not None and not isinstance(feature_file, str):
             raise ManifestValidationError(f"{spath}.feature_file", "must be a string path")
+        if feature_file is not None and "\0" in feature_file:
+            raise ManifestValidationError(f"{spath}.feature_file", "must hold no NUL")
         raw_boxes = s.get("agent_boxes", [])
         if not isinstance(raw_boxes, list):
             raise ManifestValidationError(f"{spath}.agent_boxes", "must be a list")

@@ -308,6 +308,42 @@ class TestErrorHandling:
         assert list(summary["errors"]) == ["aaa_huge"]
         assert summary["num_completed"] == (2 if keep_going else 0)
 
+    @pytest.mark.parametrize("vid", ["../../escaped", "a\0b"])
+    def test_video_id_that_is_no_file_name_writes_nothing_outside_out(self, runner, tmp_path,
+                                                                       vid):
+        invoke(runner, ["synth", "--n-videos", "2", "--out", str(tmp_path / "corpus")])
+        path = tmp_path / "corpus" / "manifests" / "synth_0000.json"
+        doc = json.loads(path.read_text())
+        doc["video"]["video_id"] = vid
+        path.write_text(json.dumps(doc))
+        out = tmp_path / "a" / "b" / "labels"
+
+        def files():
+            return {os.path.join(d, n) for d, _, names in os.walk(tmp_path) for n in names}
+
+        before = files()
+        # catch_exceptions=False: a traceback would fail the test
+        r = invoke(runner, ["labels", "--manifests", str(path.parent), "--out", str(out)])
+        assert r.exit_code == 1, r.output
+        assert r.output == (f"error: synth_0000: {path}.video.video_id: "
+                            "must hold no path separator or NUL\n")
+        assert {os.path.dirname(f) for f in files() - before} == {str(out)}
+
+    def test_feature_file_with_nul_is_a_per_video_error_naming_it(self, runner, tmp_path):
+        invoke(runner, ["synth", "--n-videos", "1", "--out", str(tmp_path / "corpus")])
+        path = tmp_path / "corpus" / "manifests" / "synth_0000.json"
+        doc = json.loads(path.read_text())
+        doc["snippets"][0]["feature_file"] = "a\0b.aent"
+        path.write_text(json.dumps(doc))
+        os.makedirs(tmp_path / "features")
+        # catch_exceptions=False: a traceback would fail the test
+        r = invoke(runner, ["featurize", "--manifests", str(path.parent),
+                            "--features", str(tmp_path / "features"),
+                            "--out", str(tmp_path / "feats")])
+        assert r.exit_code == 1, r.output
+        assert r.output == (f"error: synth_0000: {path}.snippets[0].feature_file: "
+                            "must hold no NUL\n")
+
     @pytest.mark.parametrize("workers", [1, 2])
     @pytest.mark.parametrize("keep_going, exit_code", [(False, 1), (True, 2)])
     def test_unexpected_exception_is_a_per_video_error(self, runner, tmp_path, monkeypatch,
@@ -657,6 +693,48 @@ def test_pool_has_at_most_one_worker_per_job(runner, tmp_path, monkeypatch, n_vi
     assert sizes == pools
     summary = json.loads((tmp_path / "labels" / "run_summary.json").read_text())
     assert summary["num_completed"] == n_videos
+
+@pytest.mark.parametrize("stage", ["labels", "featurize", "infer"])
+def test_jobs_carry_only_a_manifest_path_and_stage_arguments_reach_a_pool_once(
+        runner, tmp_path, monkeypatch, stage):
+    """A submitted job is its manifest path alone; the stage and its
+    arguments (for featurize, the weights and the feature source) are the
+    pool initializer's arguments, given once per pool."""
+    from tapgen.fusion import FusionWeights, StubFeatureSource
+    from tapgen.inference import InferenceConfig
+
+    pools, submits = [], []
+
+    class RecordingPool(concurrent.futures.ThreadPoolExecutor):
+        def __init__(self, max_workers, **kwargs):
+            pools.append(kwargs)
+            super().__init__(max_workers, **kwargs)
+
+        def submit(self, fn, /, *args, **kwargs):
+            submits.append((args, kwargs))
+            return super().submit(fn, *args, **kwargs)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+    invoke(runner, ["synth", "--n-videos", "3", "--out", str(tmp_path / "corpus")])
+    manifests = tmp_path / "corpus" / "manifests"
+    options = {"labels": ["--d-policy", "half"], "featurize": ["--d-model", "16", "--heads", "2"],
+               "infer": ["--grids", str(tmp_path / "corpus" / "grids")]}[stage]
+    r = invoke(runner, ["--workers", "2", stage, "--manifests", str(manifests), *options,
+                        "--out", str(tmp_path / "out")])
+    assert r.exit_code == 0, r.output
+    assert submits == [((str(p),), {}) for p in sorted(manifests.glob("*.json"))]
+    assert len(pools) == 1 and pools[0]["initializer"] is not None
+
+    def flat(value):
+        return [x for v in value for x in flat(v)] if isinstance(value, tuple) else [value]
+
+    carried = flat(pools[0]["initargs"])
+    kinds = {type(x) for x in carried}
+    assert str(tmp_path / "out") in carried
+    assert {"labels": "half" in carried,
+            "featurize": {FusionWeights, StubFeatureSource} <= kinds,
+            "infer": InferenceConfig in kinds}[stage]
+
 
 def test_cli_import_loads_no_stage_only_module():
     """Each command imports its heavy modules itself, so a stage process

@@ -833,6 +833,14 @@ class TestWeightBundleValidation:
         with pytest.raises(ConfigError, match=r"index\.json: not valid JSON"):
             load_weights(directory)
 
+    def test_parameter_file_name_with_nul(self, tmp_path):
+        directory = _bundle(tmp_path)
+        _edit_index(directory, lambda index: index["params"].__setitem__("patch_proj.bias",
+                                                                          "a\0b.aent"))
+        with pytest.raises(ConfigError, match=r"index\.json: field 'params\.patch_proj\.bias' "
+                                              r"must be a file name"):
+            load_weights(directory)
+
     def test_deeply_nested_index(self, tmp_path):
         directory = _bundle(tmp_path)
         (directory / "index.json").write_text("[" * 100_000)

@@ -777,7 +777,7 @@ def odd_snippet_entries(draw):
             [True, False, 0.0, 3.0, 2.5, 10**400, -10**400, 2**63, -1, 10, 11, math.nan,
              math.inf, None, "0", [0], {"i": 0}]))
     elif kind == "feature_file":
-        entry["feature_file"] = draw(st.sampled_from([3, 0.5, True, False, ["f.aent"], {}, ""]))
+        entry["feature_file"] = draw(st.sampled_from([3, 0.5, True, False, ["f.aent"], {}, "", "a\x00b.aent"]))
     elif kind == "agent_boxes":
         entry["agent_boxes"] = draw(
             st.sampled_from([None, 0, True, "boxes", {}, {"a": [0, 0, 1, 1]}]))

@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import math
+import os
 import pickle
 import struct
 import sys
@@ -75,6 +76,8 @@ def reference_manifest_from_dict(doc: dict, name: str = "manifest") -> Manifest:
     )
     if not isinstance(v["video_id"], str) or not v["video_id"]:
         raise ManifestValidationError(f"{vpath}.video_id", "must be a non-empty string")
+    if any(c and c in v["video_id"] for c in (os.sep, os.altsep, "\0")):
+        raise ManifestValidationError(f"{vpath}.video_id", "must hold no path separator or NUL")
     try:
         video = VideoMeta(
             video_id=v["video_id"],
@@ -135,6 +138,8 @@ def reference_manifest_from_dict(doc: dict, name: str = "manifest") -> Manifest:
         feature_file = s.get("feature_file")
         if feature_file is not None and not isinstance(feature_file, str):
             raise ManifestValidationError(f"{spath}.feature_file", "must be a string path")
+        if feature_file is not None and "\0" in feature_file:
+            raise ManifestValidationError(f"{spath}.feature_file", "must hold no NUL")
         boxes = []
         raw_boxes = s.get("agent_boxes", [])
         if not isinstance(raw_boxes, list):
@@ -276,6 +281,25 @@ class TestManifest:
         doc["annotations"][0]["end_sec"] = 99.0
         with pytest.raises(ManifestValidationError, match=r"annotations\[0\]"):
             manifest_from_dict(doc)
+
+    @pytest.mark.parametrize("vid, altsep", [("../escaped", None), ("a\0b", None),
+                                             ("..\\escaped", "\\")])
+    def test_video_id_that_is_no_file_name(self, monkeypatch, vid, altsep):
+        monkeypatch.setattr(os, "altsep", altsep)  # "\\" as on Windows
+        doc = minimal_manifest_doc()
+        doc["video"]["video_id"] = vid
+        with pytest.raises(ManifestValidationError,
+                           match=r"^m\.video\.video_id: must hold no path separator or NUL$"):
+            manifest_from_dict(doc, name="m")
+
+    def test_feature_file_may_name_a_subdirectory_but_hold_no_nul(self):
+        doc = minimal_manifest_doc()
+        doc["snippets"][0]["feature_file"] = "v1/0.aent"
+        assert manifest_from_dict(doc).snippets[0].feature_file == "v1/0.aent"
+        doc["snippets"][0]["feature_file"] = "v1/\0.aent"
+        with pytest.raises(ManifestValidationError,
+                           match=r"^m\.snippets\[0\]\.feature_file: must hold no NUL$"):
+            manifest_from_dict(doc, name="m")
 
     def test_validation_error_survives_pickling(self):
         # pool workers send it to the parent process this way
