@@ -30,6 +30,7 @@ from tapgen.errors import DataError, TapgenError
 from tapgen.inference import InferenceConfig, infer as run_infer
 from tapgen.supervision import ScoreGrids, gen_labels
 from tapgen.tensorio import (
+    _MAX_SNIPPETS,
     Manifest,
     Tensor,
     atomic_write_bytes,
@@ -132,10 +133,11 @@ def _run_batch(paths, stage, args: tuple, workers: int, keep_going: bool):
     raises is that job's error: a TapgenError or OSError by its message,
     any other by its class and message, with its traceback written to
     stderr. A job whose video id an earlier job returned wrote over that
-    job's outputs, in a pool in either order, so both are errors. Without
-    keep_going the batch stops at the first error: serially, no later job
-    starts; in a pool, queued jobs are cancelled and the jobs already
-    running finish and are reported like the rest.
+    job's outputs, in a pool in either order, so both are errors. Jobs are
+    recorded in path order, and without keep_going the batch stops at the
+    first error, a clash included: serially, no later job starts; in a
+    pool, queued jobs are cancelled and the jobs already running finish
+    and are reported like the rest.
     """
     errors: dict[str, str] = {}
     done: list[str] = []
@@ -174,15 +176,10 @@ def _run_batch(paths, stage, args: tuple, workers: int, keep_going: bool):
         from concurrent.futures import ProcessPoolExecutor
 
         with ProcessPoolExecutor(workers, initializer=_install, initargs=(stage, args)) as pool:
-            futures = [(path, pool.submit(_run_one, path)) for path in paths]
-            if not keep_going:
-                for _, fut in futures:
-                    if fut.exception() is not None:
-                        pool.shutdown(cancel_futures=True)
-                        break
-        for path, fut in futures:
-            if not fut.cancelled():
-                record(path, fut.result)
+            futures = [pool.submit(_run_one, path) for path in paths]
+            for path, fut in zip(paths, futures):
+                if not fut.cancelled() and not record(path, fut.result) and not keep_going:
+                    pool.shutdown(cancel_futures=True)
     else:
         _install(stage, args)
         for path in paths:
@@ -255,8 +252,9 @@ def cmd_synth(ctx, n_videos, max_actions, t_min, t_max, d_policy, write_grids, o
     seed = ctx.obj["seed"]
     if n_videos < 1:
         raise click.ClickException("--n-videos must be >= 1")
-    if not 1 <= t_min <= t_max:
-        raise click.ClickException("--t-min must be >= 1 and at most --t-max")
+    if not 1 <= t_min <= t_max <= _MAX_SNIPPETS:  # every later stage rejects a longer video
+        raise click.ClickException(f"need 1 <= --t-min <= --t-max <= {_MAX_SNIPPETS}, "
+                                   f"got --t-min {t_min} and --t-max {t_max}")
     manifest_dir = os.path.join(out, "manifests")
     grid_dir = os.path.join(out, "grids")
     videos = synth.synth_corpus(n_videos, max_actions, seed, t_min, t_max, d_policy)

@@ -53,7 +53,7 @@ import hashlib
 import json
 import os
 import threading
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
@@ -196,23 +196,20 @@ class FusionWeights:
     fuse_encoder: EncoderWeights
 
     def __post_init__(self):
-        d = self.config.d_model
-        in_dim = self.config.channels
-        for i, (w, b) in enumerate(self.env_affine):
-            if w.shape[1] != in_dim or w.shape[0] != b.shape[0]:
-                raise ConfigError(
-                    f"env_affine[{i}] shape {w.shape} incompatible with input dim {in_dim}"
-                )
-            in_dim = w.shape[0]
-        if in_dim != d:
-            raise ConfigError(f"env_affine output dim {in_dim} != d_model {d}")
-        gh, gw = self.config.roi_grid
-        flat = self.config.channels * gh * gw
-        pw, pb = self.patch_proj
-        if pw.shape != (d, flat) or pb.shape != (d,):
-            raise ConfigError(
-                f"patch_proj shape {pw.shape} incompatible with C*gh*gw={flat}, d_model={d}"
-            )
+        """Hold every parameter to _param_shapes(config), in name order, and
+        both encoders to config.num_heads, so a saved bundle is this model."""
+        for name in ("agent_encoder", "fuse_encoder"):
+            heads = getattr(self, name).num_heads
+            if heads != self.config.num_heads:
+                raise ConfigError(f"{name} has {heads} heads, expected {self.config.num_heads}")
+        got = {name: np.shape(arr) for name, arr in _named_params(self).items()}
+        want = _param_shapes(self.config)
+        for name in sorted(got.keys() | want.keys()):
+            if name not in want:
+                raise ConfigError(f"parameter {name!r} is not in the model of this config")
+            if got.get(name) != want[name]:
+                shape = f"shape {got[name]}" if name in got else "no value"
+                raise ConfigError(f"parameter {name!r} has {shape}, expected {want[name]}")
 
 
 # The stub's one generator per process, built on first use (module
@@ -585,11 +582,7 @@ def _block_agents(stacks, boxes: np.ndarray, counts: np.ndarray, w: FusionWeight
 # Weight construction and bundles
 # ---------------------------------------------------------------------------
 
-_LAYER_PARAMS = (
-    "wq", "bq", "wk", "bk", "wv", "bv", "wo", "bo",
-    "ff1_w", "ff1_b", "ff2_w", "ff2_b",
-    "ln1_scale", "ln1_shift", "ln2_scale", "ln2_shift",
-)
+_LAYER_PARAMS = tuple(f.name for f in fields(EncoderLayerWeights))
 
 
 def _named_params(w: FusionWeights) -> dict[str, np.ndarray]:

@@ -143,13 +143,31 @@ class TestSynth:
         invoke(runner, ["synth", "--n-videos", "3", "--out", str(tmp_path / "b")])
         assert tree_digests(tmp_path / "a") == tree_digests(tmp_path / "b")
 
-    @pytest.mark.parametrize("t_min, t_max", [(0, 0), (50, 10)])
+    @pytest.mark.parametrize("t_min, t_max", [(0, 0), (50, 10), (10**15, 10**15)])
     def test_invalid_t_range(self, runner, tmp_path, t_min, t_max):
         # catch_exceptions=False: a traceback would fail the test
         r = invoke(runner, ["synth", "--n-videos", "2", "--t-min", str(t_min),
                             "--t-max", str(t_max), "--out", str(tmp_path)])
         assert r.exit_code == 1
         assert "--t-min" in r.output
+
+    @pytest.mark.parametrize("t_max, exit_code", [(16384, 0), (16385, 1)])
+    def test_t_max_is_held_to_the_manifest_snippet_cap(self, runner, tmp_path, monkeypatch,
+                                                       t_max, exit_code):
+        """Every later stage rejects a manifest of more than 16,384 snippets,
+        so synth refuses to write one, before it generates anything."""
+        from tapgen import synth
+
+        calls = []
+        monkeypatch.setattr(synth, "synth_corpus", lambda *args: calls.append(args) or [])
+        r = invoke(runner, ["synth", "--n-videos", "1", "--t-min", "1", "--t-max", str(t_max),
+                            "--out", str(tmp_path)])
+        assert r.exit_code == exit_code, r.output
+        if exit_code:
+            assert calls == []
+            assert "--t-max <= 16384, got --t-min 1 and --t-max 16385" in r.output
+        else:
+            assert calls == [(1, 3, 0, 1, 16384, "full")]
 
 
 class TestPipeline:
@@ -422,6 +440,50 @@ class TestErrorHandling:
         summary = json.loads((out / "run_summary.json").read_text())
         assert summary["errors"] == {"synth_0000": clash, "zz_copy": clash}
         assert summary["completed"] == ["synth_0001"]
+
+    def test_parallel_run_stops_at_a_video_id_clash(self, runner, tmp_path, monkeypatch):
+        """A clash is found when its job is recorded, after the job ran, and
+        still cancels the queued jobs, as a serial run stops at it. One
+        thread runs the jobs in path order; the third holds it until the
+        pool is shut down, so no later job can start before the clash is
+        recorded."""
+        import threading
+
+        released = threading.Event()
+        ran = []
+        read_manifest = cli.read_manifest
+
+        class OneThreadPool(concurrent.futures.ThreadPoolExecutor):
+            def __init__(self, max_workers, **kwargs):
+                super().__init__(1, **kwargs)
+
+            def shutdown(self, wait=True, *, cancel_futures=False):
+                super().shutdown(wait=False, cancel_futures=cancel_futures)
+                released.set()
+                super().shutdown(wait=wait)
+
+        def read(path):
+            ran.append(os.path.basename(path))
+            if len(ran) == 3:
+                released.wait(2)
+            return read_manifest(path)
+
+        invoke(runner, ["synth", "--n-videos", "4", "--out", str(tmp_path / "corpus")])
+        manifests = tmp_path / "corpus" / "manifests"
+        (manifests / "synth_0000b.json").write_text((manifests / "synth_0000.json").read_text())
+        monkeypatch.setattr(cli, "read_manifest", read)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", OneThreadPool)
+        out = tmp_path / "labels"
+        r = invoke(runner, ["--workers", "2", "labels", "--manifests", str(manifests),
+                            "--out", str(out)])
+        assert r.exit_code == 1, r.output
+        assert ran[:2] == ["synth_0000.json", "synth_0000b.json"]
+        assert not {"synth_0002.json", "synth_0003.json"} & set(ran)  # queued behind the clash
+        summary = json.loads((out / "run_summary.json").read_text())
+        assert sorted(summary["errors"]) == ["synth_0000", "synth_0000b"]
+        written = {n.split(".")[0] for n in os.listdir(out) if n.endswith(".starts.aent")}
+        assert set(summary["completed"]) <= {"synth_0001"}
+        assert written - {"synth_0000"} == set(summary["completed"])
 
     def test_eval_rejects_manifests_sharing_a_video_id(self, runner, tmp_path):
         manifests = self._share_a_video_id(runner, tmp_path)

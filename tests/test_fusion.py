@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import json
 import math
@@ -808,6 +809,44 @@ class TestWeightBundles:
     def test_zero_heads_is_a_config_error(self):
         with pytest.raises(ConfigError, match="num_heads must be positive"):
             FusionConfig(num_heads=0)
+
+
+def _two_layer_env(w):
+    """An env stack 3 -> 5 -> 8, a hidden layer SMALL_CFG.env_hidden does not list."""
+    rng = np.random.default_rng(0)
+    return dataclasses.replace(w, env_affine=(
+        (rng.random((5, 3)), rng.random(5)), (rng.random((8, 5)), rng.random(8))))
+
+
+def _with_fuse_layer(w, **params):
+    layer = dataclasses.replace(w.fuse_encoder.layers[0], **params)
+    return dataclasses.replace(w, fuse_encoder=dataclasses.replace(w.fuse_encoder, layers=(layer,)))
+
+
+class TestFusionWeightsValidation:
+    """FusionWeights holds every parameter and both encoders' head counts to
+    its config, so save_weights writes the model that load_weights reads."""
+
+    @pytest.mark.parametrize("edit, message", [
+        (lambda w: dataclasses.replace(
+            w, agent_encoder=dataclasses.replace(w.agent_encoder, num_heads=4)),
+         "agent_encoder has 4 heads, expected 2"),
+        (lambda w: dataclasses.replace(
+            w, fuse_encoder=dataclasses.replace(w.fuse_encoder, layers=w.fuse_encoder.layers * 2)),
+         "parameter 'fuse_encoder.1.bk' is not in the model of this config"),
+        (lambda w: _with_fuse_layer(w, ff1_w=np.zeros((16, 7))),
+         "parameter 'fuse_encoder.0.ff1_w' has shape (16, 7), expected (16, 8)"),
+        (_two_layer_env, "parameter 'env_affine.0.bias' has shape (5,), expected (8,)"),
+        (lambda w: dataclasses.replace(w, env_affine=()),
+         "parameter 'env_affine.0.bias' has no value, expected (8,)"),
+        (lambda w: dataclasses.replace(w, patch_proj=(w.patch_proj[0], np.zeros(7))),
+         "parameter 'patch_proj.bias' has shape (7,), expected (8,)"),
+    ], ids=["heads", "extra-layer", "ff1_w-shape", "env-hidden-layer", "no-env-layer",
+            "patch-bias-length"])
+    def test_weights_that_disagree_with_the_config_name_the_parameter(self, edit, message):
+        with pytest.raises(ConfigError) as e:
+            edit(random_weights(SMALL_CFG, 0))
+        assert str(e.value) == message
 
 
 def _bundle(tmp_path):
