@@ -197,9 +197,8 @@ def _finish(ctx, out_dir: str, config: dict, done, errors, extra: dict | None = 
         "num_completed": len(done),
         "num_errors": len(errors),
         "wall_time_sec": time.monotonic() - ctx.obj["t0"],
+        **(extra or {}),
     }
-    if extra:
-        summary.update(extra)
     write_json(os.path.join(out_dir, "run_summary.json"), summary)
     if errors:
         for name, msg in sorted(errors.items()):
@@ -340,13 +339,9 @@ def _labels_one(manifest: Manifest, out_dir: str, d_policy: str) -> None:
     grid = build_grid(manifest.video)
     D = grid.T if d_policy == "full" else max(1, grid.T // 2)
     labels = gen_labels(grid, list(manifest.annotations), D)
-    vid = manifest.video.video_id
-    for part, arr in (
-        ("starts", labels.starts),
-        ("ends", labels.ends),
-        ("durations", labels.durations),
-    ):
-        write_tensor(Tensor.from_array(arr), os.path.join(out_dir, f"{vid}.{part}.aent"))
+    for part in ("starts", "ends", "durations"):
+        write_tensor(Tensor.from_array(getattr(labels, part)),
+                     os.path.join(out_dir, f"{manifest.video.video_id}.{part}.aent"))
 
 
 @main.command("labels")
@@ -363,21 +358,26 @@ def cmd_labels(ctx, manifest_dir, d_policy, out):
 # infer
 # ---------------------------------------------------------------------------
 
-def read_grids(grid_dir: str, vid: str) -> ScoreGrids:
-    """Load the four score tensors written by synth (or an external producer)."""
+def read_grids(grid_dir: str, vid: str, T: int) -> ScoreGrids:
+    """Load the four score tensors written by synth (or an external producer)
+    for T snippets: start and end [T], cls [D, T], reg as cls, each checked on read."""
     arrays = {}
     for part, name in GRID_PARTS.items():
         path = os.path.join(grid_dir, f"{vid}.{part}.aent")
         if not os.path.exists(path):
             raise TapgenError(f"video {vid!r}: missing score grid {path}")
-        arrays[name] = read_tensor(path).to_array()
+        a = arrays[name] = read_tensor(path).to_array()
+        want = (T,) if part in ("start", "end") else (arrays["conf_cls"].shape[0], T)
+        if a.shape != want:
+            raise DataError(f"{path}: {name} has shape {a.shape}, expected "
+                            + (f"(D, {T})" if part == "cls" else str(want)))
     return ScoreGrids(**arrays)
 
 
 def _infer_one(manifest: Manifest, out_dir: str, grid_dir: str, cfg: InferenceConfig) -> None:
     grid = build_grid(manifest.video)
     vid = manifest.video.video_id
-    write_proposals(out_dir, vid, run_infer(read_grids(grid_dir, vid), grid, cfg))
+    write_proposals(out_dir, vid, run_infer(read_grids(grid_dir, vid, grid.T), grid, cfg))
 
 
 @main.command("infer")

@@ -76,12 +76,23 @@ def _synth_actions(
 
 
 def _synth_boxes(rng: np.random.Generator, max_boxes: int = 2) -> tuple:
+    """Up to max_boxes agent boxes: x1, y1 ~ U[0, .5), width and height
+    ~ U[.1, .5), the far corner clipped at 1.
+
+    The n boxes take their 4n doubles from one rng.random(4 * n) call.
+    Generator.uniform(lo, hi) returns lo + (hi - lo) * u, where u is the
+    stream's next double, the one rng.random returns at that position; the
+    formula is applied here in the same double arithmetic. So the boxes,
+    and the stream state left behind, are bit for bit those of n rounds of
+    uniform(0, .5, size=2), uniform(.1, .5), uniform(.1, .5).
+    """
+    n = int(rng.integers(0, max_boxes + 1))
+    u = rng.random(4 * n).tolist()
     boxes = []
-    for _ in range(int(rng.integers(0, max_boxes + 1))):
-        x1, y1 = rng.uniform(0.0, 0.5, size=2)
-        x2 = x1 + rng.uniform(0.1, 0.5)
-        y2 = y1 + rng.uniform(0.1, 0.5)
-        boxes.append((float(x1), float(y1), float(min(x2, 1.0)), float(min(y2, 1.0))))
+    for a, b, w, h in zip(*[iter(u)] * 4):  # four doubles per box, in draw order
+        x1, y1 = 0.0 + (0.5 - 0.0) * a, 0.0 + (0.5 - 0.0) * b
+        boxes.append((x1, y1, min(x1 + (0.1 + (0.5 - 0.1) * w), 1.0),
+                      min(y1 + (0.1 + (0.5 - 0.1) * h), 1.0)))
     return tuple(boxes)
 
 

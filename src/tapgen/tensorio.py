@@ -1,6 +1,7 @@
 """Bit-exact tensor serialization; tapgen's JSON files, written and parsed.
 
-Tensor file layout (little-endian throughout):
+Tensor file layout (little-endian throughout), written as the header and
+then the array's own buffer, with no copy of float64 data:
 
     bytes 0..3    magic "AENT"
     u32           version (1)
@@ -100,14 +101,14 @@ class Tensor:
         return self.data.reshape(self.dims)
 
 
-def atomic_write_bytes(path: str | os.PathLike, payload: bytes) -> None:
-    """Write to a temp file in the destination directory, then rename."""
+def atomic_write_bytes(path: str | os.PathLike, *chunks) -> None:
+    """Write the chunks in order to a temp file in the destination directory, then rename."""
     path = os.fspath(path)
     d = os.path.dirname(path) or "."
     fd, tmp = tempfile.mkstemp(dir=d, prefix=".tmp-", suffix=".part")
     try:
         with os.fdopen(fd, "wb") as fh:
-            fh.write(payload)
+            fh.writelines(chunks)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -115,24 +116,25 @@ def atomic_write_bytes(path: str | os.PathLike, payload: bytes) -> None:
         raise
 
 
+def _tensor_chunks(t: Tensor) -> tuple[bytes, np.ndarray]:
+    """A tensor file's header bytes and payload array; no copy of contiguous f64 data."""
+    code = _DTYPE_CODES[t.dtype]
+    header = MAGIC + struct.pack(f"<II{len(t.dims)}QI", VERSION, len(t.dims), *t.dims, code)
+    return header, np.ascontiguousarray(t.data, dtype=_CODE_DTYPES[code])
+
+
 def tensor_bytes(t: Tensor) -> bytes:
     """Serialize a tensor to its binary representation."""
-    np_dtype = _CODE_DTYPES[_DTYPE_CODES[t.dtype]]
-    payload = np.ascontiguousarray(t.data, dtype=np_dtype).tobytes()
-    header = MAGIC + struct.pack("<II", VERSION, len(t.dims))
-    header += struct.pack(f"<{len(t.dims)}Q", *t.dims)
-    header += struct.pack("<I", _DTYPE_CODES[t.dtype])
-    return header + payload
+    return b"".join(_tensor_chunks(t))
 
 
 def write_tensor(t: Tensor, destination: str | os.PathLike) -> None:
-    atomic_write_bytes(destination, tensor_bytes(t))
+    atomic_write_bytes(destination, *_tensor_chunks(t))
 
 
 def read_tensor(source: str | os.PathLike) -> Tensor:
     with open(source, "rb") as fh:
-        blob = fh.read()
-    return tensor_from_bytes(blob, name=os.fspath(source))
+        return tensor_from_bytes(fh.read(), name=os.fspath(source))
 
 
 def tensor_from_bytes(blob: bytes, name: str = "<bytes>") -> Tensor:
@@ -185,15 +187,12 @@ def tensor_block_from_bytes(blobs: Sequence[bytes]) -> np.ndarray | None:
         first = tensor_from_bytes(blobs[0])
     except TensorFormatError:
         return None
-    np_dtype = _CODE_DTYPES[_DTYPE_CODES[first.dtype]]
-    size = len(blobs[0])
-    head = size - first.data.size * np_dtype.itemsize
-    header = blobs[0][:head]
-    if not all(len(b) == size and b.startswith(header) for b in blobs):
+    header, payload = _tensor_chunks(first)  # blobs[0]'s header, rebuilt
+    if not all(len(b) == len(blobs[0]) and b.startswith(header) for b in blobs):
         return None
     block = np.empty((len(blobs), *first.dims))
     for row, blob in zip(block.reshape(len(blobs), -1), blobs):
-        row[...] = np.frombuffer(blob, dtype=np_dtype, offset=head)
+        row[...] = np.frombuffer(blob, dtype=payload.dtype, offset=len(header))
     return block if np.isfinite(block).all() else None
 
 
@@ -492,9 +491,10 @@ def manifest_to_dict(m: Manifest) -> dict:
 
 
 def write_json(destination: str | os.PathLike, doc) -> None:
-    """Write doc as every tapgen JSON file is written (module docstring)."""
-    payload = json.dumps(doc, indent=2, sort_keys=True).encode("utf-8")
-    atomic_write_bytes(destination, payload + b"\n")
+    """Write doc as every tapgen JSON file is written (module docstring).
+    A doc is a tree, so json.dumps skips its cycle check; the bytes are the same."""
+    payload = json.dumps(doc, indent=2, sort_keys=True, check_circular=False).encode("utf-8")
+    atomic_write_bytes(destination, payload, b"\n")
 
 
 def write_manifest(m: Manifest, destination: str | os.PathLike) -> None:

@@ -18,7 +18,7 @@ from tapgen import cli
 from tapgen.cli import main
 from tapgen.fusion import FusionConfig, random_weights, save_weights
 from tapgen.supervision import valid_cell_mask
-from tapgen.tensorio import Tensor, read_tensor, write_tensor
+from tapgen.tensorio import _MAX_SNIPPETS, Tensor, read_tensor, write_tensor
 
 
 @pytest.fixture
@@ -151,11 +151,11 @@ class TestSynth:
         assert r.exit_code == 1
         assert "--t-min" in r.output
 
-    @pytest.mark.parametrize("t_max, exit_code", [(16384, 0), (16385, 1)])
+    @pytest.mark.parametrize("t_max, exit_code", [(_MAX_SNIPPETS, 0), (_MAX_SNIPPETS + 1, 1)])
     def test_t_max_is_held_to_the_manifest_snippet_cap(self, runner, tmp_path, monkeypatch,
                                                        t_max, exit_code):
-        """Every later stage rejects a manifest of more than 16,384 snippets,
-        so synth refuses to write one, before it generates anything."""
+        """Every later stage rejects a manifest of more than _MAX_SNIPPETS
+        snippets, so synth refuses to write one, before it generates anything."""
         from tapgen import synth
 
         calls = []
@@ -165,9 +165,9 @@ class TestSynth:
         assert r.exit_code == exit_code, r.output
         if exit_code:
             assert calls == []
-            assert "--t-max <= 16384, got --t-min 1 and --t-max 16385" in r.output
+            assert f"--t-max <= {_MAX_SNIPPETS}, got --t-min 1 and --t-max {t_max}" in r.output
         else:
-            assert calls == [(1, 3, 0, 1, 16384, "full")]
+            assert calls == [(1, 3, 0, 1, _MAX_SNIPPETS, "full")]
 
 
 class TestPipeline:
@@ -533,6 +533,23 @@ class TestErrorHandling:
         assert list(summary["errors"]) == [bad_vid]
         assert "conf_cls" in summary["errors"][bad_vid]
         assert summary["num_completed"] == 2
+
+    @pytest.mark.parametrize("part, name", list(cli.GRID_PARTS.items()))
+    def test_grid_a_snippet_short_is_named_by_its_file(self, runner, tmp_path, part, name):
+        """Each grid is checked against the manifest's T as it is read, so the
+        error names the short grid's file and the shape it should have."""
+        invoke(runner, ["synth", "--n-videos", "1", "--t-min", "20", "--t-max", "20",
+                        "--out", str(tmp_path / "corpus")])
+        path = tmp_path / "corpus" / "grids" / f"synth_0000.{part}.aent"
+        short = read_tensor(path).to_array()[..., 1:]
+        write_tensor(Tensor.from_array(short), path)
+        r = invoke(runner, ["infer", "--manifests", str(tmp_path / "corpus/manifests"),
+                            "--grids", str(tmp_path / "corpus/grids"),
+                            "--out", str(tmp_path / "proposals")])
+        assert r.exit_code == 1
+        want = {"start": "(20,)", "end": "(20,)", "cls": "(D, 20)", "reg": "(20, 20)"}[part]
+        assert r.output == (f"error: synth_0000: {path}: {name} has shape {short.shape}, "
+                            f"expected {want}\n")
 
     def test_eval_with_no_matching_proposals_exits_1(self, runner, tmp_path):
         invoke(runner, ["synth", "--n-videos", "2", "--out", str(tmp_path / "corpus")])

@@ -833,3 +833,53 @@ def test_proposal_loader_raises_only_invalid_input_error(doc, cut):
     for p in proposals:
         assert math.isfinite(p.start_sec) and p.start_sec < p.end_sec
         assert math.isfinite(p.end_sec) and 0.0 <= p.score <= 1.0
+
+
+def reference_synth_boxes(rng: np.random.Generator, max_boxes: int = 2) -> tuple:
+    """synth._synth_boxes as it was before one draw took all of a snippet's
+    boxes, kept verbatim: three uniform calls per box."""
+    boxes = []
+    for _ in range(int(rng.integers(0, max_boxes + 1))):
+        x1, y1 = rng.uniform(0.0, 0.5, size=2)
+        x2 = x1 + rng.uniform(0.1, 0.5)
+        y2 = y1 + rng.uniform(0.1, 0.5)
+        boxes.append((float(x1), float(y1), float(min(x2, 1.0)), float(min(y2, 1.0))))
+    return tuple(boxes)
+
+
+def plain_state(rng: np.random.Generator):
+    """A bit generator's state with its arrays as lists, so states compare with ==."""
+    def plain(x):
+        if isinstance(x, dict):
+            return {k: plain(v) for k, v in x.items()}
+        return x.tolist() if isinstance(x, np.ndarray) else x
+    return plain(rng.bit_generator.state)
+
+
+@settings(PROPERTY, max_examples=200)
+@given(
+    key=st.tuples(st.integers(0, 2**64 - 1), st.integers(0, 2**64 - 1)),
+    max_boxes=st.integers(0, 4),
+    snippets=st.integers(1, 30),
+    skip=st.tuples(st.integers(0, 7), st.booleans()),
+)
+@example(key=(0, 0), max_boxes=2, snippets=30, skip=(0, False))
+def test_synth_boxes_match_the_three_uniform_reference(key, max_boxes, snippets, skip):
+    """One random(4 * n) draw gives the boxes of n rounds of three uniform
+    calls bit for bit, and leaves the stream in the same state, from any
+    point of a keyed Philox stream (skip doubles, then maybe one 32-bit
+    integer, whose other half the generator keeps for the next)."""
+    from tapgen.synth import _synth_boxes
+
+    rngs = [np.random.Generator(np.random.Philox(key=np.array(key, dtype=np.uint64)))
+            for _ in range(2)]
+    for rng in rngs:
+        rng.random(skip[0])
+        if skip[1]:
+            rng.integers(0, 10)
+    for _ in range(snippets):
+        got, want = _synth_boxes(rngs[0], max_boxes), reference_synth_boxes(rngs[1], max_boxes)
+        assert len(got) == len(want) <= max_boxes
+        assert all(type(c) is float for box in got for c in box)
+        assert [c.hex() for box in got for c in box] == [c.hex() for box in want for c in box]
+    assert plain_state(rngs[0]) == plain_state(rngs[1])

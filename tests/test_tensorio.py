@@ -16,6 +16,7 @@ from tapgen.tensorio import (
     SnippetEntry,
     Snippets,
     Tensor,
+    atomic_write_bytes,
     load_proposals,
     manifest_from_dict,
     manifest_to_dict,
@@ -261,6 +262,53 @@ class TestTensorFormat:
         blob[-8:] = struct.pack("<d", float("nan"))
         with pytest.raises(TensorFormatError, match="non-finite"):
             tensor_from_bytes(bytes(blob))
+
+
+def layout_bytes(dims, dtype, values) -> bytes:
+    """The file layout of the module docstring, field by field."""
+    code, np_dtype = {"f32": (1, "<f4"), "f64": (2, "<f8")}[dtype]
+    return (b"AENT" + struct.pack("<II", 1, len(dims)) + struct.pack(f"<{len(dims)}Q", *dims)
+            + struct.pack("<I", code) + np.asarray(values, dtype=np_dtype).tobytes())
+
+
+class TestTensorWrites:
+    """write_tensor writes a header and then the array's own buffer."""
+
+    SOURCE = np.random.default_rng(11).standard_normal((4, 6))
+
+    @pytest.mark.parametrize("dtype", ["f64", "f32"])
+    @pytest.mark.parametrize("source", ["contiguous", "transposed", "strided data"])
+    def test_write_tensor_writes_the_bytes_of_tensor_bytes(self, tmp_path, dtype, source):
+        arr = self.SOURCE.astype(np.float32).astype(np.float64) if dtype == "f32" else self.SOURCE
+        if source == "contiguous":
+            t = Tensor.from_array(arr, dtype)
+        elif source == "transposed":
+            t = Tensor.from_array(arr.T, dtype)
+        else:  # a Tensor may hold a strided view; it is written in row-major order
+            wide = np.repeat(arr.ravel(), 2)
+            t = Tensor(dims=arr.shape, dtype=dtype, data=wide[::2])
+            assert not t.data.flags.c_contiguous
+        path = tmp_path / "t.aent"
+        write_tensor(t, path)
+        want = layout_bytes(t.dims, dtype, arr.T.ravel() if source == "transposed" else arr.ravel())
+        assert path.read_bytes() == tensor_bytes(t) == want
+        np.testing.assert_array_equal(read_tensor(path).data, t.data)
+
+    @pytest.mark.parametrize("existing", [False, True])
+    def test_a_chunk_that_fails_leaves_no_file(self, tmp_path, existing):
+        path = tmp_path / "t.aent"
+        if existing:
+            path.write_bytes(b"earlier")
+        with pytest.raises(ValueError, match="not C-contiguous"):
+            atomic_write_bytes(path, b"AENT", np.arange(6.0)[::2], b"never written")
+        assert sorted(os.listdir(tmp_path)) == (["t.aent"] if existing else [])
+        if existing:
+            assert path.read_bytes() == b"earlier"
+
+    def test_atomic_write_bytes_joins_its_chunks_in_order(self, tmp_path):
+        path = tmp_path / "j.bin"
+        atomic_write_bytes(path, b"ab", np.array([1.5]), b"", memoryview(b"cd"))
+        assert path.read_bytes() == b"ab" + struct.pack("<d", 1.5) + b"cd"
 
 
 class TestManifest:
