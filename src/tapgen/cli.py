@@ -28,7 +28,7 @@ import click
 
 from tapgen.errors import DataError, TapgenError
 from tapgen.inference import InferenceConfig, infer as run_infer
-from tapgen.supervision import ScoreGrids, gen_labels
+from tapgen.supervision import ScoreGrids, gen_labels, max_duration
 from tapgen.tensorio import (
     _MAX_SNIPPETS,
     Manifest,
@@ -305,11 +305,9 @@ def _featurize_one(manifest: Manifest, out_dir: str, weights: FusionWeights, sou
 @click.option("--d-model", type=int, default=64)
 @click.option("--heads", type=int, default=4)
 @click.option("--layers", type=int, default=1)
-@click.option("--channels", type=int, default=8, hidden=True)
 @click.option("--out", required=True, type=click.Path())
 @click.pass_context
-def cmd_featurize(ctx, manifest_dir, features_dir, weights_dir, d_model, heads, layers,
-                  channels, out):
+def cmd_featurize(ctx, manifest_dir, features_dir, weights_dir, d_model, heads, layers, out):
     """Run the two-pathway fusion over every manifest."""
     from tapgen import fusion
 
@@ -319,8 +317,7 @@ def cmd_featurize(ctx, manifest_dir, features_dir, weights_dir, d_model, heads, 
             weights = fusion.load_weights(weights_dir)
         else:
             weights = fusion.random_weights(fusion.FusionConfig(
-                channels=channels, d_model=d_model, num_heads=heads, num_layers=layers,
-            ), seed)
+                d_model=d_model, num_heads=heads, num_layers=layers), seed)
     ran = weights.config  # a loaded bundle's own config, not the flags
     source = (fusion.FileFeatureSource(features_dir) if features_dir
               else fusion.StubFeatureSource(seed, (ran.channels, 8, 8)))
@@ -337,8 +334,7 @@ def cmd_featurize(ctx, manifest_dir, features_dir, weights_dir, d_model, heads, 
 
 def _labels_one(manifest: Manifest, out_dir: str, d_policy: str) -> None:
     grid = build_grid(manifest.video)
-    D = grid.T if d_policy == "full" else max(1, grid.T // 2)
-    labels = gen_labels(grid, list(manifest.annotations), D)
+    labels = gen_labels(grid, list(manifest.annotations), max_duration(grid.T, d_policy))
     for part in ("starts", "ends", "durations"):
         write_tensor(Tensor.from_array(getattr(labels, part)),
                      os.path.join(out_dir, f"{manifest.video.video_id}.{part}.aent"))

@@ -99,18 +99,6 @@ class FeatureMap:
             raise InvalidInputError("feature map contains non-finite values")
         object.__setattr__(self, "values", v)
 
-    @property
-    def C(self) -> int:
-        return self.values.shape[0]
-
-    @property
-    def H(self) -> int:
-        return self.values.shape[1]
-
-    @property
-    def W(self) -> int:
-        return self.values.shape[2]
-
 
 def _check_map_shape(shape: tuple[int, ...]) -> None:
     if len(shape) != 3:
@@ -352,32 +340,27 @@ def _linear(x: np.ndarray, mat: np.ndarray, bias: np.ndarray) -> np.ndarray:
     return flat.reshape(*x.shape[:-1], mat.shape[0])
 
 
-def _self_attention(
-    x: np.ndarray, lw: EncoderLayerWeights, num_heads: int
-) -> tuple[np.ndarray, np.ndarray]:
+def _self_attention(x: np.ndarray, lw: EncoderLayerWeights, num_heads: int) -> np.ndarray:
     *lead, n, d = x.shape
     heads = (*lead, n, num_heads, d // num_heads)
     v = _linear(x, lw.wv, lw.bv)
     if n == 1:  # softmax over one key is exactly 1, and einsum's sum of 1 * v is 0.0 + v
-        return _linear(v + 0.0, lw.wo, lw.bo), np.ones((*lead, num_heads, 1, 1))
+        return _linear(v + 0.0, lw.wo, lw.bo)
     v = v.reshape(heads)
     q = _linear(x, lw.wq, lw.bq).reshape(heads)
     k = _linear(x, lw.wk, lw.bk).reshape(heads)
     scores = np.einsum("...qhd,...khd->...hqk", q, k) / np.sqrt(heads[-1])
     attn = _softmax(scores, axis=-1)  # [..., heads, n, n]
     mixed = np.einsum("...hqk,...khd->...qhd", attn, v).reshape(x.shape)
-    return _linear(mixed, lw.wo, lw.bo), attn
+    return _linear(mixed, lw.wo, lw.bo)
 
 
-def attention_encoder(
-    tokens: np.ndarray, w: EncoderWeights, return_attn: bool = False
-):
+def attention_encoder(tokens: np.ndarray, w: EncoderWeights) -> np.ndarray:
     """Pre-norm self-attention encoder over an unordered token set.
 
     tokens: [n, d_model], or [B, n, d_model] for B independent sets of n
     tokens each. With no positional encodings, the map is
-    permutation-equivariant. When return_attn is set, also returns the
-    per-layer attention tensors [num_heads, n, n] ([B, num_heads, n, n]).
+    permutation-equivariant.
     """
     x = np.asarray(tokens, dtype=np.float64)
     if x.ndim == 1:
@@ -387,17 +370,12 @@ def attention_encoder(
     d = w.layers[0].wq.shape[0]
     if x.shape[-1] != d:
         raise ConfigError(f"token dim {x.shape[-1]} != encoder d_model {d}")
-    attns = []
     for lw in w.layers:
         h = _layer_norm(x, lw.ln1_scale, lw.ln1_shift)
-        mixed, attn = _self_attention(h, lw, w.num_heads)
-        attns.append(attn)
-        x = x + mixed
+        x = x + _self_attention(h, lw, w.num_heads)
         h = _layer_norm(x, lw.ln2_scale, lw.ln2_shift)
         ff = _linear(np.maximum(_linear(h, lw.ff1_w, lw.ff1_b), 0.0), lw.ff2_w, lw.ff2_b)
         x = x + ff
-    if return_attn:
-        return x, attns
     return x
 
 

@@ -136,18 +136,18 @@ class InferenceConfig:
             raise InvalidInputError(f"top_k must be >= 1, got {self.top_k}")
 
 
-def find_peaks(p: np.ndarray, peak_ratio: float = 0.5, local_max_only: bool = False) -> list[int]:
+# BMN's boundary rule: a local peak, or at least this fraction of the maximum.
+PEAK_RATIO = 0.5
+
+
+def find_peaks(p: np.ndarray) -> list[int]:
     """Candidate boundary indices of a probability vector.
 
     A maximal run of equal values is a local maximum when it exceeds both
     run neighbors (missing neighbors count as -inf); only the run's first
-    index is a candidate. Unless local_max_only, indices with
-    p[t] >= peak_ratio * max(p) are also included; peak_ratio must be in
-    [0, 1]. A NaN threshold (max(p) NaN, or 0 * inf) admits no index.
+    index is a candidate. Indices with p[t] >= PEAK_RATIO * max(p) are
+    also included. A NaN max(p) admits no index by that rule.
     """
-    if not 0 <= peak_ratio <= 1:
-        raise InvalidInputError(
-            f"peak_ratio must be a finite number in [0, 1], got {peak_ratio!r}")
     p = np.asarray(p, dtype=np.float64)
     if p.ndim != 1 or p.shape[0] < 1:
         raise InvalidInputError("find_peaks expects a non-empty 1-d vector")
@@ -155,8 +155,7 @@ def find_peaks(p: np.ndarray, peak_ratio: float = 0.5, local_max_only: bool = Fa
     runs = np.r_[-np.inf, p[first], -np.inf]
     peaks = np.zeros(p.shape[0], dtype=bool)
     peaks[first] = (runs[1:-1] > runs[:-2]) & (runs[1:-1] > runs[2:])
-    if not local_max_only:
-        peaks |= p >= float(peak_ratio) * float(p.max())  # 0 * inf: NaN, with no NumPy warning
+    peaks |= p >= PEAK_RATIO * float(p.max())
     return np.flatnonzero(peaks).tolist()
 
 
@@ -165,19 +164,16 @@ def form_proposals(
     end_peaks: list[int],
     grids: ScoreGrids,
     grid: SnippetGrid,
-    D: int | None = None,
 ) -> Candidates:
-    """Pair every start peak with later end peaks within the duration range.
+    """Pair every start peak with later end peaks within the grids' duration range.
 
     Output is sorted by score descending, ties broken by (start, end)
     ascending. Grid entries lie in [0, 1] and durations are positive, so
     every row is a valid Proposal.
     """
-    if D is None:
-        D = grids.D
     sp, ep = (np.asarray(p, dtype=np.int64) for p in (start_peaks, end_peaks))
     dur = ep[None, :] - sp[:, None]
-    i, k = np.nonzero((dur >= 1) & (dur <= D))
+    i, k = np.nonzero((dur >= 1) & (dur <= grids.D))
     ts, te, d = sp[i], ep[k], dur[i, k]
     scores = (
         grids.start_probs[ts]

@@ -108,11 +108,6 @@ def _match_sizes(hits: np.ndarray) -> list[int]:
     return sizes
 
 
-def _match_count(proposals, gts, tiou: float, an: int) -> int:
-    """Maximum one-to-one matching between top-an proposals and ground truths."""
-    return _match_sizes(_iou_matrix(proposals[:an], gts) >= tiou)[-1]
-
-
 def _recall_table(proposals_per_video, gts_per_video, thresholds, an_values) -> np.ndarray:
     """[len(thresholds), len(an_values)] recall of the pooled ground truths.
 

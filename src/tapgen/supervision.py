@@ -31,6 +31,7 @@ __all__ = [
     "gen_boundary_labels",
     "gen_duration_labels",
     "gen_labels",
+    "max_duration",
     "valid_cell_mask",
     "weighted_binary_loss",
     "weighted_binary_loss_grad",
@@ -138,6 +139,11 @@ def valid_cell_mask(T: int, D: int) -> np.ndarray:
     d = np.arange(1, D + 1)[:, None]
     j = np.arange(T)[None, :]
     return j + d <= T
+
+
+def max_duration(T: int, d_policy: str) -> int:
+    """D of a T-snippet video: T under the "full" policy, else max(1, T // 2)."""
+    return T if d_policy == "full" else max(1, T // 2)
 
 
 def gen_duration_labels(

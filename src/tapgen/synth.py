@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from tapgen.supervision import LabelSet, ScoreGrids, gen_labels
+from tapgen.supervision import LabelSet, ScoreGrids, gen_labels, max_duration
 from tapgen.tensorio import Manifest, SnippetEntry
 from tapgen.timeline import GroundTruthAction, VideoMeta, build_grid
 
@@ -24,6 +24,9 @@ LABEL_POOL = ("sports", "leisure", "music", "cooking", "repair", "dance")
 # snippet edge; keeps nearest-center labels unambiguous while leaving the
 # recovered cell with IoU >= (1 - off) / (1 + off) ~ 0.98 against the gt
 START_OFFSET = 0.01
+
+# Agent boxes per snippet are drawn from 0..MAX_BOXES.
+MAX_BOXES = 2
 
 __all__ = ["SynthVideo", "synth_corpus", "oracle_grids"]
 
@@ -36,13 +39,9 @@ class SynthVideo:
 
 
 def oracle_grids(labels: LabelSet) -> ScoreGrids:
-    """Score grids with all probability mass on the label cells."""
-    return ScoreGrids(
-        start_probs=labels.starts.copy(),
-        end_probs=labels.ends.copy(),
-        conf_cls=labels.durations.copy(),
-        conf_reg=labels.durations.copy(),
-    )
+    """Score grids with all probability mass on the label cells: the label
+    arrays themselves, not copies, with durations as both conf grids."""
+    return ScoreGrids(labels.starts, labels.ends, labels.durations, labels.durations)
 
 
 def _synth_actions(
@@ -75,8 +74,8 @@ def _synth_actions(
     return actions
 
 
-def _synth_boxes(rng: np.random.Generator, max_boxes: int = 2) -> tuple:
-    """Up to max_boxes agent boxes: x1, y1 ~ U[0, .5), width and height
+def _synth_boxes(rng: np.random.Generator) -> tuple:
+    """Up to MAX_BOXES agent boxes: x1, y1 ~ U[0, .5), width and height
     ~ U[.1, .5), the far corner clipped at 1.
 
     The n boxes take their 4n doubles from one rng.random(4 * n) call.
@@ -86,7 +85,7 @@ def _synth_boxes(rng: np.random.Generator, max_boxes: int = 2) -> tuple:
     and the stream state left behind, are bit for bit those of n rounds of
     uniform(0, .5, size=2), uniform(.1, .5), uniform(.1, .5).
     """
-    n = int(rng.integers(0, max_boxes + 1))
+    n = int(rng.integers(0, MAX_BOXES + 1))
     u = rng.random(4 * n).tolist()
     boxes = []
     for a, b, w, h in zip(*[iter(u)] * 4):  # four doubles per box, in draw order
@@ -123,8 +122,7 @@ def synth_video(
         for i in range(T)
     )
     manifest = Manifest(video=meta, annotations=tuple(actions), snippets=snippets)
-    D = T if d_policy == "full" else max(1, T // 2)
-    labels = gen_labels(grid, list(actions), D)
+    labels = gen_labels(grid, list(actions), max_duration(T, d_policy))
     return SynthVideo(manifest=manifest, labels=labels, grids=oracle_grids(labels))
 
 

@@ -272,9 +272,6 @@ class Manifest:
     annotations: tuple[GroundTruthAction, ...]
     snippets: Sequence[SnippetEntry] = ()
 
-    def snippet_map(self) -> dict[int, SnippetEntry]:
-        return {s.index: s for s in self.snippets}
-
 
 def _require_keys(obj: dict, allowed: set[str], required: set[str], path: str) -> None:
     for k in obj:

@@ -70,14 +70,6 @@ class SnippetGrid:
     centers: np.ndarray
     snippet_seconds: float
 
-    def snippet_left(self, i: int) -> float:
-        """Left edge (seconds) of snippet i."""
-        return i * self.snippet_seconds
-
-    def snippet_right(self, i: int) -> float:
-        """Right edge (seconds) of snippet i."""
-        return (i + 1) * self.snippet_seconds
-
 
 @dataclass(frozen=True)
 class GroundTruthAction:

@@ -721,6 +721,8 @@ class TestConfigFile:
         pytest.param('{"seed": 1', "synth", 1, "config {cfg}: not valid JSON", id="invalid-json"),
         pytest.param("[" * 100_000, "synth", 1, "config {cfg}: not valid JSON", id="deep-nesting"),
         pytest.param('{"topk": 10}', "infer", 1, "config {cfg}: unknown field 'topk'", id="unknown-key"),
+        pytest.param('{"channels": 8}', "synth", 1, "config {cfg}: unknown field 'channels'",
+                     id="channels-key"),
         # "false" is false, as for a flag: the bad manifest stops the run (exit 1, not 2)
         pytest.param('{"keep_going": "false"}', "labels-bad", 1, "error: aaa_bad: ",
                      id="keep-going-text"),

@@ -45,21 +45,20 @@ def reference_soft_nms(proposals, sigma, score_floor, top_k):
 
 
 # form_proposals as it was when it built one Proposal per candidate, kept
-# verbatim: the columnar version must equal it item by item.
+# verbatim but for the D argument it no longer takes: the columnar version
+# must equal it item by item.
 def reference_form_proposals(
     start_peaks: list[int],
     end_peaks: list[int],
     grids: ScoreGrids,
     grid: SnippetGrid,
-    D: int | None = None,
 ) -> list[Proposal]:
     """Pair every start peak with later end peaks within the duration range.
 
     Output is sorted by score descending, ties broken by (start, end)
     ascending.
     """
-    if D is None:
-        D = grids.D
+    D = grids.D
     sp, ep = (np.asarray(p, dtype=np.int64) for p in (start_peaks, end_peaks))
     dur = ep[None, :] - sp[:, None]
     i, k = np.nonzero((dur >= 1) & (dur <= D))
@@ -77,7 +76,7 @@ def reference_form_proposals(
     ]
 
 
-def reference_find_peaks(p, peak_ratio=0.5, local_max_only=False):
+def reference_find_peaks(p):
     """Scan reference: walk each maximal run of equal values."""
     p = np.asarray(p, dtype=np.float64)
     n = p.shape[0]
@@ -92,9 +91,7 @@ def reference_find_peaks(p, peak_ratio=0.5, local_max_only=False):
         if p[i] > left and p[i] > right:
             peaks.add(i)
         i = j + 1
-    if not local_max_only:
-        thresh = peak_ratio * p.max()
-        peaks.update(np.flatnonzero(p >= thresh).tolist())
+    peaks.update(np.flatnonzero(p >= 0.5 * p.max()).tolist())
     return sorted(peaks)
 
 
@@ -108,33 +105,26 @@ class TestFindPeaks:
     def test_plateau_rule(self):
         # local-max rule yields {0}; the 0.5*max fallback admits every index
         assert find_peaks(np.array([0.2, 0.2, 0.2])) == [0, 1, 2]
-        assert find_peaks(np.array([0.2, 0.2, 0.2]), local_max_only=True) == [0]
 
     def test_interior_plateau_first_index(self):
-        p = np.array([0.1, 0.6, 0.6, 0.1])
-        assert find_peaks(p, local_max_only=True) == [1]
+        # the plateau lies below 0.5 * max, so only the local-max rule admits it
+        p = np.array([0.1, 0.3, 0.3, 0.1, 1.0])
+        assert find_peaks(p) == [1, 4]
 
     def test_plateau_not_maximal_excluded(self):
-        p = np.array([0.2, 0.2, 0.9, 0.1])
-        assert find_peaks(p, local_max_only=True) == [2]
+        p = np.array([0.2, 0.2, 0.3, 0.1, 1.0])
+        assert find_peaks(p) == [2, 4]
 
     def test_empty_rejected(self):
         with pytest.raises(InvalidInputError):
             find_peaks(np.array([]))
 
-    @pytest.mark.parametrize("ratio", [math.nan, -0.1, 1.5, math.inf, -math.inf])
-    def test_peak_ratio_outside_0_1_rejected_naming_it(self, ratio):
-        with pytest.raises(InvalidInputError, match=rf"peak_ratio .* got {ratio!r}$"):
-            find_peaks(np.array([0.1, 0.9, 0.1]), peak_ratio=ratio)
-
     @pytest.mark.parametrize("p", [[math.inf, 1.0, 0.5], [0.0, -math.inf, math.inf, math.inf],
                                    [math.nan, 2.0], [-math.inf, -math.inf]])
-    def test_zero_ratio_on_infinities_matches_the_reference_without_a_warning(self, p):
+    def test_infinities_and_nan_match_the_reference_without_a_warning(self, p):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            got = find_peaks(np.array(p), peak_ratio=0.0)
-        with np.errstate(invalid="ignore"):  # the reference's 0 * inf
-            assert got == reference_find_peaks(np.array(p), peak_ratio=0.0)
+            assert find_peaks(np.array(p)) == reference_find_peaks(np.array(p))
 
 
 def random_grids(rng, T, D):
@@ -187,7 +177,8 @@ class TestFormProposals:
 
     def test_duration_range_enforced(self):
         grids = grids_from_cells(10, 3, [0], [8], [(3, 0)])
-        assert form_proposals([0], [8], grids, make_grid(10), D=3) == []
+        assert grids.D == 3
+        assert form_proposals([0], [8], grids, make_grid(10)) == []
 
     def test_sorted_by_score_then_indices(self):
         T = 8
@@ -340,7 +331,7 @@ class TestInfer:
         d, j = 4, 3
         grids = grids_from_cells(T, D, [j], [j + d], [(d, j)])
         props = infer(grids, grid)
-        gt_interval = (grid.snippet_left(j), grid.snippet_right(j + d - 1))
+        gt_interval = (j * grid.snippet_seconds, (j + d) * grid.snippet_seconds)
         assert temporal_iou(props[0].interval, gt_interval) == 1.0
 
     def test_all_zero_grids_empty(self):

@@ -13,6 +13,7 @@ from tapgen.supervision import (
     gen_labels,
     l2_loss,
     l2_loss_grad,
+    max_duration,
     total_loss,
     valid_cell_mask,
     weighted_binary_loss,
@@ -109,6 +110,14 @@ class TestBoundaryLabels:
             idx = int(np.argmax(starts))
             dists = np.abs(grid.centers - gts[0].start_sec)
             assert dists[idx] == dists.min()
+
+
+@pytest.mark.parametrize("policy, T, D", [
+    ("full", 1, 1), ("full", 2, 2), ("full", 3, 3),
+    ("half", 1, 1), ("half", 2, 1), ("half", 3, 1),
+])
+def test_max_duration_of_each_policy(policy, T, D):
+    assert max_duration(T, policy) == D
 
 
 class TestDurationLabels:

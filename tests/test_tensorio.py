@@ -556,7 +556,7 @@ class TestSnippets:
         assert m == ref and ref == m
         assert hash(m) == hash(ref)
         assert repr(m) == repr(ref)
-        assert m.snippet_map() == ref.snippet_map()
+        assert list(m.snippets) == list(ref.snippets)
 
     def test_dataclasses_replace_on_entries_and_manifest(self):
         """As a script rewrites a manifest's feature files: replace on each
