@@ -4,9 +4,10 @@ Subcommands: synth, featurize, labels, infer, eval. Options may come from
 a JSON config file (--config), which becomes click's default map: its
 values are typed and checked exactly like flags, and explicit flags win.
 Every run writes a machine-readable run_summary.json next to its outputs.
-labels, featurize and infer are stages, stage(manifest, out_dir, *args)
-of a parsed Manifest, all run by one job body (_run_one) that reads the
-manifest; a stage's arguments reach each process once.
+labels, featurize, infer and eval are stages, stage(manifest, out_dir,
+*args) of a parsed Manifest, all run by one job body (_run_one) that
+reads the manifest; a stage's arguments reach each process once. eval
+then pools its stage's results, one video's proposals each, into AR@AN.
 Each command imports the heavy modules only it uses (fusion, metrics,
 synth, the process pool) itself, so a process pays for no other stage.
 Exit codes: 0 success, 1 validation/data error, 2 partial failure under
@@ -113,17 +114,17 @@ def _install(stage, args: tuple) -> None:
     _installed = (stage, args)
 
 
-def _run_one(path: str) -> str:
-    """Run the installed stage on the manifest at path; return its video id."""
+def _run_one(path: str) -> tuple:
+    """Run the installed stage on the manifest at path; return (video id, stage result)."""
     stage, args = _installed
     manifest = read_manifest(path)
-    stage(manifest, *args)
-    return manifest.video.video_id
+    return manifest.video.video_id, stage(manifest, *args)
 
 
-def _run_batch(paths, stage, args: tuple, workers: int, keep_going: bool):
-    """Run stage(manifest, *args) on the manifest at each path; returns
-    (ok_names, error_map), each job named by its manifest's file name.
+def _run_batch(ctx, manifest_dir: str, out: str, stage, args: tuple):
+    """Create out, run stage(manifest, out, *args) on every manifest in
+    manifest_dir under the run's --workers and --keep-going, and return
+    (done, errors): each job's stage result or error by its manifest's name.
 
     (stage, args) reach each process once, by _install: the pool
     initializer in each worker, a direct call on the serial path. A job is
@@ -134,24 +135,28 @@ def _run_batch(paths, stage, args: tuple, workers: int, keep_going: bool):
     any other by its class and message, with its traceback written to
     stderr. A job whose video id an earlier job returned wrote over that
     job's outputs, in a pool in either order, so both are errors. Jobs are
-    recorded in path order, and without keep_going the batch stops at the
+    recorded in path order, and without --keep-going the batch stops at the
     first error, a clash included: serially, no later job starts; in a
     pool, queued jobs are cancelled and the jobs already running finish
     and are reported like the rest.
     """
+    with _exit_on_error():  # an --out that is, or lies under, a file
+        os.makedirs(out, exist_ok=True)
+    paths = _manifest_paths(manifest_dir)
+    args = (out, *args)
     errors: dict[str, str] = {}
-    done: list[str] = []
+    done: dict = {}
     owners: dict[str, tuple[str, str]] = {}  # video id -> (name, manifest path) of its first job
 
-    def record(path, call) -> bool:
+    def record(path, call) -> bool:  # whether the batch goes on
         name = os.path.splitext(os.path.basename(path))[0]
         try:
-            vid = call()
+            vid, result = call()
             if vid in owners:
                 first, first_path = owners[vid]
                 clash = f"manifests {first_path} and {path} both have video id {vid!r}"
                 if first in done:
-                    done.remove(first)
+                    del done[first]
                     errors[first] = clash
                 raise DataError(clash)
             owners[vid] = (name, path)
@@ -166,11 +171,11 @@ def _run_batch(paths, stage, args: tuple, workers: int, keep_going: bool):
                 shown = e.__cause__ if pooled and e.__cause__ is not None else e
                 click.echo(f"{name}: " + "".join(traceback.format_exception(shown)),
                            err=True, nl=False)
-            return False
-        done.append(name)
+            return ctx.obj["keep_going"]
+        done[name] = result
         return True
 
-    workers = min(workers, len(paths))  # a pool forks all its workers at once
+    workers = min(ctx.obj["workers"], len(paths))  # a pool forks all its workers at once
     pooled = workers > 1
     if pooled:
         from concurrent.futures import ProcessPoolExecutor
@@ -178,12 +183,12 @@ def _run_batch(paths, stage, args: tuple, workers: int, keep_going: bool):
         with ProcessPoolExecutor(workers, initializer=_install, initargs=(stage, args)) as pool:
             futures = [pool.submit(_run_one, path) for path in paths]
             for path, fut in zip(paths, futures):
-                if not fut.cancelled() and not record(path, fut.result) and not keep_going:
+                if not fut.cancelled() and not record(path, fut.result):
                     pool.shutdown(cancel_futures=True)
     else:
         _install(stage, args)
         for path in paths:
-            if not record(path, lambda: _run_one(path)) and not keep_going:
+            if not record(path, lambda: _run_one(path)):
                 break
     return done, errors
 
@@ -204,15 +209,6 @@ def _finish(ctx, out_dir: str, config: dict, done, errors, extra: dict | None = 
         for name, msg in sorted(errors.items()):
             click.echo(f"error: {name}: {msg}", err=True)
         sys.exit(2 if ctx.obj["keep_going"] and done else 1)
-
-
-def _each_manifest(ctx, manifest_dir: str, out: str, stage, args: tuple, config: dict) -> None:
-    """Run stage(manifest, out, *args) on every manifest, then write the summary."""
-    with _exit_on_error():  # an --out that is, or lies under, a file
-        os.makedirs(out, exist_ok=True)
-    done, errors = _run_batch(_manifest_paths(manifest_dir), stage, (out, *args),
-                              ctx.obj["workers"], ctx.obj["keep_going"])
-    _finish(ctx, out, config, done, errors)
 
 
 @click.group()
@@ -325,7 +321,8 @@ def cmd_featurize(ctx, manifest_dir, features_dir, weights_dir, d_model, heads, 
         "d_model": ran.d_model, "num_heads": ran.num_heads, "num_layers": ran.num_layers,
         "channels": ran.channels, "seed": seed, "weights": weights_dir, "features": features_dir,
     }
-    _each_manifest(ctx, manifest_dir, out, _featurize_one, (weights, source), effective)
+    done, errors = _run_batch(ctx, manifest_dir, out, _featurize_one, (weights, source))
+    _finish(ctx, out, effective, done, errors)
 
 
 # ---------------------------------------------------------------------------
@@ -347,7 +344,8 @@ def _labels_one(manifest: Manifest, out_dir: str, d_policy: str) -> None:
 @click.pass_context
 def cmd_labels(ctx, manifest_dir, d_policy, out):
     """Write boundary and duration label tensors for every manifest."""
-    _each_manifest(ctx, manifest_dir, out, _labels_one, (d_policy,), {"d_policy": d_policy})
+    done, errors = _run_batch(ctx, manifest_dir, out, _labels_one, (d_policy,))
+    _finish(ctx, out, {"d_policy": d_policy}, done, errors)
 
 
 # ---------------------------------------------------------------------------
@@ -388,12 +386,18 @@ def cmd_infer(ctx, manifest_dir, grid_dir, sigma, score_floor, top_k, out):
     """Run peak pairing, scoring, and Soft-NMS over stored score grids."""
     with _exit_on_error():  # checked once, before any video
         cfg = InferenceConfig(sigma=sigma, score_floor=score_floor, top_k=top_k)
-    _each_manifest(ctx, manifest_dir, out, _infer_one, (grid_dir, cfg), dataclasses.asdict(cfg))
+    done, errors = _run_batch(ctx, manifest_dir, out, _infer_one, (grid_dir, cfg))
+    _finish(ctx, out, dataclasses.asdict(cfg), done, errors)
 
 
 # ---------------------------------------------------------------------------
 # eval
 # ---------------------------------------------------------------------------
+
+def _eval_one(manifest: Manifest, out_dir: str, proposal_dir: str) -> tuple:
+    vid = manifest.video.video_id
+    return vid, list(manifest.annotations), load_proposals(proposal_dir, vid)
+
 
 @main.command("eval")
 @click.option("--manifests", "manifest_dir", required=True, type=click.Path(exists=True))
@@ -408,22 +412,13 @@ def cmd_eval(ctx, manifest_dir, proposal_dir, preset, out):
     thresholds = (
         metrics.ACTIVITYNET_THRESHOLDS if preset == "activitynet" else metrics.THUMOS_THRESHOLDS
     )
-    gts = {}
-    props = {}
-    paths = {}  # video id -> manifest path
-    found = 0  # proposal files present
+    done, errors = _run_batch(ctx, manifest_dir, out, _eval_one, (proposal_dir,))
+    if not done or errors and not ctx.obj["keep_going"]:  # no AUC over a stopped run
+        _finish(ctx, out, {"preset": preset}, done, errors)  # exits 1
+    gts = {vid: anns for vid, anns, _ in done.values()}
+    props = {vid: loaded or [] for vid, _, loaded in done.values()}  # a missing file means none
+    found = sum(loaded is not None for _, _, loaded in done.values())
     with _exit_on_error():
-        os.makedirs(out, exist_ok=True)
-        for path in _manifest_paths(manifest_dir):
-            manifest = read_manifest(path)
-            vid = manifest.video.video_id
-            if vid in paths:
-                raise DataError(f"manifests {paths[vid]} and {path} both have video id {vid!r}")
-            paths[vid] = path
-            gts[vid] = list(manifest.annotations)
-            loaded = load_proposals(proposal_dir, vid)
-            found += loaded is not None
-            props[vid] = loaded or []  # a missing file means no proposals
         if not any(props.values()):
             raise DataError(f"no proposals to evaluate: all {found} proposal files that match "
                             "a manifest video id are empty" if found
@@ -431,8 +426,8 @@ def cmd_eval(ctx, manifest_dir, proposal_dir, preset, out):
         result = metrics.evaluate(props, gts, thresholds=thresholds)
     write_json(os.path.join(out, "eval.json"), result.to_dict())
     atomic_write_bytes(os.path.join(out, "eval.csv"), result.to_csv().encode("utf-8"))
-    _finish(ctx, out, {"preset": preset}, sorted(gts), {}, extra={"auc": result.auc})
     click.echo(f"AUC: {result.auc:.4f}")
+    _finish(ctx, out, {"preset": preset}, done, errors, extra={"auc": result.auc})
 
 
 if __name__ == "__main__":

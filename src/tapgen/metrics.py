@@ -25,7 +25,7 @@ from operator import attrgetter
 
 import numpy as np
 
-from tapgen.errors import InvalidInputError, UndefinedMetricError
+from tapgen.errors import UndefinedMetricError
 from tapgen.inference import Proposal
 from tapgen.timeline import GroundTruthAction, broadcast_iou
 # Unused here, but perfbench's tracer counts calls through this binding.

@@ -48,11 +48,14 @@ class LabelSet:
     starts: np.ndarray  # [T] in {0, 1}
     ends: np.ndarray  # [T] in {0, 1}
     durations: np.ndarray  # [D, T] in {0, 1}
-    max_duration: int
 
     @property
     def T(self) -> int:
         return self.starts.shape[0]
+
+    @property
+    def D(self) -> int:
+        return self.durations.shape[0]
 
 
 @dataclass(frozen=True)
@@ -142,7 +145,9 @@ def valid_cell_mask(T: int, D: int) -> np.ndarray:
 
 
 def max_duration(T: int, d_policy: str) -> int:
-    """D of a T-snippet video: T under the "full" policy, else max(1, T // 2)."""
+    """D of a T-snippet video: T under the "full" policy, max(1, T // 2) under "half"."""
+    if d_policy not in ("full", "half"):
+        raise InvalidInputError(f"unknown duration policy {d_policy!r}; expected 'full' or 'half'")
     return T if d_policy == "full" else max(1, T // 2)
 
 
@@ -175,7 +180,7 @@ def gen_labels(grid: SnippetGrid, gts: list[GroundTruthAction], D: int) -> Label
     """Full label set: boundary vectors plus the duration matrix."""
     starts, ends, _ = gen_boundary_labels(grid, gts)
     durations = gen_duration_labels(grid, gts, D)
-    return LabelSet(starts=starts, ends=ends, durations=durations, max_duration=D)
+    return LabelSet(starts=starts, ends=ends, durations=durations)
 
 
 def _prepare(p, l, mask):
@@ -258,15 +263,15 @@ class LossBreakdown:
 
 def total_loss(grids: ScoreGrids, labels: LabelSet, cfg: LossConfig = LossConfig()) -> LossBreakdown:
     """Boundary terms plus duration terms, combined with the configured weights."""
-    if grids.T != labels.T or grids.D != labels.max_duration:
+    if grids.T != labels.T or grids.D != labels.D:
         raise InvalidInputError(
             f"grid shapes (T={grids.T}, D={grids.D}) inconsistent with labels "
-            f"(T={labels.T}, D={labels.max_duration})"
+            f"(T={labels.T}, D={labels.D})"
         )
     eps = cfg.clamp_eps
     tem_start = weighted_binary_loss(grids.start_probs, labels.starts, eps=eps)
     tem_end = weighted_binary_loss(grids.end_probs, labels.ends, eps=eps)
-    mask = valid_cell_mask(labels.T, labels.max_duration)
+    mask = valid_cell_mask(labels.T, labels.D)
     pem_cls = weighted_binary_loss(grids.conf_cls, labels.durations, mask, eps=eps)
     pem_reg = l2_loss(grids.conf_reg, labels.durations, mask)
     tem = tem_start + tem_end

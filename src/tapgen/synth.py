@@ -9,7 +9,6 @@ cells; piping them through inference and evaluation must saturate recall.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 
 import numpy as np

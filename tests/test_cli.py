@@ -6,6 +6,7 @@ import hashlib
 import json
 import multiprocessing
 import os
+import shutil
 import subprocess
 import sys
 
@@ -232,6 +233,55 @@ class TestPipeline:
                 (tmp_path / "reversed" / name).write_text(json.dumps(doc[::-1]))
         assert auc(tmp_path / "reversed", "eval_reversed") == auc(tmp_path / "props", "eval")
 
+    def _noisy_proposals(self, runner, tmp_path):
+        """Manifests and infer's proposals over seeded noisy grids: many
+        scored proposals per video, so the AUC depends on the videos pooled."""
+        invoke(runner, ["--seed", "3", "synth", "--n-videos", "6", "--max-actions", "3",
+                        "--out", str(tmp_path / "corpus")])
+        write_noisy_grids(tmp_path / "corpus/grids", tmp_path / "noisy", seed=0)
+        manifests = tmp_path / "corpus" / "manifests"
+        r = invoke(runner, ["infer", "--manifests", str(manifests),
+                            "--grids", str(tmp_path / "noisy"), "--out", str(tmp_path / "props")])
+        assert r.exit_code == 0, r.output
+        return manifests, tmp_path / "props"
+
+    def test_pooled_eval_writes_the_serial_bytes(self, runner, tmp_path):
+        manifests, props = self._noisy_proposals(runner, tmp_path)
+        for workers in ("1", "2"):
+            r = invoke(runner, ["--workers", workers, "eval", "--manifests", str(manifests),
+                                "--proposals", str(props), "--out", str(tmp_path / workers)])
+            assert r.exit_code == 0, r.output
+            summary = json.loads((tmp_path / workers / "run_summary.json").read_text())
+            assert summary["num_completed"] == 6
+        serial = tree_digests(tmp_path / "1")
+        assert sorted(serial) == ["eval.csv", "eval.json"]
+        assert tree_digests(tmp_path / "2") == serial
+
+    @pytest.mark.parametrize("workers", ["1", "2"])
+    def test_keep_going_eval_pools_every_other_video(self, runner, tmp_path, workers):
+        manifests, props = self._noisy_proposals(runner, tmp_path)
+
+        def run_eval(manifest_dir, out, *base):
+            r = invoke(runner, [*base, "eval", "--manifests", str(manifest_dir),
+                                "--proposals", str(props), "--out", str(tmp_path / out)])
+            return r, json.loads((tmp_path / out / "run_summary.json").read_text())
+
+        _, whole = run_eval(manifests, "whole")
+        (props / "synth_0002.proposals.json").write_text("not json")
+        r, summary = run_eval(manifests, "eval", "--workers", workers, "--keep-going")
+        assert r.exit_code == 2, r.output
+        assert list(summary["errors"]) == ["synth_0002"]
+        assert summary["errors"]["synth_0002"].startswith(
+            f"{props / 'synth_0002.proposals.json'}: not valid JSON")
+        assert summary["num_completed"] == 5
+        rest = tmp_path / "rest"
+        shutil.copytree(manifests, rest)
+        os.remove(rest / "synth_0002.json")
+        r, without = run_eval(rest, "without")
+        assert r.exit_code == 0, r.output
+        assert summary["auc"] == without["auc"] != whole["auc"]
+        assert tree_digests(tmp_path / "eval") == tree_digests(tmp_path / "without")
+
     def test_rerun_is_idempotent(self, runner, tmp_path):
         run_pipeline(runner, str(tmp_path), n_videos=4, seed=5)
         before = tree_digests(tmp_path)
@@ -421,15 +471,20 @@ class TestErrorHandling:
         (manifests / "zz_copy.json").write_text(json.dumps(doc))
         return manifests
 
-    @pytest.mark.parametrize("stage", ["labels", "featurize", "infer"])
+    @pytest.mark.parametrize("stage", ["labels", "featurize", "infer", "eval"])
     @pytest.mark.parametrize("workers", [1, 2])
     @pytest.mark.parametrize("keep_going, exit_code", [(False, 1), (True, 2)])
     def test_manifests_sharing_a_video_id_are_both_errors(self, runner, tmp_path, stage,
                                                            workers, keep_going, exit_code):
-        """Outputs are named by video id, so the later manifest's overwrote the earlier's."""
+        """Outputs are named by video id, so the later manifest's overwrote the
+        earlier's; eval would pool one video twice. An eval that stops writes no AUC."""
         manifests = self._share_a_video_id(runner, tmp_path)
+        proposals = tmp_path / "proposals"
+        proposals.mkdir()
+        (proposals / "synth_0001.proposals.json").write_text(json.dumps([self.GOOD]))
         extra = {"labels": [], "featurize": ["--d-model", "16", "--heads", "2"],
-                 "infer": ["--grids", str(tmp_path / "corpus" / "grids")]}[stage]
+                 "infer": ["--grids", str(tmp_path / "corpus" / "grids")],
+                 "eval": ["--proposals", str(proposals)]}[stage]
         base = ["--workers", str(workers)] + (["--keep-going"] if keep_going else [])
         out = tmp_path / "out"
         r = invoke(runner, base + [stage, "--manifests", str(manifests), *extra, "--out", str(out)])
@@ -440,6 +495,8 @@ class TestErrorHandling:
         summary = json.loads((out / "run_summary.json").read_text())
         assert summary["errors"] == {"synth_0000": clash, "zz_copy": clash}
         assert summary["completed"] == ["synth_0001"]
+        if stage == "eval":
+            assert (out / "eval.json").exists() == keep_going
 
     def test_parallel_run_stops_at_a_video_id_clash(self, runner, tmp_path, monkeypatch):
         """A clash is found when its job is recorded, after the job ran, and
@@ -484,22 +541,6 @@ class TestErrorHandling:
         written = {n.split(".")[0] for n in os.listdir(out) if n.endswith(".starts.aent")}
         assert set(summary["completed"]) <= {"synth_0001"}
         assert written - {"synth_0000"} == set(summary["completed"])
-
-    def test_eval_rejects_manifests_sharing_a_video_id(self, runner, tmp_path):
-        manifests = self._share_a_video_id(runner, tmp_path)
-        proposals = tmp_path / "proposals"
-        proposals.mkdir()
-        (proposals / "synth_0000.proposals.json").write_text(
-            '[{"t_start_sec": 0.0, "t_end_sec": 1.0, "score": 0.5}]')
-        for keep_going in ([], ["--keep-going"]):
-            r = invoke(runner, keep_going + ["eval", "--manifests", str(manifests),
-                                             "--proposals", str(proposals),
-                                             "--out", str(tmp_path / "eval")])
-            assert r.exit_code == 1, r.output
-            assert r.output == (f"error: manifests {manifests / 'synth_0000.json'} and "
-                                f"{manifests / 'zz_copy.json'} both have video id 'synth_0000'\n")
-            assert not (tmp_path / "eval" / "eval.json").exists()
-
 
     @pytest.mark.parametrize("option, value", [
         ("--sigma", "0"), ("--sigma", "nan"), ("--score-floor", "nan"), ("--top-k", "0"),
@@ -654,7 +695,7 @@ class TestErrorHandling:
                             "--proposals", str(tmp_path / "props"),
                             "--out", str(tmp_path / "eval")])
         assert r.exit_code == 1
-        assert r.output.startswith(f"error: {bad}")
+        assert r.output.startswith(f"error: {vids[1]}: {bad}")
         assert expected in r.output
 
     @pytest.mark.parametrize("under", [False, True], ids=["a_file", "under_a_file"])
@@ -775,7 +816,7 @@ def test_pool_has_at_most_one_worker_per_job(runner, tmp_path, monkeypatch, n_vi
     summary = json.loads((tmp_path / "labels" / "run_summary.json").read_text())
     assert summary["num_completed"] == n_videos
 
-@pytest.mark.parametrize("stage", ["labels", "featurize", "infer"])
+@pytest.mark.parametrize("stage", ["labels", "featurize", "infer", "eval"])
 def test_jobs_carry_only_a_manifest_path_and_stage_arguments_reach_a_pool_once(
         runner, tmp_path, monkeypatch, stage):
     """A submitted job is its manifest path alone; the stage and its
@@ -798,8 +839,13 @@ def test_jobs_carry_only_a_manifest_path_and_stage_arguments_reach_a_pool_once(
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
     invoke(runner, ["synth", "--n-videos", "3", "--out", str(tmp_path / "corpus")])
     manifests = tmp_path / "corpus" / "manifests"
+    proposals = tmp_path / "proposals"
+    proposals.mkdir()
+    (proposals / "synth_0000.proposals.json").write_text(
+        '[{"t_start_sec": 0.0, "t_end_sec": 1.0, "score": 0.5}]')
     options = {"labels": ["--d-policy", "half"], "featurize": ["--d-model", "16", "--heads", "2"],
-               "infer": ["--grids", str(tmp_path / "corpus" / "grids")]}[stage]
+               "infer": ["--grids", str(tmp_path / "corpus" / "grids")],
+               "eval": ["--proposals", str(proposals)]}[stage]
     r = invoke(runner, ["--workers", "2", stage, "--manifests", str(manifests), *options,
                         "--out", str(tmp_path / "out")])
     assert r.exit_code == 0, r.output
@@ -814,7 +860,8 @@ def test_jobs_carry_only_a_manifest_path_and_stage_arguments_reach_a_pool_once(
     assert str(tmp_path / "out") in carried
     assert {"labels": "half" in carried,
             "featurize": {FusionWeights, StubFeatureSource} <= kinds,
-            "infer": InferenceConfig in kinds}[stage]
+            "infer": InferenceConfig in kinds,
+            "eval": str(proposals) in carried}[stage]
 
 
 def test_cli_import_loads_no_stage_only_module():

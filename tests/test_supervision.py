@@ -120,6 +120,12 @@ def test_max_duration_of_each_policy(policy, T, D):
     assert max_duration(T, policy) == D
 
 
+@pytest.mark.parametrize("policy", ["Full", "HALF", "", "quarter"])
+def test_max_duration_rejects_an_unknown_policy_naming_it(policy):
+    with pytest.raises(InvalidInputError, match=f"duration policy {policy!r}"):
+        max_duration(10, policy)
+
+
 class TestDurationLabels:
     def test_exact_span_unique_argmax(self):
         grid = make_grid(8)
