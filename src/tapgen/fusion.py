@@ -15,13 +15,13 @@ each layer function takes a whole block, with a single snippet as the
 B=1 case. It reads the manifest's snippets as tensorio.Snippets columns:
 it maps snippet index to entry row once per video, gathers the agent
 boxes into snippet order as one [N, 4] array, and slices each block's
-box counts and boxes out of those. A feature source hands over a
-block's maps in one call: the stub as one [B, C, H, W] buffer, checked
-once; the file source, when its files share one layout, as one such
-array, checked once too (else one array per snippet, which the block
-groups into one stack per distinct map shape). Per block: one mean over H x W
-per stack, and one pooled [B, C] matrix through the environment stack;
-one RoIAlign call per stack that holds boxes, over all of them; one
+box counts and boxes out of those. A video's maps share one [C, H, W]
+shape, and a feature source hands over a block's maps in one call as
+one [B, C, H, W] array: the stub as one buffer, checked once; the file
+source, when its files share one layout, as one such array, checked
+once too, else as the stack of its files parsed one by one. Per block:
+one mean over H x W, and one pooled [B, C] matrix through the
+environment stack; one RoIAlign call over all its boxes; one
 agent-encoder batch [B_n, n, d_model] per agent count n (equal counts
 need no attention mask); one fuse-encoder batch for the snippets without
 agents (1 token) and one for the rest (2 tokens). Attention over a
@@ -255,19 +255,16 @@ def environment_pathway(fmap, w: FusionWeights) -> np.ndarray:
     """Global average pool over H x W, fully connected stack, softmax.
 
     Returns the scene descriptor as a probability vector of length d_model
-    (or raw logits when config.env_softmax is off). Batched form: a list
-    of (rows, [b, C, H, W] stack) pairs, one per map shape, whose rows
-    together are 0..B-1; returns one row per map, [B, d_model].
+    (or raw logits when config.env_softmax is off). Batched form: a
+    [B, C, H, W] array gives one row per map, [B, d_model].
     """
     single = isinstance(fmap, FeatureMap)
-    stacks = [(np.zeros(1, dtype=np.intp), fmap.values[None])] if single else fmap
-    x = np.empty((sum(len(rows) for rows, _ in stacks), w.config.channels))
-    for rows, stack in stacks:
-        if stack.shape[1] != w.config.channels:
-            raise ConfigError(
-                f"feature map has {stack.shape[1]} channels, weights expect {w.config.channels}"
-            )
-        x[rows] = stack.mean(axis=(2, 3))
+    maps = fmap.values[None] if single else fmap
+    if maps.shape[1] != w.config.channels:
+        raise ConfigError(
+            f"feature map has {maps.shape[1]} channels, weights expect {w.config.channels}"
+        )
+    x = maps.mean(axis=(2, 3))
     last = len(w.env_affine) - 1
     for i, (mat, bias) in enumerate(w.env_affine):
         x = x @ mat.T + bias
@@ -439,12 +436,12 @@ class StubFeatureSource:
 class FileFeatureSource:
     """Feature maps read from tensor files named in the manifest, each
     file once; a block of one file layout becomes one array (module
-    docstring), any other block is parsed file by file."""
+    docstring), any other block is parsed file by file and stacked."""
 
     def __init__(self, base_dir: str | os.PathLike):
         self.base_dir = os.fspath(base_dir)
 
-    def get_block(self, video_id: str, indices, feature_files):
+    def get_block(self, video_id: str, indices, feature_files) -> np.ndarray:
         paths, blobs, failure = [], [], None
         for snippet_index, feature_file in zip(indices, feature_files):
             try:
@@ -462,10 +459,13 @@ class FileFeatureSource:
         for path, blob in zip(paths, blobs):
             values = tensor_from_bytes(blob, name=path).to_array()  # finite, dims positive
             _check_map_shape(values.shape)
+            if maps and values.shape != maps[0].shape:
+                raise DataError(f"video {video_id!r}: feature file {path} has shape "
+                                f"{values.shape}, expected {maps[0].shape}")
             maps.append(values)
         if failure is not None:
             raise failure
-        return maps
+        return np.stack(maps)
 
     def _read(self, video_id: str, snippet_index: int, feature_file) -> tuple[str, bytes]:
         if feature_file is None:
@@ -480,17 +480,6 @@ class FileFeatureSource:
             ) from e
 
 
-def _stacks(maps) -> list[tuple[np.ndarray, np.ndarray]]:
-    """A block's maps as (rows, [b, C, H, W] stack) pairs, one per map
-    shape in order of first appearance; a 4-D array is one stack already."""
-    if isinstance(maps, np.ndarray):
-        return [(np.arange(len(maps)), maps)]
-    rows: dict[tuple[int, ...], list[int]] = {}
-    for k, m in enumerate(maps):
-        rows.setdefault(m.shape, []).append(k)
-    return [(np.array(r), np.stack([maps[k] for k in r])) for r in rows.values()]
-
-
 def featurize_video(manifest, w: FusionWeights, source) -> np.ndarray:
     """Run the full two-pathway pipeline over every snippet.
 
@@ -498,11 +487,12 @@ def featurize_video(manifest, w: FusionWeights, source) -> np.ndarray:
     Snippets absent from the manifest contribute no agent boxes. Snippets
     go through the layers BLOCK_SNIPPETS at a time (module docstring):
     source.get_block(video_id, indices, feature_files) gives a block's
-    maps, as one [B, C, H, W] array or as B [C, H, W] arrays in index
-    order; feature_files holds each snippet's file name, None where the
-    manifest names none.
+    maps as one [B, C, H, W] array in index order; feature_files holds
+    each snippet's file name, None where the manifest names none. Every
+    block's maps must have the first block's [C, H, W] shape.
     """
     T = build_grid(manifest.video).T
+    video_id = manifest.video.video_id
     snippets = Snippets.of(manifest.snippets)
     row = np.full(T, -1)  # each snippet's entry row; -1 where the manifest lists none
     listed = np.flatnonzero((snippets.indices >= 0) & (snippets.indices < T))
@@ -518,11 +508,15 @@ def featurize_video(manifest, w: FusionWeights, source) -> np.ndarray:
     out = np.empty((T, w.config.d_model), dtype=np.float64)
     for start in range(0, T, BLOCK_SNIPPETS):
         stop = min(start + BLOCK_SNIPPETS, T)
-        stacks = _stacks(source.get_block(manifest.video.video_id, range(start, stop),
-                                          files[start:stop]))
-        env = environment_pathway(stacks, w)
+        maps = source.get_block(video_id, range(start, stop), files[start:stop])
+        if start == 0:
+            shape = maps.shape[1:]
+        elif maps.shape[1:] != shape:
+            raise DataError(f"video {video_id!r}: snippets {start}..{stop - 1} have maps of "
+                            f"shape {maps.shape[1:]}, expected {shape} as in snippet 0")
+        env = environment_pathway(maps, w)
         block_counts = counts[start:stop]
-        agents = _block_agents(stacks, boxes[edges[start]:edges[stop]], block_counts, w)
+        agents = _block_agents(maps, boxes[edges[start]:edges[stop]], block_counts, w)
         block = out[start:stop]
         alone = block_counts == 0
         if alone.any():
@@ -532,22 +526,14 @@ def featurize_video(manifest, w: FusionWeights, source) -> np.ndarray:
     return out
 
 
-def _block_agents(stacks, boxes: np.ndarray, counts: np.ndarray, w: FusionWeights) -> np.ndarray:
-    """Agent vectors [B, d_model] of one block, from its [N, 4] boxes in
-    snippet order, counts[i] of them for snippet i; rows of snippets without
-    agents stay zero. Boxes are RoI-aligned per stack, then encoded per
-    agent count."""
+def _block_agents(maps, boxes: np.ndarray, counts: np.ndarray, w: FusionWeights) -> np.ndarray:
+    """Agent vectors [B, d_model] of one block of [B, C, H, W] maps, from
+    its [N, 4] boxes in snippet order, counts[i] of them for snippet i; rows
+    of snippets without agents stay zero. Boxes are RoI-aligned in one call,
+    then encoded per agent count."""
     cfg = w.config
     owner = np.repeat(np.arange(len(counts)), counts)  # snippet of each box
-    patches = np.empty((len(boxes), cfg.channels, *cfg.roi_grid))
-    for rows, stack in stacks:
-        local = np.full(len(counts), -1)
-        local[rows] = np.arange(len(rows))
-        sel = local[owner] >= 0
-        if sel.any():
-            patches[sel] = roi_align(
-                stack, boxes[sel], cfg.roi_grid, cfg.roi_samples, local[owner[sel]]
-            )
+    patches = roi_align(maps, boxes, cfg.roi_grid, cfg.roi_samples, owner)
     agents = np.zeros((len(counts), cfg.d_model))
     first = np.cumsum(counts) - counts  # each snippet's first box
     for n in sorted(set(counts.tolist()) - {0}):  # np.unique would import numpy.ma
@@ -646,16 +632,24 @@ def _is_int(v) -> bool:
     return isinstance(v, int) and not isinstance(v, bool)
 
 
+def _no_unknown_fields(obj: dict, known, where: str, prefix: str) -> None:
+    for key in obj:
+        if key not in known:
+            raise ConfigError(f"{where}: unknown field '{prefix}{key}'")
+
+
 def _config_from_index(index, where: str) -> FusionConfig:
     """Validate index.json down to each config field; errors name the field."""
     if not isinstance(index, dict):
         raise ConfigError(f"{where}: top level must be an object")
+    _no_unknown_fields(index, ("config", "params"), where, "")
     for key in ("config", "params"):
         if key not in index:
             raise ConfigError(f"{where}: missing field {key!r}")
         if not isinstance(index[key], dict):
             raise ConfigError(f"{where}: field {key!r} must be an object")
     c = index["config"]
+    _no_unknown_fields(c, {f.name for f in fields(FusionConfig)}, where, "config.")
 
     def field(name: str, ok, kind: str):
         if name not in c:
@@ -683,8 +677,9 @@ def _config_from_index(index, where: str) -> FusionConfig:
 def load_weights(directory: str | os.PathLike) -> FusionWeights:
     """Read a bundle written by save_weights.
 
-    Every index field and every parameter shape is checked; a bad one
-    raises ConfigError naming the file and the field.
+    Every index field and every parameter shape is checked, and a field
+    the config has no use for is rejected; a bad one raises ConfigError
+    naming the file and the field.
     """
     directory = os.fspath(directory)
     index_path = os.path.join(directory, "index.json")
@@ -694,9 +689,10 @@ def load_weights(directory: str | os.PathLike) -> FusionWeights:
         except (ValueError, RecursionError) as e:  # bad JSON or UTF-8, or nesting too deep
             raise ConfigError(f"{index_path}: not valid JSON ({e})") from e
     cfg = _config_from_index(index, index_path)
-    files = index["params"]
+    files, shapes = index["params"], _param_shapes(cfg)
+    _no_unknown_fields(files, shapes, index_path, "params.")
     params = {}
-    for name, shape in _param_shapes(cfg).items():
+    for name, shape in shapes.items():
         fname = files.get(name)
         if fname is None:
             raise ConfigError(f"{index_path}: missing field 'params.{name}'")

@@ -341,6 +341,41 @@ class TestErrorHandling:
         assert summary["num_completed"] == 3
         assert bad_vid in summary["errors"]
 
+    @pytest.mark.parametrize("workers", ["1", "2"])
+    def test_keep_going_featurize_skips_a_video_whose_maps_differ_in_shape(self, runner, tmp_path,
+                                                                           workers):
+        invoke(runner, ["synth", "--n-videos", "4", "--out", str(tmp_path / "corpus")])
+        manifests, features = tmp_path / "corpus" / "manifests", tmp_path / "features"
+        rng = np.random.default_rng(0)
+        for path in sorted(manifests.iterdir()):
+            doc = json.loads(path.read_text())
+            vid = doc["video"]["video_id"]
+            os.makedirs(features / vid)
+            for entry in doc["snippets"]:
+                shape = (8, 4, 4) if (vid, entry["index"]) == ("synth_0002", 3) else (8, 8, 8)
+                entry["feature_file"] = f"{vid}/{entry['index']}.aent"
+                write_tensor(Tensor.from_array(rng.random(shape)), features / entry["feature_file"])
+            path.write_text(json.dumps(doc))
+
+        def featurize(manifest_dir, out, *base):
+            r = invoke(runner, [*base, "featurize", "--manifests", str(manifest_dir),
+                                "--features", str(features), "--out", str(tmp_path / out)])
+            return r, json.loads((tmp_path / out / "run_summary.json").read_text())
+
+        r, summary = featurize(manifests, "feats", "--workers", workers, "--keep-going")
+        assert r.exit_code == 2, r.output
+        assert summary["errors"] == {"synth_0002": (
+            f"video 'synth_0002': feature file {features / 'synth_0002' / '3.aent'} "
+            "has shape (8, 4, 4), expected (8, 8, 8)")}
+        assert summary["num_completed"] == 3
+        rest = tmp_path / "rest"
+        shutil.copytree(manifests, rest)
+        os.remove(rest / "synth_0002.json")
+        r, _ = featurize(rest, "without")
+        assert r.exit_code == 0, r.output
+        written = tree_digests(tmp_path / "feats")
+        assert len(written) == 3 and written == tree_digests(tmp_path / "without")
+
     @pytest.mark.parametrize("keep_going, exit_code", [(False, 1), (True, 2)])
     def test_non_utf8_manifest_is_a_per_video_error(self, runner, tmp_path, keep_going,
                                                     exit_code):

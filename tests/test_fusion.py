@@ -449,8 +449,9 @@ def reference_featurize_video(manifest, w, source):
 
 
 # featurize_video and the two sources as they were when a source handed out
-# one FeatureMap per get call, verbatim but for the names: the reference
-# for the block sources, which must give the same bits.
+# one FeatureMap per get call, verbatim but for the names and the rule that a
+# video's maps share one shape: the reference for the block sources, which
+# must give the same bits, or the same error.
 
 class PerSnippetStubSource:
     """Seeded deterministic maps, keyed per (video, snippet)."""
@@ -459,8 +460,8 @@ class PerSnippetStubSource:
         self.seed = seed
         self.dims = dims
 
-    def get(self, video_id: str, snippet_index: int, entry) -> FeatureMap:
-        return stub_backbone(video_id, snippet_index, self.dims, self.seed)
+    def get(self, video_id: str, snippet_index: int, entry, shape=None) -> FeatureMap:
+        return stub_backbone(video_id, snippet_index, self.dims, self.seed)  # shape: always dims
 
 
 class PerSnippetFileSource:
@@ -469,7 +470,9 @@ class PerSnippetFileSource:
     def __init__(self, base_dir: str | os.PathLike):
         self.base_dir = os.fspath(base_dir)
 
-    def get(self, video_id: str, snippet_index: int, entry) -> FeatureMap:
+    def get(self, video_id: str, snippet_index: int, entry, shape=None) -> FeatureMap:
+        """The snippet's map; one of another shape than shape, the block's
+        first map's, is a DataError naming its file."""
         if entry is None or entry.feature_file is None:
             raise DataError(
                 f"video {video_id!r}: no feature file for snippet {snippet_index}"
@@ -480,7 +483,11 @@ class PerSnippetFileSource:
                 f"video {video_id!r}: feature file {path} for snippet "
                 f"{snippet_index} is missing"
             )
-        return FeatureMap(values=read_tensor(path).to_array())
+        fmap = FeatureMap(values=read_tensor(path).to_array())
+        if shape is not None and fmap.values.shape != shape:
+            raise DataError(f"video {video_id!r}: feature file {path} has shape "
+                            f"{fmap.values.shape}, expected {shape}")
+        return fmap
 
 
 def per_snippet_source_environment_pathway(fmap, w: FusionWeights) -> np.ndarray:
@@ -488,7 +495,7 @@ def per_snippet_source_environment_pathway(fmap, w: FusionWeights) -> np.ndarray
 
     Returns the scene descriptor as a probability vector of length d_model
     (or raw logits when config.env_softmax is off). Given a sequence of B
-    feature maps (sizes may differ), returns one row per map, [B, d_model].
+    feature maps of one shape, returns one row per map, [B, d_model].
     """
     single = isinstance(fmap, FeatureMap)
     maps = (fmap,) if single else fmap
@@ -512,15 +519,24 @@ def per_snippet_source_featurize_video(manifest, w: FusionWeights, source) -> np
 
     Returns the [T, d_model] feature matrix with rows in snippet order.
     Snippets absent from the manifest contribute no agent boxes. Snippets
-    go through the layers BLOCK_SNIPPETS at a time (module docstring).
+    go through the layers BLOCK_SNIPPETS at a time (module docstring);
+    every map must have the shape of the video's first.
     """
     grid = build_grid(manifest.video)
     smap = {s.index: s for s in manifest.snippets}
+    video_id = manifest.video.video_id
     out = np.empty((grid.T, w.config.d_model), dtype=np.float64)
     for start in range(0, grid.T, BLOCK_SNIPPETS):
         rows = range(start, min(start + BLOCK_SNIPPETS, grid.T))
         entries = [smap.get(i) for i in rows]
-        maps = [source.get(manifest.video.video_id, i, e) for i, e in zip(rows, entries)]
+        maps = []
+        for i, e in zip(rows, entries):
+            maps.append(source.get(video_id, i, e, maps[0].values.shape if maps else None))
+        if start == 0:
+            shape = maps[0].values.shape
+        elif maps[0].values.shape != shape:
+            raise DataError(f"video {video_id!r}: snippets {start}..{rows.stop - 1} have maps of "
+                            f"shape {maps[0].values.shape}, expected {shape} as in snippet 0")
         env = per_snippet_source_environment_pathway(maps, w)
         boxes = [e.agent_boxes if e is not None else () for e in entries]
         counts = np.array([len(b) for b in boxes])
@@ -613,22 +629,23 @@ class TestFeaturizeVideo:
         assert np.all(np.isfinite(out))
 
     @pytest.mark.parametrize("bad, error", [
-        ("2-d", InvalidInputError), ("channels", ConfigError), ("missing", DataError),
-        ("non-finite", TensorFormatError),
+        ("2-d", InvalidInputError), ("channels", ConfigError), ("other-shape", DataError),
+        ("missing", DataError), ("non-finite", TensorFormatError),
     ])
     def test_file_source_errors_match_the_per_snippet_source(self, tmp_path, bad, error):
         w = random_weights(SMALL_CFG, seed=10)
         rng = np.random.default_rng(2)
+        channels = 4 if bad == "channels" else 3  # the weights' 3 channels, or every map 4
         for i in range(3):
-            write_tensor(Tensor.from_array(rng.random((3, 6, 6))), tmp_path / f"s{i}.aent")
+            write_tensor(Tensor.from_array(rng.random((channels, 6, 6))), tmp_path / f"s{i}.aent")
         bad_file = tmp_path / "s1.aent"
         if bad == "2-d":
             write_tensor(Tensor.from_array(rng.random((6, 6))), bad_file)
-        elif bad == "channels":
+        elif bad == "other-shape":
             write_tensor(Tensor.from_array(rng.random((4, 6, 6))), bad_file)
         elif bad == "missing":
             bad_file.unlink()
-        else:
+        elif bad == "non-finite":
             nan = Tensor(dims=(3, 6, 6), dtype="f64", data=np.full(108, np.nan))
             bad_file.write_bytes(tensor_bytes(nan))
         snippets = tuple(SnippetEntry(index=i, feature_file=f"s{i}.aent") for i in range(3))
@@ -682,27 +699,28 @@ def write_feature_file(path, kind: str, shift: float = 0.0) -> None:
 class TestFileSourceBlockRead:
     """FileFeatureSource reads a block's files into one array when they share
     one layout, and parses them one by one otherwise; either way it gives
-    the per-snippet reader's bits, or its error for the first bad snippet."""
+    the per-snippet reader's bits, or its error for the first bad snippet,
+    a map of another shape than the first included."""
 
     @pytest.mark.parametrize("kinds, error", [
         (("f64",) * 4, None),
         (("f32",) * 4, None),
         (("f64", "f32", "f64", "f32"), None),
-        (("f64", "other-shape", "f64", "f64"), None),
-        (("other-shape", "f32", "f64", "other-shape"), None),
+        (("f64", "other-shape", "f64", "f64"), DataError),
+        (("other-shape", "f32", "f64", "other-shape"), DataError),
         (("non-finite", "missing", "f64", "f64"), TensorFormatError),
         (("2-d", "f64", "non-finite", "f64"), InvalidInputError),
         (("f64", "f64", "f64", "non-finite"), TensorFormatError),
         (("f32", "non-finite-f32", "f32", "f32"), TensorFormatError),
         (("f64", "bad-version", "non-finite", "f64"), TensorFormatError),
         (("f64", "f64", "f64", "bad-version"), TensorFormatError),
-        (("f64", "same-length-other-shape", "f64", "f64"), None),
-        (("f64", "f64", "same-length-f32", "f64"), None),
+        (("f64", "same-length-other-shape", "f64", "f64"), DataError),
+        (("f64", "f64", "same-length-f32", "f64"), DataError),
         (("f64", "f64", "truncated", "missing"), TensorFormatError),
         (("f64", "f64", "truncated", "f64"), TensorFormatError),
         (("f64", "missing", "non-finite", "f64"), DataError),
         (("f64", "f32", "unnamed", "2-d"), DataError),
-        (("f64", "other-shape", "directory", "non-finite"), IsADirectoryError),
+        (("f64", "other-shape", "directory", "non-finite"), DataError),
         (("f32", "2-d", "f64", "f64"), InvalidInputError),
     ])
     def test_matches_the_per_snippet_source(self, tmp_path, monkeypatch, kinds, error):
@@ -755,12 +773,21 @@ class TestFileSourceBlockRead:
         want = np.stack([read_tensor(tmp_path / n).to_array() for n in names])
         assert block.tobytes() == want.tobytes()
 
-    def test_several_shapes_are_one_array_per_snippet(self, tmp_path):
+    def test_several_shapes_are_a_data_error_naming_the_file(self, tmp_path):
         write_feature_file(tmp_path / "a.aent", "f64")
         write_feature_file(tmp_path / "b.aent", "other-shape")
-        maps = FileFeatureSource(tmp_path).get_block("v", range(3), ["a.aent", "b.aent", "a.aent"])
-        assert [m.shape for m in maps] == [(3, 6, 6), (3, 4, 5), (3, 6, 6)]
-        assert maps[0].tobytes() == maps[2].tobytes() == GOOD.tobytes()
+        with pytest.raises(DataError) as e:
+            FileFeatureSource(tmp_path).get_block("v", range(3), ["a.aent", "b.aent", "a.aent"])
+        assert str(e.value) == (f"video 'v': feature file {tmp_path / 'b.aent'} has shape "
+                                "(3, 4, 5), expected (3, 6, 6)")
+
+    def test_f32_and_f64_files_of_one_shape_are_one_array(self, tmp_path):
+        for name, kind in (("a.aent", "f64"), ("b.aent", "f32")):
+            write_feature_file(tmp_path / name, kind)
+        block = FileFeatureSource(tmp_path).get_block("v", range(3), ["a.aent", "b.aent", "a.aent"])
+        assert block.shape == (3, 3, 6, 6) and block.dtype == np.float64
+        assert block[0].tobytes() == block[2].tobytes() == GOOD.tobytes()
+        assert block[1].tobytes() == GOOD.astype(np.float32).astype(np.float64).tobytes()
 
 
 class TestWeightBundles:
@@ -928,6 +955,20 @@ class TestWeightBundleValidation:
         with pytest.raises(ConfigError,
                            match=r"index\.json: missing field 'params\.fuse_encoder\.0\.wq'"):
             load_weights(directory)
+
+    @pytest.mark.parametrize("edit, field", [
+        (lambda index: index.__setitem__("extra", 1), "extra"),
+        (lambda index: index["config"].__setitem__("dropout", 0.1), "config.dropout"),
+        (lambda index: index["params"].__setitem__(
+            "agent_encoder.1.wq", index["params"]["agent_encoder.0.wq"]),
+         "params.agent_encoder.1.wq"),
+    ], ids=["top-level", "config", "params-of-a-layer-the-config-lacks"])
+    def test_unknown_field(self, tmp_path, edit, field):
+        directory = _bundle(tmp_path)
+        _edit_index(directory, edit)
+        with pytest.raises(ConfigError) as e:
+            load_weights(directory)
+        assert str(e.value) == f"{directory / 'index.json'}: unknown field '{field}'"
 
     def test_parameter_file_name_not_a_string(self, tmp_path):
         directory = _bundle(tmp_path)

@@ -7,6 +7,7 @@ import json
 import math
 import os
 import pathlib
+import re
 import tempfile
 from dataclasses import astuple, replace
 from unittest.mock import patch
@@ -20,7 +21,6 @@ import test_fusion
 from tapgen import fusion
 from tapgen.cli import load_proposals
 from tapgen.errors import (
-    ConfigError,
     DataError,
     InvalidInputError,
     ManifestValidationError,
@@ -403,19 +403,20 @@ def at_block_size(T, block, max_examples, prop):
 
 
 class MapSource:
-    """Feature maps handed out by snippet index, as a feature source."""
+    """Feature maps handed out by snippet index, as a feature source; the
+    maps of one block share a shape."""
 
     def __init__(self, maps):
         self.maps = maps
 
-    def get(self, video_id, snippet_index, entry):
+    def get(self, video_id, snippet_index, entry, shape=None):
         fmap = self.maps[snippet_index]
         if fmap is None:
             raise DataError(f"video {video_id!r}: no feature file for snippet {snippet_index}")
         return fmap
 
     def get_block(self, video_id, indices, entries):
-        return [self.get(video_id, i, e).values for i, e in zip(indices, entries)]
+        return np.stack([self.get(video_id, i, e).values for i, e in zip(indices, entries)])
 
 
 def random_box(rng):
@@ -424,9 +425,9 @@ def random_box(rng):
             float(rng.uniform(x1 + 0.01, 1.0)), float(rng.uniform(y1 + 0.01, 1.0)))
 
 
-def block_video(T, counts, sizes, channels, seed, listed=None):
+def block_video(T, counts, size, channels, seed, listed=None):
     """A manifest with counts[i] boxes on snippet i (snippets not in listed
-    are absent from it) and a source of sizes[i]-shaped maps."""
+    are absent from it) and a source of [channels, *size] maps."""
     rng = np.random.default_rng(seed)
     listed = range(T) if listed is None else listed
     meta = VideoMeta(video_id="blk", num_frames=T * 8, fps=8.0, snippet_len=8)
@@ -435,17 +436,16 @@ def block_video(T, counts, sizes, channels, seed, listed=None):
                      agent_boxes=tuple(random_box(rng) for _ in range(counts[i])))
         for i in listed
     )
-    maps = [FeatureMap(values=rng.standard_normal((channels, *sizes[i]))) for i in range(T)]
+    maps = [FeatureMap(values=rng.standard_normal((channels, *size))) for _ in range(T)]
     return Manifest(video=meta, annotations=(), snippets=snippets), MapSource(maps)
 
 
 @st.composite
 def block_videos(draw, T):
     counts = draw(st.lists(st.integers(0, 4), min_size=T, max_size=T))
-    size_pool = draw(st.sampled_from([[(8, 8)], [(1, 1), (3, 5), (6, 4)], [(2, 7), (8, 8)]]))
-    sizes = draw(st.lists(st.sampled_from(size_pool), min_size=T, max_size=T))
+    size = draw(st.sampled_from([(8, 8), (1, 1), (3, 5), (6, 4), (2, 7)]))  # one per video
     listed = [i for i in range(T) if draw(st.booleans()) or counts[i]]
-    return T, counts, sizes, listed, draw(st.integers(0, 2**32 - 1))
+    return T, counts, size, listed, draw(st.integers(0, 2**32 - 1))
 
 
 @pytest.mark.parametrize("T, block", BLOCK_EDGES)
@@ -454,8 +454,8 @@ def test_batched_featurize_matches_per_snippet(T, block):
 
 
 def batched_featurize_property(T, data, cfg):
-    _, counts, sizes, listed, seed = data.draw(block_videos(T))
-    manifest, source = block_video(T, counts, sizes, cfg.channels, seed, listed)
+    _, counts, size, listed, seed = data.draw(block_videos(T))
+    manifest, source = block_video(T, counts, size, cfg.channels, seed, listed)
     w = random_weights(cfg, seed=seed % 1000)
     got = featurize_video(manifest, w, source)
     want = reference_featurize_video(manifest, w, source)
@@ -472,8 +472,8 @@ def test_block_sources_match_the_per_snippet_sources_bit_for_bit(T, block):
 
 
 def block_sources_property(T, data, cfg):
-    _, counts, sizes, listed, seed = data.draw(block_videos(T))
-    manifest, maps = block_video(T, counts, sizes, cfg.channels, seed, listed)
+    _, counts, size, listed, seed = data.draw(block_videos(T))
+    manifest, maps = block_video(T, counts, size, cfg.channels, seed, listed)
     w = random_weights(cfg, seed=seed % 1000)
 
     def outcome(run, source, m):
@@ -493,7 +493,7 @@ def block_sources_property(T, data, cfg):
         return got[0]
 
     assert same(maps, maps, manifest) == "ok"
-    dims = (cfg.channels, *sizes[0])
+    dims = (cfg.channels, *size)
     assert same(StubFeatureSource(seed, dims), PerSnippetStubSource(seed, dims), manifest) == "ok"
     entries = {s.index: s for s in manifest.snippets}
     every = tuple(replace(entries.get(i, SnippetEntry(index=i, feature_file=None)),
@@ -518,8 +518,8 @@ def test_featurize_reads_snippet_columns_as_the_tuple_they_stand_for(T, block):
 
 
 def snippet_columns_property(T, data, cfg):
-    _, counts, sizes, listed, seed = data.draw(block_videos(T))
-    manifest, maps = block_video(T, counts, sizes, cfg.channels, seed, listed)
+    _, counts, size, listed, seed = data.draw(block_videos(T))
+    manifest, maps = block_video(T, counts, size, cfg.channels, seed, listed)
     named = tuple(replace(s, feature_file=f"s{s.index}.aent") for s in manifest.snippets)
     in_order = replace(manifest, snippets=named)
     order = data.draw(st.permutations(range(len(named))))
@@ -538,7 +538,7 @@ def snippet_columns_property(T, data, cfg):
         assert isinstance(columns.snippets, Snippets) and columns == manifest
         for i, fmap in enumerate(maps.maps):
             write_tensor(Tensor.from_array(fmap.values), os.path.join(d, f"s{i}.aent"))
-        sources = (maps, StubFeatureSource(seed, (cfg.channels, *sizes[0])), FileFeatureSource(d))
+        sources = (maps, StubFeatureSource(seed, (cfg.channels, *size)), FileFeatureSource(d))
         for source in sources:
             want = outcome(in_order, source)
             for got in (outcome(manifest, source), outcome(columns, source)):
@@ -552,10 +552,40 @@ def snippet_columns_property(T, data, cfg):
 def test_batched_featurize_channel_mismatch_in_a_later_block():
     cfg = FUSION_CONFIGS[0]
     T = BLOCK_SNIPPETS + 3
-    manifest, source = block_video(T, [1] * T, [(4, 4)] * T, cfg.channels, seed=5)
-    source.maps[BLOCK_SNIPPETS + 1] = FeatureMap(values=np.ones((cfg.channels + 1, 4, 4)))
-    with pytest.raises(ConfigError, match="channels"):
+    manifest, source = block_video(T, [1] * T, (4, 4), cfg.channels, seed=5)
+    for i in range(BLOCK_SNIPPETS, T):
+        source.maps[i] = FeatureMap(values=np.ones((cfg.channels + 1, 4, 4)))
+    with pytest.raises(DataError) as e:
         featurize_video(manifest, random_weights(cfg, seed=1), source)
+    assert str(e.value) == (f"video 'blk': snippets {BLOCK_SNIPPETS}..{T - 1} have maps of "
+                            "shape (4, 4, 4), expected (3, 4, 4) as in snippet 0")
+
+
+@pytest.mark.parametrize("kind", ["memory", "files"])
+def test_a_later_block_of_another_shape_is_a_data_error(tmp_path, kind):
+    """Whether a video is accepted does not depend on BLOCK_SNIPPETS: a
+    block of one shape is rejected when an earlier block has another."""
+    cfg = FUSION_CONFIGS[0]
+    T = 2 * SMALL_BLOCK + 3
+    manifest, source = block_video(T, [1] * T, (4, 4), cfg.channels, seed=7)
+    for i in range(2 * SMALL_BLOCK, T):
+        source.maps[i] = FeatureMap(values=np.ones((cfg.channels, 5, 3)))
+    if kind == "files":
+        for i, fmap in enumerate(source.maps):
+            write_tensor(Tensor.from_array(fmap.values), tmp_path / f"s{i}.aent")
+        manifest = replace(manifest, snippets=tuple(
+            replace(s, feature_file=f"s{s.index}.aent") for s in manifest.snippets))
+        source = FileFeatureSource(tmp_path)
+    w = random_weights(cfg, seed=1)
+    want = (f"video 'blk': snippets {2 * SMALL_BLOCK}..{T - 1} have maps of shape "
+            "(3, 5, 3), expected (3, 4, 4) as in snippet 0")
+    with patch.object(fusion, "BLOCK_SNIPPETS", SMALL_BLOCK):
+        with pytest.raises(DataError, match=rf"^{re.escape(want)}$"):
+            featurize_video(manifest, w, source)
+    if kind == "files":  # in one block, the file of another shape than the first is named
+        with patch.object(fusion, "BLOCK_SNIPPETS", T), pytest.raises(
+                DataError, match=rf"s{2 * SMALL_BLOCK}\.aent has shape \(3, 5, 3\), expected"):
+            featurize_video(manifest, w, source)
 
 
 def test_batched_featurize_missing_file_names_video_and_snippet(tmp_path):
@@ -563,7 +593,7 @@ def test_batched_featurize_missing_file_names_video_and_snippet(tmp_path):
     T = 2 * BLOCK_SNIPPETS + 3
     missing = BLOCK_SNIPPETS + 7
     write_tensor(Tensor.from_array(np.ones((cfg.channels, 4, 4))), tmp_path / "map.aent")
-    manifest, _ = block_video(T, [2] * T, [(4, 4)] * T, cfg.channels, seed=6)
+    manifest, _ = block_video(T, [2] * T, (4, 4), cfg.channels, seed=6)
     snippets = tuple(
         replace(s, feature_file="gone.aent" if s.index == missing else "map.aent")
         for s in manifest.snippets
