@@ -4,10 +4,11 @@ Subcommands: synth, featurize, labels, infer, eval. Options may come from
 a JSON config file (--config), which becomes click's default map: its
 values are typed and checked exactly like flags, and explicit flags win.
 Every run writes a machine-readable run_summary.json next to its outputs.
-labels, featurize, infer and eval are stages, stage(manifest, out_dir,
-*args) of a parsed Manifest, all run by one job body (_run_one) that
-reads the manifest; a stage's arguments reach each process once. eval
-then pools its stage's results, one video's proposals each, into AR@AN.
+Every command is a stage, stage(manifest, out_dir, *args) of one video's
+Manifest, all run by one job body (_run_one) that loads the manifest from
+the job's key: a manifest file's path, or for synth a video index. A
+stage's arguments reach each process once. eval then pools its stage's
+results, one video's proposals each, into AR@AN.
 Each command imports the heavy modules only it uses (fusion, metrics,
 synth, the process pool) itself, so a process pays for no other stage.
 Exit codes: 0 success, 1 validation/data error, 2 partial failure under
@@ -17,6 +18,7 @@ Exit codes: 0 success, 1 validation/data error, 2 partial failure under
 from __future__ import annotations
 
 import dataclasses
+import functools
 import glob
 import json
 import os
@@ -50,6 +52,10 @@ if TYPE_CHECKING:
 
 # Score grid files, <video>.<part>.aent, by the ScoreGrids field each holds.
 GRID_PARTS = {"start": "start_probs", "end": "end_probs", "cls": "conf_cls", "reg": "conf_reg"}
+# Label files by the LabelSet field each holds. synth's oracle grids are the
+# label arrays under the score grid names, with durations as both conf grids.
+LABEL_FILES = {"starts": "starts", "ends": "ends", "durations": "durations"}
+ORACLE_GRIDS = {"start": "starts", "end": "ends", "cls": "durations", "reg": "durations"}
 
 # Input paths and synth's output switch are per-run choices, given as flags only.
 FLAG_ONLY = ("features_dir", "weights_dir", "write_grids")
@@ -97,69 +103,68 @@ def _exit_on_error():
         sys.exit(1)
 
 
-def _manifest_paths(manifest_dir: str) -> list[str]:
+def _manifest_paths(manifest_dir: str) -> dict[str, str]:
+    """The path of each manifest in manifest_dir by its name, the file name without .json."""
     paths = sorted(glob.glob(os.path.join(manifest_dir, "*.json")))
     paths = [p for p in paths if not os.path.basename(p).startswith("run_summary")]
     if not paths:
         raise click.ClickException(f"no manifests found in {manifest_dir}")
-    return paths
+    return {os.path.splitext(os.path.basename(p))[0]: p for p in paths}
 
 
-# (stage, args) of the current run, set once per process by _install.
+# (load, stage, args) of the current run, set once per process by _install.
 _installed: tuple = ()
 
 
-def _install(stage, args: tuple) -> None:
+def _install(load, stage, args: tuple) -> None:
     global _installed
-    _installed = (stage, args)
+    _installed = (load, stage, args)
 
 
-def _run_one(path: str) -> tuple:
-    """Run the installed stage on the manifest at path; return (video id, stage result)."""
-    stage, args = _installed
-    manifest = read_manifest(path)
+def _run_one(key) -> tuple:
+    """Run the installed stage on the manifest load(key); return (video id, stage result)."""
+    load, stage, args = _installed
+    manifest = load(key)
     return manifest.video.video_id, stage(manifest, *args)
 
 
-def _run_batch(ctx, manifest_dir: str, out: str, stage, args: tuple):
-    """Create out, run stage(manifest, out, *args) on every manifest in
-    manifest_dir under the run's --workers and --keep-going, and return
-    (done, errors): each job's stage result or error by its manifest's name.
+def _run_batch(ctx, jobs: dict, load, out: str, stage, args: tuple):
+    """Create out, run stage(load(key), out, *args) for every job key in
+    jobs, by name, under the run's --workers and --keep-going, and return
+    (done, errors): each job's stage result or error by its name.
 
-    (stage, args) reach each process once, by _install: the pool
+    (load, stage, args) reach each process once, by _install: the pool
     initializer in each worker, a direct call on the serial path. A job is
-    one _run_one call, which carries only its manifest path and returns
-    the video id that names its outputs. Uses at most one process per
-    job, and none besides this one for a single job. Any exception a job
-    raises is that job's error: a TapgenError or OSError by its message,
-    any other by its class and message, with its traceback written to
-    stderr. A job whose video id an earlier job returned wrote over that
-    job's outputs, in a pool in either order, so both are errors. Jobs are
-    recorded in path order, and without --keep-going the batch stops at the
-    first error, a clash included: serially, no later job starts; in a
-    pool, queued jobs are cancelled and the jobs already running finish
-    and are reported like the rest.
+    one _run_one call, which carries only its key and returns the video id
+    that names its outputs. Uses at most one process per job, and none
+    besides this one for a single job. Any exception a job raises is that
+    job's error: a TapgenError or OSError by its message, any other by its
+    class and message, with its traceback written to stderr. A job whose
+    video id an earlier job returned wrote over that job's outputs, in a
+    pool in either order, so both are errors. Jobs are recorded in their
+    order in jobs, and without --keep-going the batch stops at the first
+    error, a clash included: serially, no later job starts; in a pool,
+    queued jobs are cancelled and the jobs already running finish and are
+    reported like the rest.
     """
     with _exit_on_error():  # an --out that is, or lies under, a file
         os.makedirs(out, exist_ok=True)
-    paths = _manifest_paths(manifest_dir)
     args = (out, *args)
     errors: dict[str, str] = {}
     done: dict = {}
-    owners: dict[str, tuple[str, str]] = {}  # video id -> (name, manifest path) of its first job
+    owners: dict[str, str] = {}  # video id -> name of its first job
 
-    def record(path, call) -> bool:  # whether the batch goes on
-        name = os.path.splitext(os.path.basename(path))[0]
+    def record(name, call) -> bool:  # whether the batch goes on
         try:
             vid, result = call()
             if vid in owners:
-                first, first_path = owners[vid]
-                clash = f"manifests {first_path} and {path} both have video id {vid!r}"
+                first = owners[vid]
+                clash = f"manifests {jobs[first]} and {jobs[name]} both have video id {vid!r}"
                 if first in done:
                     del done[first]
                     errors[first] = clash
                 raise DataError(clash)
-            owners[vid] = (name, path)
+            owners[vid] = name
         except Exception as e:  # even a bug or a MemoryError is one job's error
             if isinstance(e, (TapgenError, OSError)):
                 errors[name] = str(e)
@@ -175,20 +180,21 @@ def _run_batch(ctx, manifest_dir: str, out: str, stage, args: tuple):
         done[name] = result
         return True
 
-    workers = min(ctx.obj["workers"], len(paths))  # a pool forks all its workers at once
+    workers = min(ctx.obj["workers"], len(jobs))  # a pool forks all its workers at once
     pooled = workers > 1
     if pooled:
         from concurrent.futures import ProcessPoolExecutor
 
-        with ProcessPoolExecutor(workers, initializer=_install, initargs=(stage, args)) as pool:
-            futures = [pool.submit(_run_one, path) for path in paths]
-            for path, fut in zip(paths, futures):
-                if not fut.cancelled() and not record(path, fut.result):
+        with ProcessPoolExecutor(workers, initializer=_install,
+                                 initargs=(load, stage, args)) as pool:
+            futures = [pool.submit(_run_one, key) for key in jobs.values()]
+            for name, fut in zip(jobs, futures):
+                if not fut.cancelled() and not record(name, fut.result):
                     pool.shutdown(cancel_futures=True)
     else:
-        _install(stage, args)
-        for path in paths:
-            if not record(path, lambda: _run_one(path)):
+        _install(load, stage, args)
+        for name, key in jobs.items():
+            if not record(name, lambda: _run_one(key)):
                 break
     return done, errors
 
@@ -230,6 +236,12 @@ def main(ctx, seed, workers, keep_going):
 # synth
 # ---------------------------------------------------------------------------
 
+def _synth_one(manifest: Manifest, manifest_dir: str, grids: str | None, d_policy: str) -> None:
+    write_manifest(manifest, os.path.join(manifest_dir, f"{manifest.video.video_id}.json"))
+    if grids:
+        _labels_one(manifest, grids, d_policy, ORACLE_GRIDS)
+
+
 @main.command("synth")
 @click.option("--n-videos", type=int, default=10)
 @click.option("--max-actions", type=int, default=3)
@@ -252,10 +264,9 @@ def cmd_synth(ctx, n_videos, max_actions, t_min, t_max, d_policy, write_grids, o
                                    f"got --t-min {t_min} and --t-max {t_max}")
     manifest_dir = os.path.join(out, "manifests")
     grid_dir = os.path.join(out, "grids")
-    videos = synth.synth_corpus(n_videos, max_actions, seed, t_min, t_max, d_policy)
-    vids = [sv.manifest.video.video_id for sv in videos]
-    writes = {manifest_dir: {f"{vid}.json" for vid in vids},
-              grid_dir: {f"{vid}.{part}.aent" for vid in vids for part in GRID_PARTS}
+    jobs = {synth.VIDEO_ID.format(i): i for i in range(n_videos)}
+    writes = {manifest_dir: {f"{vid}.json" for vid in jobs},
+              grid_dir: {f"{vid}.{part}.aent" for vid in jobs for part in ORACLE_GRIDS}
               if write_grids else set()}
     with _exit_on_error():  # an --out that is, or lies under, a file
         for d, names in writes.items():  # a later stage would take an earlier run's files
@@ -263,21 +274,17 @@ def cmd_synth(ctx, n_videos, max_actions, t_min, t_max, d_policy, write_grids, o
             if stale:
                 raise DataError(f"{os.path.join(d, stale[0])}: not a file this run writes; "
                                 "remove it or give another --out")
-        os.makedirs(manifest_dir, exist_ok=True)
         if write_grids:
             os.makedirs(grid_dir, exist_ok=True)
-    for sv in videos:
-        vid = sv.manifest.video.video_id
-        write_manifest(sv.manifest, os.path.join(manifest_dir, f"{vid}.json"))
-        if write_grids:
-            for part, name in GRID_PARTS.items():
-                write_tensor(Tensor.from_array(getattr(sv.grids, name)),
-                             os.path.join(grid_dir, f"{vid}.{part}.aent"))
+    load = functools.partial(synth.synth_manifest, seed, max_actions=max_actions,
+                             t_min=t_min, t_max=t_max)
+    done, errors = _run_batch(ctx, jobs, load, manifest_dir, _synth_one,
+                              (grid_dir if write_grids else None, d_policy))
     effective = {
         "n_videos": n_videos, "max_actions": max_actions, "seed": seed,
         "t_min": t_min, "t_max": t_max, "d_policy": d_policy, "grids": write_grids,
     }
-    _finish(ctx, out, effective, vids, {})
+    _finish(ctx, out, effective, done, errors)
 
 
 # ---------------------------------------------------------------------------
@@ -321,7 +328,8 @@ def cmd_featurize(ctx, manifest_dir, features_dir, weights_dir, d_model, heads, 
         "d_model": ran.d_model, "num_heads": ran.num_heads, "num_layers": ran.num_layers,
         "channels": ran.channels, "seed": seed, "weights": weights_dir, "features": features_dir,
     }
-    done, errors = _run_batch(ctx, manifest_dir, out, _featurize_one, (weights, source))
+    done, errors = _run_batch(ctx, _manifest_paths(manifest_dir), read_manifest, out,
+                              _featurize_one, (weights, source))
     _finish(ctx, out, effective, done, errors)
 
 
@@ -329,11 +337,11 @@ def cmd_featurize(ctx, manifest_dir, features_dir, weights_dir, d_model, heads, 
 # labels
 # ---------------------------------------------------------------------------
 
-def _labels_one(manifest: Manifest, out_dir: str, d_policy: str) -> None:
+def _labels_one(manifest: Manifest, out_dir: str, d_policy: str, files: dict) -> None:
     grid = build_grid(manifest.video)
     labels = gen_labels(grid, list(manifest.annotations), max_duration(grid.T, d_policy))
-    for part in ("starts", "ends", "durations"):
-        write_tensor(Tensor.from_array(getattr(labels, part)),
+    for part, name in files.items():
+        write_tensor(Tensor.from_array(getattr(labels, name)),
                      os.path.join(out_dir, f"{manifest.video.video_id}.{part}.aent"))
 
 
@@ -344,7 +352,8 @@ def _labels_one(manifest: Manifest, out_dir: str, d_policy: str) -> None:
 @click.pass_context
 def cmd_labels(ctx, manifest_dir, d_policy, out):
     """Write boundary and duration label tensors for every manifest."""
-    done, errors = _run_batch(ctx, manifest_dir, out, _labels_one, (d_policy,))
+    done, errors = _run_batch(ctx, _manifest_paths(manifest_dir), read_manifest, out,
+                              _labels_one, (d_policy, LABEL_FILES))
     _finish(ctx, out, {"d_policy": d_policy}, done, errors)
 
 
@@ -386,7 +395,8 @@ def cmd_infer(ctx, manifest_dir, grid_dir, sigma, score_floor, top_k, out):
     """Run peak pairing, scoring, and Soft-NMS over stored score grids."""
     with _exit_on_error():  # checked once, before any video
         cfg = InferenceConfig(sigma=sigma, score_floor=score_floor, top_k=top_k)
-    done, errors = _run_batch(ctx, manifest_dir, out, _infer_one, (grid_dir, cfg))
+    done, errors = _run_batch(ctx, _manifest_paths(manifest_dir), read_manifest, out,
+                              _infer_one, (grid_dir, cfg))
     _finish(ctx, out, dataclasses.asdict(cfg), done, errors)
 
 
@@ -412,7 +422,8 @@ def cmd_eval(ctx, manifest_dir, proposal_dir, preset, out):
     thresholds = (
         metrics.ACTIVITYNET_THRESHOLDS if preset == "activitynet" else metrics.THUMOS_THRESHOLDS
     )
-    done, errors = _run_batch(ctx, manifest_dir, out, _eval_one, (proposal_dir,))
+    done, errors = _run_batch(ctx, _manifest_paths(manifest_dir), read_manifest, out,
+                              _eval_one, (proposal_dir,))
     if not done or errors and not ctx.obj["keep_going"]:  # no AUC over a stopped run
         _finish(ctx, out, {"preset": preset}, done, errors)  # exits 1
     gts = {vid: anns for vid, anns, _ in done.values()}

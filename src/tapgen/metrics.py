@@ -39,7 +39,6 @@ __all__ = [
     "EvalResult",
     "recall_at",
     "evaluate",
-    "split_eval",
     "ACTIVITYNET_THRESHOLDS",
     "THUMOS_THRESHOLDS",
     "DEFAULT_AN_VALUES",
@@ -162,52 +161,4 @@ def evaluate(
         per_tiou_recall=per,
         thresholds=tuple(thresholds),
         an_values=tuple(an_values),
-    )
-
-
-@dataclass(frozen=True)
-class SplitEvalResult:
-    seen: EvalResult | None
-    unseen: EvalResult | None
-    excluded_videos: tuple[str, ...]  # labels present in both sets
-
-
-def split_eval(
-    proposals_per_video: dict[str, list[Proposal]],
-    gts_per_video: dict[str, list[GroundTruthAction]],
-    seen_labels: set[str],
-    unseen_labels: set[str],
-    thresholds: tuple[float, ...] = ACTIVITYNET_THRESHOLDS,
-    an_values: tuple[int, ...] = DEFAULT_AN_VALUES,
-) -> SplitEvalResult:
-    """Evaluate the seen / unseen partitions separately.
-
-    Videos whose annotation labels touch both sets are excluded and
-    reported; an empty partition yields None for that side.
-    """
-    if seen_labels & unseen_labels:
-        raise UndefinedMetricError("seen and unseen label sets must be disjoint")
-    partitions: dict[str, dict[str, list[GroundTruthAction]]] = {"seen": {}, "unseen": {}}
-    excluded = []
-    for vid, gts in gts_per_video.items():
-        labels = {g.label for g in gts}
-        in_seen = bool(labels & seen_labels)
-        in_unseen = bool(labels & unseen_labels)
-        if in_seen and in_unseen:
-            excluded.append(vid)
-        elif in_seen:
-            partitions["seen"][vid] = gts
-        elif in_unseen:
-            partitions["unseen"][vid] = gts
-
-    def run(gt_part: dict) -> EvalResult | None:
-        try:
-            return evaluate(proposals_per_video, gt_part, thresholds, an_values)
-        except UndefinedMetricError:
-            return None
-
-    return SplitEvalResult(
-        seen=run(partitions["seen"]),
-        unseen=run(partitions["unseen"]),
-        excluded_videos=tuple(sorted(excluded)),
     )

@@ -27,7 +27,9 @@ START_OFFSET = 0.01
 # Agent boxes per snippet are drawn from 0..MAX_BOXES.
 MAX_BOXES = 2
 
-__all__ = ["SynthVideo", "synth_corpus", "oracle_grids"]
+VIDEO_ID = "synth_{:04d}"  # of video i of a corpus
+
+__all__ = ["SynthVideo", "synth_manifest", "synth_corpus", "oracle_grids"]
 
 
 @dataclass(frozen=True)
@@ -94,35 +96,25 @@ def _synth_boxes(rng: np.random.Generator) -> tuple:
     return tuple(boxes)
 
 
-def synth_video(
-    rng: np.random.Generator,
-    video_id: str,
-    max_actions: int,
-    t_min: int = 8,
-    t_max: int = 32,
-    d_policy: str = "full",
-) -> SynthVideo:
-    """One deterministic synthetic video with labels and oracle grids."""
+def synth_manifest(seed: int, i: int, max_actions: int, t_min: int, t_max: int) -> Manifest:
+    """Video i of the seeded corpus, drawn from its own (seed, i) keyed stream."""
+    rng = np.random.Generator(np.random.Philox(key=np.array([seed, i], dtype=np.uint64)))
     T = int(rng.integers(t_min, t_max + 1))
     snippet_len = 16
     fps = float(rng.choice([10.0, 16.0, 25.0]))
-    extra = int(rng.integers(0, snippet_len))
+    extra = int(rng.integers(0, snippet_len))  # below snippet_len: T snippets exactly
     meta = VideoMeta(
-        video_id=video_id,
+        video_id=VIDEO_ID.format(i),
         num_frames=T * snippet_len + extra,
         fps=fps,
         snippet_len=snippet_len,
     )
-    grid = build_grid(meta)
-    assert grid.T == T
-    actions = _synth_actions(rng, T, grid.snippet_seconds, max_actions)
+    actions = _synth_actions(rng, T, meta.snippet_seconds, max_actions)
     snippets = tuple(
-        SnippetEntry(index=i, feature_file=None, agent_boxes=_synth_boxes(rng))
-        for i in range(T)
+        SnippetEntry(index=k, feature_file=None, agent_boxes=_synth_boxes(rng))
+        for k in range(T)
     )
-    manifest = Manifest(video=meta, annotations=tuple(actions), snippets=snippets)
-    labels = gen_labels(grid, list(actions), max_duration(T, d_policy))
-    return SynthVideo(manifest=manifest, labels=labels, grids=oracle_grids(labels))
+    return Manifest(video=meta, annotations=tuple(actions), snippets=snippets)
 
 
 def synth_corpus(
@@ -133,11 +125,11 @@ def synth_corpus(
     t_max: int = 32,
     d_policy: str = "full",
 ) -> list[SynthVideo]:
-    """Deterministic corpus; each video draws from its own keyed stream."""
+    """Videos 0..n_videos-1 of the seeded corpus, with labels and oracle grids."""
     videos = []
     for i in range(n_videos):
-        rng = np.random.Generator(np.random.Philox(key=np.array([seed, i], dtype=np.uint64)))
-        videos.append(
-            synth_video(rng, f"synth_{i:04d}", max_actions, t_min, t_max, d_policy)
-        )
+        manifest = synth_manifest(seed, i, max_actions, t_min, t_max)
+        grid = build_grid(manifest.video)
+        labels = gen_labels(grid, list(manifest.annotations), max_duration(grid.T, d_policy))
+        videos.append(SynthVideo(manifest=manifest, labels=labels, grids=oracle_grids(labels)))
     return videos

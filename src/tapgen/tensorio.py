@@ -15,8 +15,8 @@ checked at load, with errors naming the offending field path. Snippet
 entries are checked as whole lists: entry types and keys, indices (type,
 range, duplicates), feature file and box list types, then all agent boxes
 as one array. Only when one of these checks fails are the entries checked
-again one by one, to name the first failure. A manifest file may
-describe at most _MAX_SNIPPETS snippets.
+again one by one, to name the first failure. A manifest may describe at
+most _MAX_SNIPPETS snippets; that is checked before its snippets.
 
 A parsed manifest keeps its snippets as Snippets columns, with no object
 per entry: indices, feature file names, box counts, and the [N, 4]
@@ -54,7 +54,7 @@ VERSION = 1
 _DTYPE_CODES = {"f32": 1, "f64": 2}
 _CODE_DTYPES = {1: np.dtype("<f4"), 2: np.dtype("<f8")}
 _MAX_DIM = 2**32  # sanity cap per axis; desk-scale files are far smaller
-# Cap on the snippet count T of a manifest file. Stages allocate [D, T]
+# Cap on the snippet count T of a manifest. Stages allocate [D, T]
 # grids with D up to T, so without it a huge num_frames fails as an
 # allocation deep in a stage. At the cap a [T, T] float64 grid is 2 GiB; a
 # two-hour video at 30 fps in 16-frame snippets has 13,500 snippets.
@@ -327,6 +327,10 @@ def manifest_from_dict(doc: dict, name: str = "manifest") -> Manifest:
     except InvalidInputError as e:
         raise ManifestValidationError(vpath, str(e)) from e
     T = video.num_frames // video.snippet_len  # build_grid's T, without allocating the grid
+    if T > _MAX_SNIPPETS:
+        raise ManifestValidationError(
+            f"{vpath}.num_frames", f"{T} snippets, above the cap of {_MAX_SNIPPETS}"
+        )
 
     anns = doc["annotations"]
     if not isinstance(anns, list):
@@ -398,7 +402,7 @@ def _snippets_at_once(raw_snippets: list, T: int, name: str) -> Snippets | None:
         a = np.array(raw, dtype=np.float64).reshape(-1, 4)
         columns = Snippets(np.array(indices, dtype=np.intp), tuple(files),
                            np.array([len(b) for b in box_lists], dtype=np.intp), a)
-    except OverflowError:  # a coordinate beyond float, or an index below a huge T
+    except OverflowError:  # a coordinate beyond float
         return None
     if not (((a >= 0.0) & (a <= 1.0)).all()  # NaN fails too
             and (a[:, 0] < a[:, 2]).all() and (a[:, 1] < a[:, 3]).all()):
@@ -454,13 +458,7 @@ def read_manifest(source: str | os.PathLike) -> Manifest:
             doc = json.load(fh)
     except (ValueError, RecursionError) as e:  # bad JSON or UTF-8, or nesting too deep
         raise ManifestValidationError(name, f"invalid JSON: {e}") from e
-    m = manifest_from_dict(doc, name=name)
-    T = m.video.num_frames // m.video.snippet_len
-    if T > _MAX_SNIPPETS:
-        raise ManifestValidationError(
-            f"{name}.video.num_frames", f"{T} snippets, above the cap of {_MAX_SNIPPETS}"
-        )
-    return m
+    return manifest_from_dict(doc, name=name)
 
 
 def manifest_to_dict(m: Manifest) -> dict:

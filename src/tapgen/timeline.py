@@ -73,7 +73,7 @@ class SnippetGrid:
 
 @dataclass(frozen=True)
 class GroundTruthAction:
-    """One annotated action interval, class label included for split protocols."""
+    """One annotated action interval and its class label."""
 
     label: str
     start_sec: float

@@ -152,6 +152,28 @@ class TestSynth:
         assert r.exit_code == 1
         assert "--t-min" in r.output
 
+    @pytest.mark.parametrize("blocked", ["manifests/synth_0001.json", "grids/synth_0001.start.aent"])
+    @pytest.mark.parametrize("workers", ["1", "2"])
+    @pytest.mark.parametrize("keep_going, exit_code", [(False, 1), (True, 2)])
+    def test_a_video_that_cannot_be_written_is_that_video_s_error(
+            self, runner, tmp_path, blocked, workers, keep_going, exit_code):
+        (tmp_path / blocked).mkdir(parents=True)  # a directory where the file goes
+        base = ["--workers", workers] + (["--keep-going"] if keep_going else [])
+        # catch_exceptions=False: a traceback would fail the test
+        r = invoke(runner, [*base, "synth", "--n-videos", "3", "--out", str(tmp_path)])
+        assert r.exit_code == exit_code
+        assert r.output.startswith("error: synth_0001: ") and str(tmp_path / blocked) in r.output
+        assert "Traceback" not in r.output
+        summary = json.loads((tmp_path / "run_summary.json").read_text())
+        assert list(summary["errors"]) == ["synth_0001"]
+        if keep_going:  # the other videos are written in full
+            assert summary["completed"] == ["synth_0000", "synth_0002"]
+            for vid in summary["completed"]:
+                assert (tmp_path / "manifests" / f"{vid}.json").is_file()
+                assert (tmp_path / "grids" / f"{vid}.reg.aent").is_file()
+        else:  # a pool may finish the job it was already running
+            assert summary["completed"][0] == "synth_0000"
+
     @pytest.mark.parametrize("t_max, exit_code", [(_MAX_SNIPPETS, 0), (_MAX_SNIPPETS + 1, 1)])
     def test_t_max_is_held_to_the_manifest_snippet_cap(self, runner, tmp_path, monkeypatch,
                                                        t_max, exit_code):
@@ -160,7 +182,13 @@ class TestSynth:
         from tapgen import synth
 
         calls = []
-        monkeypatch.setattr(synth, "synth_corpus", lambda *args: calls.append(args) or [])
+        real = synth.synth_manifest
+
+        def one_snippet(seed, i, **options):  # records the call; writes a one-snippet video
+            calls.append((seed, i, options))
+            return real(seed, i, options["max_actions"], t_min=1, t_max=1)
+
+        monkeypatch.setattr(synth, "synth_manifest", one_snippet)
         r = invoke(runner, ["synth", "--n-videos", "1", "--t-min", "1", "--t-max", str(t_max),
                             "--out", str(tmp_path)])
         assert r.exit_code == exit_code, r.output
@@ -168,7 +196,7 @@ class TestSynth:
             assert calls == []
             assert f"--t-max <= {_MAX_SNIPPETS}, got --t-min 1 and --t-max {t_max}" in r.output
         else:
-            assert calls == [(1, 3, 0, 1, _MAX_SNIPPETS, "full")]
+            assert calls == [(0, 0, {"max_actions": 3, "t_min": 1, "t_max": _MAX_SNIPPETS})]
 
 
 class TestPipeline:
@@ -202,9 +230,11 @@ class TestPipeline:
         assert summary["config"]["d_model"] == 16
         assert summary["config"]["num_heads"] == 2
 
-    def test_parallel_matches_serial(self, runner, tmp_path):
+    @pytest.mark.parametrize("workers", [2, 3])
+    def test_parallel_matches_serial(self, runner, tmp_path, workers):
+        """Every stage, synth included, writes the same bytes under --workers."""
         run_pipeline(runner, str(tmp_path / "serial"), n_videos=5, seed=11, workers=1)
-        run_pipeline(runner, str(tmp_path / "par"), n_videos=5, seed=11, workers=3)
+        run_pipeline(runner, str(tmp_path / "par"), n_videos=5, seed=11, workers=workers)
         a = tree_digests(tmp_path / "serial")
         b = tree_digests(tmp_path / "par")
         assert a and a == b

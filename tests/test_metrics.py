@@ -1,4 +1,4 @@
-"""Tests for recall, AR@AN, AUC, and the seen/unseen split evaluation."""
+"""Tests for recall, AR@AN, and AUC."""
 
 import itertools
 
@@ -12,7 +12,6 @@ from tapgen.metrics import (
     THUMOS_THRESHOLDS,
     evaluate,
     recall_at,
-    split_eval,
 )
 from tapgen.timeline import GroundTruthAction, temporal_iou
 
@@ -234,32 +233,3 @@ class TestEvaluate:
         lines = csv_text.strip().splitlines()
         assert len(lines) == 3  # header + one row per an value
         assert lines[0].startswith("an,tiou_0.5")
-
-
-class TestSplitEval:
-    def test_partitions_and_exclusions(self):
-        props = {
-            "s": [si(0, 2, 0.9)],
-            "u": [si(0, 2, 0.9)],
-            "mixed": [si(0, 2, 0.9)],
-        }
-        gts = {
-            "s": [gt(0, 2, label="walk")],
-            "u": [gt(5, 9, label="jump")],
-            "mixed": [gt(0, 2, label="walk"), gt(3, 4, label="jump")],
-        }
-        res = split_eval(props, gts, {"walk"}, {"jump"}, an_values=(1,))
-        assert res.excluded_videos == ("mixed",)
-        assert res.seen is not None and res.seen.auc == pytest.approx(100.0)
-        assert res.unseen is not None and res.unseen.auc == pytest.approx(0.0)
-
-    def test_empty_partition_is_none(self):
-        props = {"s": [si(0, 2, 0.9)]}
-        gts = {"s": [gt(0, 2, label="walk")]}
-        res = split_eval(props, gts, {"walk"}, {"jump"}, an_values=(1,))
-        assert res.seen is not None
-        assert res.unseen is None
-
-    def test_overlapping_label_sets_rejected(self):
-        with pytest.raises(UndefinedMetricError):
-            split_eval({}, {}, {"walk"}, {"walk", "jump"})

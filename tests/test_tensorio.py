@@ -443,10 +443,18 @@ class TestManifest:
         with pytest.raises(ManifestValidationError, match=r"video\.fps"):
             read_manifest(path)
 
-    def test_huge_video_parses_without_allocating_its_grid(self):
+    @pytest.mark.parametrize("video, snippets", [
+        ({"num_frames": 16 * 10**15}, [{"index": 0}]),  # rejected before any grid is allocated
+        # an index beyond intp, in range of a T beyond the cap: no snippet path sees it
+        ({"num_frames": 2**70, "snippet_len": 1}, [{"index": 2**64}]),
+    ], ids=["huge-video", "index-beyond-intp"])
+    def test_snippet_cap_is_checked_before_the_snippets(self, video, snippets):
         doc = minimal_manifest_doc()
-        doc["video"]["num_frames"] = 16 * 10**15
-        assert manifest_from_dict(doc).video.num_frames == 16 * 10**15
+        doc["video"].update(video)
+        doc["snippets"] = snippets
+        with pytest.raises(ManifestValidationError, match="above the cap") as info:
+            manifest_from_dict(doc, name="m")
+        assert info.value.path == "m.video.num_frames"
 
     def test_manifest_file_caps_snippet_count(self, tmp_path):
         doc = minimal_manifest_doc()
