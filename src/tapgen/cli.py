@@ -29,7 +29,7 @@ from typing import TYPE_CHECKING
 
 import click
 
-from tapgen.errors import DataError, TapgenError
+from tapgen.errors import DataError, InvalidInputError, TapgenError
 from tapgen.inference import InferenceConfig, infer as run_infer
 from tapgen.supervision import ScoreGrids, gen_labels, max_duration
 from tapgen.tensorio import (
@@ -363,10 +363,11 @@ def cmd_labels(ctx, manifest_dir, d_policy, out):
 
 def read_grids(grid_dir: str, vid: str, T: int) -> ScoreGrids:
     """Load the four score tensors written by synth (or an external producer)
-    for T snippets: start and end [T], cls [D, T], reg as cls, each checked on read."""
-    arrays = {}
+    for T snippets: start and end [T], cls [D, T], reg as cls, each checked on read.
+    An error names the file it is about."""
+    arrays, paths = {}, {}
     for part, name in GRID_PARTS.items():
-        path = os.path.join(grid_dir, f"{vid}.{part}.aent")
+        path = paths[name] = os.path.join(grid_dir, f"{vid}.{part}.aent")
         if not os.path.exists(path):
             raise TapgenError(f"video {vid!r}: missing score grid {path}")
         a = arrays[name] = read_tensor(path).to_array()
@@ -374,7 +375,10 @@ def read_grids(grid_dir: str, vid: str, T: int) -> ScoreGrids:
         if a.shape != want:
             raise DataError(f"{path}: {name} has shape {a.shape}, expected "
                             + (f"(D, {T})" if part == "cls" else str(want)))
-    return ScoreGrids(**arrays)
+    try:
+        return ScoreGrids(**arrays)
+    except InvalidInputError as e:  # a value check, whose message starts with its grid's name
+        raise DataError(f"{paths[str(e).split()[0]]}: {e}") from e
 
 
 def _infer_one(manifest: Manifest, out_dir: str, grid_dir: str, cfg: InferenceConfig) -> None:

@@ -240,15 +240,14 @@ def stub_backbone(video_id: str, snippet_index, dims: tuple[int, int, int], seed
             _stub_rng.random(out=block[k])
     if single:
         return FeatureMap(values=block[0])
-    if not np.isfinite(block).all():
-        raise InvalidInputError("feature map contains non-finite values")
     return block
 
 
-def _softmax(x: np.ndarray, axis: int = -1) -> np.ndarray:
-    shifted = x - np.max(x, axis=axis, keepdims=True)
+def _softmax(x: np.ndarray) -> np.ndarray:
+    """Softmax over the last axis."""
+    shifted = x - np.max(x, axis=-1, keepdims=True)
     e = np.exp(shifted)
-    return e / np.sum(e, axis=axis, keepdims=True)
+    return e / np.sum(e, axis=-1, keepdims=True)
 
 
 def environment_pathway(fmap, w: FusionWeights) -> np.ndarray:
@@ -347,7 +346,7 @@ def _self_attention(x: np.ndarray, lw: EncoderLayerWeights, num_heads: int) -> n
     q = _linear(x, lw.wq, lw.bq).reshape(heads)
     k = _linear(x, lw.wk, lw.bk).reshape(heads)
     scores = np.einsum("...qhd,...khd->...hqk", q, k) / np.sqrt(heads[-1])
-    attn = _softmax(scores, axis=-1)  # [..., heads, n, n]
+    attn = _softmax(scores)  # [..., heads, n, n]
     mixed = np.einsum("...hqk,...khd->...qhd", attn, v).reshape(x.shape)
     return _linear(mixed, lw.wo, lw.bo)
 

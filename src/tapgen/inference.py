@@ -8,8 +8,8 @@ the duration-label cell convention. Its score is
     start_prob[t_s] * end_prob[t_e] * sqrt(conf_cls[d, t_s] * conf_reg[d, t_s])
 
 form_proposals returns the candidates as Candidates: start, end and score
-columns in float64, with no object per candidate. Indexing or iterating
-it yields Proposal, and it equals any sequence of the same proposals.
+columns in float64, with no object per candidate. Indexing it, and so
+iterating it, yields Proposal; it equals any sequence of the same proposals.
 
 Soft-NMS decays overlapping survivors by exp(-iou^2 / sigma) instead of
 removing them. It works on those columns (a list of Proposal is turned
@@ -110,10 +110,6 @@ class Candidates(Sequence):
 
     def __getitem__(self, i: int) -> Proposal:
         return Proposal(float(self.starts[i]), float(self.ends[i]), float(self.scores[i]))
-
-    def __iter__(self):
-        columns = (self.starts.tolist(), self.ends.tolist(), self.scores.tolist())
-        return (Proposal(s, e, p) for s, e, p in zip(*columns))
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Sequence):

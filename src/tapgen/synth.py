@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from tapgen.supervision import LabelSet, ScoreGrids, gen_labels, max_duration
-from tapgen.tensorio import Manifest, SnippetEntry
+from tapgen.tensorio import Manifest, Snippets
 from tapgen.timeline import GroundTruthAction, VideoMeta, build_grid
 
 LABEL_POOL = ("sports", "leisure", "music", "cooking", "repair", "dance")
@@ -35,7 +35,6 @@ __all__ = ["SynthVideo", "synth_manifest", "synth_corpus", "oracle_grids"]
 @dataclass(frozen=True)
 class SynthVideo:
     manifest: Manifest
-    labels: LabelSet
     grids: ScoreGrids
 
 
@@ -75,25 +74,28 @@ def _synth_actions(
     return actions
 
 
-def _synth_boxes(rng: np.random.Generator) -> tuple:
-    """Up to MAX_BOXES agent boxes: x1, y1 ~ U[0, .5), width and height
-    ~ U[.1, .5), the far corner clipped at 1.
+def _synth_boxes(rng: np.random.Generator, T: int) -> tuple[np.ndarray, np.ndarray]:
+    """Box counts [T] and boxes [N, 4] of T snippets. Each has up to MAX_BOXES
+    agent boxes: x1, y1 ~ U[0, .5), width and height ~ U[.1, .5), the far
+    corner clipped at 1.
 
-    The n boxes take their 4n doubles from one rng.random(4 * n) call.
+    A snippet's n boxes take their 4n doubles from one rng.random(4 * n) call.
     Generator.uniform(lo, hi) returns lo + (hi - lo) * u, where u is the
     stream's next double, the one rng.random returns at that position; the
     formula is applied here in the same double arithmetic. So the boxes,
     and the stream state left behind, are bit for bit those of n rounds of
-    uniform(0, .5, size=2), uniform(.1, .5), uniform(.1, .5).
+    uniform(0, .5, size=2), uniform(.1, .5), uniform(.1, .5) per snippet.
     """
-    n = int(rng.integers(0, MAX_BOXES + 1))
-    u = rng.random(4 * n).tolist()
-    boxes = []
-    for a, b, w, h in zip(*[iter(u)] * 4):  # four doubles per box, in draw order
-        x1, y1 = 0.0 + (0.5 - 0.0) * a, 0.0 + (0.5 - 0.0) * b
-        boxes.append((x1, y1, min(x1 + (0.1 + (0.5 - 0.1) * w), 1.0),
-                      min(y1 + (0.1 + (0.5 - 0.1) * h), 1.0)))
-    return tuple(boxes)
+    counts = np.empty(T, dtype=np.intp)
+    draws = []
+    for k in range(T):
+        counts[k] = rng.integers(0, MAX_BOXES + 1)
+        draws.append(rng.random(4 * counts[k]))
+    a, b, w, h = np.concatenate(draws).reshape(-1, 4).T  # four doubles per box, in draw order
+    x1, y1 = 0.0 + (0.5 - 0.0) * a, 0.0 + (0.5 - 0.0) * b
+    boxes = np.stack([x1, y1, np.minimum(x1 + (0.1 + (0.5 - 0.1) * w), 1.0),
+                      np.minimum(y1 + (0.1 + (0.5 - 0.1) * h), 1.0)], axis=1)
+    return counts, boxes
 
 
 def synth_manifest(seed: int, i: int, max_actions: int, t_min: int, t_max: int) -> Manifest:
@@ -110,10 +112,8 @@ def synth_manifest(seed: int, i: int, max_actions: int, t_min: int, t_max: int) 
         snippet_len=snippet_len,
     )
     actions = _synth_actions(rng, T, meta.snippet_seconds, max_actions)
-    snippets = tuple(
-        SnippetEntry(index=k, feature_file=None, agent_boxes=_synth_boxes(rng))
-        for k in range(T)
-    )
+    counts, boxes = _synth_boxes(rng, T)
+    snippets = Snippets(np.arange(T, dtype=np.intp), (None,) * T, counts, boxes)
     return Manifest(video=meta, annotations=tuple(actions), snippets=snippets)
 
 
@@ -131,5 +131,5 @@ def synth_corpus(
         manifest = synth_manifest(seed, i, max_actions, t_min, t_max)
         grid = build_grid(manifest.video)
         labels = gen_labels(grid, list(manifest.annotations), max_duration(grid.T, d_policy))
-        videos.append(SynthVideo(manifest=manifest, labels=labels, grids=oracle_grids(labels)))
+        videos.append(SynthVideo(manifest=manifest, grids=oracle_grids(labels)))
     return videos

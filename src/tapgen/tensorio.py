@@ -14,17 +14,18 @@ Manifests are strict JSON: unknown keys are rejected and every invariant is
 checked at load, with errors naming the offending field path. Snippet
 entries are checked as whole lists: entry types and keys, indices (type,
 range, duplicates), feature file and box list types, then all agent boxes
-as one array. Only when one of these checks fails are the entries checked
-again one by one, to name the first failure. A manifest may describe at
-most _MAX_SNIPPETS snippets; that is checked before its snippets.
+as one array. Types are checked once per distinct type, so a dict, list,
+str, int or float subclass passes as its base type does. Only when one of
+these checks fails are the entries checked again one by one, to raise the
+first failure with its field named. A manifest may describe at most
+_MAX_SNIPPETS snippets; that is checked before its snippets.
 
 A parsed manifest keeps its snippets as Snippets columns, with no object
 per entry: indices, feature file names, box counts, and the [N, 4]
 float64 agent boxes of all entries in entry order, which the box checks
 built. Indexing or iterating them builds SnippetEntry values, and they
-equal, hash and print as the tuple of those entries, so a Manifest built
-from a tuple of SnippetEntry (Snippets.of turns one into columns) is the
-same value.
+equal the tuple of those entries, so a Manifest built from a tuple of
+SnippetEntry (Snippets.of turns one into columns) is an equal value.
 
 Every JSON file tapgen writes (manifests, proposal files, eval.json, run
 summaries, a weight bundle's index.json) goes through write_json: indent
@@ -42,6 +43,7 @@ import sys
 import tempfile
 from collections.abc import Sequence
 from dataclasses import dataclass
+from typing import NoReturn
 
 import numpy as np
 
@@ -85,9 +87,8 @@ class Tensor:
     data: np.ndarray  # flat, row-major, float64 in memory
 
     @staticmethod
-    def from_array(arr: np.ndarray, dtype: str = "f64") -> "Tensor":
-        if dtype not in _DTYPE_CODES:
-            raise InvalidInputError(f"unknown dtype {dtype!r}")
+    def from_array(arr: np.ndarray) -> "Tensor":
+        """arr as an f64 tensor, the one dtype tapgen writes."""
         arr = np.asarray(arr, dtype=np.float64)
         if arr.ndim == 0:
             raise InvalidInputError("tensor must have at least one dimension")
@@ -95,7 +96,7 @@ class Tensor:
             raise InvalidInputError(f"dims must be positive, got {arr.shape}")
         if not np.all(np.isfinite(arr)):
             raise InvalidInputError("tensor values must be finite")
-        return Tensor(dims=tuple(arr.shape), dtype=dtype, data=arr.ravel().copy())
+        return Tensor(dims=tuple(arr.shape), dtype="f64", data=arr.ravel().copy())
 
     def to_array(self) -> np.ndarray:
         return self.data.reshape(self.dims)
@@ -209,14 +210,15 @@ class SnippetEntry:
     agent_boxes: tuple[tuple[float, float, float, float], ...] = ()
 
 
-@dataclass(frozen=True, eq=False, repr=False)
+@dataclass(frozen=True, eq=False)
 class Snippets(Sequence):
     """Snippet entries as columns, one row per entry in entry order.
 
     indices and box_counts are intp arrays, feature_files holds str or
     None, and boxes stacks every entry's agent boxes in order, [N, 4]
     float64. Rows are not checked here: _snippets_at_once builds them
-    from checked entries, Snippets.of from SnippetEntry values.
+    from checked entries, synth from its draws, Snippets.of from
+    SnippetEntry values.
     """
 
     indices: np.ndarray
@@ -253,19 +255,13 @@ class Snippets(Sequence):
             return NotImplemented
         return len(self) == len(other) and all(a == b for a, b in zip(self, other))
 
-    def __hash__(self) -> int:
-        return hash(tuple(self))
-
-    def __repr__(self) -> str:
-        return repr(tuple(self))
-
 
 @dataclass(frozen=True)
 class Manifest:
     """One video's metadata, annotations, and per-snippet agent boxes.
 
-    snippets is a tuple of SnippetEntry or, as read_manifest gives it,
-    their Snippets columns; either is the same value.
+    snippets is Snippets columns, as read_manifest and synth give them, or
+    a tuple of SnippetEntry; the two compare equal.
     """
 
     video: VideoMeta
@@ -360,43 +356,49 @@ def manifest_from_dict(doc: dict, name: str = "manifest") -> Manifest:
     raw_snippets = doc.get("snippets", [])
     if not isinstance(raw_snippets, list):
         raise ManifestValidationError(f"{name}.snippets", "must be a list")
-    snippets = _snippets_at_once(raw_snippets, T, name)
+    snippets = _snippets_at_once(raw_snippets, T)
     if snippets is None:  # a check failed: repeat them in order, to raise the first
-        snippets = _snippets_one_by_one(raw_snippets, T, name)
+        _raise_first_failure(raw_snippets, T, name)
     return Manifest(video=video, annotations=tuple(annotations), snippets=snippets)
 
 
 _SNIPPET_KEYS = frozenset({"index", "feature_file", "agent_boxes"})
 
 
-def _snippets_at_once(raw_snippets: list, T: int, name: str) -> Snippets | None:
+def _of_types(values, *kinds) -> bool:
+    """Whether every value is an instance of one of kinds and none is a bool,
+    checked once per distinct type rather than once per value."""
+    return all(issubclass(t, kinds) and t is not bool for t in set(map(type, values)))
+
+
+def _snippets_at_once(raw_snippets: list, T: int) -> Snippets | None:
     """The snippets as columns, each check made once over the whole list;
     None if any fails.
 
-    Only exact dicts, ints, strs and lists pass the type checks (bool
-    indices do not), only plain int and float coordinates pass the box
-    check, and an int beyond float range fails its range check or its
-    conversion, so what this accepts _snippets_one_by_one accepts too,
-    with equal values.
+    Entries must be dicts, indices ints (not bools), feature files strs or
+    None, box lists and boxes lists, and coordinates ints or floats (not
+    bools), subclasses included, as _raise_first_failure requires. An int
+    beyond float range fails its range check or its conversion. So this
+    accepts every list _raise_first_failure accepts, and no other.
     """
-    if not all(type(s) is dict and s.keys() <= _SNIPPET_KEYS and "index" in s
-               for s in raw_snippets):
+    if not (_of_types(raw_snippets, dict)
+            and _SNIPPET_KEYS.issuperset(itertools.chain.from_iterable(raw_snippets))
+            and all("index" in s for s in raw_snippets)):
         return None
     indices = [s["index"] for s in raw_snippets]
-    if not all(type(i) is int for i in indices):
+    if not _of_types(indices, int):
         return None
     if indices and not (min(indices) >= 0 and max(indices) < T
                         and len(set(indices)) == len(indices)):
         return None
     files = [s.get("feature_file") for s in raw_snippets]
     box_lists = [s.get("agent_boxes", []) for s in raw_snippets]
-    if not (all(f is None or (type(f) is str and "\0" not in f) for f in files)
-            and all(type(b) is list for b in box_lists)):
+    if not (all(f is None or (isinstance(f, str) and "\0" not in f) for f in files)
+            and _of_types(box_lists, list)):
         return None
     raw = [b for boxes in box_lists for b in boxes]
-    if not all(type(b) is list and len(b) == 4 for b in raw):
-        return None
-    if not set(map(type, itertools.chain.from_iterable(raw))) <= {float, int}:
+    if not (_of_types(raw, list) and set(map(len, raw)) <= {4}
+            and _of_types(itertools.chain.from_iterable(raw), int, float)):
         return None
     try:
         a = np.array(raw, dtype=np.float64).reshape(-1, 4)
@@ -410,10 +412,12 @@ def _snippets_at_once(raw_snippets: list, T: int, name: str) -> Snippets | None:
     return columns
 
 
-def _snippets_one_by_one(raw_snippets: list, T: int, name: str) -> tuple[SnippetEntry, ...]:
-    """The snippets, checked entry by entry and box by box: the first
-    failure raises, naming its field down to snippets[i].agent_boxes[j][k]."""
-    snippets = []
+def _raise_first_failure(raw_snippets: list, T: int, name: str) -> NoReturn:
+    """Check the snippets entry by entry and box by box, and raise the first
+    failure, naming its field down to snippets[i].agent_boxes[j][k].
+
+    Called only on a list _snippets_at_once rejected, which always holds one.
+    """
     seen: set[int] = set()
     for i, s in enumerate(raw_snippets):
         spath = f"{name}.snippets[{i}]"
@@ -434,7 +438,6 @@ def _snippets_one_by_one(raw_snippets: list, T: int, name: str) -> tuple[Snippet
         raw_boxes = s.get("agent_boxes", [])
         if not isinstance(raw_boxes, list):
             raise ManifestValidationError(f"{spath}.agent_boxes", "must be a list")
-        boxes = []
         for j, b in enumerate(raw_boxes):
             bpath = f"{spath}.agent_boxes[{j}]"
             if not isinstance(b, list) or len(b) != 4:
@@ -446,9 +449,7 @@ def _snippets_one_by_one(raw_snippets: list, T: int, name: str) -> tuple[Snippet
                 raise ManifestValidationError(bpath, f"x1 >= x2 in {b}")
             if not y1 < y2:
                 raise ManifestValidationError(bpath, f"y1 >= y2 in {b}")
-            boxes.append((x1, y1, x2, y2))
-        snippets.append(SnippetEntry(index=idx, feature_file=feature_file, agent_boxes=tuple(boxes)))
-    return tuple(snippets)
+    raise AssertionError(f"{name}.snippets: rejected as a list, but no entry fails")
 
 
 def read_manifest(source: str | os.PathLike) -> Manifest:

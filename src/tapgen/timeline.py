@@ -98,12 +98,7 @@ def build_grid(meta: VideoMeta) -> SnippetGrid:
     Snippet i covers frames [i*delta, (i+1)*delta); its center time is
     delta*(i + 0.5) / fps seconds. Trailing frames beyond T*delta are dropped.
     """
-    T = meta.num_frames // meta.snippet_len
-    if T < 1:
-        raise InvalidInputError(
-            f"video {meta.video_id!r}: num_frames {meta.num_frames} yields zero snippets "
-            f"at snippet_len {meta.snippet_len}"
-        )
+    T = meta.num_frames // meta.snippet_len  # >= 1: VideoMeta holds num_frames >= snippet_len
     centers = meta.snippet_len * (np.arange(T, dtype=np.float64) + 0.5) / meta.fps
     return SnippetGrid(T=T, centers=centers, snippet_seconds=meta.snippet_seconds)
 

@@ -657,6 +657,29 @@ class TestErrorHandling:
         assert r.output == (f"error: synth_0000: {path}: {name} has shape {short.shape}, "
                             f"expected {want}\n")
 
+    @pytest.mark.parametrize("part, check", [(part, "range") for part in cli.GRID_PARTS]
+                             + [("cls", "invalid-cell"), ("reg", "invalid-cell")])
+    def test_grid_value_errors_are_named_by_their_file(self, runner, tmp_path, part, check):
+        """A grid value outside [0, 1], or conf mass on a cell with j + d > T,
+        fails its video with an error naming the grid's file."""
+        invoke(runner, ["synth", "--n-videos", "1", "--t-min", "20", "--t-max", "20",
+                        "--out", str(tmp_path / "corpus")])
+        path = tmp_path / "corpus" / "grids" / f"synth_0000.{part}.aent"
+        grid = read_tensor(path).to_array()
+        if check == "range":
+            grid.flat[0] = 1.5
+        else:
+            grid[-1, -1] = 0.5
+        write_tensor(Tensor.from_array(grid), path)
+        r = invoke(runner, ["infer", "--manifests", str(tmp_path / "corpus/manifests"),
+                            "--grids", str(tmp_path / "corpus/grids"),
+                            "--out", str(tmp_path / "proposals")])
+        assert r.exit_code == 1
+        name = cli.GRID_PARTS[part]
+        want = ("entries must lie in [0, 1]" if check == "range"
+                else "has mass on invalid cells (j + d > T)")
+        assert r.output == f"error: synth_0000: {path}: {name} {want}\n"
+
     def test_eval_with_no_matching_proposals_exits_1(self, runner, tmp_path):
         invoke(runner, ["synth", "--n-videos", "2", "--out", str(tmp_path / "corpus")])
         os.makedirs(tmp_path / "empty")

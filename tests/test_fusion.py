@@ -42,6 +42,8 @@ from tapgen.tensorio import (
 )
 from tapgen.timeline import VideoMeta, build_grid
 
+from test_tensorio import stored_as
+
 
 SMALL_CFG = FusionConfig(channels=3, d_model=8, num_heads=2, num_layers=1, ff_dim=16)
 
@@ -346,7 +348,7 @@ def reference_attention_encoder(tokens, w):
         k = _linear(h, lw.wk, lw.bk).reshape(heads)
         v = _linear(h, lw.wv, lw.bv).reshape(heads)
         scores = np.einsum("...qhd,...khd->...hqk", q, k) / np.sqrt(heads[-1])
-        attn = _softmax(scores, axis=-1)
+        attn = _softmax(scores)
         mixed = np.einsum("...hqk,...khd->...qhd", attn, v).reshape(h.shape)
         x = x + _linear(mixed, lw.wo, lw.bo)
         mean, var = x.mean(axis=-1, keepdims=True), x.var(axis=-1, keepdims=True)
@@ -669,13 +671,13 @@ GOOD = np.arange(1.0, 109.0).reshape(3, 6, 6) / 7
 
 def write_feature_file(path, kind: str, shift: float = 0.0) -> None:
     if kind in ("f32", "f64"):
-        write_tensor(Tensor.from_array(GOOD + shift, kind), path)
+        write_tensor(stored_as(GOOD + shift, kind), path)
     elif kind == "other-shape":  # valid header, different length
         write_tensor(Tensor.from_array(np.ones((3, 4, 5))), path)
     elif kind == "same-length-other-shape":  # 3 * 4 * 9 = 3 * 6 * 6
         write_tensor(Tensor.from_array(GOOD.reshape(3, 4, 9) + shift), path)
     elif kind == "same-length-f32":  # as long as an f64 map of half the values
-        write_tensor(Tensor.from_array(np.concatenate([GOOD, GOOD], axis=2) - shift, "f32"), path)
+        write_tensor(stored_as(np.concatenate([GOOD, GOOD], axis=2) - shift, "f32"), path)
     elif kind == "2-d":
         write_tensor(Tensor.from_array(np.ones((6, 6))), path)
     elif kind == "non-finite":
@@ -766,7 +768,7 @@ class TestFileSourceBlockRead:
         rng = np.random.default_rng(3)
         maps = rng.random((5, 3, 4, 6)) * 1e30
         for i, arr in enumerate(maps):
-            write_tensor(Tensor.from_array(arr, dtype), tmp_path / f"s{i}.aent")
+            write_tensor(stored_as(arr, dtype), tmp_path / f"s{i}.aent")
         names = [f"s{i}.aent" for i in range(5)]
         block = FileFeatureSource(tmp_path).get_block("v", range(5), names)
         assert isinstance(block, np.ndarray) and block.shape == (5, 3, 4, 6)

@@ -9,6 +9,7 @@ import os
 import pathlib
 import re
 import tempfile
+from collections import OrderedDict
 from dataclasses import astuple, replace
 from unittest.mock import patch
 
@@ -75,7 +76,7 @@ from test_supervision import (
     random_gts,
     reference_boundary_labels,
 )
-from test_tensorio import reference_manifest_from_dict
+from test_tensorio import reference_manifest_from_dict, stored_as
 
 PROPERTY = settings(derandomize=True, deadline=None, max_examples=60)
 
@@ -663,7 +664,7 @@ json_values = st.recursive(
     tail=st.binary(max_size=12),
 )
 def test_tensor_parser_raises_only_tensor_format_error(dtype, edits, cut, tail):
-    blob = bytearray(tensor_bytes(Tensor.from_array(np.arange(1.0, 7.0).reshape(2, 3), dtype)))
+    blob = bytearray(tensor_bytes(stored_as(np.arange(1.0, 7.0).reshape(2, 3), dtype)))
     for pos, byte in edits:
         blob[pos % len(blob)] = byte
     blob = bytes(blob[: cut % (len(blob) + 1)]) + tail
@@ -778,7 +779,7 @@ def test_manifest_boxes_match_the_box_by_box_reference(snippets):
             m = parse(copy.deepcopy(doc))
         except Exception as e:  # the type and message are what is compared
             return type(e), str(e)
-        return "ok", repr(m)
+        return "ok", m
 
     assert outcome(manifest_from_dict) == outcome(reference_manifest_from_dict)
 
@@ -827,9 +828,62 @@ def test_manifest_snippet_checks_match_the_entry_by_entry_reference(snippets):
             m = parse(copy.deepcopy(doc))
         except Exception as e:  # the type and message are what is compared
             return type(e), str(e)
-        return "ok", repr(m)
+        return "ok", m
 
     assert outcome(manifest_from_dict) == outcome(reference_manifest_from_dict)
+
+
+class Dict(dict):
+    pass
+
+
+class List(list):
+    pass
+
+
+class Str(str):
+    pass
+
+
+class Int(int):
+    pass
+
+
+@st.composite
+def recast(draw, value):
+    """value with each dict, list, str, int and float in it kept or swapped
+    for a subclass (OrderedDict, np.float64 or one of the classes above),
+    as a Python caller, not a JSON file, may build a manifest document."""
+    if isinstance(value, dict):
+        kind = draw(st.sampled_from([dict, Dict, OrderedDict]))
+        return kind({draw(recast(k)): draw(recast(v)) for k, v in value.items()})
+    if isinstance(value, list):
+        return draw(st.sampled_from([list, List]))([draw(recast(v)) for v in value])
+    kinds = {str: [str, Str], int: [int, Int], float: [float, np.float64]}.get(type(value))
+    return draw(st.sampled_from(kinds))(value) if kinds else value
+
+
+@settings(PROPERTY, max_examples=150)
+@given(snippets=(st.lists(odd_snippet_entries(), max_size=6)
+                 | st.lists(snippet_entries(), max_size=6)).flatmap(recast))
+@example(snippets=[{"index": 0, "agent_boxes": [[np.float64(0.1), 0.2, 0.5, 0.6]]}])
+@example(snippets=[OrderedDict(index=1), Dict(index=Int(2), feature_file=Str("f.aent"),
+                                              agent_boxes=List([List([0, 0, 1, 1])]))])
+def test_manifest_snippets_are_columns_or_the_reference_error(snippets):
+    """One builder: every snippet list either gives Snippets columns, never
+    a tuple, equal to the reference's entries, or raises the reference's
+    error type and message."""
+    doc = valid_manifest_doc()
+    doc["snippets"] = snippets
+    try:
+        want = reference_manifest_from_dict(doc)
+    except Exception as e:  # the type and message are what is compared
+        with pytest.raises(type(e)) as got:
+            manifest_from_dict(doc)
+        assert (type(got.value), str(got.value)) == (type(e), str(e))
+        return
+    m = manifest_from_dict(doc)
+    assert isinstance(m.snippets, Snippets) and m.snippets == want.snippets
 
 
 proposal_numbers = st.floats() | json_values
@@ -888,10 +942,10 @@ def plain_state(rng: np.random.Generator):
 )
 @example(key=(0, 0), snippets=30, skip=(0, False))
 def test_synth_boxes_match_the_three_uniform_reference(key, snippets, skip):
-    """One random(4 * n) draw gives the boxes of n rounds of three uniform
-    calls bit for bit, and leaves the stream in the same state, from any
-    point of a keyed Philox stream (skip doubles, then maybe one 32-bit
-    integer, whose other half the generator keeps for the next)."""
+    """One random(4 * n) draw per snippet gives the boxes of n rounds of
+    three uniform calls bit for bit, and leaves the stream in the same
+    state, from any point of a keyed Philox stream (skip doubles, then maybe
+    one 32-bit integer, whose other half the generator keeps for the next)."""
     from tapgen.synth import MAX_BOXES, _synth_boxes
 
     rngs = [np.random.Generator(np.random.Philox(key=np.array(key, dtype=np.uint64)))
@@ -900,9 +954,10 @@ def test_synth_boxes_match_the_three_uniform_reference(key, snippets, skip):
         rng.random(skip[0])
         if skip[1]:
             rng.integers(0, 10)
-    for _ in range(snippets):
-        got, want = _synth_boxes(rngs[0]), reference_synth_boxes(rngs[1], MAX_BOXES)
-        assert len(got) == len(want) <= MAX_BOXES
-        assert all(type(c) is float for box in got for c in box)
-        assert [c.hex() for box in got for c in box] == [c.hex() for box in want for c in box]
+    counts, got = _synth_boxes(rngs[0], snippets)
+    want = [reference_synth_boxes(rngs[1], MAX_BOXES) for _ in range(snippets)]
+    assert counts.tolist() == [len(boxes) for boxes in want] and counts.max() <= MAX_BOXES
+    assert got.dtype == np.float64 and got.shape == (counts.sum(), 4)
+    assert [c.hex() for c in got.ravel().tolist()] == [c.hex() for boxes in want
+                                                       for box in boxes for c in box]
     assert plain_state(rngs[0]) == plain_state(rngs[1])

@@ -35,6 +35,13 @@ from tapgen.timeline import GroundTruthAction, VideoMeta
 MAGIC_HEADER = b"AENT" + struct.pack("<II", 1, 3)
 
 
+def stored_as(arr, dtype: str) -> Tensor:
+    """arr as a tensor stored in dtype. tapgen writes only f64
+    (Tensor.from_array) but reads f32 files of other producers too."""
+    arr = np.asarray(arr, dtype=np.float64)
+    return Tensor(dims=arr.shape, dtype=dtype, data=arr.ravel())
+
+
 # ---------------------------------------------------------------------------
 # Reference: manifest_from_dict as it was before boxes were checked as one
 # array, kept verbatim (helpers renamed), box by box in document order.
@@ -174,16 +181,14 @@ def minimal_manifest_doc():
 class TestTensorFormat:
     def test_file_layout_size(self, tmp_path):
         # header 4+4+4, dims 2*8, dtype 4, payload 6*8 -> 80 bytes
-        t = Tensor.from_array(np.zeros((2, 3)), dtype="f64")
+        t = Tensor.from_array(np.zeros((2, 3)))
         path = tmp_path / "z.aent"
         write_tensor(t, path)
         assert path.stat().st_size == 80
 
     def test_roundtrip_f32_bytes_identical(self, tmp_path):
         rng = np.random.default_rng(5)
-        t = Tensor.from_array(
-            rng.random((7, 5, 3)).astype(np.float32).astype(np.float64), dtype="f32"
-        )
+        t = stored_as(rng.random((7, 5, 3)).astype(np.float32).astype(np.float64), "f32")
         blob1 = tensor_bytes(t)
         t2 = tensor_from_bytes(blob1)
         assert tensor_bytes(t2) == blob1
@@ -207,7 +212,7 @@ class TestTensorFormat:
             arr = rng.standard_normal(dims)
             if dtype == "f32":
                 arr = arr.astype(np.float32).astype(np.float64)
-            t = Tensor.from_array(arr, dtype=dtype)
+            t = stored_as(arr, dtype)
             assert tensor_bytes(tensor_from_bytes(tensor_bytes(t))) == tensor_bytes(t)
 
     def test_empty_dims_rejected(self):
@@ -281,9 +286,9 @@ class TestTensorWrites:
     def test_write_tensor_writes_the_bytes_of_tensor_bytes(self, tmp_path, dtype, source):
         arr = self.SOURCE.astype(np.float32).astype(np.float64) if dtype == "f32" else self.SOURCE
         if source == "contiguous":
-            t = Tensor.from_array(arr, dtype)
+            t = stored_as(arr, dtype)
         elif source == "transposed":
-            t = Tensor.from_array(arr.T, dtype)
+            t = stored_as(arr.T, dtype)
         else:  # a Tensor may hold a strided view; it is written in row-major order
             wide = np.repeat(arr.ravel(), 2)
             t = Tensor(dims=arr.shape, dtype=dtype, data=wide[::2])
@@ -536,7 +541,7 @@ class TestSnippets:
             assert all(type(c) is float for box in entry.agent_boxes for c in box)
         assert got[0].agent_boxes[1] == (0.0, 0.25, 1.0, 0.75)
 
-    def test_equality_hash_and_repr(self):
+    def test_equality(self):
         got, want = self.parsed()
         assert got == want and want == got
         assert got == list(want) and list(want) == got
@@ -545,9 +550,7 @@ class TestSnippets:
         assert got != other and other != got
         assert got != want[:-1] and want[:-1] != got
         assert got != 3 and got != "snippets"
-        assert hash(got) == hash(want)
-        assert repr(got) == repr(want)
-        assert Snippets.of(()) == () and repr(Snippets.of(())) == "()"
+        assert Snippets.of(()) == ()
 
     def test_of_round_trips(self):
         got, want = self.parsed()
@@ -562,8 +565,6 @@ class TestSnippets:
         doc = columnar_manifest_doc()
         m, ref = manifest_from_dict(doc), reference_manifest_from_dict(doc)
         assert m == ref and ref == m
-        assert hash(m) == hash(ref)
-        assert repr(m) == repr(ref)
         assert list(m.snippets) == list(ref.snippets)
 
     def test_dataclasses_replace_on_entries_and_manifest(self):
@@ -584,7 +585,7 @@ class TestSnippets:
             first, second = tmp_path / "first.json", tmp_path / "second.json"
             write_manifest(sv.manifest, first)
             back = read_manifest(first)
-            assert isinstance(back.snippets, Snippets)
+            assert all(isinstance(m.snippets, Snippets) for m in (back, sv.manifest))
             assert back == sv.manifest
             write_manifest(back, second)
             assert second.read_bytes() == first.read_bytes()
