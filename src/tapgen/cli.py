@@ -262,6 +262,9 @@ def cmd_synth(ctx, n_videos, max_actions, t_min, t_max, d_policy, write_grids, o
     if not 1 <= t_min <= t_max <= _MAX_SNIPPETS:  # every later stage rejects a longer video
         raise click.ClickException(f"need 1 <= --t-min <= --t-max <= {_MAX_SNIPPETS}, "
                                    f"got --t-min {t_min} and --t-max {t_max}")
+    if not 0 <= max_actions <= _MAX_SNIPPETS:  # no video holds more actions than snippets
+        raise click.ClickException(f"need 0 <= --max-actions <= {_MAX_SNIPPETS}, "
+                                   f"got {max_actions}")
     manifest_dir = os.path.join(out, "manifests")
     grid_dir = os.path.join(out, "grids")
     jobs = {synth.VIDEO_ID.format(i): i for i in range(n_videos)}

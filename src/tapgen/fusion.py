@@ -1,10 +1,10 @@
 """Forward-only numerics of the two-pathway snippet representation.
 
 Per snippet: a backbone feature map feeds an environment pathway (global
-average pool, fully connected stack, softmax) and an agent pathway
-(RoIAlign patches per detected agent, fused through a self-attention
-encoder); the two results are fused by a second encoder into one feature
-vector per snippet.
+average pool, one affine layer, softmax) and an agent pathway (RoIAlign
+patches of a fixed ROI_GRID per detected agent, fused through a
+self-attention encoder); the two results are fused by a second encoder
+into one feature vector per snippet.
 
 All math is float64. Encoders use pre-normalization and carry no
 positional encodings: agent sets are unordered, which makes the fusion
@@ -21,7 +21,7 @@ one [B, C, H, W] array: the stub as one buffer, checked once; the file
 source, when its files share one layout, as one such array, checked
 once too, else as the stack of its files parsed one by one. Per block:
 one mean over H x W, and one pooled [B, C] matrix through the
-environment stack; one RoIAlign call over all its boxes; one
+environment layer; one RoIAlign call over all its boxes; one
 agent-encoder batch [B_n, n, d_model] per agent count n (equal counts
 need no attention mask); one fuse-encoder batch for the snippets without
 agents (1 token) and one for the rest (2 tokens). Attention over a
@@ -51,6 +51,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import os
 import threading
 from dataclasses import asdict, dataclass, fields
@@ -64,6 +65,8 @@ from tapgen.timeline import build_grid
 
 LN_EPS = 1e-5
 BLOCK_SNIPPETS = 256  # snippets per featurize batch
+ROI_GRID = (4, 4)  # (gh, gw) bins of each agent's RoIAlign patch
+ROI_SAMPLES = (2, 2)  # (sh, sw) samples per bin
 
 __all__ = [
     "FeatureMap",
@@ -109,26 +112,23 @@ def _check_map_shape(shape: tuple[int, ...]) -> None:
 
 # Past these, weights fail to allocate or grow layer by layer until memory runs out.
 _MAX_SIZES = {"channels": 2**12, "d_model": 2**12, "num_heads": 2**8, "num_layers": 2**6}
+_MAX_PARAMS = 2**27  # float64 parameters of one model (1 GiB), all held before any video
 
 
 @dataclass(frozen=True)
 class FusionConfig:
-    """Architecture hyperparameters; defaults are desk-scale."""
+    """Architecture sizes; defaults are desk-scale."""
 
     channels: int = 8
     d_model: int = 64
     num_heads: int = 4
     num_layers: int = 1
     ff_dim: int = 128
-    env_hidden: tuple[int, ...] = ()
-    roi_grid: tuple[int, int] = (4, 4)  # (gh, gw)
-    roi_samples: tuple[int, int] = (2, 2)  # (sh, sw)
-    env_softmax: bool = True  # False exposes pre-softmax logits
 
     def __post_init__(self):
-        for name in ("channels", "d_model", "num_heads", "num_layers", "ff_dim"):
-            if getattr(self, name) < 1:
-                raise ConfigError(f"{name} must be positive")
+        for f in fields(self):
+            if getattr(self, f.name) < 1:
+                raise ConfigError(f"{f.name} must be positive")
         for name, cap in _MAX_SIZES.items():
             if getattr(self, name) > cap:
                 raise ConfigError(f"{name} {getattr(self, name)} is above the cap of {cap}")
@@ -136,8 +136,10 @@ class FusionConfig:
             raise ConfigError(
                 f"d_model {self.d_model} not divisible by num_heads {self.num_heads}"
             )
-        if any(g < 1 for g in self.roi_grid) or any(s < 1 for s in self.roi_samples):
-            raise ConfigError("roi grid and sample counts must be positive")
+        count = sum(math.prod(shape) for shape in _param_shapes(self).values())
+        if count > _MAX_PARAMS:
+            raise ConfigError(f"the model needs {count} parameters, "
+                              f"above the budget of {_MAX_PARAMS}")
 
 
 @dataclass(frozen=True)
@@ -178,7 +180,7 @@ class FusionWeights:
     """All learnable parameters of the two pathways and the fusion stage."""
 
     config: FusionConfig
-    env_affine: tuple[tuple[np.ndarray, np.ndarray], ...]  # (weight [out, in], bias [out])
+    env_affine: tuple[tuple[np.ndarray, np.ndarray], ...]  # one (weight [d_model, C], bias)
     patch_proj: tuple[np.ndarray, np.ndarray]  # C*gh*gw -> d_model
     agent_encoder: EncoderWeights
     fuse_encoder: EncoderWeights
@@ -251,11 +253,11 @@ def _softmax(x: np.ndarray) -> np.ndarray:
 
 
 def environment_pathway(fmap, w: FusionWeights) -> np.ndarray:
-    """Global average pool over H x W, fully connected stack, softmax.
+    """Global average pool over H x W, one affine layer, softmax.
 
-    Returns the scene descriptor as a probability vector of length d_model
-    (or raw logits when config.env_softmax is off). Batched form: a
-    [B, C, H, W] array gives one row per map, [B, d_model].
+    Returns the scene descriptor as a probability vector of length
+    d_model. Batched form: a [B, C, H, W] array gives one row per map,
+    [B, d_model].
     """
     single = isinstance(fmap, FeatureMap)
     maps = fmap.values[None] if single else fmap
@@ -263,13 +265,8 @@ def environment_pathway(fmap, w: FusionWeights) -> np.ndarray:
         raise ConfigError(
             f"feature map has {maps.shape[1]} channels, weights expect {w.config.channels}"
         )
-    x = maps.mean(axis=(2, 3))
-    last = len(w.env_affine) - 1
-    for i, (mat, bias) in enumerate(w.env_affine):
-        x = x @ mat.T + bias
-        if i < last:
-            x = np.maximum(x, 0.0)
-    out = _softmax(x) if w.config.env_softmax else x
+    (mat, bias), = w.env_affine
+    out = _softmax(maps.mean(axis=(2, 3)) @ mat.T + bias)
     return out[0] if single else out
 
 
@@ -295,8 +292,8 @@ def _bin_weights(lo: np.ndarray, hi: np.ndarray, size: int, bins: int, samples: 
 def roi_align(
     fmap,
     box,
-    out_grid: tuple[int, int] = (4, 4),
-    samples_per_bin: tuple[int, int] = (2, 2),
+    out_grid: tuple[int, int] = ROI_GRID,
+    samples_per_bin: tuple[int, int] = ROI_SAMPLES,
     map_index=None,
 ) -> np.ndarray:
     """Average-pooled bilinear sampling of a normalized box, shape [C, gh, gw].
@@ -383,8 +380,7 @@ def agent_fusion(patches, w: FusionWeights) -> np.ndarray | None:
     """
     if len(patches) == 0:
         return None
-    gh, gw = w.config.roi_grid
-    expected = (w.config.channels, gh, gw)
+    expected = (w.config.channels, *ROI_GRID)
     batch = isinstance(patches, np.ndarray) and patches.ndim == 5
     shapes = {patches.shape[2:]} if batch else {np.shape(p) for p in patches}
     if shapes != {expected}:
@@ -532,7 +528,7 @@ def _block_agents(maps, boxes: np.ndarray, counts: np.ndarray, w: FusionWeights)
     then encoded per agent count."""
     cfg = w.config
     owner = np.repeat(np.arange(len(counts)), counts)  # snippet of each box
-    patches = roi_align(maps, boxes, cfg.roi_grid, cfg.roi_samples, owner)
+    patches = roi_align(maps, boxes, map_index=owner)
     agents = np.zeros((len(counts), cfg.d_model))
     first = np.cumsum(counts) - counts  # each snippet's first box
     for n in sorted(set(counts.tolist()) - {0}):  # np.unique would import numpy.ma
@@ -565,7 +561,7 @@ def save_weights(w: FusionWeights, directory: str | os.PathLike) -> None:
     """Write the bundle: one tensor file per parameter plus a JSON index."""
     directory = os.fspath(directory)
     os.makedirs(directory, exist_ok=True)
-    index = {"config": asdict(w.config), "params": {}}  # tuples as JSON lists
+    index = {"config": asdict(w.config), "params": {}}
     for name, arr in sorted(_named_params(w).items()):
         fname = name.replace(".", "_") + ".aent"
         write_tensor(Tensor.from_array(arr), os.path.join(directory, fname))
@@ -576,14 +572,9 @@ def save_weights(w: FusionWeights, directory: str | os.PathLike) -> None:
 def _param_shapes(cfg: FusionConfig) -> dict[str, tuple[int, ...]]:
     """The shape of every parameter of a bundle, by name."""
     d, ff = cfg.d_model, cfg.ff_dim
-    dims = [cfg.channels, *cfg.env_hidden, d]
-    shapes: dict[str, tuple[int, ...]] = {}
-    for i in range(len(dims) - 1):
-        shapes[f"env_affine.{i}.weight"] = (dims[i + 1], dims[i])
-        shapes[f"env_affine.{i}.bias"] = (dims[i + 1],)
-    gh, gw = cfg.roi_grid
-    shapes["patch_proj.weight"] = (d, cfg.channels * gh * gw)
-    shapes["patch_proj.bias"] = (d,)
+    gh, gw = ROI_GRID
+    shapes = {"env_affine.0.weight": (d, cfg.channels), "env_affine.0.bias": (d,),
+              "patch_proj.weight": (d, cfg.channels * gh * gw), "patch_proj.bias": (d,)}
     layer = {p: (d,) for p in _LAYER_PARAMS}
     layer.update(wq=(d, d), wk=(d, d), wv=(d, d), wo=(d, d),
                  ff1_w=(ff, d), ff1_b=(ff,), ff2_w=(d, ff))
@@ -603,10 +594,7 @@ def _weights_from_params(cfg: FusionConfig, params: dict[str, np.ndarray]) -> Fu
 
     return FusionWeights(
         config=cfg,
-        env_affine=tuple(
-            (params[f"env_affine.{i}.weight"], params[f"env_affine.{i}.bias"])
-            for i in range(1 + len(cfg.env_hidden))
-        ),
+        env_affine=((params["env_affine.0.weight"], params["env_affine.0.bias"]),),
         patch_proj=(params["patch_proj.weight"], params["patch_proj.bias"]),
         agent_encoder=encoder("agent_encoder"),
         fuse_encoder=encoder("fuse_encoder"),
@@ -627,10 +615,6 @@ def random_weights(cfg: FusionConfig, seed: int) -> FusionWeights:
     return _weights_from_params(cfg, params)
 
 
-def _is_int(v) -> bool:
-    return isinstance(v, int) and not isinstance(v, bool)
-
-
 def _no_unknown_fields(obj: dict, known, where: str, prefix: str) -> None:
     for key in obj:
         if key not in known:
@@ -648,27 +632,16 @@ def _config_from_index(index, where: str) -> FusionConfig:
         if not isinstance(index[key], dict):
             raise ConfigError(f"{where}: field {key!r} must be an object")
     c = index["config"]
-    _no_unknown_fields(c, {f.name for f in fields(FusionConfig)}, where, "config.")
-
-    def field(name: str, ok, kind: str):
+    names = [f.name for f in fields(FusionConfig)]
+    _no_unknown_fields(c, names, where, "config.")
+    for name in names:
         if name not in c:
             raise ConfigError(f"{where}: missing field 'config.{name}'")
-        if not ok(c[name]):
-            raise ConfigError(f"{where}: field 'config.{name}' must be {kind}, got {c[name]!r}")
-        return c[name]
-
-    def int_list(n: int | None):
-        return lambda v: (isinstance(v, list) and (n is None or len(v) == n)
-                          and all(_is_int(x) and x >= 1 for x in v))
-
-    kwargs = {n: field(n, _is_int, "an integer")
-              for n in ("channels", "d_model", "num_heads", "num_layers", "ff_dim")}
-    kwargs["env_hidden"] = tuple(field("env_hidden", int_list(None), "a list of positive integers"))
-    for name in ("roi_grid", "roi_samples"):
-        kwargs[name] = tuple(field(name, int_list(2), "a list of 2 positive integers"))
-    kwargs["env_softmax"] = field("env_softmax", lambda v: isinstance(v, bool), "true or false")
+        v = c[name]
+        if isinstance(v, bool) or not isinstance(v, int):
+            raise ConfigError(f"{where}: field 'config.{name}' must be an integer, got {v!r}")
     try:
-        return FusionConfig(**kwargs)
+        return FusionConfig(**c)
     except ConfigError as e:
         raise ConfigError(f"{where}: field 'config': {e}") from e
 

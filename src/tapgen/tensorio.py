@@ -528,6 +528,9 @@ def load_proposals(proposal_dir: str, vid: str) -> list[Proposal] | None:
         where = f"{path}: entry {k}"
         if not isinstance(entry, dict):
             raise InvalidInputError(f"{where}: must be an object")
+        for name in entry:
+            if name not in PROPOSAL_FIELDS:
+                raise InvalidInputError(f"{where}: unknown field {name!r}")
         for name in PROPOSAL_FIELDS:
             if name not in entry:
                 raise InvalidInputError(f"{where}: missing field {name!r}")

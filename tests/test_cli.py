@@ -111,6 +111,31 @@ class TestSynth:
             doc = json.loads((tmp_path / "manifests" / name).read_text())
             assert doc["annotations"] == []
 
+    @pytest.mark.parametrize("via", ["flag", "config"])
+    @pytest.mark.parametrize("max_actions", [-3, _MAX_SNIPPETS + 1, 10**20])
+    def test_max_actions_outside_0_to_the_snippet_cap_exits_1_before_any_video(
+            self, runner, tmp_path, monkeypatch, via, max_actions):
+        from tapgen import synth
+
+        calls = []
+        monkeypatch.setattr(synth, "synth_manifest", lambda *args, **kw: calls.append(args))
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"max_actions": max_actions}))
+        head = ["--config", str(cfg)] if via == "config" else []
+        given = ["--max-actions", str(max_actions)] if via == "flag" else []
+        # catch_exceptions=False: a traceback would fail the test
+        r = invoke(runner, [*head, "synth", "--n-videos", "2", *given,
+                            "--out", str(tmp_path / "s")])
+        assert r.exit_code == 1
+        assert r.output == (f"Error: need 0 <= --max-actions <= {_MAX_SNIPPETS}, "
+                            f"got {max_actions}\n")
+        assert calls == [] and not (tmp_path / "s").exists()
+
+    def test_max_actions_at_the_snippet_cap_runs(self, runner, tmp_path):
+        r = invoke(runner, ["synth", "--n-videos", "2", "--max-actions", str(_MAX_SNIPPETS),
+                            "--out", str(tmp_path)])
+        assert r.exit_code == 0, r.output
+
     def test_invalid_n_videos(self, runner, tmp_path):
         r = invoke(runner, ["synth", "--n-videos", "0", "--out", str(tmp_path)])
         assert r.exit_code == 1
@@ -751,6 +776,11 @@ class TestErrorHandling:
         pytest.param(json.dumps([GOOD, 3]), "entry 1: must be an object", id="not-an-object"),
         pytest.param(json.dumps([{"t_start_sec": 0.0, "t_end_sec": 2.0}]),
                      "entry 0: missing field 'score'", id="missing-key"),
+        pytest.param(json.dumps([GOOD, {**GOOD, "label": "sports"}]),
+                     "entry 1: unknown field 'label'\n", id="unknown-key"),
+        # a misspelt field is named as unknown, not as the field it stands for
+        pytest.param(json.dumps([{"t_start_sec": 0.0, "t_end": 2.0, "score": 0.5}]),
+                     "entry 0: unknown field 't_end'\n", id="misspelt-key"),
         pytest.param(json.dumps([{**GOOD, "t_end_sec": "2"}]),
                      "entry 0: field 't_end_sec' must be a finite", id="string"),
         pytest.param(json.dumps([{**GOOD, "score": True}]),
@@ -976,7 +1006,7 @@ GOLDEN_DIGESTS = {
     "labels": "63b8c1ad8b5a7f8dc7696b15f3defe55c1889f657512a08222b57133d645a1b4",
     "proposals": "3df8e02548ea6c69334cea77f3a61d4b9820f76f20361a3b57a536389ee72ff9",
     "eval": "3d40c3cff2f5d7e020d919c0f1599919f78f4e1ef2924aa83e5d1b6903be6216",
-    "bundle": "ac9c735fbe18a568b0e9b84b79066b68af8bc691ed1b2aa0db2bfe852a5f0b2e",
+    "bundle": "46b543299f85eff6c3e50a4a242d1259473d7166023613c928466fdb2d0db8a6",
 }
 
 
@@ -1008,8 +1038,7 @@ def test_artifacts_match_the_golden_digests(runner, tmp_path):
         r = invoke(runner, args)
         assert r.exit_code == 0, r.output
     save_weights(random_weights(FusionConfig(channels=3, d_model=12, num_heads=3, num_layers=2,
-                                             ff_dim=10, env_hidden=(5, 4), roi_grid=(2, 3),
-                                             roi_samples=(1, 2), env_softmax=False), seed=2),
+                                             ff_dim=10), seed=2),
                  tmp_path / "bundle")
     got = {
         "manifests": kind_digest(tmp_path, "corpus/manifests/*.json"),

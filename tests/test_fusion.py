@@ -17,6 +17,8 @@ from tapgen.fusion import (
     FusionConfig,
     FusionWeights,
     LN_EPS,
+    ROI_GRID,
+    ROI_SAMPLES,
     StubFeatureSource,
     ae_fuse,
     agent_fusion,
@@ -30,6 +32,7 @@ from tapgen.fusion import (
     stub_backbone,
     _layer_norm,
     _linear,
+    _param_shapes,
     _softmax,
 )
 from tapgen.tensorio import (
@@ -156,13 +159,6 @@ class TestEnvironmentPathway:
         expected = np.array([e0 / (e0 + e1), e1 / (e0 + e1)])
         out = environment_pathway(FeatureMap(values=vals), w)
         np.testing.assert_allclose(out, expected, atol=1e-12)
-
-    def test_logit_mode(self):
-        cfg = FusionConfig(channels=3, d_model=8, num_heads=2, env_softmax=False)
-        w = random_weights(cfg, seed=3)
-        fmap = FeatureMap(values=np.random.default_rng(1).standard_normal((3, 4, 4)))
-        out = environment_pathway(fmap, w)
-        assert not abs(out.sum() - 1.0) < 1e-6  # raw logits, not a distribution
 
     def test_channel_mismatch(self):
         w = random_weights(SMALL_CFG, seed=3)
@@ -445,7 +441,7 @@ def reference_featurize_video(manifest, w, source):
         fmap = source.get(manifest.video.video_id, i, entry)
         env = environment_pathway(fmap, w)
         boxes = entry.agent_boxes if entry is not None else ()
-        patches = [roi_align(fmap, b, w.config.roi_grid, w.config.roi_samples) for b in boxes]
+        patches = [roi_align(fmap, b, ROI_GRID, ROI_SAMPLES) for b in boxes]
         out[i] = ae_fuse(env, agent_fusion(patches, w), w)
     return out
 
@@ -493,11 +489,11 @@ class PerSnippetFileSource:
 
 
 def per_snippet_source_environment_pathway(fmap, w: FusionWeights) -> np.ndarray:
-    """Global average pool over H x W, fully connected stack, softmax.
+    """Global average pool over H x W, one affine layer, softmax.
 
-    Returns the scene descriptor as a probability vector of length d_model
-    (or raw logits when config.env_softmax is off). Given a sequence of B
-    feature maps of one shape, returns one row per map, [B, d_model].
+    Returns the scene descriptor as a probability vector of length d_model.
+    Given a sequence of B feature maps of one shape, returns one row per
+    map, [B, d_model].
     """
     single = isinstance(fmap, FeatureMap)
     maps = (fmap,) if single else fmap
@@ -507,12 +503,8 @@ def per_snippet_source_environment_pathway(fmap, w: FusionWeights) -> np.ndarray
                 f"feature map has {m.values.shape[0]} channels, weights expect {w.config.channels}"
             )
     x = np.stack([m.values.mean(axis=(1, 2)) for m in maps])
-    last = len(w.env_affine) - 1
-    for i, (mat, bias) in enumerate(w.env_affine):
-        x = x @ mat.T + bias
-        if i < last:
-            x = np.maximum(x, 0.0)
-    out = _softmax(x) if w.config.env_softmax else x
+    (mat, bias), = w.env_affine
+    out = _softmax(x @ mat.T + bias)
     return out[0] if single else out
 
 
@@ -560,7 +552,7 @@ def _per_snippet_source_block_agents(maps, boxes, counts: np.ndarray,
     cfg = w.config
     owner = np.repeat(np.arange(len(maps)), counts)  # snippet of each box
     flat = np.array([b for bs in boxes for b in bs], dtype=np.float64).reshape(-1, 4)
-    patches = np.empty((len(flat), cfg.channels, *cfg.roi_grid))
+    patches = np.empty((len(flat), cfg.channels, *ROI_GRID))
     by_size: dict[tuple[int, int], list[int]] = {}
     for i in np.flatnonzero(counts):
         by_size.setdefault(maps[i].values.shape[1:], []).append(i)
@@ -570,7 +562,7 @@ def _per_snippet_source_block_agents(maps, boxes, counts: np.ndarray,
         sel = local[owner] >= 0
         stack = np.stack([maps[i].values for i in snips])
         patches[sel] = roi_align(
-            stack, flat[sel], cfg.roi_grid, cfg.roi_samples, local[owner[sel]]
+            stack, flat[sel], ROI_GRID, ROI_SAMPLES, local[owner[sel]]
         )
     agents = np.zeros((len(maps), cfg.d_model))
     first = np.cumsum(counts) - counts  # each snippet's first box
@@ -793,19 +785,6 @@ class TestFileSourceBlockRead:
 
 
 class TestWeightBundles:
-    def test_save_load_roundtrip(self, tmp_path):
-        cfg = FusionConfig(channels=3, d_model=8, num_heads=2, num_layers=2, ff_dim=16,
-                           env_hidden=(5,))
-        w = random_weights(cfg, seed=21)
-        save_weights(w, tmp_path / "bundle")
-        back = load_weights(tmp_path / "bundle")
-        assert back.config == cfg
-        src = StubFeatureSource(seed=1, dims=(3, 5, 5))
-        m = tiny_manifest()
-        np.testing.assert_array_equal(
-            featurize_video(m, w, src), featurize_video(m, back, src)
-        )
-
     def test_d_model_head_divisibility_enforced(self):
         with pytest.raises(ConfigError):
             FusionConfig(d_model=10, num_heads=4)
@@ -814,10 +793,33 @@ class TestWeightBundles:
         ("channels", 4096), ("d_model", 4096), ("num_heads", 256), ("num_layers", 64),
     ])
     def test_sizes_above_the_cap_are_rejected_naming_field_and_cap(self, field, cap):
-        assert getattr(FusionConfig(**{"d_model": 4096, field: cap}), field) == cap
         for size in (cap + 1, 100_000_000):
             with pytest.raises(ConfigError, match=rf"^{field} {size} is above the cap of {cap}$"):
                 FusionConfig(**{field: size})
+
+    @pytest.mark.parametrize("sizes", [
+        {"channels": 4096}, {"num_heads": 256, "d_model": 256}, {"num_layers": 64},
+        {"d_model": 2048, "num_layers": 2}, {"d_model": 512, "ff_dim": 2**15},
+    ], ids=["channels-cap", "num_heads-cap", "num_layers-cap", "d_model-2048", "wide-ff"])
+    def test_configs_within_the_parameter_budget_are_accepted(self, sizes):
+        cfg = FusionConfig(**sizes)
+        assert sum(math.prod(s) for s in _param_shapes(cfg).values()) <= 2**27
+
+    @pytest.mark.parametrize("sizes, count", [
+        ({"d_model": 4096}, 136_954_112),
+        ({"d_model": 4096, "num_layers": 8}, 1_091_676_160),
+        ({"d_model": 4096, "num_layers": 64}, 8_729_452_544),
+        ({"channels": 4096, "d_model": 4096}, 421_609_728),
+        ({"ff_dim": 10**12}, 258_000_000_042_752),
+        ({"d_model": 2048, "num_layers": 4}, 138_843_136),
+    ], ids=["d_model-cap", "8-layers", "64-layers", "channels-and-d_model-caps", "huge-ff",
+            "d_model-2048-4-layers"])
+    def test_configs_over_the_parameter_budget_are_rejected_with_the_count(self, sizes, count):
+        """Built as a config only: random_weights would allocate every parameter."""
+        with pytest.raises(ConfigError) as e:
+            FusionConfig(**sizes)
+        assert str(e.value) == (f"the model needs {count} parameters, "
+                                f"above the budget of {2**27}")
 
     def test_zero_heads_is_a_config_error(self):
         with pytest.raises(ConfigError, match="num_heads must be positive"):
@@ -825,7 +827,7 @@ class TestWeightBundles:
 
 
 def _two_layer_env(w):
-    """An env stack 3 -> 5 -> 8, a hidden layer SMALL_CFG.env_hidden does not list."""
+    """An env stack 3 -> 5 -> 8: the model has one env layer, 3 -> 8."""
     rng = np.random.default_rng(0)
     return dataclasses.replace(w, env_affine=(
         (rng.random((5, 3)), rng.random(5)), (rng.random((8, 5)), rng.random(8))))
@@ -913,8 +915,7 @@ class TestWeightBundleValidation:
             load_weights(directory)
 
     @pytest.mark.parametrize("key", ["channels", "d_model", "num_heads", "num_layers",
-                                     "ff_dim", "env_hidden", "roi_grid", "roi_samples",
-                                     "env_softmax"])
+                                     "ff_dim"])
     def test_missing_config_key(self, tmp_path, key):
         directory = _bundle(tmp_path)
         _edit_index(directory, lambda index: index["config"].pop(key))
@@ -923,14 +924,15 @@ class TestWeightBundleValidation:
 
     @pytest.mark.parametrize("key,value", [
         ("d_model", "8"), ("d_model", 8.0), ("channels", True), ("num_heads", None),
-        ("env_hidden", 5), ("env_hidden", [0]), ("roi_grid", [4]), ("roi_grid", [4, "4"]),
-        ("roi_samples", None), ("env_softmax", 1),
+        ("ff_dim", [16]), ("num_layers", {"n": 1}),
     ])
     def test_wrong_value_type(self, tmp_path, key, value):
         directory = _bundle(tmp_path)
         _edit_index(directory, lambda index: index["config"].__setitem__(key, value))
-        with pytest.raises(ConfigError, match=rf"index\.json: field 'config\.{key}' must be"):
+        with pytest.raises(ConfigError) as e:
             load_weights(directory)
+        assert str(e.value) == (f"{directory / 'index.json'}: field 'config.{key}' "
+                                f"must be an integer, got {value!r}")
 
     def test_size_above_the_cap(self, tmp_path):
         directory = _bundle(tmp_path)
@@ -964,7 +966,12 @@ class TestWeightBundleValidation:
         (lambda index: index["params"].__setitem__(
             "agent_encoder.1.wq", index["params"]["agent_encoder.0.wq"]),
          "params.agent_encoder.1.wq"),
-    ], ids=["top-level", "config", "params-of-a-layer-the-config-lacks"])
+        # fields that bundles written with a configurable env stack and RoIAlign carry
+        *((lambda index, k=key, v=value: index["config"].__setitem__(k, v), f"config.{key}")
+          for key, value in (("env_hidden", []), ("env_softmax", True),
+                             ("roi_grid", [4, 4]), ("roi_samples", [2, 2]))),
+    ], ids=["top-level", "config", "params-of-a-layer-the-config-lacks",
+            "env_hidden", "env_softmax", "roi_grid", "roi_samples"])
     def test_unknown_field(self, tmp_path, edit, field):
         directory = _bundle(tmp_path)
         _edit_index(directory, edit)

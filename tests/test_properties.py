@@ -34,7 +34,9 @@ from tapgen.fusion import (
     FusionConfig,
     StubFeatureSource,
     featurize_video,
+    load_weights,
     random_weights,
+    save_weights,
 )
 
 from tapgen.inference import find_peaks, form_proposals, soft_nms
@@ -376,8 +378,7 @@ def test_duration_labels_spot_checks_at_long_videos():
 
 FUSION_CONFIGS = (
     FusionConfig(channels=3, d_model=8, num_heads=2, num_layers=1, ff_dim=16),
-    FusionConfig(channels=2, d_model=6, num_heads=3, num_layers=2, ff_dim=8,
-                 env_hidden=(5,), roi_grid=(2, 3), roi_samples=(1, 2), env_softmax=False),
+    FusionConfig(channels=2, d_model=6, num_heads=3, num_layers=2, ff_dim=8),
 )
 SMALL_BLOCK = 8
 # (T, snippets per featurize block). At a small block patched in, T below,
@@ -462,6 +463,35 @@ def batched_featurize_property(T, data, cfg):
     want = reference_featurize_video(manifest, w, source)
     assert got.shape == (T, cfg.d_model)
     np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+
+
+@st.composite
+def small_fusion_configs(draw):
+    num_heads = draw(st.integers(1, 3))
+    return FusionConfig(channels=draw(st.integers(1, 4)),
+                        d_model=num_heads * draw(st.integers(1, 4)), num_heads=num_heads,
+                        num_layers=draw(st.integers(1, 3)), ff_dim=draw(st.integers(1, 8)))
+
+
+@settings(PROPERTY, max_examples=25)
+@given(cfg=small_fusion_configs(), seed=st.integers(0, 2**32 - 1), video=block_videos(9))
+def test_a_saved_bundle_loads_as_the_same_model(cfg, seed, video):
+    """load_weights(save_weights(w)) has w's config and every parameter of
+    w bit for bit, and featurizes a video to the same bytes."""
+    w = random_weights(cfg, seed)
+    with tempfile.TemporaryDirectory() as d:
+        save_weights(w, d)
+        back = load_weights(d)
+    assert back.config == cfg
+    got, want = fusion._named_params(back), fusion._named_params(w)
+    assert got.keys() == want.keys()
+    for name, arr in want.items():
+        assert got[name].dtype == arr.dtype and got[name].shape == arr.shape, name
+        assert got[name].tobytes() == arr.tobytes(), name
+    T, counts, size, listed, video_seed = video
+    manifest, source = block_video(T, counts, size, cfg.channels, video_seed, listed)
+    assert (featurize_video(manifest, back, source).tobytes()
+            == featurize_video(manifest, w, source).tobytes())
 
 
 @pytest.mark.parametrize("T, block", BLOCK_EDGES)
