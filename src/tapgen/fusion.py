@@ -52,6 +52,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import operator
 import os
 import threading
 from dataclasses import asdict, dataclass, fields
@@ -59,8 +60,8 @@ from dataclasses import asdict, dataclass, fields
 import numpy as np
 
 from tapgen.errors import ConfigError, DataError, InvalidInputError
-from tapgen.tensorio import (Snippets, Tensor, read_tensor, tensor_block_from_bytes,
-                             tensor_from_bytes, write_json, write_tensor)
+from tapgen.tensorio import (Tensor, read_tensor, tensor_block_from_bytes, tensor_from_bytes,
+                             write_json, write_tensor)
 from tapgen.timeline import build_grid
 
 LN_EPS = 1e-5
@@ -111,7 +112,7 @@ def _check_map_shape(shape: tuple[int, ...]) -> None:
 
 
 # Past these, weights fail to allocate or grow layer by layer until memory runs out.
-_MAX_SIZES = {"channels": 2**12, "d_model": 2**12, "num_heads": 2**8, "num_layers": 2**6}
+_MAX_SIZES = {"channels": 2**12, "num_heads": 2**8, "num_layers": 2**6}
 _MAX_PARAMS = 2**27  # float64 parameters of one model (1 GiB), all held before any video
 
 
@@ -127,6 +128,13 @@ class FusionConfig:
 
     def __post_init__(self):
         for f in fields(self):
+            v = getattr(self, f.name)
+            try:
+                if isinstance(v, bool):  # which operator.index takes
+                    raise TypeError
+                object.__setattr__(self, f.name, int(operator.index(v)))  # JSON takes no np.int64
+            except TypeError:
+                raise ConfigError(f"{f.name} must be an integer, got {v!r}") from None
             if getattr(self, f.name) < 1:
                 raise ConfigError(f"{f.name} must be positive")
         for name, cap in _MAX_SIZES.items():
@@ -488,7 +496,7 @@ def featurize_video(manifest, w: FusionWeights, source) -> np.ndarray:
     """
     T = build_grid(manifest.video).T
     video_id = manifest.video.video_id
-    snippets = Snippets.of(manifest.snippets)
+    snippets = manifest.snippets
     row = np.full(T, -1)  # each snippet's entry row; -1 where the manifest lists none
     listed = np.flatnonzero((snippets.indices >= 0) & (snippets.indices < T))
     row[snippets.indices[listed]] = listed
@@ -637,9 +645,6 @@ def _config_from_index(index, where: str) -> FusionConfig:
     for name in names:
         if name not in c:
             raise ConfigError(f"{where}: missing field 'config.{name}'")
-        v = c[name]
-        if isinstance(v, bool) or not isinstance(v, int):
-            raise ConfigError(f"{where}: field 'config.{name}' must be an integer, got {v!r}")
     try:
         return FusionConfig(**c)
     except ConfigError as e:

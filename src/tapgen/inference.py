@@ -9,7 +9,7 @@ the duration-label cell convention. Its score is
 
 form_proposals returns the candidates as Candidates: start, end and score
 columns in float64, with no object per candidate. Indexing it, and so
-iterating it, yields Proposal; it equals any sequence of the same proposals.
+iterating it, yields Proposal, a row view for library callers.
 
 Soft-NMS decays overlapping survivors by exp(-iou^2 / sigma) instead of
 removing them. It works on those columns (a list of Proposal is turned
@@ -40,7 +40,7 @@ overlaps.
 from __future__ import annotations
 
 import math
-from collections.abc import Sequence
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -87,8 +87,8 @@ class Proposal:
 class Candidates(Sequence):
     """Scored intervals in seconds as three float64 columns, one row per proposal.
 
-    Rows are not checked one by one: form_proposals builds them from
-    validated grids, and Candidates.of from Proposals.
+    Rows are not checked here: form_proposals builds them from validated
+    grids, load_proposals from checked entries, Candidates.of from Proposals.
     """
 
     starts: np.ndarray
@@ -96,10 +96,11 @@ class Candidates(Sequence):
     scores: np.ndarray
 
     @classmethod
-    def of(cls, proposals: Sequence[Proposal]) -> Candidates:
-        """The columns of a sequence of Proposal, in its order."""
+    def of(cls, proposals: Iterable[Proposal]) -> Candidates:
+        """The columns of Proposal values, in their order."""
         if isinstance(proposals, Candidates):
             return proposals
+        proposals = tuple(proposals)  # read once per column, so an iterator serves too
         return cls(*(
             np.array([getattr(p, name) for p in proposals], dtype=np.float64)
             for name in ("start_sec", "end_sec", "score")
@@ -110,11 +111,6 @@ class Candidates(Sequence):
 
     def __getitem__(self, i: int) -> Proposal:
         return Proposal(float(self.starts[i]), float(self.ends[i]), float(self.scores[i]))
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, Sequence):
-            return NotImplemented
-        return len(self) == len(other) and all(a == b for a, b in zip(self, other))
 
 
 @dataclass(frozen=True)

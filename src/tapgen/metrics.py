@@ -21,12 +21,11 @@ from __future__ import annotations
 import csv
 import io
 from dataclasses import dataclass
-from operator import attrgetter
 
 import numpy as np
 
 from tapgen.errors import UndefinedMetricError
-from tapgen.inference import Proposal
+from tapgen.inference import Candidates, Proposal
 from tapgen.timeline import GroundTruthAction, broadcast_iou
 # Unused here, but perfbench's tracer counts calls through this binding.
 from tapgen.timeline import temporal_iou  # noqa: F401
@@ -74,13 +73,6 @@ class EvalResult:
         return buf.getvalue()
 
 
-def _iou_matrix(proposals, gts) -> np.ndarray:
-    """[len(proposals), len(gts)] temporal IoU."""
-    p = np.array([pr.interval for pr in proposals], dtype=np.float64).reshape(-1, 2)
-    g = np.array([gt.interval for gt in gts], dtype=np.float64).reshape(-1, 2)
-    return broadcast_iou(p[:, :1], p[:, 1:], g[:, 0], g[:, 1])
-
-
 def _match_sizes(hits: np.ndarray) -> list[int]:
     """Maximum one-to-one matching size over the first k proposals (rows
     of the boolean proposal x ground-truth matrix), for k = 0..len(hits),
@@ -110,8 +102,9 @@ def _match_sizes(hits: np.ndarray) -> list[int]:
 def _recall_table(proposals_per_video, gts_per_video, thresholds, an_values) -> np.ndarray:
     """[len(thresholds), len(an_values)] recall of the pooled ground truths.
 
-    Each video's IoU matrix is built once, and each threshold takes one
-    incremental matching sweep over the video's top proposals.
+    Each video's columns are ranked by one stable argsort and its IoU
+    matrix is built once; each threshold takes one incremental matching
+    sweep over the video's top proposals.
     """
     if min(an_values) < 1:
         raise UndefinedMetricError(f"an must be >= 1, got {min(an_values)}")
@@ -122,8 +115,10 @@ def _recall_table(proposals_per_video, gts_per_video, thresholds, an_values) -> 
     for vid, gts in gts_per_video.items():
         if not gts:
             continue
-        ranked = sorted(proposals_per_video.get(vid, []), key=attrgetter("score"), reverse=True)
-        ious = _iou_matrix(ranked[: max(an_values)], gts)
+        c = Candidates.of(proposals_per_video.get(vid, ()))
+        top = np.argsort(-c.scores, kind="stable")[: max(an_values), None]
+        g = np.array([gt.interval for gt in gts], dtype=np.float64)
+        ious = broadcast_iou(c.starts[top], c.ends[top], g[:, 0], g[:, 1])
         pick = np.minimum(an_values, len(ious))
         for i, t in enumerate(thresholds):
             matched[i] += np.asarray(_match_sizes(ious >= t))[pick]

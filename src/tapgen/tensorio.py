@@ -20,12 +20,12 @@ these checks fails are the entries checked again one by one, to raise the
 first failure with its field named. A manifest may describe at most
 _MAX_SNIPPETS snippets; that is checked before its snippets.
 
-A parsed manifest keeps its snippets as Snippets columns, with no object
+A Manifest always holds its snippets as Snippets columns, with no object
 per entry: indices, feature file names, box counts, and the [N, 4]
-float64 agent boxes of all entries in entry order, which the box checks
-built. Indexing or iterating them builds SnippetEntry values, and they
-equal the tuple of those entries, so a Manifest built from a tuple of
-SnippetEntry (Snippets.of turns one into columns) is an equal value.
+float64 agent boxes of all entries in entry order. Parsing builds them in
+the box checks, a Manifest given SnippetEntry values converts them once,
+and manifest_to_dict writes from them. Indexing or iterating them builds
+SnippetEntry values, a row view for library callers.
 
 Every JSON file tapgen writes (manifests, proposal files, eval.json, run
 summaries, a weight bundle's index.json) goes through write_json: indent
@@ -41,14 +41,14 @@ import os
 import struct
 import sys
 import tempfile
-from collections.abc import Sequence
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 from typing import NoReturn
 
 import numpy as np
 
 from tapgen.errors import InvalidInputError, ManifestValidationError, TensorFormatError
-from tapgen.inference import Proposal
+from tapgen.inference import Candidates, Proposal
 from tapgen.timeline import GroundTruthAction, VideoMeta
 
 MAGIC = b"AENT"
@@ -227,10 +227,11 @@ class Snippets(Sequence):
     boxes: np.ndarray
 
     @classmethod
-    def of(cls, entries: Sequence[SnippetEntry]) -> Snippets:
-        """The columns of a sequence of SnippetEntry, in its order."""
+    def of(cls, entries: Iterable[SnippetEntry]) -> Snippets:
+        """The columns of SnippetEntry values, in their order."""
         if isinstance(entries, Snippets):
             return entries
+        entries = tuple(entries)  # read once per column, so an iterator serves too
         return cls(
             np.array([s.index for s in entries], dtype=np.intp),
             tuple(s.feature_file for s in entries),
@@ -251,22 +252,27 @@ class Snippets(Sequence):
                 zip(self.indices.tolist(), self.feature_files, self.box_counts.tolist()))
 
     def __eq__(self, other) -> bool:
-        if not isinstance(other, Sequence):
+        if not isinstance(other, Snippets):
             return NotImplemented
-        return len(self) == len(other) and all(a == b for a, b in zip(self, other))
+        return (self.feature_files == other.feature_files
+                and all(np.array_equal(getattr(self, k), getattr(other, k))
+                        for k in ("indices", "box_counts", "boxes")))
 
 
 @dataclass(frozen=True)
 class Manifest:
     """One video's metadata, annotations, and per-snippet agent boxes.
 
-    snippets is Snippets columns, as read_manifest and synth give them, or
-    a tuple of SnippetEntry; the two compare equal.
+    snippets is always Snippets columns: a sequence of SnippetEntry given
+    here, or through dataclasses.replace, becomes columns once.
     """
 
     video: VideoMeta
     annotations: tuple[GroundTruthAction, ...]
-    snippets: Sequence[SnippetEntry] = ()
+    snippets: Snippets = ()
+
+    def __post_init__(self):
+        object.__setattr__(self, "snippets", Snippets.of(self.snippets))
 
 
 def _require_keys(obj: dict, allowed: set[str], required: set[str], path: str) -> None:
@@ -463,6 +469,8 @@ def read_manifest(source: str | os.PathLike) -> Manifest:
 
 
 def manifest_to_dict(m: Manifest) -> dict:
+    s = m.snippets
+    rows = iter(s.boxes.tolist())  # plain floats, as the JSON held them
     return {
         "video": {
             "video_id": m.video.video_id,
@@ -476,12 +484,8 @@ def manifest_to_dict(m: Manifest) -> dict:
             for a in m.annotations
         ],
         "snippets": [
-            {
-                "index": s.index,
-                "feature_file": s.feature_file,
-                "agent_boxes": [list(b) for b in s.agent_boxes],
-            }
-            for s in m.snippets
+            {"index": i, "feature_file": f, "agent_boxes": list(itertools.islice(rows, n))}
+            for i, f, n in zip(s.indices.tolist(), s.feature_files, s.box_counts.tolist())
         ],
     }
 
@@ -510,8 +514,8 @@ def write_proposals(proposal_dir: str, vid: str, proposals: Sequence[Proposal]) 
                [dict(zip(PROPOSAL_FIELDS, (p.start_sec, p.end_sec, p.score))) for p in proposals])
 
 
-def load_proposals(proposal_dir: str, vid: str) -> list[Proposal] | None:
-    """Read and validate one video's proposal file; None if it is missing."""
+def load_proposals(proposal_dir: str, vid: str) -> Candidates | None:
+    """Read and validate one video's proposal file as columns; None if it is missing."""
     path = _proposal_path(proposal_dir, vid)
     if not os.path.exists(path):
         return None
@@ -523,7 +527,6 @@ def load_proposals(proposal_dir: str, vid: str) -> list[Proposal] | None:
             raise InvalidInputError(f"{path}: not valid JSON ({e})") from e
     if not isinstance(doc, list):
         raise InvalidInputError(f"{path}: top level must be a list of proposals")
-    out = []
     for k, entry in enumerate(doc):
         where = f"{path}: entry {k}"
         if not isinstance(entry, dict):
@@ -546,5 +549,5 @@ def load_proposals(proposal_dir: str, vid: str) -> list[Proposal] | None:
             )
         if not 0.0 <= score <= 1.0:
             raise InvalidInputError(f"{where}: field 'score' ({score}) outside [0, 1]")
-        out.append(Proposal(start_sec=start, end_sec=end, score=score))
-    return out
+    return Candidates(*(np.array([entry[name] for entry in doc], dtype=np.float64)
+                        for name in PROPOSAL_FIELDS))

@@ -750,7 +750,8 @@ class TestErrorHandling:
         assert not (tmp_path / "labels").exists()
 
     @pytest.mark.parametrize("option, value, expected", [
-        ("--d-model", "100000000", "d_model 100000000 is above the cap of 4096"),
+        ("--d-model", "100000000",
+         "the model needs 80000066800000256 parameters, above the budget of 134217728"),
         ("--heads", "0", "num_heads must be positive"),
     ])
     @pytest.mark.parametrize("via", ["flag", "config"])

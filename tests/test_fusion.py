@@ -582,6 +582,16 @@ class TestFeaturizeVideo:
         assert a.shape == (3, 8)
         np.testing.assert_array_equal(a, b)
 
+    def test_reads_the_columns_and_builds_no_entry(self, monkeypatch):
+        import tapgen.tensorio as tensorio
+
+        w = random_weights(SMALL_CFG, seed=10)
+        src = StubFeatureSource(seed=11, dims=(3, 6, 6))
+        m = tiny_manifest()
+        want = featurize_video(m, w, src)
+        monkeypatch.setattr(tensorio, "SnippetEntry", None)  # building a row now fails
+        assert featurize_video(m, w, src).tobytes() == want.tobytes()
+
     def test_box_permutation_invariance(self):
         w = random_weights(SMALL_CFG, seed=10)
         src = StubFeatureSource(seed=11, dims=(3, 6, 6))
@@ -790,12 +800,41 @@ class TestWeightBundles:
             FusionConfig(d_model=10, num_heads=4)
 
     @pytest.mark.parametrize("field, cap", [
-        ("channels", 4096), ("d_model", 4096), ("num_heads", 256), ("num_layers", 64),
+        ("channels", 4096), ("num_heads", 256), ("num_layers", 64),
     ])
     def test_sizes_above_the_cap_are_rejected_naming_field_and_cap(self, field, cap):
         for size in (cap + 1, 100_000_000):
             with pytest.raises(ConfigError, match=rf"^{field} {size} is above the cap of {cap}$"):
                 FusionConfig(**{field: size})
+
+    @pytest.mark.parametrize("d_model, count", [
+        (4094, 134_254_544), (4096, 134_385_666), (100_000_000, 80_000_004_100_000_002),
+    ])
+    def test_d_model_is_bounded_by_the_parameter_budget(self, d_model, count):
+        """d_model has no cap of its own: at the smallest other sizes the
+        budget takes 4093 and refuses 4094, so it refuses 4094 at any sizes."""
+        smallest = {"channels": 1, "num_heads": 1, "num_layers": 1, "ff_dim": 1}
+        FusionConfig(d_model=4093, **smallest)
+        with pytest.raises(ConfigError) as e:
+            FusionConfig(d_model=d_model, **smallest)
+        assert str(e.value) == (f"the model needs {count} parameters, "
+                                f"above the budget of {2**27}")
+
+    @pytest.mark.parametrize("field, value", [
+        ("d_model", 64.0), ("channels", 8.5), ("num_layers", True), ("num_heads", "4"),
+        ("ff_dim", None), ("d_model", np.float64(64.0)), ("channels", np.True_),
+    ])
+    def test_non_integer_sizes_are_config_errors(self, field, value):
+        with pytest.raises(ConfigError) as e:
+            FusionConfig(**{field: value})
+        assert str(e.value) == f"{field} must be an integer, got {value!r}"
+
+    def test_numpy_integer_sizes_are_stored_as_int_and_saved(self, tmp_path):
+        cfg = FusionConfig(channels=np.int64(3), d_model=np.int32(8), num_heads=np.int64(2),
+                           num_layers=np.uint8(1), ff_dim=np.int64(4))
+        assert all(type(getattr(cfg, f.name)) is int for f in dataclasses.fields(cfg))
+        save_weights(random_weights(cfg, 0), tmp_path / "w")
+        assert load_weights(tmp_path / "w").config == cfg == FusionConfig(3, 8, 2, 1, 4)
 
     @pytest.mark.parametrize("sizes", [
         {"channels": 4096}, {"num_heads": 256, "d_model": 256}, {"num_layers": 64},
@@ -931,8 +970,8 @@ class TestWeightBundleValidation:
         _edit_index(directory, lambda index: index["config"].__setitem__(key, value))
         with pytest.raises(ConfigError) as e:
             load_weights(directory)
-        assert str(e.value) == (f"{directory / 'index.json'}: field 'config.{key}' "
-                                f"must be an integer, got {value!r}")
+        assert str(e.value) == (f"{directory / 'index.json'}: field 'config': "
+                                f"{key} must be an integer, got {value!r}")
 
     def test_size_above_the_cap(self, tmp_path):
         directory = _bundle(tmp_path)

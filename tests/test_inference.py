@@ -1,6 +1,5 @@
 import math
 import warnings
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -173,12 +172,12 @@ class TestFormProposals:
 
     def test_ordering_violation_filtered(self):
         grids = grids_from_cells(10, 10, [5], [3], [(2, 3)])
-        assert form_proposals([5], [3], grids, make_grid(10)) == []
+        assert list(form_proposals([5], [3], grids, make_grid(10))) == []
 
     def test_duration_range_enforced(self):
         grids = grids_from_cells(10, 3, [0], [8], [(3, 0)])
         assert grids.D == 3
-        assert form_proposals([0], [8], grids, make_grid(10)) == []
+        assert list(form_proposals([0], [8], grids, make_grid(10))) == []
 
     def test_sorted_by_score_then_indices(self):
         T = 8
@@ -201,13 +200,11 @@ class TestFormProposals:
         want = reference_form_proposals(list(range(T)), list(range(T)), grids, make_grid(T))
         assert isinstance(got, Candidates)
         assert len(got) == len(want) > 1
-        assert got == want and want == got and got == tuple(want)
-        assert list(got) == want
+        assert list(got) == want and tuple(got) == tuple(want)
         assert got[-1] == want[-1]
         assert all(isinstance(x, float) for x in (got[0].start_sec, got[0].end_sec, got[0].score))
-        assert got != want[:-1]
-        assert got != [replace(want[0], score=want[0].score / 2), *want[1:]]
-        assert got != "not proposals"
+        for other in (want, tuple(want), [], "not proposals"):  # columns equal no sequence
+            assert got != other and other != got
         with pytest.raises(IndexError):
             got[len(want)]
 
@@ -217,7 +214,7 @@ class TestFormProposals:
         cands = form_proposals(list(range(T)), list(range(T)), grids, make_grid(T))
         before = list(cands)
         soft_nms(cands, score_floor=0.0)
-        assert cands == before
+        assert list(cands) == before
 
 
 def mk(start, end, score, s=1.0):

@@ -11,6 +11,7 @@ import re
 import tempfile
 from collections import OrderedDict
 from dataclasses import astuple, replace
+from operator import attrgetter
 from unittest.mock import patch
 
 import numpy as np
@@ -39,15 +40,21 @@ from tapgen.fusion import (
     save_weights,
 )
 
-from tapgen.inference import find_peaks, form_proposals, soft_nms
-from tapgen.metrics import evaluate
+from tapgen.inference import Candidates, find_peaks, form_proposals, soft_nms
+from tapgen.metrics import (
+    ACTIVITYNET_THRESHOLDS,
+    DEFAULT_AN_VALUES,
+    THUMOS_THRESHOLDS,
+    _match_sizes,
+    evaluate,
+)
 from tapgen.supervision import (
     ScoreGrids,
     gen_boundary_labels,
     gen_duration_labels,
     valid_cell_mask,
 )
-from tapgen.timeline import GroundTruthAction
+from tapgen.timeline import GroundTruthAction, broadcast_iou
 
 from tapgen.tensorio import (
     Manifest,
@@ -55,6 +62,7 @@ from tapgen.tensorio import (
     Snippets,
     Tensor,
     manifest_from_dict,
+    manifest_to_dict,
     read_manifest,
     tensor_bytes,
     tensor_from_bytes,
@@ -169,7 +177,7 @@ def test_form_proposals_matches_the_list_reference(T, data, seed, quantized, sha
     assert len(got) == len(want)
     assert [astuple(p) for p in got] == [astuple(p) for p in want]
     assert [astuple(got[i]) for i in range(len(got))] == [astuple(p) for p in want]
-    assert got == want
+    assert list(got) == want
 
 
 @settings(PROPERTY, max_examples=20)
@@ -319,6 +327,59 @@ def test_evaluate_ranks_each_video_by_score(corpus, scores, an_values):
     got = evaluate(rescored, gts, an_values=tuple(an_values))
     want = evaluate(ranked, gts, an_values=tuple(an_values))
     assert np.array_equal(got.per_tiou_recall, want.per_tiou_recall)
+
+
+def reference_recall_table(proposals_per_video, gts_per_video, thresholds, an_values):
+    """metrics._recall_table as it was before it read columns, kept verbatim
+    but for names: Proposal objects sorted by score, then intervals to IoU."""
+    total = sum(len(g) for g in gts_per_video.values())
+    matched = np.zeros((len(thresholds), len(an_values)), dtype=np.int64)
+    for vid, gts in gts_per_video.items():
+        if not gts:
+            continue
+        ranked = sorted(proposals_per_video.get(vid, []), key=attrgetter("score"), reverse=True)
+        p = np.array([pr.interval for pr in ranked[: max(an_values)]],
+                     dtype=np.float64).reshape(-1, 2)
+        g = np.array([gt.interval for gt in gts], dtype=np.float64).reshape(-1, 2)
+        ious = broadcast_iou(p[:, :1], p[:, 1:], g[:, 0], g[:, 1])
+        pick = np.minimum(an_values, len(ious))
+        for i, t in enumerate(thresholds):
+            matched[i] += np.asarray(_match_sizes(ious >= t))[pick]
+    return matched / total
+
+
+seconds = st.integers(0, 30).map(float) | st.floats(0.0, 30.0)
+real_intervals = st.tuples(seconds, st.sampled_from([0.5, 1.0, 2.0]) | st.floats(0.01, 8.0)).map(
+    lambda r: (r[0], r[0] + r[1]))
+
+
+@PROPERTY
+@given(
+    videos=st.lists(st.tuples(st.lists(real_intervals, max_size=3),
+                              st.lists(st.tuples(real_intervals, tied_scores), max_size=30)),
+                    min_size=1, max_size=4),
+    thresholds=st.sampled_from([ACTIVITYNET_THRESHOLDS, THUMOS_THRESHOLDS, (0.1, 0.5, 1.0)]),
+    an_values=st.sampled_from([DEFAULT_AN_VALUES, (1,), (2, 5, 9)]),
+    form=st.sampled_from([list, iter, Candidates.of]),
+)
+def test_evaluate_matches_the_object_reference_bit_for_bit(videos, thresholds, an_values, form):
+    """Columns ranked by a stable argsort give the object path's recall table
+    and AUC bit for bit, ties among the few scores included; a video's
+    proposals may be a list of Proposal, an iterator of them, or Candidates,
+    as load_proposals gives."""
+    gts = {f"v{v}": [gt(*iv) for iv in g] for v, (g, _) in enumerate(videos)}
+    props = {f"v{v}": [si(*iv, score) for iv, score in ps] for v, (_, ps) in enumerate(videos)}
+    if not any(gts.values()):
+        gts["v0"] = [gt(0, 2)]
+    want = reference_recall_table(props, gts, thresholds, an_values)
+    res = evaluate({v: form(ps) for v, ps in props.items()}, gts, thresholds=thresholds,
+                   an_values=an_values)
+    assert res.per_tiou_recall.tobytes() == want.tobytes()
+    ar = want.mean(axis=0)
+    ans = np.asarray(an_values, dtype=np.float64)
+    auc = (100.0 * float(np.trapezoid(ar, ans)) / (ans[-1] - ans[0]) if len(an_values) > 1
+           else 100.0 * float(ar[0]))
+    assert res.auc.hex() == auc.hex()
 
 
 @PROPERTY
@@ -542,9 +603,9 @@ def block_sources_property(T, data, cfg):
 @pytest.mark.parametrize("T, block", BLOCK_EDGES)
 def test_featurize_reads_snippet_columns_as_the_tuple_they_stand_for(T, block):
     """featurize_video gives the same bits, or the same error, on a manifest
-    whose snippets are a tuple of SnippetEntry in index order, on one with
-    the entries shuffled, and on that one read back from its file as
-    Snippets columns, with the in-memory, stub and file sources."""
+    built from a tuple of SnippetEntry in index order, on one built from
+    the entries shuffled, and on that one read back from its file, with the
+    in-memory, stub and file sources."""
     at_block_size(T, block, 4, snippet_columns_property)
 
 
@@ -914,6 +975,54 @@ def test_manifest_snippets_are_columns_or_the_reference_error(snippets):
         return
     m = manifest_from_dict(doc)
     assert isinstance(m.snippets, Snippets) and m.snippets == want.snippets
+
+
+def reference_snippet_dicts(entries) -> list:
+    """manifest_to_dict's snippets as it wrote them before it read columns,
+    kept verbatim: one dict per SnippetEntry."""
+    return [
+        {
+            "index": s.index,
+            "feature_file": s.feature_file,
+            "agent_boxes": [list(b) for b in s.agent_boxes],
+        }
+        for s in entries
+    ]
+
+
+float_box = st.tuples(st.floats(0.0, 1.0), st.floats(0.0, 1.0), st.floats(0.0, 1.0),
+                      st.floats(0.0, 1.0)).filter(lambda b: b[0] < b[2] and b[1] < b[3])
+
+
+@st.composite
+def valid_entries(draw):
+    """A valid tuple of SnippetEntry with float boxes, indices in any order."""
+    T = draw(st.integers(1, 12))
+    indices = draw(st.lists(st.integers(0, T - 1), unique=True, max_size=T))
+    files = st.none() | st.text(st.characters(exclude_characters="\0"), max_size=6)
+    entries = tuple(SnippetEntry(i, draw(files), tuple(draw(st.lists(float_box, max_size=3))))
+                    for i in indices)
+    return T, entries
+
+
+@PROPERTY
+@given(video=valid_entries(),
+       annotations=st.lists(st.tuples(st.floats(0.0, 0.4), st.floats(0.5, 1.0)), max_size=3))
+def test_manifest_writer_matches_the_entry_reference_and_round_trips(video, annotations):
+    """The columns write the bytes the entry-by-entry writer wrote, and a
+    written manifest reads back as an equal one."""
+    T, entries = video
+    meta = VideoMeta(video_id="v", num_frames=16 * T, fps=16.0, snippet_len=16)
+    anns = tuple(GroundTruthAction("a", a * T, b * T) for a, b in annotations)
+    m = Manifest(video=meta, annotations=anns, snippets=entries)
+    got = manifest_to_dict(m)["snippets"]
+    want = reference_snippet_dicts(entries)
+    assert got == want
+    assert json.dumps(got, sort_keys=True) == json.dumps(want, sort_keys=True)
+    with tempfile.TemporaryDirectory() as d:
+        write_manifest(m, os.path.join(d, "m.json"))
+        back = read_manifest(os.path.join(d, "m.json"))
+    assert back == m and tuple(back.snippets) == entries
 
 
 proposal_numbers = st.floats() | json_values

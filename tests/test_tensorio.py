@@ -28,7 +28,7 @@ from tapgen.tensorio import (
     write_proposals,
     write_tensor,
 )
-from tapgen.inference import Proposal
+from tapgen.inference import Candidates, Proposal
 from tapgen.timeline import GroundTruthAction, VideoMeta
 
 
@@ -506,16 +506,24 @@ def columnar_manifest_doc():
     return doc
 
 
+# The rows of columnar_manifest_doc's snippets, written out by hand.
+COLUMNAR_ENTRIES = (
+    SnippetEntry(3, "a.aent", ((0.1, 0.2, 0.5, 0.6), (0.0, 0.25, 1.0, 0.75))),
+    SnippetEntry(0, None),
+    SnippetEntry(7, None, ((0.3, 0.3, 0.4, 0.9),)),
+    SnippetEntry(1, "b.aent"),
+)
+
+
 class TestSnippets:
-    """A parsed manifest's Snippets columns behave as the tuple of SnippetEntry
-    that the entry-by-entry reference builds."""
+    """A parsed manifest's Snippets columns hold the rows of the document,
+    and index and iterate as those SnippetEntry values."""
 
     def parsed(self):
         doc = columnar_manifest_doc()
-        got = manifest_from_dict(doc).snippets
-        want = reference_manifest_from_dict(doc).snippets
-        assert isinstance(got, Snippets) and type(want) is tuple
-        return got, want
+        m = manifest_from_dict(doc)
+        assert isinstance(m.snippets, Snippets) and m == reference_manifest_from_dict(doc)
+        return m.snippets, COLUMNAR_ENTRIES
 
     def test_columns(self):
         got, _ = self.parsed()
@@ -543,14 +551,24 @@ class TestSnippets:
 
     def test_equality(self):
         got, want = self.parsed()
-        assert got == want and want == got
-        assert got == list(want) and list(want) == got
-        assert not (got != want) and not (want != got)
-        other = want[:-1] + (dataclasses.replace(want[-1], index=2),)
-        assert got != other and other != got
-        assert got != want[:-1] and want[:-1] != got
-        assert got != 3 and got != "snippets"
-        assert Snippets.of(()) == ()
+        assert got == Snippets.of(want) and Snippets.of(want) == got
+        assert not (got != Snippets.of(want))
+        first = want[0]
+        for other in (
+            want[:-1] + (dataclasses.replace(want[-1], index=2),),
+            want[:-1] + (dataclasses.replace(want[-1], feature_file="c.aent"),),
+            (dataclasses.replace(first, agent_boxes=((0.1, 0.2, 0.5, 0.6),
+                                                     (0.0, 0.25, 1.0, 0.7500000000000001))),
+             *want[1:]),
+            # the same boxes in the same order, one moved to the next entry
+            (dataclasses.replace(first, agent_boxes=first.agent_boxes[:1]),
+             dataclasses.replace(want[1], agent_boxes=first.agent_boxes[1:]), *want[2:]),
+            want[:-1],
+        ):
+            assert got != Snippets.of(other) and Snippets.of(other) != got
+        for other in (want, list(want), 3, "snippets"):  # columns equal no sequence
+            assert got != other and other != got
+        assert Snippets.of(()) == Snippets.of([]) != ()
 
     def test_of_round_trips(self):
         got, want = self.parsed()
@@ -575,8 +593,40 @@ class TestSnippets:
         assert [e.feature_file for e in renamed] == ["f3.aent", "f0.aent", "f7.aent", "f1.aent"]
         assert [e.agent_boxes for e in renamed] == [e.agent_boxes for e in m.snippets]
         m2 = dataclasses.replace(m, snippets=renamed)
-        assert m2.snippets == renamed and m2 != m
+        assert isinstance(m2.snippets, Snippets) and tuple(m2.snippets) == renamed
+        assert m2.snippets == Snippets.of(renamed) and m2 != m
         assert dataclasses.replace(m, snippets=tuple(m.snippets)) == m
+
+    def test_every_manifest_holds_columns(self, tmp_path):
+        """Read, synth, tuple-built and replaced manifests alike, and one
+        built from an iterator of entries, which is read once."""
+        from tapgen.synth import synth_manifest
+
+        built = Manifest(VideoMeta("v", 160, 16.0, 16), (), COLUMNAR_ENTRIES)
+        write_manifest(built, tmp_path / "m.json")
+        for m in (built, read_manifest(tmp_path / "m.json"), synth_manifest(0, 0, 2, 5, 20),
+                  dataclasses.replace(built, snippets=list(COLUMNAR_ENTRIES)),
+                  Manifest(built.video, ())):
+            assert isinstance(m.snippets, Snippets)
+        assert built.snippets == Snippets.of(COLUMNAR_ENTRIES)
+        assert Manifest(built.video, (), iter(COLUMNAR_ENTRIES)) == built
+        assert len(Manifest(built.video, ()).snippets) == 0
+
+    def test_writer_builds_no_entry_and_writes_coordinates_as_floats(self, monkeypatch):
+        """manifest_to_dict writes from the columns. A tuple-built manifest's
+        integer coordinates come out as floats, as a read manifest's do."""
+        import tapgen.tensorio as tensorio
+
+        m = Manifest(VideoMeta("v", 160, 16.0, 16), (),
+                     (SnippetEntry(2, "a.aent", ((0, 0.25, 1, 0.75),)), SnippetEntry(0, None)))
+        monkeypatch.setattr(tensorio, "SnippetEntry", None)  # building a row now fails
+        snippets = manifest_to_dict(m)["snippets"]
+        assert snippets == [
+            {"index": 2, "feature_file": "a.aent", "agent_boxes": [[0.0, 0.25, 1.0, 0.75]]},
+            {"index": 0, "feature_file": None, "agent_boxes": []},
+        ]
+        assert all(type(c) is float for c in snippets[0]["agent_boxes"][0])
+        assert type(snippets[0]["index"]) is int
 
     def test_write_read_write_reproduces_a_synth_manifest(self, tmp_path):
         from tapgen.synth import synth_corpus
@@ -595,7 +645,8 @@ class TestSnippets:
 def test_load_proposals_tells_a_missing_file_from_an_empty_one(tmp_path):
     assert load_proposals(str(tmp_path), "v") is None
     (tmp_path / "v.proposals.json").write_text("[]")
-    assert load_proposals(str(tmp_path), "v") == []
+    empty = load_proposals(str(tmp_path), "v")
+    assert isinstance(empty, Candidates) and list(empty) == []
     (tmp_path / "v.proposals.json").write_text(
         json.dumps([{"t_start_sec": 0.5, "t_end_sec": 2, "score": 1}]))
     [p] = load_proposals(str(tmp_path), "v")
@@ -605,7 +656,8 @@ def test_load_proposals_tells_a_missing_file_from_an_empty_one(tmp_path):
 def test_write_proposals_round_trips_through_load_proposals(tmp_path):
     props = [Proposal(0.1, 0.3, 0.7), Proposal(2.0, 5.5, 1.0), Proposal(0.0, 1e-9, 0.0)]
     write_proposals(str(tmp_path), "v", props)
-    assert load_proposals(str(tmp_path), "v") == props
+    loaded = load_proposals(str(tmp_path), "v")
+    assert isinstance(loaded, Candidates) and list(loaded) == props
     text = (tmp_path / "v.proposals.json").read_text()
     assert json.loads(text)[0] == {"score": 0.7, "t_end_sec": 0.3, "t_start_sec": 0.1}
     assert text.startswith('[\n  {\n    "score": 0.7,') and text.endswith("}\n]\n")
