@@ -103,8 +103,14 @@ def _exit_on_error():
         sys.exit(1)
 
 
-def _manifest_paths(manifest_dir: str) -> dict[str, str]:
-    """The path of each manifest in manifest_dir by its name, the file name without .json."""
+def _manifest_paths(manifest_dir: str, out: str) -> dict[str, str]:
+    """The path of each manifest in manifest_dir by its name, the file name without .json.
+
+    An out that is manifest_dir is refused: a later stage would read its outputs as manifests.
+    """
+    with _exit_on_error():
+        if os.path.isdir(out) and os.path.samefile(out, manifest_dir):
+            raise DataError(f"{out}: is the --manifests directory; give another --out")
     paths = sorted(glob.glob(os.path.join(manifest_dir, "*.json")))
     paths = [p for p in paths if not os.path.basename(p).startswith("run_summary")]
     if not paths:
@@ -221,7 +227,7 @@ def _finish(ctx, out_dir: str, config: dict, done, errors, extra: dict | None = 
 @click.option("--config", type=click.Path(exists=True, dir_okay=False), is_eager=True,
               expose_value=False, callback=_use_config,
               help="JSON object of option defaults, checked like flags; explicit flags win.")
-@click.option("--seed", type=int, default=0, help="Global seed.")
+@click.option("--seed", type=click.IntRange(0, 2**64 - 1), default=0, help="Global seed.")
 @click.option("--workers", type=click.IntRange(min=1), default=1, help="Parallel worker count.")
 @click.option("--keep-going", is_flag=True, default=False,
               help="Collect per-video errors instead of stopping at the first.")
@@ -331,7 +337,7 @@ def cmd_featurize(ctx, manifest_dir, features_dir, weights_dir, d_model, heads, 
         "d_model": ran.d_model, "num_heads": ran.num_heads, "num_layers": ran.num_layers,
         "channels": ran.channels, "seed": seed, "weights": weights_dir, "features": features_dir,
     }
-    done, errors = _run_batch(ctx, _manifest_paths(manifest_dir), read_manifest, out,
+    done, errors = _run_batch(ctx, _manifest_paths(manifest_dir, out), read_manifest, out,
                               _featurize_one, (weights, source))
     _finish(ctx, out, effective, done, errors)
 
@@ -355,7 +361,7 @@ def _labels_one(manifest: Manifest, out_dir: str, d_policy: str, files: dict) ->
 @click.pass_context
 def cmd_labels(ctx, manifest_dir, d_policy, out):
     """Write boundary and duration label tensors for every manifest."""
-    done, errors = _run_batch(ctx, _manifest_paths(manifest_dir), read_manifest, out,
+    done, errors = _run_batch(ctx, _manifest_paths(manifest_dir, out), read_manifest, out,
                               _labels_one, (d_policy, LABEL_FILES))
     _finish(ctx, out, {"d_policy": d_policy}, done, errors)
 
@@ -402,7 +408,7 @@ def cmd_infer(ctx, manifest_dir, grid_dir, sigma, score_floor, top_k, out):
     """Run peak pairing, scoring, and Soft-NMS over stored score grids."""
     with _exit_on_error():  # checked once, before any video
         cfg = InferenceConfig(sigma=sigma, score_floor=score_floor, top_k=top_k)
-    done, errors = _run_batch(ctx, _manifest_paths(manifest_dir), read_manifest, out,
+    done, errors = _run_batch(ctx, _manifest_paths(manifest_dir, out), read_manifest, out,
                               _infer_one, (grid_dir, cfg))
     _finish(ctx, out, dataclasses.asdict(cfg), done, errors)
 
@@ -423,13 +429,21 @@ def _eval_one(manifest: Manifest, out_dir: str, proposal_dir: str) -> tuple:
 @click.option("--out", required=True, type=click.Path())
 @click.pass_context
 def cmd_eval(ctx, manifest_dir, proposal_dir, preset, out):
-    """Compute AR@AN and AUC over stored proposal files."""
+    """Compute AR@AN and AUC over stored proposal files.
+
+    A ground truth is recalled at (tIoU, AN) only through a one-to-one
+    maximum matching with its video's top-AN proposals; AN (1..100) is a
+    cut per video; AUC is 100 times the area under AR(AN) divided by the AN
+    range, 99. tIoU thresholds: 0.5:0.05:0.95, or 0.5:0.1:1.0 under
+    --preset thumos. The README lists how this differs from the ActivityNet
+    reference evaluation.
+    """
     from tapgen import metrics
 
     thresholds = (
         metrics.ACTIVITYNET_THRESHOLDS if preset == "activitynet" else metrics.THUMOS_THRESHOLDS
     )
-    done, errors = _run_batch(ctx, _manifest_paths(manifest_dir), read_manifest, out,
+    done, errors = _run_batch(ctx, _manifest_paths(manifest_dir, out), read_manifest, out,
                               _eval_one, (proposal_dir,))
     if not done or errors and not ctx.obj["keep_going"]:  # no AUC over a stopped run
         _finish(ctx, out, {"preset": preset}, done, errors)  # exits 1

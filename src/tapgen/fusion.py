@@ -38,6 +38,10 @@ from 64- to 256-snippet blocks moved them by at most 1.5e-15.
 Layer norm centres its input once and takes the variance as the mean
 square of that.
 
+The weights are one table: FusionWeights maps each bundle parameter name
+(_param_shapes) to its array, and the layers read their parameters from it
+by name. An encoder is a view whose layers refer to the table's arrays.
+
 The stub backbone keys one counter-based Philox stream per (seed, video,
 snippet). A process builds a single Philox generator, on its first stub
 call, and re-keys it for every snippet: counter 0, empty output buffer.
@@ -55,6 +59,7 @@ import math
 import operator
 import os
 import threading
+from collections.abc import Mapping
 from dataclasses import asdict, dataclass, fields
 
 import numpy as np
@@ -72,7 +77,6 @@ ROI_SAMPLES = (2, 2)  # (sh, sw) samples per bin
 __all__ = [
     "FeatureMap",
     "FusionConfig",
-    "EncoderLayerWeights",
     "EncoderWeights",
     "FusionWeights",
     "stub_backbone",
@@ -150,57 +154,37 @@ class FusionConfig:
                               f"above the budget of {_MAX_PARAMS}")
 
 
-@dataclass(frozen=True)
-class EncoderLayerWeights:
-    wq: np.ndarray
-    bq: np.ndarray
-    wk: np.ndarray
-    bk: np.ndarray
-    wv: np.ndarray
-    bv: np.ndarray
-    wo: np.ndarray
-    bo: np.ndarray
-    ff1_w: np.ndarray
-    ff1_b: np.ndarray
-    ff2_w: np.ndarray
-    ff2_b: np.ndarray
-    ln1_scale: np.ndarray
-    ln1_shift: np.ndarray
-    ln2_scale: np.ndarray
-    ln2_shift: np.ndarray
+# The parameters of one encoder layer; this order is random_weights' draw order.
+_LAYER_PARAMS = ("wq", "bq", "wk", "bk", "wv", "bv", "wo", "bo", "ff1_w", "ff1_b", "ff2_w", "ff2_b",
+                 "ln1_scale", "ln1_shift", "ln2_scale", "ln2_shift")
 
 
 @dataclass(frozen=True)
 class EncoderWeights:
-    layers: tuple[EncoderLayerWeights, ...]
+    layers: tuple[Mapping[str, np.ndarray], ...]  # each keyed by _LAYER_PARAMS
     num_heads: int
 
     def __post_init__(self):
         if not self.layers:
             raise ConfigError("encoder needs at least one layer")
-        d = self.layers[0].wq.shape[0]
+        d = self.layers[0]["wq"].shape[0]
         if d % self.num_heads != 0:
             raise ConfigError(f"d_model {d} not divisible by num_heads {self.num_heads}")
 
 
 @dataclass(frozen=True)
 class FusionWeights:
-    """All learnable parameters of the two pathways and the fusion stage."""
+    """All learnable parameters of the two pathways and the fusion stage,
+    by bundle name: `env_affine.0.weight`, `patch_proj.bias`,
+    `agent_encoder.0.wq`, ... (_param_shapes)."""
 
     config: FusionConfig
-    env_affine: tuple[tuple[np.ndarray, np.ndarray], ...]  # one (weight [d_model, C], bias)
-    patch_proj: tuple[np.ndarray, np.ndarray]  # C*gh*gw -> d_model
-    agent_encoder: EncoderWeights
-    fuse_encoder: EncoderWeights
+    params: dict[str, np.ndarray]
 
     def __post_init__(self):
-        """Hold every parameter to _param_shapes(config), in name order, and
-        both encoders to config.num_heads, so a saved bundle is this model."""
-        for name in ("agent_encoder", "fuse_encoder"):
-            heads = getattr(self, name).num_heads
-            if heads != self.config.num_heads:
-                raise ConfigError(f"{name} has {heads} heads, expected {self.config.num_heads}")
-        got = {name: np.shape(arr) for name, arr in _named_params(self).items()}
+        """Hold every parameter to _param_shapes(config), in name order, so a
+        saved bundle is this model."""
+        got = {name: np.shape(arr) for name, arr in self.params.items()}
         want = _param_shapes(self.config)
         for name in sorted(got.keys() | want.keys()):
             if name not in want:
@@ -208,6 +192,20 @@ class FusionWeights:
             if got.get(name) != want[name]:
                 shape = f"shape {got[name]}" if name in got else "no value"
                 raise ConfigError(f"parameter {name!r} has {shape}, expected {want[name]}")
+
+    @property
+    def agent_encoder(self) -> EncoderWeights:
+        return self._encoder("agent_encoder")
+
+    @property
+    def fuse_encoder(self) -> EncoderWeights:
+        return self._encoder("fuse_encoder")
+
+    def _encoder(self, name: str) -> EncoderWeights:
+        """A view of one encoder: its layers refer to the arrays in params."""
+        layers = tuple({p: self.params[f"{name}.{li}.{p}"] for p in _LAYER_PARAMS}
+                       for li in range(self.config.num_layers))
+        return EncoderWeights(layers, self.config.num_heads)
 
 
 # The stub's one generator per process, built on first use (module
@@ -273,8 +271,8 @@ def environment_pathway(fmap, w: FusionWeights) -> np.ndarray:
         raise ConfigError(
             f"feature map has {maps.shape[1]} channels, weights expect {w.config.channels}"
         )
-    (mat, bias), = w.env_affine
-    out = _softmax(maps.mean(axis=(2, 3)) @ mat.T + bias)
+    p = w.params
+    out = _softmax(maps.mean(axis=(2, 3)) @ p["env_affine.0.weight"].T + p["env_affine.0.bias"])
     return out[0] if single else out
 
 
@@ -341,19 +339,19 @@ def _linear(x: np.ndarray, mat: np.ndarray, bias: np.ndarray) -> np.ndarray:
     return flat.reshape(*x.shape[:-1], mat.shape[0])
 
 
-def _self_attention(x: np.ndarray, lw: EncoderLayerWeights, num_heads: int) -> np.ndarray:
+def _self_attention(x: np.ndarray, lw: Mapping[str, np.ndarray], num_heads: int) -> np.ndarray:
     *lead, n, d = x.shape
     heads = (*lead, n, num_heads, d // num_heads)
-    v = _linear(x, lw.wv, lw.bv)
+    v = _linear(x, lw["wv"], lw["bv"])
     if n == 1:  # softmax over one key is exactly 1, and einsum's sum of 1 * v is 0.0 + v
-        return _linear(v + 0.0, lw.wo, lw.bo)
+        return _linear(v + 0.0, lw["wo"], lw["bo"])
     v = v.reshape(heads)
-    q = _linear(x, lw.wq, lw.bq).reshape(heads)
-    k = _linear(x, lw.wk, lw.bk).reshape(heads)
+    q = _linear(x, lw["wq"], lw["bq"]).reshape(heads)
+    k = _linear(x, lw["wk"], lw["bk"]).reshape(heads)
     scores = np.einsum("...qhd,...khd->...hqk", q, k) / np.sqrt(heads[-1])
     attn = _softmax(scores)  # [..., heads, n, n]
     mixed = np.einsum("...hqk,...khd->...qhd", attn, v).reshape(x.shape)
-    return _linear(mixed, lw.wo, lw.bo)
+    return _linear(mixed, lw["wo"], lw["bo"])
 
 
 def attention_encoder(tokens: np.ndarray, w: EncoderWeights) -> np.ndarray:
@@ -368,15 +366,15 @@ def attention_encoder(tokens: np.ndarray, w: EncoderWeights) -> np.ndarray:
         x = x[None, :]
     if x.shape[-2] < 1:
         raise InvalidInputError("attention_encoder needs at least one token")
-    d = w.layers[0].wq.shape[0]
+    d = w.layers[0]["wq"].shape[0]
     if x.shape[-1] != d:
         raise ConfigError(f"token dim {x.shape[-1]} != encoder d_model {d}")
     for lw in w.layers:
-        h = _layer_norm(x, lw.ln1_scale, lw.ln1_shift)
+        h = _layer_norm(x, lw["ln1_scale"], lw["ln1_shift"])
         x = x + _self_attention(h, lw, w.num_heads)
-        h = _layer_norm(x, lw.ln2_scale, lw.ln2_shift)
-        ff = _linear(np.maximum(_linear(h, lw.ff1_w, lw.ff1_b), 0.0), lw.ff2_w, lw.ff2_b)
-        x = x + ff
+        h = _layer_norm(x, lw["ln2_scale"], lw["ln2_shift"])
+        hidden = np.maximum(_linear(h, lw["ff1_w"], lw["ff1_b"]), 0.0)
+        x = x + _linear(hidden, lw["ff2_w"], lw["ff2_b"])
     return x
 
 
@@ -397,8 +395,8 @@ def agent_fusion(patches, w: FusionWeights) -> np.ndarray | None:
         )
     stacked = patches if batch else np.stack(patches)[None]
     b, n = stacked.shape[:2]
-    pw, pb = w.patch_proj
-    tokens = _linear(stacked.reshape(b, n, -1), pw, pb)
+    tokens = _linear(stacked.reshape(b, n, -1), w.params["patch_proj.weight"],
+                     w.params["patch_proj.bias"])
     fused = attention_encoder(tokens, w.agent_encoder).mean(axis=-2)
     return fused if batch else fused[0]
 
@@ -461,10 +459,10 @@ class FileFeatureSource:
         maps = []
         for path, blob in zip(paths, blobs):
             values = tensor_from_bytes(blob, name=path).to_array()  # finite, dims positive
-            _check_map_shape(values.shape)
-            if maps and values.shape != maps[0].shape:
+            if values.ndim != 3 or maps and values.shape != maps[0].shape:
+                expected = maps[0].shape if maps else "[C, H, W]"
                 raise DataError(f"video {video_id!r}: feature file {path} has shape "
-                                f"{values.shape}, expected {maps[0].shape}")
+                                f"{values.shape}, expected {expected}")
             maps.append(values)
         if failure is not None:
             raise failure
@@ -549,28 +547,12 @@ def _block_agents(maps, boxes: np.ndarray, counts: np.ndarray, w: FusionWeights)
 # Weight construction and bundles
 # ---------------------------------------------------------------------------
 
-_LAYER_PARAMS = tuple(f.name for f in fields(EncoderLayerWeights))
-
-
-def _named_params(w: FusionWeights) -> dict[str, np.ndarray]:
-    params: dict[str, np.ndarray] = {}
-    for i, (mat, bias) in enumerate(w.env_affine):
-        params[f"env_affine.{i}.weight"] = mat
-        params[f"env_affine.{i}.bias"] = bias
-    params["patch_proj.weight"], params["patch_proj.bias"] = w.patch_proj
-    for enc_name, enc in (("agent_encoder", w.agent_encoder), ("fuse_encoder", w.fuse_encoder)):
-        for li, layer in enumerate(enc.layers):
-            for p in _LAYER_PARAMS:
-                params[f"{enc_name}.{li}.{p}"] = getattr(layer, p)
-    return params
-
-
 def save_weights(w: FusionWeights, directory: str | os.PathLike) -> None:
     """Write the bundle: one tensor file per parameter plus a JSON index."""
     directory = os.fspath(directory)
     os.makedirs(directory, exist_ok=True)
     index = {"config": asdict(w.config), "params": {}}
-    for name, arr in sorted(_named_params(w).items()):
+    for name, arr in sorted(w.params.items()):
         fname = name.replace(".", "_") + ".aent"
         write_tensor(Tensor.from_array(arr), os.path.join(directory, fname))
         index["params"][name] = fname
@@ -592,23 +574,6 @@ def _param_shapes(cfg: FusionConfig) -> dict[str, tuple[int, ...]]:
     return shapes
 
 
-def _weights_from_params(cfg: FusionConfig, params: dict[str, np.ndarray]) -> FusionWeights:
-    def encoder(enc_name: str) -> EncoderWeights:
-        layers = tuple(
-            EncoderLayerWeights(**{p: params[f"{enc_name}.{li}.{p}"] for p in _LAYER_PARAMS})
-            for li in range(cfg.num_layers)
-        )
-        return EncoderWeights(layers=layers, num_heads=cfg.num_heads)
-
-    return FusionWeights(
-        config=cfg,
-        env_affine=((params["env_affine.0.weight"], params["env_affine.0.bias"]),),
-        patch_proj=(params["patch_proj.weight"], params["patch_proj.bias"]),
-        agent_encoder=encoder("agent_encoder"),
-        fuse_encoder=encoder("fuse_encoder"),
-    )
-
-
 def random_weights(cfg: FusionConfig, seed: int) -> FusionWeights:
     """Seeded weights, uniform in [-1/sqrt(d_model), +1/sqrt(d_model)];
     layer norms start as the identity."""
@@ -620,7 +585,7 @@ def random_weights(cfg: FusionConfig, seed: int) -> FusionWeights:
             params[name] = rng.uniform(-scale, scale, size=shape)
         else:
             params[name] = np.ones(shape) if name.endswith("scale") else np.zeros(shape)
-    return _weights_from_params(cfg, params)
+    return FusionWeights(cfg, params)
 
 
 def _no_unknown_fields(obj: dict, known, where: str, prefix: str) -> None:
@@ -681,4 +646,4 @@ def load_weights(directory: str | os.PathLike) -> FusionWeights:
             raise ConfigError(
                 f"{path}: parameter {name!r} has shape {params[name].shape}, expected {shape}"
             )
-    return _weights_from_params(cfg, params)
+    return FusionWeights(cfg, params)

@@ -914,6 +914,50 @@ class TestConfigFile:
         assert expected.format(cfg=cfg) in r.output
 
 
+@pytest.mark.parametrize("stage", ["synth", "featurize"])
+@pytest.mark.parametrize("seed", [-1, 2**64])
+def test_seed_outside_0_to_2_64_exits_2_as_a_flag_and_1_from_config(runner, tmp_path, stage,
+                                                                    seed):
+    invoke(runner, ["synth", "--n-videos", "1", "--out", str(tmp_path / "corpus")])
+    argv = {"synth": ["synth", "--n-videos", "1"],
+            "featurize": ["featurize", "--manifests", str(tmp_path / "corpus/manifests")]}[stage]
+    argv += ["--out", str(tmp_path / "out")]
+    r = invoke(runner, ["--seed", str(seed), *argv])
+    assert r.exit_code == 2
+    assert f"Invalid value for '--seed': {seed} is not in the range" in r.output
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"seed": seed}))
+    r = invoke(runner, ["--config", str(cfg), *argv])
+    assert r.exit_code == 1
+    assert f"config {cfg}: field 'seed': {seed} is not in the range" in r.output
+    assert not (tmp_path / "out").exists()
+
+
+def test_the_largest_seed_runs(runner, tmp_path):
+    seed = ["--seed", str(2**64 - 1)]
+    r = invoke(runner, [*seed, "synth", "--n-videos", "1", "--out", str(tmp_path / "corpus")])
+    assert r.exit_code == 0, r.output
+    r = invoke(runner, [*seed, "featurize", "--manifests", str(tmp_path / "corpus/manifests"),
+                        "--out", str(tmp_path / "features")])
+    assert r.exit_code == 0, r.output
+
+
+@pytest.mark.parametrize("stage", ["featurize", "labels", "infer", "eval"])
+def test_out_that_is_the_manifest_directory_exits_1_before_any_job(runner, tmp_path, stage):
+    """Its outputs would be read as manifests by every later stage."""
+    run_pipeline(runner, str(tmp_path), n_videos=2)
+    manifests = tmp_path / "corpus" / "manifests"
+    out = f"{tmp_path}/corpus/../corpus/manifests/"  # the same directory, spelt otherwise
+    options = {"featurize": [], "labels": [],
+               "infer": ["--grids", str(tmp_path / "corpus/grids")],
+               "eval": ["--proposals", str(tmp_path / "proposals")]}[stage]
+    before = os.listdir(manifests)
+    r = invoke(runner, [stage, "--manifests", str(manifests), *options, "--out", out])
+    assert r.exit_code == 1
+    assert r.output == f"error: {out}: is the --manifests directory; give another --out\n"
+    assert os.listdir(manifests) == before
+
+
 @pytest.mark.parametrize("n_videos, workers, pools", [(3, 8, [3]), (1, 4, []), (3, 1, [])])
 def test_pool_has_at_most_one_worker_per_job(runner, tmp_path, monkeypatch, n_videos, workers,
                                              pools):
@@ -1007,7 +1051,7 @@ GOLDEN_DIGESTS = {
     "labels": "63b8c1ad8b5a7f8dc7696b15f3defe55c1889f657512a08222b57133d645a1b4",
     "proposals": "3df8e02548ea6c69334cea77f3a61d4b9820f76f20361a3b57a536389ee72ff9",
     "eval": "3d40c3cff2f5d7e020d919c0f1599919f78f4e1ef2924aa83e5d1b6903be6216",
-    "bundle": "46b543299f85eff6c3e50a4a242d1259473d7166023613c928466fdb2d0db8a6",
+    "bundle": "3f82e5e4ca93b11d888e7520b1820b745c6c261c78ebaca84648ed92ca97213b",
 }
 
 
@@ -1047,6 +1091,6 @@ def test_artifacts_match_the_golden_digests(runner, tmp_path):
         "labels": kind_digest(tmp_path, "labels/*.aent"),
         "proposals": kind_digest(tmp_path, "proposals/*.proposals.json"),
         "eval": kind_digest(tmp_path, "eval/eval.json", "eval/eval.csv"),
-        "bundle": kind_digest(tmp_path, "bundle/index.json"),
+        "bundle": kind_digest(tmp_path, "bundle/*"),
     }
     assert got == GOLDEN_DIGESTS

@@ -10,7 +10,6 @@ import pytest
 from tapgen.errors import ConfigError, DataError, InvalidInputError, TensorFormatError
 from tapgen.fusion import (
     BLOCK_SNIPPETS,
-    EncoderLayerWeights,
     EncoderWeights,
     FeatureMap,
     FileFeatureSource,
@@ -30,6 +29,7 @@ from tapgen.fusion import (
     roi_align,
     save_weights,
     stub_backbone,
+    _LAYER_PARAMS,
     _layer_norm,
     _linear,
     _param_shapes,
@@ -53,7 +53,7 @@ SMALL_CFG = FusionConfig(channels=3, d_model=8, num_heads=2, num_layers=1, ff_di
 
 def zero_layer(d, ff):
     z = np.zeros
-    return EncoderLayerWeights(
+    return dict(
         wq=z((d, d)), bq=z(d), wk=z((d, d)), bk=z(d), wv=z((d, d)), bv=z(d),
         wo=z((d, d)), bo=z(d), ff1_w=z((ff, d)), ff1_b=z(ff), ff2_w=z((d, ff)), ff2_b=z(d),
         ln1_scale=np.ones(d), ln1_shift=z(d), ln2_scale=np.ones(d), ln2_shift=z(d),
@@ -118,13 +118,8 @@ class TestEnvironmentPathway:
         d = 4
         cfg = FusionConfig(channels=d, d_model=d, num_heads=2, num_layers=1, ff_dim=8)
         w = random_weights(cfg, seed=0)
-        w = FusionWeights(
-            config=cfg,
-            env_affine=((np.eye(d), np.zeros(d)),),
-            patch_proj=w.patch_proj,
-            agent_encoder=w.agent_encoder,
-            fuse_encoder=w.fuse_encoder,
-        )
+        w = FusionWeights(cfg, {**w.params, "env_affine.0.weight": np.eye(d),
+                                "env_affine.0.bias": np.zeros(d)})
         fmap = FeatureMap(values=np.full((d, 3, 3), 2.5))
         out = environment_pathway(fmap, w)
         np.testing.assert_allclose(out, np.full(d, 1.0 / d), atol=1e-12)
@@ -144,10 +139,8 @@ class TestEnvironmentPathway:
         mat = np.array([[0.5, -1.0], [2.0, 0.25]])
         bias = np.array([0.1, -0.2])
         w0 = random_weights(cfg, seed=0)
-        w = FusionWeights(
-            config=cfg, env_affine=((mat, bias),), patch_proj=w0.patch_proj,
-            agent_encoder=w0.agent_encoder, fuse_encoder=w0.fuse_encoder,
-        )
+        w = FusionWeights(cfg, {**w0.params, "env_affine.0.weight": mat,
+                                "env_affine.0.bias": bias})
         vals = np.array(
             [[[1.0, 2.0], [3.0, 4.0]], [[-1.0, 0.0], [1.0, 2.0]]]
         )
@@ -275,16 +268,9 @@ class TestAttentionEncoder:
         # zero Q/K (uniform attention), identity-ish V/O, zero feed-forward:
         # out = x + wo @ (wv @ ln(x) + bv) + bo, hand-computed for d=2
         d = 2
-        lw = zero_layer(d, 4)
         wv = np.array([[0.5, 0.0], [0.0, -0.25]])
         wo = np.array([[1.0, 2.0], [0.0, 1.0]])
-        lw = EncoderLayerWeights(
-            **{
-                **{f: getattr(lw, f) for f in lw.__dataclass_fields__},
-                "wv": wv,
-                "wo": wo,
-            }
-        )
+        lw = {**zero_layer(d, 4), "wv": wv, "wo": wo}
         enc = EncoderWeights(layers=(lw,), num_heads=1)
         x = np.array([[1.0, 3.0]])
         mean, var = 2.0, 1.0
@@ -337,19 +323,20 @@ def reference_attention_encoder(tokens, w):
     x = np.asarray(tokens, dtype=np.float64)
     for lw in w.layers:
         mean, var = x.mean(axis=-1, keepdims=True), x.var(axis=-1, keepdims=True)
-        h = (x - mean) / np.sqrt(var + LN_EPS) * lw.ln1_scale + lw.ln1_shift
+        h = (x - mean) / np.sqrt(var + LN_EPS) * lw["ln1_scale"] + lw["ln1_shift"]
         *lead, n, d = h.shape
         heads = (*lead, n, w.num_heads, d // w.num_heads)
-        q = _linear(h, lw.wq, lw.bq).reshape(heads)
-        k = _linear(h, lw.wk, lw.bk).reshape(heads)
-        v = _linear(h, lw.wv, lw.bv).reshape(heads)
+        q = _linear(h, lw["wq"], lw["bq"]).reshape(heads)
+        k = _linear(h, lw["wk"], lw["bk"]).reshape(heads)
+        v = _linear(h, lw["wv"], lw["bv"]).reshape(heads)
         scores = np.einsum("...qhd,...khd->...hqk", q, k) / np.sqrt(heads[-1])
         attn = _softmax(scores)
         mixed = np.einsum("...hqk,...khd->...qhd", attn, v).reshape(h.shape)
-        x = x + _linear(mixed, lw.wo, lw.bo)
+        x = x + _linear(mixed, lw["wo"], lw["bo"])
         mean, var = x.mean(axis=-1, keepdims=True), x.var(axis=-1, keepdims=True)
-        h = (x - mean) / np.sqrt(var + LN_EPS) * lw.ln2_scale + lw.ln2_shift
-        x = x + _linear(np.maximum(_linear(h, lw.ff1_w, lw.ff1_b), 0.0), lw.ff2_w, lw.ff2_b)
+        h = (x - mean) / np.sqrt(var + LN_EPS) * lw["ln2_scale"] + lw["ln2_shift"]
+        hidden = np.maximum(_linear(h, lw["ff1_w"], lw["ff1_b"]), 0.0)
+        x = x + _linear(hidden, lw["ff2_w"], lw["ff2_b"])
     return x
 
 
@@ -363,10 +350,8 @@ def test_attention_encoder_equals_the_reference_bit_for_bit(n, zeros):
     enc = random_weights(cfg, seed=n).agent_encoder
     if zeros:
         neg = {"wv": -np.zeros((8, 8)), "bv": -np.zeros(8), "bo": -np.zeros(8)}
-        enc = EncoderWeights(layers=tuple(
-            EncoderLayerWeights(**{**{f: getattr(lw, f) for f in lw.__dataclass_fields__},
-                                   **neg})
-            for lw in enc.layers), num_heads=enc.num_heads)
+        enc = EncoderWeights(layers=tuple({**lw, **neg} for lw in enc.layers),
+                             num_heads=enc.num_heads)
     for shape in ((n, 8), (1, n, 8), (5, n, 8), (2, 3, n, 8)):
         tokens = rng.standard_normal(shape) * rng.choice([1e-3, 1.0, 1e3])
         got, want = attention_encoder(tokens, enc), reference_attention_encoder(tokens, enc)
@@ -381,8 +366,7 @@ class TestAgentFusion:
     def test_singleton_equals_encoded_token(self):
         w = random_weights(SMALL_CFG, seed=1)
         patch = np.random.default_rng(3).standard_normal((3, 4, 4))
-        pw, pb = w.patch_proj
-        token = pw @ patch.ravel() + pb
+        token = w.params["patch_proj.weight"] @ patch.ravel() + w.params["patch_proj.bias"]
         expected = attention_encoder(token[None, :], w.agent_encoder)[0]
         np.testing.assert_allclose(agent_fusion([patch], w), expected, atol=1e-12)
 
@@ -469,8 +453,8 @@ class PerSnippetFileSource:
         self.base_dir = os.fspath(base_dir)
 
     def get(self, video_id: str, snippet_index: int, entry, shape=None) -> FeatureMap:
-        """The snippet's map; one of another shape than shape, the block's
-        first map's, is a DataError naming its file."""
+        """The snippet's map; one that is not [C, H, W], or of another shape
+        than shape, the block's first map's, is a DataError naming its file."""
         if entry is None or entry.feature_file is None:
             raise DataError(
                 f"video {video_id!r}: no feature file for snippet {snippet_index}"
@@ -481,11 +465,11 @@ class PerSnippetFileSource:
                 f"video {video_id!r}: feature file {path} for snippet "
                 f"{snippet_index} is missing"
             )
-        fmap = FeatureMap(values=read_tensor(path).to_array())
-        if shape is not None and fmap.values.shape != shape:
+        values = read_tensor(path).to_array()
+        if values.ndim != 3 or shape is not None and values.shape != shape:
             raise DataError(f"video {video_id!r}: feature file {path} has shape "
-                            f"{fmap.values.shape}, expected {shape}")
-        return fmap
+                            f"{values.shape}, expected {shape or '[C, H, W]'}")
+        return FeatureMap(values=values)
 
 
 def per_snippet_source_environment_pathway(fmap, w: FusionWeights) -> np.ndarray:
@@ -503,8 +487,7 @@ def per_snippet_source_environment_pathway(fmap, w: FusionWeights) -> np.ndarray
                 f"feature map has {m.values.shape[0]} channels, weights expect {w.config.channels}"
             )
     x = np.stack([m.values.mean(axis=(1, 2)) for m in maps])
-    (mat, bias), = w.env_affine
-    out = _softmax(x @ mat.T + bias)
+    out = _softmax(x @ w.params["env_affine.0.weight"].T + w.params["env_affine.0.bias"])
     return out[0] if single else out
 
 
@@ -633,7 +616,7 @@ class TestFeaturizeVideo:
         assert np.all(np.isfinite(out))
 
     @pytest.mark.parametrize("bad, error", [
-        ("2-d", InvalidInputError), ("channels", ConfigError), ("other-shape", DataError),
+        ("2-d", DataError), ("channels", ConfigError), ("other-shape", DataError),
         ("missing", DataError), ("non-finite", TensorFormatError),
     ])
     def test_file_source_errors_match_the_per_snippet_source(self, tmp_path, bad, error):
@@ -713,7 +696,7 @@ class TestFileSourceBlockRead:
         (("f64", "other-shape", "f64", "f64"), DataError),
         (("other-shape", "f32", "f64", "other-shape"), DataError),
         (("non-finite", "missing", "f64", "f64"), TensorFormatError),
-        (("2-d", "f64", "non-finite", "f64"), InvalidInputError),
+        (("2-d", "f64", "non-finite", "f64"), DataError),
         (("f64", "f64", "f64", "non-finite"), TensorFormatError),
         (("f32", "non-finite-f32", "f32", "f32"), TensorFormatError),
         (("f64", "bad-version", "non-finite", "f64"), TensorFormatError),
@@ -725,7 +708,7 @@ class TestFileSourceBlockRead:
         (("f64", "missing", "non-finite", "f64"), DataError),
         (("f64", "f32", "unnamed", "2-d"), DataError),
         (("f64", "other-shape", "directory", "non-finite"), DataError),
-        (("f32", "2-d", "f64", "f64"), InvalidInputError),
+        (("f32", "2-d", "f64", "f64"), DataError),
     ])
     def test_matches_the_per_snippet_source(self, tmp_path, monkeypatch, kinds, error):
         for i, kind in enumerate(kinds):
@@ -764,6 +747,17 @@ class TestFileSourceBlockRead:
         stop = next((i for i, k in enumerate(kinds) if k in ("missing", "directory", "unnamed")),
                     len(kinds) - 1)
         assert opened == [f"s{i}.aent" for i in range(stop + (kinds[stop] != "unnamed"))]
+
+    @pytest.mark.parametrize("bad", [0, 1])
+    def test_a_map_that_is_not_c_h_w_is_a_data_error_naming_the_file(self, tmp_path, bad):
+        names = ["s0.aent", "s1.aent"]
+        for i, name in enumerate(names):
+            write_feature_file(tmp_path / name, "2-d" if i == bad else "f64")
+        with pytest.raises(DataError) as e:
+            FileFeatureSource(tmp_path).get_block("v", range(2), names)
+        expected = "(3, 6, 6)" if bad else "[C, H, W]"  # the first map's shape, once there is one
+        assert str(e.value) == (f"video 'v': feature file {tmp_path / names[bad]} has shape "
+                                f"(6, 6), expected {expected}")
 
     @pytest.mark.parametrize("dtype", ["f32", "f64"])
     def test_one_layout_is_one_array(self, tmp_path, dtype):
@@ -865,42 +859,54 @@ class TestWeightBundles:
             FusionConfig(num_heads=0)
 
 
+def _with_params(w, changes, drop=()):
+    """w's parameters without the names in drop, with changes set."""
+    kept = {name: arr for name, arr in w.params.items() if name not in drop}
+    return FusionWeights(w.config, {**kept, **changes})
+
+
 def _two_layer_env(w):
     """An env stack 3 -> 5 -> 8: the model has one env layer, 3 -> 8."""
     rng = np.random.default_rng(0)
-    return dataclasses.replace(w, env_affine=(
-        (rng.random((5, 3)), rng.random(5)), (rng.random((8, 5)), rng.random(8))))
-
-
-def _with_fuse_layer(w, **params):
-    layer = dataclasses.replace(w.fuse_encoder.layers[0], **params)
-    return dataclasses.replace(w, fuse_encoder=dataclasses.replace(w.fuse_encoder, layers=(layer,)))
+    return _with_params(w, {"env_affine.0.weight": rng.random((5, 3)),
+                            "env_affine.0.bias": rng.random(5),
+                            "env_affine.1.weight": rng.random((8, 5)),
+                            "env_affine.1.bias": rng.random(8)})
 
 
 class TestFusionWeightsValidation:
-    """FusionWeights holds every parameter and both encoders' head counts to
-    its config, so save_weights writes the model that load_weights reads."""
+    """FusionWeights holds every parameter to its config, so save_weights
+    writes the model that load_weights reads."""
 
     @pytest.mark.parametrize("edit, message", [
-        (lambda w: dataclasses.replace(
-            w, agent_encoder=dataclasses.replace(w.agent_encoder, num_heads=4)),
-         "agent_encoder has 4 heads, expected 2"),
-        (lambda w: dataclasses.replace(
-            w, fuse_encoder=dataclasses.replace(w.fuse_encoder, layers=w.fuse_encoder.layers * 2)),
+        (lambda w: _with_params(w, {name.replace(".0.", ".1."): arr
+                                    for name, arr in w.params.items()
+                                    if name.startswith("fuse_encoder.0.")}),
          "parameter 'fuse_encoder.1.bk' is not in the model of this config"),
-        (lambda w: _with_fuse_layer(w, ff1_w=np.zeros((16, 7))),
+        (lambda w: _with_params(w, {"fuse_encoder.0.ff1_w": np.zeros((16, 7))}),
          "parameter 'fuse_encoder.0.ff1_w' has shape (16, 7), expected (16, 8)"),
         (_two_layer_env, "parameter 'env_affine.0.bias' has shape (5,), expected (8,)"),
-        (lambda w: dataclasses.replace(w, env_affine=()),
+        (lambda w: _with_params(w, {}, drop=("env_affine.0.weight", "env_affine.0.bias")),
          "parameter 'env_affine.0.bias' has no value, expected (8,)"),
-        (lambda w: dataclasses.replace(w, patch_proj=(w.patch_proj[0], np.zeros(7))),
+        (lambda w: _with_params(w, {"patch_proj.bias": np.zeros(7)}),
          "parameter 'patch_proj.bias' has shape (7,), expected (8,)"),
-    ], ids=["heads", "extra-layer", "ff1_w-shape", "env-hidden-layer", "no-env-layer",
+    ], ids=["extra-layer", "ff1_w-shape", "env-hidden-layer", "no-env-layer",
             "patch-bias-length"])
     def test_weights_that_disagree_with_the_config_name_the_parameter(self, edit, message):
         with pytest.raises(ConfigError) as e:
             edit(random_weights(SMALL_CFG, 0))
         assert str(e.value) == message
+
+    def test_encoders_are_views_of_the_parameter_table(self):
+        cfg = FusionConfig(channels=3, d_model=8, num_heads=4, num_layers=2, ff_dim=16)
+        w = random_weights(cfg, 0)
+        for name in ("agent_encoder", "fuse_encoder"):
+            enc = getattr(w, name)
+            assert enc.num_heads == 4 and len(enc.layers) == 2
+            for li, layer in enumerate(enc.layers):
+                assert list(layer) == list(_LAYER_PARAMS)
+                for p, arr in layer.items():
+                    assert arr is w.params[f"{name}.{li}.{p}"]
 
 
 def _bundle(tmp_path):

@@ -544,7 +544,7 @@ def test_a_saved_bundle_loads_as_the_same_model(cfg, seed, video):
         save_weights(w, d)
         back = load_weights(d)
     assert back.config == cfg
-    got, want = fusion._named_params(back), fusion._named_params(w)
+    got, want = back.params, w.params
     assert got.keys() == want.keys()
     for name, arr in want.items():
         assert got[name].dtype == arr.dtype and got[name].shape == arr.shape, name
