@@ -57,6 +57,11 @@ GRID_PARTS = {"start": "start_probs", "end": "end_probs", "cls": "conf_cls", "re
 LABEL_FILES = {"starts": "starts", "ends": "ends", "durations": "durations"}
 ORACLE_GRIDS = {"start": "starts", "end": "ends", "cls": "durations", "reg": "durations"}
 
+# Cap on synth --n-videos. synth builds its job table and the sets of file
+# names it writes before the first video: 67 MiB at 10**5 videos with grids
+# (tracemalloc), about 0.7 KiB per video.
+MAX_VIDEOS = 10**5
+
 # Input paths and synth's output switch are per-run choices, given as flags only.
 FLAG_ONLY = ("features_dir", "weights_dir", "write_grids")
 
@@ -142,9 +147,10 @@ def _run_batch(ctx, jobs: dict, load, out: str, stage, args: tuple):
     (load, stage, args) reach each process once, by _install: the pool
     initializer in each worker, a direct call on the serial path. A job is
     one _run_one call, which carries only its key and returns the video id
-    that names its outputs. Uses at most one process per job, and none
-    besides this one for a single job. Any exception a job raises is that
-    job's error: a TapgenError or OSError by its message, any other by its
+    that names its outputs. Uses at most one process per job and per CPU
+    this process may run on, and none besides this one for a single job;
+    the count used goes in the run summary as workers. Any exception a job
+    raises is that job's error: a TapgenError or OSError by its message, any other by its
     class and message, with its traceback written to stderr. A job whose
     video id an earlier job returned wrote over that job's outputs, in a
     pool in either order, so both are errors. Jobs are recorded in their
@@ -186,7 +192,9 @@ def _run_batch(ctx, jobs: dict, load, out: str, stage, args: tuple):
         done[name] = result
         return True
 
-    workers = min(ctx.obj["workers"], len(jobs))  # a pool forks all its workers at once
+    # a pool forks all its workers at once: no more than the jobs or the CPUs this process may use
+    workers = ctx.obj["workers_used"] = min(ctx.obj["workers"], len(jobs),
+                                            len(os.sched_getaffinity(0)))
     pooled = workers > 1
     if pooled:
         from concurrent.futures import ProcessPoolExecutor
@@ -213,6 +221,7 @@ def _finish(ctx, out_dir: str, config: dict, done, errors, extra: dict | None = 
         "errors": {k: v for k, v in sorted(errors.items())},
         "num_completed": len(done),
         "num_errors": len(errors),
+        "workers": ctx.obj["workers_used"],
         "wall_time_sec": time.monotonic() - ctx.obj["t0"],
         **(extra or {}),
     }
@@ -263,8 +272,8 @@ def cmd_synth(ctx, n_videos, max_actions, t_min, t_max, d_policy, write_grids, o
     from tapgen import synth
 
     seed = ctx.obj["seed"]
-    if n_videos < 1:
-        raise click.ClickException("--n-videos must be >= 1")
+    if not 1 <= n_videos <= MAX_VIDEOS:  # before the job table is built
+        raise click.ClickException(f"need 1 <= --n-videos <= {MAX_VIDEOS}, got {n_videos}")
     if not 1 <= t_min <= t_max <= _MAX_SNIPPETS:  # every later stage rejects a longer video
         raise click.ClickException(f"need 1 <= --t-min <= --t-max <= {_MAX_SNIPPETS}, "
                                    f"got --t-min {t_min} and --t-max {t_max}")

@@ -53,7 +53,6 @@ of stages that never run the stub.
 
 from __future__ import annotations
 
-import hashlib
 import json
 import math
 import operator
@@ -73,6 +72,7 @@ LN_EPS = 1e-5
 BLOCK_SNIPPETS = 256  # snippets per featurize batch
 ROI_GRID = (4, 4)  # (gh, gw) bins of each agent's RoIAlign patch
 ROI_SAMPLES = (2, 2)  # (sh, sw) samples per bin
+ROI_CELLS = 1 << 17  # map cells RoIAlign gathers at once: 1 MiB of float64
 
 __all__ = [
     "FeatureMap",
@@ -229,6 +229,8 @@ def stub_backbone(video_id: str, snippet_index, dims: tuple[int, int, int], seed
     maps in that order as one [B, c, h, w] array.
     """
     global _stub_rng
+    import hashlib  # here, its one user: a stage that reads feature files never maps OpenSSL
+
     c, h, w = dims
     if c < 1 or h < 1 or w < 1:
         raise InvalidInputError(f"stub dims must be positive, got {dims}")
@@ -311,6 +313,9 @@ def roi_align(
     Batched form: fmap is a stack [M, C, H, W] of equal-size maps, box an
     [N, 4] array and map_index [N] the map of each box (default map 0);
     returns [N, C, gh, gw]. Each patch is Ay @ map @ Ax^T (module docstring).
+    Boxes go in chunks whose gathered maps hold at most ROI_CELLS cells
+    (one box at least); a patch's products involve its box alone, so the
+    chunking moves no bit.
     """
     gh, gw = out_grid
     sh, sw = samples_per_bin
@@ -320,10 +325,14 @@ def roi_align(
     boxes = boxes.reshape(-1, 4)
     if map_index is None:
         map_index = np.zeros(len(boxes), dtype=np.intp)
-    _, _, h, w = values.shape
-    ay = _bin_weights(boxes[:, 1], boxes[:, 3], h, gh, sh)  # [N, gh, H]
-    ax = _bin_weights(boxes[:, 0], boxes[:, 2], w, gw, sw)  # [N, gw, W]
-    patches = ay[:, None] @ values[map_index] @ ax[:, None].transpose(0, 1, 3, 2)
+    _, c, h, w = values.shape
+    ay = _bin_weights(boxes[:, 1], boxes[:, 3], h, gh, sh)[:, None]  # [N, 1, gh, H]
+    axt = _bin_weights(boxes[:, 0], boxes[:, 2], w, gw, sw)[:, None].transpose(0, 1, 3, 2)
+    patches = np.empty((len(boxes), c, gh, gw))
+    step = max(1, ROI_CELLS // (c * h * w))  # boxes whose maps one gather holds
+    for i in range(0, len(boxes), step):
+        k = slice(i, i + step)
+        patches[k] = ay[k] @ values[map_index[k]] @ axt[k]
     return patches[0] if single else patches
 
 

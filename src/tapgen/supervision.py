@@ -4,7 +4,11 @@ Boundary labels mark, for each annotated action, the snippet whose center
 is nearest to the action's start (end) timestamp. Duration labels live in
 a D x T matrix whose cell (d, j), 1 <= d <= D, stands for the candidate
 proposal covering snippets j .. j+d-1; cells achieving a ground truth's
-maximum IoU are set to 1.
+maximum IoU are set to 1. The search, like ScoreGrids' check of invalid
+cells, walks the matrix in row blocks of at most _BLOCK_CELLS cells (one
+block up to 256 snippets); each ground truth carries its running best IoU
+and the cells holding it across blocks. Max and == are exact, so the
+labels are those of one whole-matrix search, bit for bit.
 
 The weighted binary loss is the standard class-balanced negative
 log-likelihood: -(1/N) sum [a+ l log p + a- (1-l) log(1-p)] with
@@ -14,6 +18,7 @@ gradients are zero inside the clamped zones.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -85,9 +90,9 @@ class ScoreGrids:
             shape = getattr(self, name).shape
             if shape != want:
                 raise InvalidInputError(f"{name} has shape {shape}, expected {want}")
-        mask = valid_cell_mask(T, D)
         for name in ("conf_cls", "conf_reg"):
-            if np.any(getattr(self, name)[~mask] != 0):
+            conf = getattr(self, name)
+            if any(conf[d0:d0 + len(d)][invalid].any() for d0, d, invalid in _row_blocks(D, T)):
                 raise InvalidInputError(f"{name} has mass on invalid cells (j + d > T)")
 
     @property
@@ -144,6 +149,22 @@ def valid_cell_mask(T: int, D: int) -> np.ndarray:
     return j + d <= T
 
 
+# Cells of one row block of a [D, T] matrix (module docstring): caps each
+# block temporary at 512 KiB of float64.
+_BLOCK_CELLS = 1 << 16
+
+
+def _row_blocks(D: int, T: int):
+    """Row blocks of a [D, T] matrix, in order: (first row, durations d as
+    a [rows, 1] column of 1-based row numbers, [rows, T] mask of the
+    invalid cells j + d > T)."""
+    rows = max(1, _BLOCK_CELLS // T)
+    j = np.arange(T)
+    for d0 in range(0, D, rows):
+        d = np.arange(d0 + 1, min(d0 + rows, D) + 1)[:, None]
+        yield d0, d, j + d > T
+
+
 def max_duration(T: int, d_policy: str) -> int:
     """D of a T-snippet video: T under the "full" policy, max(1, T // 2) under "half"."""
     if d_policy not in ("full", "half"):
@@ -162,17 +183,23 @@ def gen_duration_labels(
     T = grid.T
     if D < 1 or D > T:
         raise InvalidInputError(f"max duration D={D} outside [1, {T}]")
-    d = np.arange(1, D + 1)[:, None]
-    j = np.arange(T)[None, :]
-    lo, hi = j * grid.snippet_seconds, (j + d) * grid.snippet_seconds
-    invalid = ~valid_cell_mask(T, D)
+    j = np.arange(T)
+    lo = j * grid.snippet_seconds
+    best = [0.0] * len(gts)  # each ground truth's running best IoU
+    wins: list[list[np.ndarray]] = [[] for _ in gts]  # flat indices of the cells holding it
+    for d0, d, invalid in _row_blocks(D, T):
+        hi = (j + d) * grid.snippet_seconds
+        for g, gt in enumerate(gts):
+            ious = broadcast_iou(lo, hi, gt.start_sec, gt.end_sec)
+            ious[invalid] = 0.0  # cells past the video end never win the argmax
+            top = ious.max()
+            if top > best[g]:
+                best[g], wins[g] = top, []
+            if top == best[g] > 0:
+                wins[g].append(np.flatnonzero(ious == top) + d0 * T)
     labels = np.zeros((D, T), dtype=np.float64)
-    for gt in gts:
-        ious = broadcast_iou(lo, hi, gt.start_sec, gt.end_sec)
-        ious[invalid] = 0.0  # cells past the video end never win the argmax
-        best = ious.max()
-        if best > 0:
-            labels[ious == best] = 1.0
+    for cells in itertools.chain.from_iterable(wins):
+        labels.flat[cells] = 1.0
     return labels
 
 

@@ -1,7 +1,8 @@
 """Bit-exact tensor serialization; tapgen's JSON files, written and parsed.
 
 Tensor file layout (little-endian throughout), written as the header and
-then the array's own buffer, with no copy of float64 data:
+then the array's own buffer, with no copy of float64 data, and read as the
+header and then the payload straight into its array:
 
     bytes 0..3    magic "AENT"
     u32           version (1)
@@ -134,45 +135,69 @@ def write_tensor(t: Tensor, destination: str | os.PathLike) -> None:
 
 
 def read_tensor(source: str | os.PathLike) -> Tensor:
+    """tensor_from_bytes of the file's bytes, without holding them: an f64
+    payload is read straight into the one float64 array returned."""
+    name = os.fspath(source)
     with open(source, "rb") as fh:
-        return tensor_from_bytes(fh.read(), name=os.fspath(source))
+        size = os.fstat(fh.fileno()).st_size
+        head = fh.read(12)
+        if len(head) == 12:  # the dims block and dtype code, as far as the file holds them
+            head += fh.read(min(8 * struct.unpack_from("<I", head, 8)[0] + 4, size - 12))
+        dims, np_dtype, off = _parse_header(head, size, name)
+        data = np.empty(math.prod(dims), dtype=np_dtype)
+        got = fh.readinto(data)
+        if got != data.nbytes:  # the file shrank after fstat
+            raise TensorFormatError(
+                f"{name}: payload size mismatch, expected {size} bytes, got {off + got}"
+            )
+    return _finite_tensor(dims, np_dtype, data.astype(np.float64, copy=False), name)
 
 
 def tensor_from_bytes(blob: bytes, name: str = "<bytes>") -> Tensor:
-    if len(blob) < 12:
-        raise TensorFormatError(f"{name}: truncated header ({len(blob)} bytes)")
-    if blob[:4] != MAGIC:
-        raise TensorFormatError(f"{name}: bad magic {blob[:4]!r}")
-    version, ndim = struct.unpack_from("<II", blob, 4)
+    dims, np_dtype, off = _parse_header(blob, len(blob), name)
+    data = np.frombuffer(blob, dtype=np_dtype, count=math.prod(dims), offset=off)
+    return _finite_tensor(dims, np_dtype, data.astype(np.float64), name)
+
+
+def _parse_header(head: bytes, size: int, name: str) -> tuple[tuple[int, ...], np.dtype, int]:
+    """(dims, payload dtype, payload offset) of a tensor file of size bytes
+    whose header is head, every header and size check made."""
+    if size < 12:
+        raise TensorFormatError(f"{name}: truncated header ({size} bytes)")
+    if head[:4] != MAGIC:
+        raise TensorFormatError(f"{name}: bad magic {head[:4]!r}")
+    version, ndim = struct.unpack_from("<II", head, 4)
     if version != VERSION:
         raise TensorFormatError(f"{name}: unsupported version {version}")
     if ndim == 0:
         raise TensorFormatError(f"{name}: zero-dimensional tensor")
     off = 12
-    if len(blob) < off + 8 * ndim + 4:
+    if size < off + 8 * ndim + 4:
         raise TensorFormatError(f"{name}: truncated dims block")
-    dims = struct.unpack_from(f"<{ndim}Q", blob, off)
+    dims = struct.unpack_from(f"<{ndim}Q", head, off)
     off += 8 * ndim
     if any(d == 0 for d in dims):
         raise TensorFormatError(f"{name}: zero-sized dimension in {dims}")
     if any(d > _MAX_DIM for d in dims):
         raise TensorFormatError(f"{name}: dimension overflow in {dims}")
-    (code,) = struct.unpack_from("<I", blob, off)
+    (code,) = struct.unpack_from("<I", head, off)
     off += 4
     if code not in _CODE_DTYPES:
         raise TensorFormatError(f"{name}: unknown dtype code {code}")
     np_dtype = _CODE_DTYPES[code]
-    count = math.prod(dims)  # exact; an int64 product of large dims wraps around
-    expected = off + count * np_dtype.itemsize
-    if len(blob) != expected:
+    expected = off + math.prod(dims) * np_dtype.itemsize  # exact; an int64 product wraps
+    if size != expected:
         raise TensorFormatError(
-            f"{name}: payload size mismatch, expected {expected} bytes, got {len(blob)}"
+            f"{name}: payload size mismatch, expected {expected} bytes, got {size}"
         )
-    data = np.frombuffer(blob, dtype=np_dtype, count=count, offset=off).astype(np.float64)
+    return tuple(int(d) for d in dims), np_dtype, off
+
+
+def _finite_tensor(dims: tuple[int, ...], np_dtype: np.dtype, data: np.ndarray,
+                   name: str) -> Tensor:
     if not np.all(np.isfinite(data)):
         raise TensorFormatError(f"{name}: non-finite values in payload")
-    dtype = "f32" if code == 1 else "f64"
-    return Tensor(dims=tuple(int(d) for d in dims), dtype=dtype, data=data)
+    return Tensor(dims=dims, dtype="f32" if np_dtype.itemsize == 4 else "f64", data=data)
 
 
 def tensor_block_from_bytes(blobs: Sequence[bytes]) -> np.ndarray | None:

@@ -31,6 +31,11 @@ def invoke(runner, args):
     return runner.invoke(main, args, catch_exceptions=False)
 
 
+def allow_cpus(monkeypatch, n: int) -> None:
+    """Make the CPUs this process may run on n, as _run_batch reads them."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)))
+
+
 def tree_digests(root):
     """Map of relative path -> sha256, skipping run summaries (they carry timings)."""
     out = {}
@@ -136,9 +141,31 @@ class TestSynth:
                             "--out", str(tmp_path)])
         assert r.exit_code == 0, r.output
 
-    def test_invalid_n_videos(self, runner, tmp_path):
-        r = invoke(runner, ["synth", "--n-videos", "0", "--out", str(tmp_path)])
+    @pytest.mark.parametrize("via", ["flag", "config"])
+    @pytest.mark.parametrize("n_videos", [0, -1, cli.MAX_VIDEOS + 1, 10**20])
+    def test_n_videos_outside_1_to_the_cap_exits_1_before_the_job_table(
+            self, runner, tmp_path, monkeypatch, via, n_videos):
+        from tapgen import synth
+
+        class NoVideoIds:  # the job table names every video through VIDEO_ID
+            def format(self, i):
+                raise AssertionError("job table built")
+
+        monkeypatch.setattr(synth, "VIDEO_ID", NoVideoIds())
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"n_videos": n_videos}))
+        head = ["--config", str(cfg)] if via == "config" else []
+        given = ["--n-videos", str(n_videos)] if via == "flag" else []
+        r = invoke(runner, [*head, "synth", *given, "--out", str(tmp_path / "s")])
         assert r.exit_code == 1
+        assert r.output == f"Error: need 1 <= --n-videos <= {cli.MAX_VIDEOS}, got {n_videos}\n"
+        assert not (tmp_path / "s").exists()
+
+    def test_n_videos_at_the_cap_runs(self, runner, tmp_path, monkeypatch):
+        monkeypatch.setattr(cli, "MAX_VIDEOS", 3)
+        r = invoke(runner, ["synth", "--n-videos", "3", "--out", str(tmp_path)])
+        assert r.exit_code == 0, r.output
+        assert len(os.listdir(tmp_path / "manifests")) == 3
 
     @pytest.mark.parametrize("first, second, stale", [
         (["synth", "--n-videos", "4"], ["--seed", "1", "synth", "--n-videos", "2"],
@@ -620,6 +647,7 @@ class TestErrorHandling:
         (manifests / "synth_0000b.json").write_text((manifests / "synth_0000.json").read_text())
         monkeypatch.setattr(cli, "read_manifest", read)
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", OneThreadPool)
+        allow_cpus(monkeypatch, 2)
         out = tmp_path / "labels"
         r = invoke(runner, ["--workers", "2", "labels", "--manifests", str(manifests),
                             "--out", str(out)])
@@ -958,10 +986,15 @@ def test_out_that_is_the_manifest_directory_exits_1_before_any_job(runner, tmp_p
     assert os.listdir(manifests) == before
 
 
-@pytest.mark.parametrize("n_videos, workers, pools", [(3, 8, [3]), (1, 4, []), (3, 1, [])])
-def test_pool_has_at_most_one_worker_per_job(runner, tmp_path, monkeypatch, n_videos, workers,
-                                             pools):
-    """A pool forks all its workers at the first submit, so it is sized to the jobs."""
+@pytest.mark.parametrize("n_videos, workers, cpus, pools", [
+    (3, 8, 8, [3]), (3, 8, 2, [2]), (3, 2, 4, [2]), (1, 4, 8, []), (3, 1, 8, []), (3, 4, 1, []),
+])
+def test_pool_has_at_most_one_worker_per_job(runner, tmp_path, monkeypatch,
+                                             n_videos, workers, cpus, pools):
+    """A pool forks all its workers at the first submit, so it is sized to
+    the jobs and to the CPUs the process may use; the summary records the
+    count used."""
+    allow_cpus(monkeypatch, cpus)
     sizes = []
 
     class RecordingPool(concurrent.futures.ThreadPoolExecutor):
@@ -978,6 +1011,7 @@ def test_pool_has_at_most_one_worker_per_job(runner, tmp_path, monkeypatch, n_vi
     assert sizes == pools
     summary = json.loads((tmp_path / "labels" / "run_summary.json").read_text())
     assert summary["num_completed"] == n_videos
+    assert summary["workers"] == (pools or [1])[0]
 
 @pytest.mark.parametrize("stage", ["labels", "featurize", "infer", "eval"])
 def test_jobs_carry_only_a_manifest_path_and_stage_arguments_reach_a_pool_once(
@@ -1000,6 +1034,7 @@ def test_jobs_carry_only_a_manifest_path_and_stage_arguments_reach_a_pool_once(
             return super().submit(fn, *args, **kwargs)
 
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+    allow_cpus(monkeypatch, 2)
     invoke(runner, ["synth", "--n-videos", "3", "--out", str(tmp_path / "corpus")])
     manifests = tmp_path / "corpus" / "manifests"
     proposals = tmp_path / "proposals"
@@ -1039,6 +1074,35 @@ def test_cli_import_loads_no_stage_only_module():
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
                          check=True, timeout=60)
     assert out.stdout.strip() == ""
+
+
+@pytest.mark.parametrize("stub, loaded", [(False, ""), (True, "_hashlib numpy.random")])
+def test_featurize_from_files_loads_neither_openssl_nor_numpy_random(runner, tmp_path, stub,
+                                                                      loaded):
+    """Only the stub backbone hashes and draws: featurize from feature files
+    and a weight bundle, in a fresh interpreter, ends without either module,
+    and the stub path loads both."""
+    invoke(runner, ["synth", "--n-videos", "2", "--out", str(tmp_path / "corpus")])
+    manifests, features = tmp_path / "corpus" / "manifests", tmp_path / "features"
+    features.mkdir()
+    for path in sorted(manifests.iterdir()):
+        doc = json.loads(path.read_text())
+        for entry in doc["snippets"]:
+            entry["feature_file"] = f"{doc['video']['video_id']}.{entry['index']}.aent"
+            write_tensor(Tensor.from_array(np.ones((8, 8, 8))), features / entry["feature_file"])
+        path.write_text(json.dumps(doc))
+    save_weights(random_weights(FusionConfig(), seed=1), tmp_path / "bundle")
+    code = ("import sys\nfrom tapgen.cli import main\n"
+            "try:\n    main(sys.argv[1:])\nexcept SystemExit as e:\n    assert not e.code, e.code\n"
+            "print(*[m for m in ('_hashlib', 'numpy.random') if m in sys.modules])")
+    args = ["featurize", "--manifests", str(manifests), "--weights", str(tmp_path / "bundle"),
+            *([] if stub else ["--features", str(features)]), "--out", str(tmp_path / "out")]
+    src = os.path.dirname(os.path.dirname(tapgen.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    out = subprocess.run([sys.executable, "-c", code, *args], env=env, capture_output=True,
+                         text=True, check=True, timeout=60)
+    assert out.stdout.strip() == loaded
+    assert len(glob.glob(str(tmp_path / "out" / "*.features.aent"))) == 2
 
 
 # sha256 per artifact kind. A change that moves a byte of any of them

@@ -244,6 +244,24 @@ class TestRoiAlign:
             want = brute_force_roi_align(stack[m], tuple(box), (3, 2), (2, 3))
             assert np.max(np.abs(got[k] - want)) < 1e-12
 
+    @pytest.mark.parametrize("cells", [1, 2 * 5 * 7 * 3, 2 * 5 * 7 * 40])
+    def test_box_chunks_move_no_bit(self, monkeypatch, cells):
+        """Chunks of one box, of three and of all boxes give the same bits:
+        each patch's products involve its own box alone."""
+        import tapgen.fusion as fusion
+
+        rng = np.random.default_rng(13)
+        stack = rng.standard_normal((4, 2, 5, 7))
+        lo = rng.uniform(0.0, 0.5, (23, 2))
+        boxes = np.concatenate([lo, lo + rng.uniform(0.05, 0.5, (23, 2))], axis=1)
+        owner = rng.integers(0, 4, 23)
+        want = roi_align(stack, boxes, (3, 2), (2, 3), owner)
+        monkeypatch.setattr(fusion, "ROI_CELLS", cells)
+        got = roi_align(stack, boxes, (3, 2), (2, 3), owner)
+        assert got.shape == (23, 2, 3, 2) and got.tobytes() == want.tobytes()
+        one = roi_align(FeatureMap(stack[owner[4]]), boxes[4], (3, 2), (2, 3))
+        assert one.shape == (2, 3, 2) and one.tobytes() == want[4].tobytes()
+
 
 class TestAttentionEncoder:
     def test_batch_matches_one_set_at_a_time(self):

@@ -20,7 +20,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import test_fusion
-from tapgen import fusion
+from tapgen import fusion, supervision
 from tapgen.cli import load_proposals
 from tapgen.errors import (
     DataError,
@@ -64,6 +64,7 @@ from tapgen.tensorio import (
     manifest_from_dict,
     manifest_to_dict,
     read_manifest,
+    read_tensor,
     tensor_bytes,
     tensor_from_bytes,
     write_manifest,
@@ -85,8 +86,16 @@ from test_supervision import (
     make_grid,
     random_gts,
     reference_boundary_labels,
+    whole_grid_duration_labels,
+    whole_grid_score_grid_error,
 )
-from test_tensorio import reference_manifest_from_dict, stored_as
+from test_tensorio import (
+    layout_bytes,
+    read_outcome,
+    reference_manifest_from_dict,
+    stored_as,
+    whole_file_read_tensor,
+)
 
 PROPERTY = settings(derandomize=True, deadline=None, max_examples=60)
 
@@ -419,6 +428,98 @@ def test_boundary_labels_match_one_argmin_per_timestamp(T, shape, halves, floats
     want = reference_boundary_labels(grid, gts)
     assert got[2] == want[2]
     assert got[0].tobytes() == want[0].tobytes() and got[1].tobytes() == want[1].tobytes()
+
+
+@PROPERTY
+@given(
+    T=st.integers(1, 24),
+    d_frac=st.floats(0.01, 1.0),
+    quarters=st.lists(st.tuples(st.integers(0, 110), st.integers(1, 40)), max_size=4),
+    seed=st.integers(0, 2**32 - 1),
+    n_random=st.integers(0, 2),
+    cells=st.integers(1, 64),
+)
+# one ground truth, past the end, whose best IoU ties in rows 1 and 2: one row per block
+@example(T=8, d_frac=1.0, quarters=[(27, 12)], seed=0, n_random=0, cells=8)
+def test_blocked_duration_labels_equal_the_whole_grid_search(T, d_frac, quarters, seed,
+                                                             n_random, cells):
+    """Row blocks of at most `cells` cells, so most videos take several,
+    give the labels of one whole-matrix search, bit for bit. Ends on
+    quarter snippets make exact ties common; many lie past the video end."""
+    grid = make_grid(T)
+    D = max(1, int(T * d_frac))
+    q = grid.snippet_seconds / 4
+    gts = [GroundTruthAction("g", a * q, (a + n) * q) for a, n in quarters]
+    gts += random_gts(np.random.default_rng(seed), 1.5 * T * grid.snippet_seconds, n_random)
+    want = whole_grid_duration_labels(grid, gts, D)
+    with patch.object(supervision, "_BLOCK_CELLS", cells):
+        got = gen_duration_labels(grid, gts, D)
+    assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+
+# values in [0, 1], zeros of both signs among them, then values out of range
+grid_values = (st.sampled_from([0.5, 1.0, 5e-324, 0.0, -0.0])
+               | st.sampled_from([1.5, -0.25, math.nan, math.inf]))
+
+
+@settings(PROPERTY, max_examples=200)
+@given(
+    T=st.integers(1, 12),
+    d_frac=st.sampled_from([1.0, 0.5]) | st.floats(0.01, 1.0),
+    edits=st.lists(st.tuples(st.sampled_from(["conf_cls", "conf_reg", "start_probs"]),
+                             st.sampled_from([True, True, False]), st.integers(0, 99),
+                             grid_values), min_size=1, max_size=3),
+    cells=st.integers(1, 40),
+)
+# one row per block; conf_reg has mass in an earlier block than conf_cls, which is named
+@example(T=4, d_frac=1.0, edits=[("conf_cls", True, 5, 0.5), ("conf_reg", True, 0, 0.5)],
+         cells=4)
+def test_score_grids_reject_what_the_whole_grid_check_rejects(T, d_frac, edits, cells):
+    """Checked in row blocks, ScoreGrids accepts the grids the whole-grid
+    mask check accepted and names the same failure for the rest. An edit
+    sets a valid or an invalid cell (j + d > T) of a conf grid."""
+    D = max(1, int(T * d_frac))
+    valid = valid_cell_mask(T, D)
+    arrays = {"start_probs": np.full(T, 0.5), "end_probs": np.full(T, 0.25),
+              "conf_cls": 0.5 * valid, "conf_reg": 0.75 * valid}
+    for name, invalid, k, value in edits:
+        a = arrays[name]
+        at = np.argwhere(valid != invalid) if a.ndim == 2 else np.arange(T)[:, None]
+        if len(at):
+            a[tuple(at[k % len(at)])] = value
+    want = whole_grid_score_grid_error(**arrays)
+    with patch.object(supervision, "_BLOCK_CELLS", cells):
+        try:
+            ScoreGrids(**arrays)
+            got = None
+        except InvalidInputError as e:
+            got = str(e)
+    assert got == want
+
+
+@PROPERTY
+@given(
+    dims=st.lists(st.integers(1, 4), min_size=1, max_size=3),
+    dtype=st.sampled_from(["f32", "f64"]),
+    odd=st.sampled_from([0.0, math.nan, math.inf, -math.inf]),
+    cut=st.integers(-12, 12),
+    header_byte=st.tuples(st.integers(0, 40), st.integers(0, 255)) | st.none(),
+)
+def test_read_tensor_equals_the_whole_file_read(dims, dtype, odd, cut, header_byte):
+    """A file cut short or run long, with one header byte set, or a
+    non-finite value: read_tensor gives the values or the error that
+    parsing the whole file gave."""
+    values = np.arange(1.0, math.prod(dims) + 1.0)
+    values[-1] += odd
+    blob = bytearray(layout_bytes(tuple(dims), dtype, values))
+    if header_byte is not None:
+        blob[header_byte[0] % len(blob)] = header_byte[1]
+    blob = blob[:len(blob) + cut] if cut < 0 else blob + bytes(cut)
+    with tempfile.TemporaryDirectory() as d:
+        path = os.path.join(d, "t.aent")
+        with open(path, "wb") as fh:
+            fh.write(blob)
+        assert read_outcome(read_tensor, path) == read_outcome(whole_file_read_tensor, path)
 
 
 def test_duration_labels_spot_checks_at_long_videos():

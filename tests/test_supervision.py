@@ -19,7 +19,7 @@ from tapgen.supervision import (
     weighted_binary_loss,
     weighted_binary_loss_grad,
 )
-from tapgen.timeline import GroundTruthAction, VideoMeta, build_grid
+from tapgen.timeline import GroundTruthAction, VideoMeta, broadcast_iou, build_grid
 
 
 def make_grid(T, snippet_len=16, fps=16.0):
@@ -173,6 +173,43 @@ class TestDurationLabels:
             got = gen_duration_labels(grid, gts, D)
             want = brute_force_duration_labels(grid, gts, D)
             np.testing.assert_array_equal(got, want)
+
+
+def whole_grid_duration_labels(grid, gts, D):
+    """gen_duration_labels as one search over the whole [D, T] matrix per
+    ground truth, before the search went in row blocks."""
+    T = grid.T
+    d = np.arange(1, D + 1)[:, None]
+    j = np.arange(T)[None, :]
+    lo, hi = j * grid.snippet_seconds, (j + d) * grid.snippet_seconds
+    invalid = ~valid_cell_mask(T, D)
+    labels = np.zeros((D, T), dtype=np.float64)
+    for gt in gts:
+        ious = broadcast_iou(lo, hi, gt.start_sec, gt.end_sec)
+        ious[invalid] = 0.0
+        best = ious.max()
+        if best > 0:
+            labels[ious == best] = 1.0
+    return labels
+
+
+def whole_grid_score_grid_error(start_probs, end_probs, conf_cls, conf_reg) -> str | None:
+    """The message ScoreGrids raised when it checked invalid cells through a
+    whole-grid mask and a copy of the masked cells; None if it accepted."""
+    arrays = {"start_probs": start_probs, "end_probs": end_probs,
+              "conf_cls": conf_cls, "conf_reg": conf_reg}
+    for name, a in arrays.items():
+        a = arrays[name] = np.asarray(a, dtype=np.float64)
+        if not np.isfinite(a).all():
+            return f"{name} has NaN or infinite entries"
+        if np.any(a < 0) or np.any(a > 1):
+            return f"{name} entries must lie in [0, 1]"
+    T, D = arrays["start_probs"].shape[0], arrays["conf_cls"].shape[0]
+    mask = valid_cell_mask(T, D)
+    for name in ("conf_cls", "conf_reg"):
+        if np.any(arrays[name][~mask] != 0):
+            return f"{name} has mass on invalid cells (j + d > T)"
+    return None
 
 
 class TestScoreGrids:

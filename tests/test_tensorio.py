@@ -42,6 +42,58 @@ def stored_as(arr, dtype: str) -> Tensor:
     return Tensor(dims=arr.shape, dtype=dtype, data=arr.ravel())
 
 
+def whole_file_read_tensor(path) -> Tensor:
+    """read_tensor as it was before it read the payload in place: the
+    file's bytes parsed whole, the payload copied out with astype."""
+    with open(path, "rb") as fh:
+        blob = fh.read()
+    name = os.fspath(path)
+    if len(blob) < 12:
+        raise TensorFormatError(f"{name}: truncated header ({len(blob)} bytes)")
+    if blob[:4] != b"AENT":
+        raise TensorFormatError(f"{name}: bad magic {blob[:4]!r}")
+    version, ndim = struct.unpack_from("<II", blob, 4)
+    if version != 1:
+        raise TensorFormatError(f"{name}: unsupported version {version}")
+    if ndim == 0:
+        raise TensorFormatError(f"{name}: zero-dimensional tensor")
+    off = 12
+    if len(blob) < off + 8 * ndim + 4:
+        raise TensorFormatError(f"{name}: truncated dims block")
+    dims = struct.unpack_from(f"<{ndim}Q", blob, off)
+    off += 8 * ndim
+    if any(d == 0 for d in dims):
+        raise TensorFormatError(f"{name}: zero-sized dimension in {dims}")
+    if any(d > 2**32 for d in dims):
+        raise TensorFormatError(f"{name}: dimension overflow in {dims}")
+    (code,) = struct.unpack_from("<I", blob, off)
+    off += 4
+    if code not in (1, 2):
+        raise TensorFormatError(f"{name}: unknown dtype code {code}")
+    np_dtype = np.dtype("<f4" if code == 1 else "<f8")
+    count = math.prod(dims)
+    expected = off + count * np_dtype.itemsize
+    if len(blob) != expected:
+        raise TensorFormatError(
+            f"{name}: payload size mismatch, expected {expected} bytes, got {len(blob)}"
+        )
+    data = np.frombuffer(blob, dtype=np_dtype, count=count, offset=off).astype(np.float64)
+    if not np.all(np.isfinite(data)):
+        raise TensorFormatError(f"{name}: non-finite values in payload")
+    return Tensor(dims=tuple(int(d) for d in dims), dtype="f32" if code == 1 else "f64",
+                  data=data)
+
+
+def read_outcome(read, path):
+    """(dims, dtype, payload bytes) of read(path), or its error's type and message."""
+    try:
+        t = read(path)
+    except TensorFormatError as e:
+        return type(e), str(e)
+    assert t.data.dtype == np.float64 and t.data.ndim == 1
+    return t.dims, t.dtype, t.data.tobytes()
+
+
 # ---------------------------------------------------------------------------
 # Reference: manifest_from_dict as it was before boxes were checked as one
 # array, kept verbatim (helpers renamed), box by box in document order.
@@ -267,6 +319,66 @@ class TestTensorFormat:
         blob[-8:] = struct.pack("<d", float("nan"))
         with pytest.raises(TensorFormatError, match="non-finite"):
             tensor_from_bytes(bytes(blob))
+
+
+class TestReadTensorInPlace:
+    """read_tensor reads the header, then the payload into its array; it
+    returns and raises what parsing the whole file did."""
+
+    @pytest.mark.parametrize("dtype", ["f32", "f64"])
+    @pytest.mark.parametrize("dims", [(1,), (3, 5), (2, 3, 4)])
+    def test_values_equal_the_whole_file_read(self, tmp_path, dtype, dims):
+        values = np.random.default_rng(3).standard_normal(dims)
+        path = tmp_path / "t.aent"
+        path.write_bytes(layout_bytes(dims, dtype, values))
+        got = read_outcome(read_tensor, path)
+        assert got == read_outcome(whole_file_read_tensor, path)
+        assert got[:2] == (dims, dtype)
+
+    def test_an_f64_payload_is_the_one_array_held(self, tmp_path):
+        path = tmp_path / "t.aent"
+        path.write_bytes(layout_bytes((4, 4), "f64", np.ones((4, 4))))
+        t = read_tensor(path)
+        assert t.data.base is None and t.data.flags.writeable and t.data.flags.owndata
+
+    @pytest.mark.parametrize("blob", [
+        pytest.param(b"", id="empty"),
+        pytest.param(b"AENT\x01\x00\x00", id="short-header"),
+        pytest.param(b"AENX" + struct.pack("<II", 1, 1), id="bad-magic"),
+        pytest.param(b"AENT" + struct.pack("<II", 2, 1), id="bad-version"),
+        pytest.param(b"AENT" + struct.pack("<II", 1, 0), id="zero-dim-tensor"),
+        pytest.param(b"AENT" + struct.pack("<II", 1, 2) + struct.pack("<Q", 3), id="short-dims"),
+        # a claimed 2**32 - 1 dims in a file of 16 bytes: no read of that size
+        pytest.param(b"AENT" + struct.pack("<III", 1, 2**32 - 1, 0), id="huge-ndim"),
+        pytest.param(b"AENT" + struct.pack("<IIQI", 1, 1, 0, 2), id="zero-sized"),
+        pytest.param(b"AENT" + struct.pack("<IIQI", 1, 1, 2**32 + 1, 2), id="dim-overflow"),
+        pytest.param(b"AENT" + struct.pack("<IIQI", 1, 1, 1, 3) + bytes(8), id="bad-dtype"),
+        pytest.param(b"AENT" + struct.pack("<II3QI", 1, 3, 2**32, 2**32, 2**32, 2),
+                     id="product-beyond-int64"),
+    ])
+    def test_bad_headers_raise_the_whole_file_errors(self, tmp_path, blob):
+        path = tmp_path / "t.aent"
+        path.write_bytes(blob)
+        got = read_outcome(read_tensor, path)
+        assert got[0] is TensorFormatError
+        assert got == read_outcome(whole_file_read_tensor, path)
+
+    @pytest.mark.parametrize("dtype", ["f32", "f64"])
+    @pytest.mark.parametrize("change", ["truncated", "oversized", "nan", "inf", "-inf"])
+    def test_bad_payloads_raise_the_whole_file_errors(self, tmp_path, dtype, change):
+        blob = layout_bytes((2, 3), dtype, np.arange(6.0))
+        size = 4 if dtype == "f32" else 8
+        if change == "truncated":
+            blob = blob[:-1]
+        elif change == "oversized":
+            blob += bytes(size)
+        else:
+            blob = blob[:-size] + np.array([float(change)], f"<f{size}").tobytes()
+        path = tmp_path / "t.aent"
+        path.write_bytes(blob)
+        got = read_outcome(read_tensor, path)
+        assert got[0] is TensorFormatError
+        assert got == read_outcome(whole_file_read_tensor, path)
 
 
 def layout_bytes(dims, dtype, values) -> bytes:
