@@ -387,7 +387,7 @@ def read_grids(grid_dir: str, vid: str, T: int) -> ScoreGrids:
     for part, name in GRID_PARTS.items():
         path = paths[name] = os.path.join(grid_dir, f"{vid}.{part}.aent")
         if not os.path.exists(path):
-            raise TapgenError(f"video {vid!r}: missing score grid {path}")
+            raise DataError(f"video {vid!r}: missing score grid {path}")
         a = arrays[name] = read_tensor(path).to_array()
         want = (T,) if part in ("start", "end") else (arrays["conf_cls"].shape[0], T)
         if a.shape != want:

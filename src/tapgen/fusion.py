@@ -19,7 +19,7 @@ box counts and boxes out of those. A video's maps share one [C, H, W]
 shape, and a feature source hands over a block's maps in one call as
 one [B, C, H, W] array: the stub as one buffer, checked once; the file
 source, when its files share one layout, as one such array, checked
-once too, else as the stack of its files parsed one by one. Per block:
+once too, else as the stack of its files read one by one. Per block:
 one mean over H x W, and one pooled [B, C] matrix through the
 environment layer; one RoIAlign call over all its boxes; one
 agent-encoder batch [B_n, n, d_model] per agent count n (equal counts
@@ -64,8 +64,8 @@ from dataclasses import asdict, dataclass, fields
 import numpy as np
 
 from tapgen.errors import ConfigError, DataError, InvalidInputError
-from tapgen.tensorio import (Tensor, read_tensor, tensor_block_from_bytes, tensor_from_bytes,
-                             write_json, write_tensor)
+from tapgen.tensorio import (Tensor, read_tensor, tensor_block_from_bytes, write_json,
+                             write_tensor)
 from tapgen.timeline import build_grid
 
 LN_EPS = 1e-5
@@ -444,9 +444,9 @@ class StubFeatureSource:
 
 
 class FileFeatureSource:
-    """Feature maps read from tensor files named in the manifest, each
-    file once; a block of one file layout becomes one array (module
-    docstring), any other block is parsed file by file and stacked."""
+    """Feature maps read from tensor files named in the manifest: a block
+    of one file layout as one array (module docstring), any other block
+    read again file by file with read_tensor and stacked."""
 
     def __init__(self, base_dir: str | os.PathLike):
         self.base_dir = os.fspath(base_dir)
@@ -466,8 +466,8 @@ class FileFeatureSource:
             if block is not None and block.ndim == 4:
                 return block
         maps = []
-        for path, blob in zip(paths, blobs):
-            values = tensor_from_bytes(blob, name=path).to_array()  # finite, dims positive
+        for path in paths:
+            values = read_tensor(path).to_array()  # finite, dims positive
             if values.ndim != 3 or maps and values.shape != maps[0].shape:
                 expected = maps[0].shape if maps else "[C, H, W]"
                 raise DataError(f"video {video_id!r}: feature file {path} has shape "

@@ -1,8 +1,11 @@
 """Bit-exact tensor serialization; tapgen's JSON files, written and parsed.
 
-Tensor file layout (little-endian throughout), written as the header and
-then the array's own buffer, with no copy of float64 data, and read as the
-header and then the payload straight into its array:
+A Tensor in memory is one float64 array. Its file layout (little-endian
+throughout) is written as the header and then the array's own buffer,
+copied only when it is not C-contiguous, always as f64. It is read, f32
+or f64, as the header and then the payload straight into its array, f32
+widened bit for bit. read_tensor and tensor_block_from_bytes share one
+header parser, _parse_header:
 
     bytes 0..3    magic "AENT"
     u32           version (1)
@@ -54,8 +57,8 @@ from tapgen.timeline import GroundTruthAction, VideoMeta
 
 MAGIC = b"AENT"
 VERSION = 1
-_DTYPE_CODES = {"f32": 1, "f64": 2}
-_CODE_DTYPES = {1: np.dtype("<f4"), 2: np.dtype("<f8")}
+_CODE_DTYPES = {1: np.dtype("<f4"), 2: np.dtype("<f8")}  # read; only f64 is written
+_F64 = 2
 _MAX_DIM = 2**32  # sanity cap per axis; desk-scale files are far smaller
 # Cap on the snippet count T of a manifest. Stages allocate [D, T]
 # grids with D up to T, so without it a huge num_frames fails as an
@@ -79,17 +82,19 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Tensor:
-    """Dense finite real tensor with an explicit storage dtype."""
+    """Dense finite real tensor: one float64 array, whatever dtype its file held."""
 
-    dims: tuple[int, ...]
-    dtype: str  # "f32" | "f64"
-    data: np.ndarray  # flat, row-major, float64 in memory
+    array: np.ndarray
+
+    @property
+    def dims(self) -> tuple[int, ...]:
+        return self.array.shape
 
     @staticmethod
     def from_array(arr: np.ndarray) -> "Tensor":
-        """arr as an f64 tensor, the one dtype tapgen writes."""
+        """arr as a tensor; a float64 array is held as it is, not copied."""
         arr = np.asarray(arr, dtype=np.float64)
         if arr.ndim == 0:
             raise InvalidInputError("tensor must have at least one dimension")
@@ -97,10 +102,10 @@ class Tensor:
             raise InvalidInputError(f"dims must be positive, got {arr.shape}")
         if not np.all(np.isfinite(arr)):
             raise InvalidInputError("tensor values must be finite")
-        return Tensor(dims=tuple(arr.shape), dtype="f64", data=arr.ravel().copy())
+        return Tensor(arr)
 
     def to_array(self) -> np.ndarray:
-        return self.data.reshape(self.dims)
+        return self.array
 
 
 def atomic_write_bytes(path: str | os.PathLike, *chunks) -> None:
@@ -118,25 +123,17 @@ def atomic_write_bytes(path: str | os.PathLike, *chunks) -> None:
         raise
 
 
-def _tensor_chunks(t: Tensor) -> tuple[bytes, np.ndarray]:
-    """A tensor file's header bytes and payload array; no copy of contiguous f64 data."""
-    code = _DTYPE_CODES[t.dtype]
-    header = MAGIC + struct.pack(f"<II{len(t.dims)}QI", VERSION, len(t.dims), *t.dims, code)
-    return header, np.ascontiguousarray(t.data, dtype=_CODE_DTYPES[code])
-
-
-def tensor_bytes(t: Tensor) -> bytes:
-    """Serialize a tensor to its binary representation."""
-    return b"".join(_tensor_chunks(t))
-
-
 def write_tensor(t: Tensor, destination: str | os.PathLike) -> None:
-    atomic_write_bytes(destination, *_tensor_chunks(t))
+    """Write t as an f64 tensor file: the header, then the array's own
+    buffer, copied only when it is not C-contiguous."""
+    a = t.array
+    header = MAGIC + struct.pack(f"<II{a.ndim}QI", VERSION, a.ndim, *a.shape, _F64)
+    atomic_write_bytes(destination, header, np.ascontiguousarray(a, dtype=_CODE_DTYPES[_F64]))
 
 
 def read_tensor(source: str | os.PathLike) -> Tensor:
-    """tensor_from_bytes of the file's bytes, without holding them: an f64
-    payload is read straight into the one float64 array returned."""
+    """The tensor of a file, every header, size and finiteness check made;
+    an f64 payload is read straight into the one float64 array returned."""
     name = os.fspath(source)
     with open(source, "rb") as fh:
         size = os.fstat(fh.fileno()).st_size
@@ -144,19 +141,15 @@ def read_tensor(source: str | os.PathLike) -> Tensor:
         if len(head) == 12:  # the dims block and dtype code, as far as the file holds them
             head += fh.read(min(8 * struct.unpack_from("<I", head, 8)[0] + 4, size - 12))
         dims, np_dtype, off = _parse_header(head, size, name)
-        data = np.empty(math.prod(dims), dtype=np_dtype)
+        data = np.empty(dims, dtype=np_dtype)
         got = fh.readinto(data)
         if got != data.nbytes:  # the file shrank after fstat
             raise TensorFormatError(
                 f"{name}: payload size mismatch, expected {size} bytes, got {off + got}"
             )
-    return _finite_tensor(dims, np_dtype, data.astype(np.float64, copy=False), name)
-
-
-def tensor_from_bytes(blob: bytes, name: str = "<bytes>") -> Tensor:
-    dims, np_dtype, off = _parse_header(blob, len(blob), name)
-    data = np.frombuffer(blob, dtype=np_dtype, count=math.prod(dims), offset=off)
-    return _finite_tensor(dims, np_dtype, data.astype(np.float64), name)
+    if not np.all(np.isfinite(data)):
+        raise TensorFormatError(f"{name}: non-finite values in payload")
+    return Tensor(data.astype(np.float64, copy=False))
 
 
 def _parse_header(head: bytes, size: int, name: str) -> tuple[tuple[int, ...], np.dtype, int]:
@@ -193,32 +186,25 @@ def _parse_header(head: bytes, size: int, name: str) -> tuple[tuple[int, ...], n
     return tuple(int(d) for d in dims), np_dtype, off
 
 
-def _finite_tensor(dims: tuple[int, ...], np_dtype: np.dtype, data: np.ndarray,
-                   name: str) -> Tensor:
-    if not np.all(np.isfinite(data)):
-        raise TensorFormatError(f"{name}: non-finite values in payload")
-    return Tensor(dims=dims, dtype="f32" if np_dtype.itemsize == 4 else "f64", data=data)
-
-
 def tensor_block_from_bytes(blobs: Sequence[bytes]) -> np.ndarray | None:
     """Tensors of one layout as one [B, *dims] float64 array; None when
-    tensor_from_bytes would reject any of them or their layouts differ.
+    read_tensor would reject any of them or their layouts differ.
 
-    blobs[0] is parsed in full. Every other blob must have its length and
-    header bytes, so every header and size check holds for it as well;
-    one finiteness check then covers all payloads. Values are the bits
-    tensor_from_bytes gives, f32 widened the same way.
+    blobs[0]'s header is parsed in full. Every blob must have its length
+    and header bytes, so every header and size check holds for it as
+    well; one finiteness check then covers all payloads. Values are the
+    bits read_tensor gives, f32 widened the same way.
     """
     try:
-        first = tensor_from_bytes(blobs[0])
+        dims, np_dtype, off = _parse_header(blobs[0], len(blobs[0]), "<bytes>")
     except TensorFormatError:
         return None
-    header, payload = _tensor_chunks(first)  # blobs[0]'s header, rebuilt
+    header = blobs[0][:off]
     if not all(len(b) == len(blobs[0]) and b.startswith(header) for b in blobs):
         return None
-    block = np.empty((len(blobs), *first.dims))
+    block = np.empty((len(blobs), *dims))
     for row, blob in zip(block.reshape(len(blobs), -1), blobs):
-        row[...] = np.frombuffer(blob, dtype=payload.dtype, offset=len(header))
+        row[...] = np.frombuffer(blob, dtype=np_dtype, offset=off)
     return block if np.isfinite(block).all() else None
 
 

@@ -17,6 +17,7 @@ from click.testing import CliRunner
 import tapgen
 from tapgen import cli
 from tapgen.cli import main
+from tapgen.errors import DataError
 from tapgen.fusion import FusionConfig, random_weights, save_weights
 from tapgen.supervision import valid_cell_mask
 from tapgen.tensorio import _MAX_SNIPPETS, Tensor, read_tensor, write_tensor
@@ -422,6 +423,31 @@ class TestErrorHandling:
         assert summary["num_errors"] == 1
         assert summary["num_completed"] == 3
         assert bad_vid in summary["errors"]
+
+    @pytest.mark.parametrize("keep_going, exit_code", [(False, 1), (True, 2)])
+    def test_missing_grid_is_a_per_video_data_error(self, runner, tmp_path, keep_going,
+                                                    exit_code):
+        invoke(runner, ["synth", "--n-videos", "3", "--out", str(tmp_path / "corpus")])
+        grid_dir = tmp_path / "corpus" / "grids"
+        path = grid_dir / "synth_0001.cls.aent"
+        path.unlink()
+        message = f"video 'synth_0001': missing score grid {path}"
+        T = read_tensor(grid_dir / "synth_0001.start.aent").dims[0]
+        with pytest.raises(DataError) as e:
+            cli.read_grids(str(grid_dir), "synth_0001", T)
+        assert str(e.value) == message
+        out = tmp_path / "proposals"
+        base = ["--keep-going"] if keep_going else []
+        r = invoke(runner, base + ["infer", "--manifests", str(tmp_path / "corpus/manifests"),
+                                   "--grids", str(grid_dir), "--out", str(out)])
+        assert r.exit_code == exit_code
+        if keep_going:  # the other videos' proposals are written
+            summary = json.loads((out / "run_summary.json").read_text())
+            assert summary["errors"] == {"synth_0001": message}
+            assert sorted(n for n in os.listdir(out) if n.endswith(".proposals.json")) == [
+                "synth_0000.proposals.json", "synth_0002.proposals.json"]
+        else:
+            assert r.output == f"error: synth_0001: {message}\n"
 
     @pytest.mark.parametrize("workers", ["1", "2"])
     def test_keep_going_featurize_skips_a_video_whose_maps_differ_in_shape(self, runner, tmp_path,

@@ -40,12 +40,11 @@ from tapgen.tensorio import (
     SnippetEntry,
     Tensor,
     read_tensor,
-    tensor_bytes,
     write_tensor,
 )
 from tapgen.timeline import VideoMeta, build_grid
 
-from test_tensorio import stored_as
+from test_tensorio import layout_bytes
 
 
 SMALL_CFG = FusionConfig(channels=3, d_model=8, num_heads=2, num_layers=1, ff_dim=16)
@@ -651,8 +650,7 @@ class TestFeaturizeVideo:
         elif bad == "missing":
             bad_file.unlink()
         elif bad == "non-finite":
-            nan = Tensor(dims=(3, 6, 6), dtype="f64", data=np.full(108, np.nan))
-            bad_file.write_bytes(tensor_bytes(nan))
+            bad_file.write_bytes(layout_bytes((3, 6, 6), "f64", np.full(108, np.nan)))
         snippets = tuple(SnippetEntry(index=i, feature_file=f"s{i}.aent") for i in range(3))
         m = Manifest(video=tiny_manifest().video, annotations=(), snippets=snippets)
 
@@ -674,27 +672,26 @@ GOOD = np.arange(1.0, 109.0).reshape(3, 6, 6) / 7
 
 def write_feature_file(path, kind: str, shift: float = 0.0) -> None:
     if kind in ("f32", "f64"):
-        write_tensor(stored_as(GOOD + shift, kind), path)
+        path.write_bytes(layout_bytes(GOOD.shape, kind, GOOD + shift))
     elif kind == "other-shape":  # valid header, different length
         write_tensor(Tensor.from_array(np.ones((3, 4, 5))), path)
     elif kind == "same-length-other-shape":  # 3 * 4 * 9 = 3 * 6 * 6
         write_tensor(Tensor.from_array(GOOD.reshape(3, 4, 9) + shift), path)
     elif kind == "same-length-f32":  # as long as an f64 map of half the values
-        write_tensor(stored_as(np.concatenate([GOOD, GOOD], axis=2) - shift, "f32"), path)
+        wide = np.concatenate([GOOD, GOOD], axis=2) - shift
+        path.write_bytes(layout_bytes(wide.shape, "f32", wide))
     elif kind == "2-d":
         write_tensor(Tensor.from_array(np.ones((6, 6))), path)
     elif kind == "non-finite":
-        path.write_bytes(tensor_bytes(Tensor(dims=(3, 6, 6), dtype="f64",
-                                             data=np.where(GOOD.ravel() > 9, np.inf, 1.0))))
+        path.write_bytes(layout_bytes(GOOD.shape, "f64", np.where(GOOD > 9, np.inf, 1.0)))
     elif kind == "non-finite-f32":
-        path.write_bytes(tensor_bytes(Tensor(dims=(3, 6, 6), dtype="f32",
-                                             data=np.full(108, np.nan))))
+        path.write_bytes(layout_bytes(GOOD.shape, "f32", np.full(108, np.nan)))
     elif kind == "bad-version":  # same length as an f64 map, header differs
-        blob = bytearray(tensor_bytes(Tensor.from_array(GOOD)))
+        blob = bytearray(layout_bytes(GOOD.shape, "f64", GOOD))
         blob[4] = 9
         path.write_bytes(bytes(blob))
     elif kind == "truncated":
-        path.write_bytes(tensor_bytes(Tensor.from_array(GOOD))[:-8])
+        path.write_bytes(layout_bytes(GOOD.shape, "f64", GOOD)[:-8])
     elif kind == "directory":
         path.mkdir()
     else:
@@ -782,7 +779,7 @@ class TestFileSourceBlockRead:
         rng = np.random.default_rng(3)
         maps = rng.random((5, 3, 4, 6)) * 1e30
         for i, arr in enumerate(maps):
-            write_tensor(stored_as(arr, dtype), tmp_path / f"s{i}.aent")
+            (tmp_path / f"s{i}.aent").write_bytes(layout_bytes(arr.shape, dtype, arr))
         names = [f"s{i}.aent" for i in range(5)]
         block = FileFeatureSource(tmp_path).get_block("v", range(5), names)
         assert isinstance(block, np.ndarray) and block.shape == (5, 3, 4, 6)

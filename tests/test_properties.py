@@ -65,8 +65,7 @@ from tapgen.tensorio import (
     manifest_to_dict,
     read_manifest,
     read_tensor,
-    tensor_bytes,
-    tensor_from_bytes,
+    tensor_block_from_bytes,
     write_manifest,
     write_tensor,
 )
@@ -93,7 +92,6 @@ from test_tensorio import (
     layout_bytes,
     read_outcome,
     reference_manifest_from_dict,
-    stored_as,
     whole_file_read_tensor,
 )
 
@@ -856,16 +854,24 @@ json_values = st.recursive(
     tail=st.binary(max_size=12),
 )
 def test_tensor_parser_raises_only_tensor_format_error(dtype, edits, cut, tail):
-    blob = bytearray(tensor_bytes(stored_as(np.arange(1.0, 7.0).reshape(2, 3), dtype)))
+    """read_tensor raises only TensorFormatError, and the block parser
+    rejects exactly the files read_tensor rejects, else gives its bits."""
+    blob = bytearray(layout_bytes((2, 3), dtype, np.arange(1.0, 7.0)))
     for pos, byte in edits:
         blob[pos % len(blob)] = byte
     blob = bytes(blob[: cut % (len(blob) + 1)]) + tail
-    try:
-        t = tensor_from_bytes(blob)
-    except TensorFormatError:
-        return
-    assert t.data.shape == (math.prod(t.dims),)
-    assert np.isfinite(t.data).all()
+    block = tensor_block_from_bytes([blob])
+    with tempfile.TemporaryDirectory() as d:
+        path = os.path.join(d, "t.aent")
+        with open(path, "wb") as fh:
+            fh.write(blob)
+        try:
+            t = read_tensor(path)
+        except TensorFormatError:
+            assert block is None
+            return
+    assert t.array.dtype == np.float64 and np.isfinite(t.array).all()
+    assert block.shape == (1, *t.dims) and block.tobytes() == t.array.tobytes()
 
 
 def valid_manifest_doc():

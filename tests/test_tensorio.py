@@ -22,8 +22,6 @@ from tapgen.tensorio import (
     manifest_to_dict,
     read_manifest,
     read_tensor,
-    tensor_bytes,
-    tensor_from_bytes,
     write_manifest,
     write_proposals,
     write_tensor,
@@ -35,11 +33,20 @@ from tapgen.timeline import GroundTruthAction, VideoMeta
 MAGIC_HEADER = b"AENT" + struct.pack("<II", 1, 3)
 
 
-def stored_as(arr, dtype: str) -> Tensor:
-    """arr as a tensor stored in dtype. tapgen writes only f64
-    (Tensor.from_array) but reads f32 files of other producers too."""
-    arr = np.asarray(arr, dtype=np.float64)
-    return Tensor(dims=arr.shape, dtype=dtype, data=arr.ravel())
+def layout_bytes(dims, dtype, values) -> bytes:
+    """The file layout of the module docstring, field by field: a raw
+    writer for what write_tensor does not write, f32 and malformed files.
+    tapgen writes only f64 but reads f32 files of other producers too."""
+    code, np_dtype = {"f32": (1, "<f4"), "f64": (2, "<f8")}[dtype]
+    return (b"AENT" + struct.pack("<II", 1, len(dims)) + struct.pack(f"<{len(dims)}Q", *dims)
+            + struct.pack("<I", code) + np.asarray(values, dtype=np_dtype).tobytes())
+
+
+def read_blob(tmp_path, blob: bytes) -> Tensor:
+    """read_tensor of a file holding blob."""
+    path = tmp_path / "t.aent"
+    path.write_bytes(blob)
+    return read_tensor(path)
 
 
 def whole_file_read_tensor(path) -> Tensor:
@@ -80,18 +87,17 @@ def whole_file_read_tensor(path) -> Tensor:
     data = np.frombuffer(blob, dtype=np_dtype, count=count, offset=off).astype(np.float64)
     if not np.all(np.isfinite(data)):
         raise TensorFormatError(f"{name}: non-finite values in payload")
-    return Tensor(dims=tuple(int(d) for d in dims), dtype="f32" if code == 1 else "f64",
-                  data=data)
+    return Tensor(data.reshape(dims))
 
 
 def read_outcome(read, path):
-    """(dims, dtype, payload bytes) of read(path), or its error's type and message."""
+    """(dims, float64 values' bytes) of read(path), or its error's type and message."""
     try:
         t = read(path)
     except TensorFormatError as e:
         return type(e), str(e)
-    assert t.data.dtype == np.float64 and t.data.ndim == 1
-    return t.dims, t.dtype, t.data.tobytes()
+    assert t.array.dtype == np.float64
+    return t.dims, t.array.tobytes()
 
 
 # ---------------------------------------------------------------------------
@@ -230,6 +236,9 @@ def minimal_manifest_doc():
     }
 
 
+ONES = layout_bytes((3,), "f64", np.ones(3))  # a valid [3] tensor file
+
+
 class TestTensorFormat:
     def test_file_layout_size(self, tmp_path):
         # header 4+4+4, dims 2*8, dtype 4, payload 6*8 -> 80 bytes
@@ -238,13 +247,12 @@ class TestTensorFormat:
         write_tensor(t, path)
         assert path.stat().st_size == 80
 
-    def test_roundtrip_f32_bytes_identical(self, tmp_path):
+    def test_roundtrip_f32_exact(self, tmp_path):
         rng = np.random.default_rng(5)
-        t = stored_as(rng.random((7, 5, 3)).astype(np.float32).astype(np.float64), "f32")
-        blob1 = tensor_bytes(t)
-        t2 = tensor_from_bytes(blob1)
-        assert tensor_bytes(t2) == blob1
-        assert t2.dims == (7, 5, 3)
+        arr = rng.random((7, 5, 3)).astype(np.float32).astype(np.float64)
+        t = read_blob(tmp_path, layout_bytes(arr.shape, "f32", arr))
+        assert t.dims == (7, 5, 3)
+        assert t.array.dtype == np.float64 and t.array.tobytes() == arr.tobytes()
 
     def test_roundtrip_f64_exact(self, tmp_path):
         rng = np.random.default_rng(6)
@@ -252,10 +260,11 @@ class TestTensorFormat:
         path = tmp_path / "t.aent"
         write_tensor(Tensor.from_array(arr), path)
         back = read_tensor(path)
-        assert back.dtype == "f64"
+        assert back.array.dtype == np.float64
         np.testing.assert_array_equal(back.to_array(), arr)
 
     def test_randomized_roundtrips(self, tmp_path):
+        """An f32 or f64 file read and written again is its values' f64 file."""
         rng = np.random.default_rng(7)
         for i in range(30):
             ndim = int(rng.integers(1, 4))
@@ -264,8 +273,8 @@ class TestTensorFormat:
             arr = rng.standard_normal(dims)
             if dtype == "f32":
                 arr = arr.astype(np.float32).astype(np.float64)
-            t = stored_as(arr, dtype)
-            assert tensor_bytes(tensor_from_bytes(tensor_bytes(t))) == tensor_bytes(t)
+            write_tensor(read_blob(tmp_path, layout_bytes(dims, dtype, arr)), tmp_path / "w.aent")
+            assert (tmp_path / "w.aent").read_bytes() == layout_bytes(dims, "f64", arr)
 
     def test_empty_dims_rejected(self):
         with pytest.raises(InvalidInputError):
@@ -275,50 +284,52 @@ class TestTensorFormat:
         with pytest.raises(InvalidInputError):
             Tensor.from_array(np.array([1.0, np.inf]))
 
-    def test_bad_magic(self):
-        blob = tensor_bytes(Tensor.from_array(np.ones(3)))
+    def test_tensors_compare_and_hash_by_identity(self):
+        a, b = Tensor.from_array(np.ones(3)), Tensor.from_array(np.ones(3))
+        assert a == a and a != b
+        assert len({a, b, a}) == 2
+
+    def test_bad_magic(self, tmp_path):
         with pytest.raises(TensorFormatError, match="magic"):
-            tensor_from_bytes(b"XXXX" + blob[4:])
+            read_blob(tmp_path, b"XXXX" + ONES[4:])
 
-    def test_truncated_payload(self):
-        blob = tensor_bytes(Tensor.from_array(np.ones(3)))
+    def test_truncated_payload(self, tmp_path):
         with pytest.raises(TensorFormatError, match="size mismatch"):
-            tensor_from_bytes(blob[:-4])
+            read_blob(tmp_path, ONES[:-4])
 
-    def test_trailing_garbage(self):
-        blob = tensor_bytes(Tensor.from_array(np.ones(3)))
+    def test_trailing_garbage(self, tmp_path):
         with pytest.raises(TensorFormatError, match="size mismatch"):
-            tensor_from_bytes(blob + b"\x00")
+            read_blob(tmp_path, ONES + b"\x00")
 
-    def test_bad_version(self):
-        blob = bytearray(tensor_bytes(Tensor.from_array(np.ones(3))))
+    def test_bad_version(self, tmp_path):
+        blob = bytearray(ONES)
         blob[4:8] = struct.pack("<I", 9)
         with pytest.raises(TensorFormatError, match="version"):
-            tensor_from_bytes(bytes(blob))
+            read_blob(tmp_path, bytes(blob))
 
-    def test_bad_dtype_code(self):
-        blob = bytearray(tensor_bytes(Tensor.from_array(np.ones(3))))
+    def test_bad_dtype_code(self, tmp_path):
+        blob = bytearray(ONES)
         blob[20:24] = struct.pack("<I", 7)  # dtype sits after one u64 dim
         with pytest.raises(TensorFormatError, match="dtype"):
-            tensor_from_bytes(bytes(blob))
+            read_blob(tmp_path, bytes(blob))
 
-    def test_zero_dim(self):
-        blob = bytearray(tensor_bytes(Tensor.from_array(np.ones(3))))
+    def test_zero_dim(self, tmp_path):
+        blob = bytearray(ONES)
         blob[12:20] = struct.pack("<Q", 0)
         with pytest.raises(TensorFormatError, match="zero-sized"):
-            tensor_from_bytes(bytes(blob))
+            read_blob(tmp_path, bytes(blob))
 
-    def test_dims_product_beyond_int64_rejected(self):
+    def test_dims_product_beyond_int64_rejected(self, tmp_path):
         # 2**96 elements: a product taken in int64 wraps to 0 and matches an empty payload
         blob = MAGIC_HEADER + struct.pack("<3Q", 2**32, 2**32, 2**32) + struct.pack("<I", 2)
         with pytest.raises(TensorFormatError, match="size mismatch"):
-            tensor_from_bytes(blob)
+            read_blob(tmp_path, blob)
 
-    def test_nonfinite_payload(self):
-        blob = bytearray(tensor_bytes(Tensor.from_array(np.ones(1))))
+    def test_nonfinite_payload(self, tmp_path):
+        blob = bytearray(layout_bytes((1,), "f64", np.ones(1)))
         blob[-8:] = struct.pack("<d", float("nan"))
         with pytest.raises(TensorFormatError, match="non-finite"):
-            tensor_from_bytes(bytes(blob))
+            read_blob(tmp_path, bytes(blob))
 
 
 class TestReadTensorInPlace:
@@ -333,13 +344,14 @@ class TestReadTensorInPlace:
         path.write_bytes(layout_bytes(dims, dtype, values))
         got = read_outcome(read_tensor, path)
         assert got == read_outcome(whole_file_read_tensor, path)
-        assert got[:2] == (dims, dtype)
+        widened = values.astype(np.float32 if dtype == "f32" else np.float64).astype(np.float64)
+        assert got == (dims, widened.tobytes())
 
     def test_an_f64_payload_is_the_one_array_held(self, tmp_path):
         path = tmp_path / "t.aent"
         path.write_bytes(layout_bytes((4, 4), "f64", np.ones((4, 4))))
         t = read_tensor(path)
-        assert t.data.base is None and t.data.flags.writeable and t.data.flags.owndata
+        assert t.array.base is None and t.array.flags.writeable and t.array.flags.owndata
 
     @pytest.mark.parametrize("blob", [
         pytest.param(b"", id="empty"),
@@ -381,35 +393,34 @@ class TestReadTensorInPlace:
         assert got == read_outcome(whole_file_read_tensor, path)
 
 
-def layout_bytes(dims, dtype, values) -> bytes:
-    """The file layout of the module docstring, field by field."""
-    code, np_dtype = {"f32": (1, "<f4"), "f64": (2, "<f8")}[dtype]
-    return (b"AENT" + struct.pack("<II", 1, len(dims)) + struct.pack(f"<{len(dims)}Q", *dims)
-            + struct.pack("<I", code) + np.asarray(values, dtype=np_dtype).tobytes())
-
-
 class TestTensorWrites:
     """write_tensor writes a header and then the array's own buffer."""
 
-    SOURCE = np.random.default_rng(11).standard_normal((4, 6))
-
-    @pytest.mark.parametrize("dtype", ["f64", "f32"])
-    @pytest.mark.parametrize("source", ["contiguous", "transposed", "strided data"])
-    def test_write_tensor_writes_the_bytes_of_tensor_bytes(self, tmp_path, dtype, source):
-        arr = self.SOURCE.astype(np.float32).astype(np.float64) if dtype == "f32" else self.SOURCE
-        if source == "contiguous":
-            t = stored_as(arr, dtype)
-        elif source == "transposed":
-            t = stored_as(arr.T, dtype)
-        else:  # a Tensor may hold a strided view; it is written in row-major order
-            wide = np.repeat(arr.ravel(), 2)
-            t = Tensor(dims=arr.shape, dtype=dtype, data=wide[::2])
-            assert not t.data.flags.c_contiguous
+    def test_write_tensor_bytes_of_a_2x3_array(self, tmp_path):
         path = tmp_path / "t.aent"
-        write_tensor(t, path)
-        want = layout_bytes(t.dims, dtype, arr.T.ravel() if source == "transposed" else arr.ravel())
-        assert path.read_bytes() == tensor_bytes(t) == want
-        np.testing.assert_array_equal(read_tensor(path).data, t.data)
+        write_tensor(Tensor.from_array(np.arange(6.0).reshape(2, 3)), path)
+        assert path.read_bytes() == bytes.fromhex(
+            "41454e54" "01000000" "02000000"  # magic, version 1, ndim 2
+            "0200000000000000" "0300000000000000" "02000000"  # dims 2, 3; dtype code 2 (f64)
+            "0000000000000000" "000000000000f03f" "0000000000000040"  # 0.0, 1.0, 2.0
+            "0000000000000840" "0000000000001040" "0000000000001440"  # 3.0, 4.0, 5.0
+        )
+
+    def test_from_array_holds_a_c_contiguous_f64_array_uncopied(self):
+        arr = np.arange(6.0).reshape(2, 3)
+        t = Tensor.from_array(arr)
+        assert np.shares_memory(t.array, arr) and t.dims == (2, 3)
+
+    @pytest.mark.parametrize("source", ["transposed", "strided"])
+    def test_a_view_is_written_as_its_contiguous_copy(self, tmp_path, source):
+        arr = np.random.default_rng(11).standard_normal((4, 6))
+        view = arr.T if source == "transposed" else np.repeat(arr, 2, axis=1)[:, ::2]
+        assert not view.flags.c_contiguous
+        write_tensor(Tensor.from_array(view), tmp_path / "view.aent")
+        write_tensor(Tensor.from_array(np.ascontiguousarray(view)), tmp_path / "copy.aent")
+        got = (tmp_path / "view.aent").read_bytes()
+        assert got == (tmp_path / "copy.aent").read_bytes() == layout_bytes(view.shape, "f64", view)
+        np.testing.assert_array_equal(read_tensor(tmp_path / "view.aent").array, view)
 
     @pytest.mark.parametrize("existing", [False, True])
     def test_a_chunk_that_fails_leaves_no_file(self, tmp_path, existing):
