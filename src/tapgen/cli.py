@@ -443,7 +443,7 @@ def cmd_eval(ctx, manifest_dir, proposal_dir, preset, out):
     A ground truth is recalled at (tIoU, AN) only through a one-to-one
     maximum matching with its video's top-AN proposals; AN (1..100) is a
     cut per video; AUC is 100 times the area under AR(AN) divided by the AN
-    range, 99. tIoU thresholds: 0.5:0.05:0.95, or 0.5:0.1:1.0 under
+    range, 99. tIoU thresholds: 0.5:0.05:0.95, or 0.5:0.05:1.0 under
     --preset thumos. The README lists how this differs from the ActivityNet
     reference evaluation.
     """

@@ -18,8 +18,8 @@ boxes into snippet order as one [N, 4] array, and slices each block's
 box counts and boxes out of those. A video's maps share one [C, H, W]
 shape, and a feature source hands over a block's maps in one call as
 one [B, C, H, W] array: the stub as one buffer, checked once; the file
-source, when its files share one layout, as one such array, checked
-once too, else as the stack of its files read one by one. Per block:
+source as the one array that tensorio.read_tensors reads its files
+into, each file opened once, and checked once too. Per block:
 one mean over H x W, and one pooled [B, C] matrix through the
 environment layer; one RoIAlign call over all its boxes; one
 agent-encoder batch [B_n, n, d_model] per agent count n (equal counts
@@ -64,8 +64,7 @@ from dataclasses import asdict, dataclass, fields
 import numpy as np
 
 from tapgen.errors import ConfigError, DataError, InvalidInputError
-from tapgen.tensorio import (Tensor, read_tensor, tensor_block_from_bytes, write_json,
-                             write_tensor)
+from tapgen.tensorio import Tensor, read_tensor, read_tensors, write_json, write_tensor
 from tapgen.timeline import build_grid
 
 LN_EPS = 1e-5
@@ -444,50 +443,31 @@ class StubFeatureSource:
 
 
 class FileFeatureSource:
-    """Feature maps read from tensor files named in the manifest: a block
-    of one file layout as one array (module docstring), any other block
-    read again file by file with read_tensor and stacked."""
+    """Feature maps read from the tensor files named in the manifest, a
+    block at a time through read_tensors: each map must be [C, H, W], of
+    the shape of the block's first map."""
 
     def __init__(self, base_dir: str | os.PathLike):
         self.base_dir = os.fspath(base_dir)
 
     def get_block(self, video_id: str, indices, feature_files) -> np.ndarray:
-        paths, blobs, failure = [], [], None
-        for snippet_index, feature_file in zip(indices, feature_files):
-            try:
-                path, blob = self._read(video_id, snippet_index, feature_file)
-            except (DataError, OSError, ValueError) as e:  # no file, or a bad name for one
-                failure = e  # raised below, once the files before it are checked
-                break
-            paths.append(path)
-            blobs.append(blob)
-        if failure is None and blobs:
-            block = tensor_block_from_bytes(blobs)
-            if block is not None and block.ndim == 4:
-                return block
-        maps = []
-        for path in paths:
-            values = read_tensor(path).to_array()  # finite, dims positive
-            if values.ndim != 3 or maps and values.shape != maps[0].shape:
-                expected = maps[0].shape if maps else "[C, H, W]"
-                raise DataError(f"video {video_id!r}: feature file {path} has shape "
-                                f"{values.shape}, expected {expected}")
-            maps.append(values)
-        if failure is not None:
-            raise failure
-        return np.stack(maps)
+        files = list(feature_files)
+        named = files.index(None) if None in files else len(files)
+        paths = [os.path.join(self.base_dir, f) for f in files[:named]]
 
-    def _read(self, video_id: str, snippet_index: int, feature_file) -> tuple[str, bytes]:
-        if feature_file is None:
-            raise DataError(f"video {video_id!r}: no feature file for snippet {snippet_index}")
-        path = os.path.join(self.base_dir, feature_file)
+        def check(path: str, dims: tuple[int, ...], first: tuple[int, ...] | None) -> None:
+            if len(dims) != 3 or first is not None and dims != first:
+                raise DataError(f"video {video_id!r}: feature file {path} has shape {dims}, "
+                                f"expected {first or '[C, H, W]'}")
+
         try:
-            with open(path, "rb") as fh:
-                return path, fh.read()
+            block = read_tensors(paths, check)
         except FileNotFoundError as e:
-            raise DataError(
-                f"video {video_id!r}: feature file {path} for snippet {snippet_index} is missing"
-            ) from e
+            raise DataError(f"video {video_id!r}: feature file {e.filename} for snippet "
+                            f"{indices[paths.index(e.filename)]} is missing") from e
+        if named < len(files):
+            raise DataError(f"video {video_id!r}: no feature file for snippet {indices[named]}")
+        return block
 
 
 def featurize_video(manifest, w: FusionWeights, source) -> np.ndarray:

@@ -31,7 +31,7 @@ from tapgen.timeline import GroundTruthAction, broadcast_iou
 from tapgen.timeline import temporal_iou  # noqa: F401
 
 ACTIVITYNET_THRESHOLDS = tuple(np.arange(0.5, 1.0, 0.05).round(10).tolist())
-THUMOS_THRESHOLDS = tuple(np.arange(0.5, 1.05, 0.1).round(10).tolist())
+THUMOS_THRESHOLDS = ACTIVITYNET_THRESHOLDS + (1.0,)  # 0.5:0.05:1.0, as BSN reports THUMOS-14
 DEFAULT_AN_VALUES = tuple(range(1, 101))
 
 __all__ = [

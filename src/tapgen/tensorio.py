@@ -2,10 +2,10 @@
 
 A Tensor in memory is one float64 array. Its file layout (little-endian
 throughout) is written as the header and then the array's own buffer,
-copied only when it is not C-contiguous, always as f64. It is read, f32
-or f64, as the header and then the payload straight into its array, f32
-widened bit for bit. read_tensor and tensor_block_from_bytes share one
-header parser, _parse_header:
+copied only when it is not C-contiguous, always as f64. read_tensors
+reads every tensor file, f32 or f64, read_tensor being its one-file
+case: the header (_parse_header), then the payload straight into its
+row, f32 widened bit for bit:
 
     bytes 0..3    magic "AENT"
     u32           version (1)
@@ -73,6 +73,7 @@ __all__ = [
     "Manifest",
     "write_tensor",
     "read_tensor",
+    "read_tensors",
     "read_manifest",
     "write_manifest",
     "write_json",
@@ -132,29 +133,65 @@ def write_tensor(t: Tensor, destination: str | os.PathLike) -> None:
 
 
 def read_tensor(source: str | os.PathLike) -> Tensor:
-    """The tensor of a file, every header, size and finiteness check made;
-    an f64 payload is read straight into the one float64 array returned."""
-    name = os.fspath(source)
-    with open(source, "rb") as fh:
-        size = os.fstat(fh.fileno()).st_size
-        head = fh.read(12)
-        if len(head) == 12:  # the dims block and dtype code, as far as the file holds them
-            head += fh.read(min(8 * struct.unpack_from("<I", head, 8)[0] + 4, size - 12))
-        dims, np_dtype, off = _parse_header(head, size, name)
-        data = np.empty(dims, dtype=np_dtype)
-        got = fh.readinto(data)
-        if got != data.nbytes:  # the file shrank after fstat
-            raise TensorFormatError(
-                f"{name}: payload size mismatch, expected {size} bytes, got {off + got}"
-            )
-    if not np.all(np.isfinite(data)):
-        raise TensorFormatError(f"{name}: non-finite values in payload")
-    return Tensor(data.astype(np.float64, copy=False))
+    """The tensor of one file: read_tensors of that file alone."""
+    return Tensor(read_tensors([source])[0])
 
 
-def _parse_header(head: bytes, size: int, name: str) -> tuple[tuple[int, ...], np.dtype, int]:
-    """(dims, payload dtype, payload offset) of a tensor file of size bytes
-    whose header is head, every header and size check made."""
+def read_tensors(paths: Sequence[str | os.PathLike], check=None) -> np.ndarray:
+    """Tensor files of one dims as one [B, *dims] float64 array, (0,) for none.
+
+    Each file is opened once, unbuffered. The first file's header is parsed
+    in full, and so is any whose size or header bytes differ from the
+    first's: check(name, dims, first dims or None for the first itself) may
+    then refuse it, and after it the reader refuses other dims than the
+    first's. A file that fails is raised only once the files before it are
+    known to be finite, so the error is always the first refused file's.
+    """
+    names = [os.fspath(p) for p in paths]
+    block = np.empty(0)
+    for i, name in enumerate(names):
+        done = ()  # file i's payload, once read in full
+        try:
+            with open(name, "rb", buffering=0) as fh:
+                size = os.fstat(fh.fileno()).st_size
+                parsed = i == 0 or size != size0 or fh.read(len(head0)) != head0
+                if parsed:
+                    fh.seek(0)
+                    head, dims, np_dtype = _parse_header(fh, size, name)
+                    if i == 0:
+                        block = np.empty((len(names), *dims))
+                        size0, head0, dims0, dtype0 = size, head, dims, np_dtype
+                else:
+                    dims, np_dtype = dims0, dtype0
+                # f32, or a file of other dims, goes through a temporary array
+                out = block[i] if dims == dims0 else np.empty(dims)
+                buf = out if np_dtype == out.dtype else np.empty(dims, np_dtype)
+                view, got = memoryview(buf).cast("B"), 0
+                while got < len(view) and (n := fh.readinto(view[got:])):  # stops short of 2 GiB
+                    got += n
+                if got != len(view):  # the file shrank after fstat
+                    raise TensorFormatError(f"{name}: payload size mismatch, expected {size} "
+                                            f"bytes, got {size - len(view) + got}")
+                out[...] = buf  # widened bit for bit; numpy skips assigning out to itself
+                done = (out,)
+            if parsed and check is not None:
+                check(name, dims, dims0 if i else None)
+            if dims != dims0:
+                raise TensorFormatError(f"{name}: dims {dims}, expected {dims0} as in {names[0]}")
+        except Exception:  # raised once the files before it are known to be finite
+            _raise_first_non_finite([*block[:i], *done], names)
+            raise
+    if not np.isfinite(block).all():
+        _raise_first_non_finite(block, names)
+    return block
+
+
+def _parse_header(fh, size: int, name: str) -> tuple[bytes, tuple[int, ...], np.dtype]:
+    """(header bytes, dims, payload dtype) of the tensor file fh of size
+    bytes, read from its start, every header and size check made."""
+    head = fh.read(12)
+    if len(head) == 12:  # the dims block and dtype code, as far as the file holds them
+        head += fh.read(min(8 * struct.unpack_from("<I", head, 8)[0] + 4, size - 12))
     if size < 12:
         raise TensorFormatError(f"{name}: truncated header ({size} bytes)")
     if head[:4] != MAGIC:
@@ -164,48 +201,29 @@ def _parse_header(head: bytes, size: int, name: str) -> tuple[tuple[int, ...], n
         raise TensorFormatError(f"{name}: unsupported version {version}")
     if ndim == 0:
         raise TensorFormatError(f"{name}: zero-dimensional tensor")
-    off = 12
-    if size < off + 8 * ndim + 4:
+    if size < 12 + 8 * ndim + 4:  # else head holds the whole header
         raise TensorFormatError(f"{name}: truncated dims block")
-    dims = struct.unpack_from(f"<{ndim}Q", head, off)
-    off += 8 * ndim
+    dims = struct.unpack_from(f"<{ndim}Q", head, 12)
     if any(d == 0 for d in dims):
         raise TensorFormatError(f"{name}: zero-sized dimension in {dims}")
     if any(d > _MAX_DIM for d in dims):
         raise TensorFormatError(f"{name}: dimension overflow in {dims}")
-    (code,) = struct.unpack_from("<I", head, off)
-    off += 4
+    (code,) = struct.unpack_from("<I", head, 12 + 8 * ndim)
     if code not in _CODE_DTYPES:
         raise TensorFormatError(f"{name}: unknown dtype code {code}")
     np_dtype = _CODE_DTYPES[code]
-    expected = off + math.prod(dims) * np_dtype.itemsize  # exact; an int64 product wraps
+    expected = len(head) + math.prod(dims) * np_dtype.itemsize  # exact; an int64 product wraps
     if size != expected:
-        raise TensorFormatError(
-            f"{name}: payload size mismatch, expected {expected} bytes, got {size}"
-        )
-    return tuple(int(d) for d in dims), np_dtype, off
+        raise TensorFormatError(f"{name}: payload size mismatch, expected {expected} bytes, "
+                                f"got {size}")
+    return head, tuple(int(d) for d in dims), np_dtype
 
 
-def tensor_block_from_bytes(blobs: Sequence[bytes]) -> np.ndarray | None:
-    """Tensors of one layout as one [B, *dims] float64 array; None when
-    read_tensor would reject any of them or their layouts differ.
-
-    blobs[0]'s header is parsed in full. Every blob must have its length
-    and header bytes, so every header and size check holds for it as
-    well; one finiteness check then covers all payloads. Values are the
-    bits read_tensor gives, f32 widened the same way.
-    """
-    try:
-        dims, np_dtype, off = _parse_header(blobs[0], len(blobs[0]), "<bytes>")
-    except TensorFormatError:
-        return None
-    header = blobs[0][:off]
-    if not all(len(b) == len(blobs[0]) and b.startswith(header) for b in blobs):
-        return None
-    block = np.empty((len(blobs), *dims))
-    for row, blob in zip(block.reshape(len(blobs), -1), blobs):
-        row[...] = np.frombuffer(blob, dtype=np_dtype, offset=off)
-    return block if np.isfinite(block).all() else None
+def _raise_first_non_finite(rows, names: Sequence[str]) -> None:
+    """Raise the error of the first of rows, in names' order, that holds a non-finite value."""
+    for row, name in zip(rows, names):
+        if not np.isfinite(row).all():
+            raise TensorFormatError(f"{name}: non-finite values in payload")
 
 
 # ---------------------------------------------------------------------------

@@ -668,6 +668,10 @@ class TestFeaturizeVideo:
 
 # The valid [3, 6, 6] map that write_feature_file's kinds are made from.
 GOOD = np.arange(1.0, 109.0).reshape(3, 6, 6) / 7
+# The kinds whose header holds other dims than GOOD's.
+FEATURE_FILE_SHAPES = {"other-shape": (3, 4, 5), "same-length-other-shape": (3, 4, 9),
+                       "same-length-f32": (3, 6, 12), "2-d": (6, 6),
+                       "non-finite-other-shape": (3, 4, 5)}
 
 
 def write_feature_file(path, kind: str, shift: float = 0.0) -> None:
@@ -686,6 +690,8 @@ def write_feature_file(path, kind: str, shift: float = 0.0) -> None:
         path.write_bytes(layout_bytes(GOOD.shape, "f64", np.where(GOOD > 9, np.inf, 1.0)))
     elif kind == "non-finite-f32":
         path.write_bytes(layout_bytes(GOOD.shape, "f32", np.full(108, np.nan)))
+    elif kind == "non-finite-other-shape":  # the per-snippet reader checks values before shape
+        path.write_bytes(layout_bytes((3, 4, 5), "f64", np.full(60, -np.inf)))
     elif kind == "bad-version":  # same length as an f64 map, header differs
         blob = bytearray(layout_bytes(GOOD.shape, "f64", GOOD))
         blob[4] = 9
@@ -699,10 +705,9 @@ def write_feature_file(path, kind: str, shift: float = 0.0) -> None:
 
 
 class TestFileSourceBlockRead:
-    """FileFeatureSource reads a block's files into one array when they share
-    one layout, and parses them one by one otherwise; either way it gives
-    the per-snippet reader's bits, or its error for the first bad snippet,
-    a map of another shape than the first included."""
+    """FileFeatureSource reads a block's files into one array, each opened
+    once; it gives the per-snippet reader's bits, or its error for the
+    first bad snippet, a map of another shape than the first included."""
 
     @pytest.mark.parametrize("kinds, error", [
         (("f64",) * 4, None),
@@ -724,6 +729,7 @@ class TestFileSourceBlockRead:
         (("f64", "f32", "unnamed", "2-d"), DataError),
         (("f64", "other-shape", "directory", "non-finite"), DataError),
         (("f32", "2-d", "f64", "f64"), DataError),
+        (("f64", "non-finite-other-shape", "f64", "2-d"), TensorFormatError),
     ])
     def test_matches_the_per_snippet_source(self, tmp_path, monkeypatch, kinds, error):
         for i, kind in enumerate(kinds):
@@ -749,7 +755,7 @@ class TestFileSourceBlockRead:
                 return type(e), str(e)
 
         want = outcome(per_snippet_source_featurize_video, PerSnippetFileSource(tmp_path))
-        monkeypatch.setattr("tapgen.fusion.open", counting_open, raising=False)
+        monkeypatch.setattr("tapgen.tensorio.open", counting_open, raising=False)
         got = outcome(featurize_video, FileFeatureSource(tmp_path))
         monkeypatch.undo()
         if error is None:
@@ -758,9 +764,10 @@ class TestFileSourceBlockRead:
         else:
             assert got[0] is error
             assert got == want
-        # each file once, in index order, up to the first one that cannot be read
-        stop = next((i for i, k in enumerate(kinds) if k in ("missing", "directory", "unnamed")),
-                    len(kinds) - 1)
+        # each file once, in index order, up to the first whose open, header, size or shape fails
+        shapes = [FEATURE_FILE_SHAPES.get(k, GOOD.shape) for k in kinds]
+        stop = next((i for i, k in enumerate(kinds) if shapes[i] != shapes[0] or k in (
+            "missing", "directory", "unnamed", "truncated", "bad-version", "2-d")), len(kinds) - 1)
         assert opened == [f"s{i}.aent" for i in range(stop + (kinds[stop] != "unnamed"))]
 
     @pytest.mark.parametrize("bad", [0, 1])

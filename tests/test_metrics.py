@@ -219,7 +219,8 @@ class TestEvaluate:
         assert len(ACTIVITYNET_THRESHOLDS) == 10
         assert ACTIVITYNET_THRESHOLDS[0] == 0.5
         assert ACTIVITYNET_THRESHOLDS[-1] == 0.95
-        assert len(THUMOS_THRESHOLDS) == 6
+        assert len(THUMOS_THRESHOLDS) == 11
+        assert THUMOS_THRESHOLDS[:-1] == ACTIVITYNET_THRESHOLDS
         assert THUMOS_THRESHOLDS[-1] == 1.0
 
     def test_serialization_roundtrip(self):

@@ -65,7 +65,7 @@ from tapgen.tensorio import (
     manifest_to_dict,
     read_manifest,
     read_tensor,
-    tensor_block_from_bytes,
+    read_tensors,
     write_manifest,
     write_tensor,
 )
@@ -520,6 +520,48 @@ def test_read_tensor_equals_the_whole_file_read(dims, dtype, odd, cut, header_by
         assert read_outcome(read_tensor, path) == read_outcome(whole_file_read_tensor, path)
 
 
+@PROPERTY
+@given(kinds=st.lists(st.sampled_from(["f64", "f64", "f32", "non-finite", "truncated",
+                                       "bad-version", "other-dims", "missing"]),
+                      min_size=1, max_size=6),
+       dims=st.lists(st.integers(1, 4), min_size=1, max_size=3))
+def test_read_tensors_stacks_each_files_read_tensor(kinds, dims):
+    """read_tensors gives the np.stack of each file's read_tensor bit for
+    bit, or the error of the first file that read_tensor refuses; a file
+    of other dims than the first file's gets the reader's own error."""
+    with tempfile.TemporaryDirectory() as d:
+        paths = [os.path.join(d, f"t{i}.aent") for i in range(len(kinds))]
+        for i, (path, kind) in enumerate(zip(paths, kinds)):
+            shape = (*dims, 2) if kind == "other-dims" else tuple(dims)
+            values = np.arange(1.0, math.prod(shape) + 1.0) + i / 3
+            values[-1] = math.nan if kind == "non-finite" else values[-1]
+            blob = bytearray(layout_bytes(shape, "f32" if kind == "f32" else "f64", values))
+            if kind == "bad-version":
+                blob[4] = 9
+            if kind != "missing":
+                with open(path, "wb") as fh:
+                    fh.write(blob[:-1] if kind == "truncated" else blob)
+        want, arrays = None, []
+        for path in paths:
+            try:
+                array = read_tensor(path).array
+            except (TensorFormatError, OSError) as e:
+                want = type(e), str(e)
+                break
+            if arrays and array.shape != arrays[0].shape:
+                want = TensorFormatError, (f"{path}: dims {array.shape}, expected "
+                                           f"{arrays[0].shape} as in {paths[0]}")
+                break
+            arrays.append(array)
+        try:
+            block = read_tensors(paths)
+        except (TensorFormatError, OSError) as e:
+            assert (type(e), str(e)) == want
+            return
+    assert want is None and block.tobytes() == np.stack(arrays).tobytes()
+    assert block.shape == (len(paths), *arrays[0].shape)
+
+
 def test_duration_labels_spot_checks_at_long_videos():
     rng = np.random.default_rng(77)
     for T, D in ((120, 120), (200, 64), (200, 200)):
@@ -798,8 +840,8 @@ def test_batched_featurize_missing_file_names_video_and_snippet(tmp_path):
 # occur, with every kind of bad file among them.
 feature_file_kinds = st.sampled_from(
     ["f64"] * 8 + ["f32"] * 3 + ["other-shape", "same-length-other-shape", "same-length-f32",
-                                 "2-d", "non-finite", "non-finite-f32", "bad-version",
-                                 "truncated", "directory", "missing", "unnamed"])
+                                 "2-d", "non-finite", "non-finite-f32", "non-finite-other-shape",
+                                 "bad-version", "truncated", "directory", "missing", "unnamed"])
 
 
 @settings(PROPERTY, max_examples=80)
@@ -854,24 +896,25 @@ json_values = st.recursive(
     tail=st.binary(max_size=12),
 )
 def test_tensor_parser_raises_only_tensor_format_error(dtype, edits, cut, tail):
-    """read_tensor raises only TensorFormatError, and the block parser
-    rejects exactly the files read_tensor rejects, else gives its bits."""
+    """read_tensor raises only TensorFormatError, and read_tensors of the
+    file twice raises its error, else gives its bits twice."""
     blob = bytearray(layout_bytes((2, 3), dtype, np.arange(1.0, 7.0)))
     for pos, byte in edits:
         blob[pos % len(blob)] = byte
     blob = bytes(blob[: cut % (len(blob) + 1)]) + tail
-    block = tensor_block_from_bytes([blob])
     with tempfile.TemporaryDirectory() as d:
         path = os.path.join(d, "t.aent")
         with open(path, "wb") as fh:
             fh.write(blob)
         try:
             t = read_tensor(path)
-        except TensorFormatError:
-            assert block is None
+        except TensorFormatError as e:
+            with pytest.raises(TensorFormatError, match=rf"^{re.escape(str(e))}$"):
+                read_tensors([path, path])
             return
+        block = read_tensors([path, path])
     assert t.array.dtype == np.float64 and np.isfinite(t.array).all()
-    assert block.shape == (1, *t.dims) and block.tobytes() == t.array.tobytes()
+    assert block.shape == (2, *t.dims) and block.tobytes() == t.array.tobytes() * 2
 
 
 def valid_manifest_doc():

@@ -1,4 +1,5 @@
 import dataclasses
+import io
 import json
 import math
 import os
@@ -22,6 +23,7 @@ from tapgen.tensorio import (
     manifest_to_dict,
     read_manifest,
     read_tensor,
+    read_tensors,
     write_manifest,
     write_proposals,
     write_tensor,
@@ -351,7 +353,9 @@ class TestReadTensorInPlace:
         path = tmp_path / "t.aent"
         path.write_bytes(layout_bytes((4, 4), "f64", np.ones((4, 4))))
         t = read_tensor(path)
-        assert t.array.base is None and t.array.flags.writeable and t.array.flags.owndata
+        base = t.array.base  # the reader's one [1, 4, 4] block, or the array itself
+        assert base is None or base.nbytes == t.array.nbytes
+        assert t.array.flags.writeable and t.array.flags.c_contiguous
 
     @pytest.mark.parametrize("blob", [
         pytest.param(b"", id="empty"),
@@ -391,6 +395,59 @@ class TestReadTensorInPlace:
         got = read_outcome(read_tensor, path)
         assert got[0] is TensorFormatError
         assert got == read_outcome(whole_file_read_tensor, path)
+
+
+class TestReadTensors:
+    """read_tensors reads files of one dims into one [B, *dims] array."""
+
+    def test_f32_and_f64_files_of_one_shape_are_one_array(self, tmp_path):
+        values = np.random.default_rng(5).standard_normal((3, 2, 4)) * 1e30
+        paths = [tmp_path / f"t{i}.aent" for i in range(3)]
+        for path, dtype, v in zip(paths, ["f32", "f64", "f32"], values):
+            path.write_bytes(layout_bytes(v.shape, dtype, v))
+        block = read_tensors(paths)
+        assert block.dtype == np.float64 and block.shape == (3, 2, 4)
+        assert block.tobytes() == np.stack([read_tensor(p).array for p in paths]).tobytes()
+        assert block[0].tobytes() == values[0].astype(np.float32).astype(np.float64).tobytes()
+        assert block[1].tobytes() == values[1].tobytes()
+
+    def test_a_check_that_refuses_a_later_file_waits_for_the_earlier_ones(self, tmp_path):
+        """check sees each fully parsed file, and a file it refuses is
+        raised only once the files before it are known to be finite."""
+        paths = [tmp_path / f"t{i}.aent" for i in range(3)]
+        paths[0].write_bytes(layout_bytes((2, 3), "f64", [1.0, 2.0, np.inf, 4.0, 5.0, 6.0]))
+        paths[1].write_bytes(layout_bytes((2, 3), "f64", np.arange(6.0)))  # as t0's header
+        paths[2].write_bytes(layout_bytes((2, 3), "f32", np.arange(6.0)))
+        seen = []
+
+        def check(name, dims, first):
+            seen.append((os.path.basename(name), dims, first))
+            if name.endswith("t2.aent"):
+                raise ValueError("refused")
+
+        with pytest.raises(TensorFormatError) as e:
+            read_tensors(paths, check)
+        assert str(e.value) == f"{paths[0]}: non-finite values in payload"
+        assert seen == [("t0.aent", (2, 3), None), ("t2.aent", (2, 3), (2, 3))]
+        paths[0].write_bytes(layout_bytes((2, 3), "f64", np.arange(6.0)))
+        with pytest.raises(ValueError, match="^refused$"):
+            read_tensors(paths, check)
+
+    def test_a_payload_read_in_short_pieces_is_read_whole(self, tmp_path, monkeypatch):
+        """One read may return less than it was asked for (on Linux, one
+        read stops short of 2 GiB), so the payload is read until it is full."""
+
+        class ShortReads(io.FileIO):
+            def readinto(self, buffer):
+                with memoryview(buffer) as view:
+                    return super().readinto(view[:7])
+
+        values = np.random.default_rng(6).standard_normal((4, 5))
+        path = tmp_path / "t.aent"
+        path.write_bytes(layout_bytes(values.shape, "f64", values))
+        monkeypatch.setattr("tapgen.tensorio.open", lambda p, *a, **k: ShortReads(p),
+                            raising=False)
+        assert read_tensor(path).array.tobytes() == values.tobytes()
 
 
 class TestTensorWrites:
