@@ -11,8 +11,8 @@ stage's arguments reach each process once. eval then pools its stage's
 results, one video's proposals each, into AR@AN.
 Each command imports the heavy modules only it uses (fusion, metrics,
 synth, the process pool) itself, so a process pays for no other stage.
-Exit codes: 0 success, 1 validation/data error, 2 partial failure under
---keep-going.
+Exit codes: 0 success, 1 validation/data error (on an `error: ...` line),
+2 partial failure under --keep-going or a usage error that click reports.
 """
 
 from __future__ import annotations
@@ -20,7 +20,6 @@ from __future__ import annotations
 import dataclasses
 import functools
 import glob
-import json
 import os
 import sys
 import time
@@ -38,6 +37,7 @@ from tapgen.tensorio import (
     Tensor,
     atomic_write_bytes,
     load_proposals,
+    read_json,
     read_manifest,
     read_tensor,
     write_json,
@@ -74,37 +74,34 @@ def _use_config(ctx, param, path: str | None) -> None:
     """
     if path is None:
         return
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
-    except (ValueError, RecursionError) as e:  # bad JSON or UTF-8, or nesting too deep
-        raise click.ClickException(f"config {path}: not valid JSON ({e})") from e
-    if not isinstance(doc, dict):
-        raise click.ClickException(f"config {path}: must be a JSON object")
     options = {
         p.name: p
         for cmd in (ctx.command, *ctx.command.commands.values())
         for p in cmd.params
         if p.expose_value and not p.required and p.name not in FLAG_ONLY
     }
-    doc = {key: str(value) for key, value in doc.items()}
-    for key, text in doc.items():
-        if key not in options:
-            raise click.ClickException(f"config {path}: unknown field {key!r}")
-        try:
-            options[key].type_cast_value(ctx, text)
-        except click.BadParameter as e:
-            raise click.ClickException(f"config {path}: field {key!r}: {e.message}") from e
+    with _exit_on_error("config "):
+        doc = read_json(path)
+        if not isinstance(doc, dict):
+            raise InvalidInputError(f"{path}: must be a JSON object")
+        doc = {key: str(value) for key, value in doc.items()}
+        for key, text in doc.items():
+            if key not in options:
+                raise InvalidInputError(f"{path}: unknown field {key!r}")
+            try:
+                options[key].type_cast_value(ctx, text)
+            except click.BadParameter as e:
+                raise InvalidInputError(f"{path}: field {key!r}: {e.message}") from e
     ctx.default_map = {**doc, **{name: doc for name in ctx.command.commands}}
 
 
 @contextmanager
-def _exit_on_error():
-    """Stop the run with `error: ...` and exit code 1 on a TapgenError or OSError."""
+def _exit_on_error(prefix: str = ""):
+    """Stop the run with `error: <prefix>...` and exit code 1 on a TapgenError or OSError."""
     try:
         yield
     except (TapgenError, OSError) as e:
-        click.echo(f"error: {e}", err=True)
+        click.echo(f"error: {prefix}{e}", err=True)
         sys.exit(1)
 
 
@@ -116,10 +113,10 @@ def _manifest_paths(manifest_dir: str, out: str) -> dict[str, str]:
     with _exit_on_error():
         if os.path.isdir(out) and os.path.samefile(out, manifest_dir):
             raise DataError(f"{out}: is the --manifests directory; give another --out")
-    paths = sorted(glob.glob(os.path.join(manifest_dir, "*.json")))
-    paths = [p for p in paths if not os.path.basename(p).startswith("run_summary")]
-    if not paths:
-        raise click.ClickException(f"no manifests found in {manifest_dir}")
+        paths = sorted(glob.glob(os.path.join(manifest_dir, "*.json")))
+        paths = [p for p in paths if os.path.basename(p) != "run_summary.json"]
+        if not paths:
+            raise DataError(f"{manifest_dir}: no manifests found")
     return {os.path.splitext(os.path.basename(p))[0]: p for p in paths}
 
 
@@ -272,14 +269,15 @@ def cmd_synth(ctx, n_videos, max_actions, t_min, t_max, d_policy, write_grids, o
     from tapgen import synth
 
     seed = ctx.obj["seed"]
-    if not 1 <= n_videos <= MAX_VIDEOS:  # before the job table is built
-        raise click.ClickException(f"need 1 <= --n-videos <= {MAX_VIDEOS}, got {n_videos}")
-    if not 1 <= t_min <= t_max <= _MAX_SNIPPETS:  # every later stage rejects a longer video
-        raise click.ClickException(f"need 1 <= --t-min <= --t-max <= {_MAX_SNIPPETS}, "
-                                   f"got --t-min {t_min} and --t-max {t_max}")
-    if not 0 <= max_actions <= _MAX_SNIPPETS:  # no video holds more actions than snippets
-        raise click.ClickException(f"need 0 <= --max-actions <= {_MAX_SNIPPETS}, "
-                                   f"got {max_actions}")
+    with _exit_on_error():
+        if not 1 <= n_videos <= MAX_VIDEOS:  # before the job table is built
+            raise InvalidInputError(f"need 1 <= --n-videos <= {MAX_VIDEOS}, got {n_videos}")
+        if not 1 <= t_min <= t_max <= _MAX_SNIPPETS:  # every later stage rejects a longer video
+            raise InvalidInputError(f"need 1 <= --t-min <= --t-max <= {_MAX_SNIPPETS}, "
+                                    f"got --t-min {t_min} and --t-max {t_max}")
+        if not 0 <= max_actions <= _MAX_SNIPPETS:  # no video holds more actions than snippets
+            raise InvalidInputError(f"need 0 <= --max-actions <= {_MAX_SNIPPETS}, "
+                                    f"got {max_actions}")
     manifest_dir = os.path.join(out, "manifests")
     grid_dir = os.path.join(out, "grids")
     jobs = {synth.VIDEO_ID.format(i): i for i in range(n_videos)}

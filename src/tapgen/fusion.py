@@ -53,7 +53,6 @@ of stages that never run the stub.
 
 from __future__ import annotations
 
-import json
 import math
 import operator
 import os
@@ -64,7 +63,8 @@ from dataclasses import asdict, dataclass, fields
 import numpy as np
 
 from tapgen.errors import ConfigError, DataError, InvalidInputError
-from tapgen.tensorio import Tensor, read_tensor, read_tensors, write_json, write_tensor
+from tapgen.tensorio import (Tensor, check_fields, read_json, read_tensor, read_tensors,
+                             write_json, write_tensor)
 from tapgen.timeline import build_grid
 
 LN_EPS = 1e-5
@@ -577,28 +577,16 @@ def random_weights(cfg: FusionConfig, seed: int) -> FusionWeights:
     return FusionWeights(cfg, params)
 
 
-def _no_unknown_fields(obj: dict, known, where: str, prefix: str) -> None:
-    for key in obj:
-        if key not in known:
-            raise ConfigError(f"{where}: unknown field '{prefix}{key}'")
-
-
 def _config_from_index(index, where: str) -> FusionConfig:
     """Validate index.json down to each config field; errors name the field."""
     if not isinstance(index, dict):
         raise ConfigError(f"{where}: top level must be an object")
-    _no_unknown_fields(index, ("config", "params"), where, "")
+    check_fields(index, ("config", "params"), where, ConfigError)
     for key in ("config", "params"):
-        if key not in index:
-            raise ConfigError(f"{where}: missing field {key!r}")
         if not isinstance(index[key], dict):
             raise ConfigError(f"{where}: field {key!r} must be an object")
     c = index["config"]
-    names = [f.name for f in fields(FusionConfig)]
-    _no_unknown_fields(c, names, where, "config.")
-    for name in names:
-        if name not in c:
-            raise ConfigError(f"{where}: missing field 'config.{name}'")
+    check_fields(c, [f.name for f in fields(FusionConfig)], where, ConfigError, "config.")
     try:
         return FusionConfig(**c)
     except ConfigError as e:
@@ -610,23 +598,18 @@ def load_weights(directory: str | os.PathLike) -> FusionWeights:
 
     Every index field and every parameter shape is checked, and a field
     the config has no use for is rejected; a bad one raises ConfigError
-    naming the file and the field.
+    naming the file and the field. An index.json that does not decode is
+    read_json's InvalidInputError.
     """
     directory = os.fspath(directory)
     index_path = os.path.join(directory, "index.json")
-    with open(index_path, "r", encoding="utf-8") as fh:
-        try:
-            index = json.load(fh)
-        except (ValueError, RecursionError) as e:  # bad JSON or UTF-8, or nesting too deep
-            raise ConfigError(f"{index_path}: not valid JSON ({e})") from e
+    index = read_json(index_path)
     cfg = _config_from_index(index, index_path)
     files, shapes = index["params"], _param_shapes(cfg)
-    _no_unknown_fields(files, shapes, index_path, "params.")
+    check_fields(files, shapes, index_path, ConfigError, "params.")
     params = {}
     for name, shape in shapes.items():
-        fname = files.get(name)
-        if fname is None:
-            raise ConfigError(f"{index_path}: missing field 'params.{name}'")
+        fname = files[name]
         if not isinstance(fname, str) or "\0" in fname:
             raise ConfigError(f"{index_path}: field 'params.{name}' must be a file name")
         path = os.path.join(directory, fname)

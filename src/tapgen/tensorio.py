@@ -33,7 +33,8 @@ SnippetEntry values, a row view for library callers.
 
 Every JSON file tapgen writes (manifests, proposal files, eval.json, run
 summaries, a weight bundle's index.json) goes through write_json: indent
-2, sorted keys, a final newline, written atomically.
+2, sorted keys, a final newline, written atomically. Every JSON file it
+reads (those, and a --config file) goes through read_json.
 """
 
 from __future__ import annotations
@@ -76,6 +77,8 @@ __all__ = [
     "read_tensors",
     "read_manifest",
     "write_manifest",
+    "read_json",
+    "check_fields",
     "write_json",
     "write_proposals",
     "load_proposals",
@@ -488,13 +491,7 @@ def _raise_first_failure(raw_snippets: list, T: int, name: str) -> NoReturn:
 
 
 def read_manifest(source: str | os.PathLike) -> Manifest:
-    name = os.fspath(source)
-    try:
-        with open(source, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
-    except (ValueError, RecursionError) as e:  # bad JSON or UTF-8, or nesting too deep
-        raise ManifestValidationError(name, f"invalid JSON: {e}") from e
-    return manifest_from_dict(doc, name=name)
+    return manifest_from_dict(read_json(source), name=os.fspath(source))
 
 
 def manifest_to_dict(m: Manifest) -> dict:
@@ -517,6 +514,28 @@ def manifest_to_dict(m: Manifest) -> dict:
             for i, f, n in zip(s.indices.tolist(), s.feature_files, s.box_counts.tolist())
         ],
     }
+
+
+def read_json(source: str | os.PathLike, **options):
+    """The document of the JSON file source, read as UTF-8 with the json options
+    given. One that does not decode (bad JSON or UTF-8, or nesting too deep) is
+    an InvalidInputError that starts with its path; an OSError propagates."""
+    try:
+        with open(source, "r", encoding="utf-8") as fh:
+            return json.load(fh, **options)
+    except (ValueError, RecursionError) as e:
+        raise InvalidInputError(f"{os.fspath(source)}: not valid JSON ({e})") from e
+
+
+def check_fields(obj: dict, fields, where: str, error=InvalidInputError, prefix: str = "") -> None:
+    """Refuse a key of obj that is not in fields, then a field that obj lacks,
+    as error("<where>: unknown field '<prefix><key>'") or "... missing field ..."."""
+    for key in obj:
+        if key not in fields:
+            raise error(f"{where}: unknown field {prefix + key!r}")
+    for name in fields:
+        if name not in obj:
+            raise error(f"{where}: missing field {prefix + name!r}")
 
 
 def write_json(destination: str | os.PathLike, doc) -> None:
@@ -548,24 +567,16 @@ def load_proposals(proposal_dir: str, vid: str) -> Candidates | None:
     path = _proposal_path(proposal_dir, vid)
     if not os.path.exists(path):
         return None
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            # integers as floats: an overlong integer becomes inf and fails below
-            doc = json.load(fh, parse_int=float)
-        except (ValueError, RecursionError) as e:  # bad JSON or UTF-8, or nesting too deep
-            raise InvalidInputError(f"{path}: not valid JSON ({e})") from e
+    # integers as floats: an overlong integer becomes inf and fails below
+    doc = read_json(path, parse_int=float)
     if not isinstance(doc, list):
         raise InvalidInputError(f"{path}: top level must be a list of proposals")
     for k, entry in enumerate(doc):
         where = f"{path}: entry {k}"
         if not isinstance(entry, dict):
             raise InvalidInputError(f"{where}: must be an object")
-        for name in entry:
-            if name not in PROPOSAL_FIELDS:
-                raise InvalidInputError(f"{where}: unknown field {name!r}")
+        check_fields(entry, PROPOSAL_FIELDS, where)
         for name in PROPOSAL_FIELDS:
-            if name not in entry:
-                raise InvalidInputError(f"{where}: missing field {name!r}")
             v = entry[name]
             if not isinstance(v, float) or not math.isfinite(v):
                 raise InvalidInputError(

@@ -133,7 +133,7 @@ class TestSynth:
         r = invoke(runner, [*head, "synth", "--n-videos", "2", *given,
                             "--out", str(tmp_path / "s")])
         assert r.exit_code == 1
-        assert r.output == (f"Error: need 0 <= --max-actions <= {_MAX_SNIPPETS}, "
+        assert r.output == (f"error: need 0 <= --max-actions <= {_MAX_SNIPPETS}, "
                             f"got {max_actions}\n")
         assert calls == [] and not (tmp_path / "s").exists()
 
@@ -159,7 +159,7 @@ class TestSynth:
         given = ["--n-videos", str(n_videos)] if via == "flag" else []
         r = invoke(runner, [*head, "synth", *given, "--out", str(tmp_path / "s")])
         assert r.exit_code == 1
-        assert r.output == f"Error: need 1 <= --n-videos <= {cli.MAX_VIDEOS}, got {n_videos}\n"
+        assert r.output == f"error: need 1 <= --n-videos <= {cli.MAX_VIDEOS}, got {n_videos}\n"
         assert not (tmp_path / "s").exists()
 
     def test_n_videos_at_the_cap_runs(self, runner, tmp_path, monkeypatch):
@@ -888,10 +888,23 @@ class TestErrorHandling:
 
     def test_missing_manifest_dir_contents(self, runner, tmp_path):
         os.makedirs(tmp_path / "empty")
+        (tmp_path / "empty/run_summary.json").write_text("{}")  # a summary is not a manifest
         r = invoke(runner, ["labels", "--manifests", str(tmp_path / "empty"),
                             "--out", str(tmp_path / "labels")])
         assert r.exit_code == 1
         assert "no manifests" in r.output
+        assert r.stderr == f"error: {tmp_path / 'empty'}: no manifests found\n"
+        assert not (tmp_path / "labels").exists()
+
+    def test_a_manifest_whose_name_starts_with_run_summary_is_read(self, runner, tmp_path):
+        invoke(runner, ["synth", "--n-videos", "2", "--out", str(tmp_path / "corpus")])
+        corpus = tmp_path / "corpus/manifests"
+        os.rename(corpus / "synth_0001.json", corpus / "run_summary_clip.json")
+        (corpus / "run_summary.json").write_text("{}")  # only this name is skipped
+        r = invoke(runner, ["labels", "--manifests", str(corpus), "--out", str(tmp_path / "l")])
+        assert r.exit_code == 0, r.output
+        summary = json.loads((tmp_path / "l/run_summary.json").read_text())
+        assert summary["completed"] == ["run_summary_clip", "synth_0000"]
 
 
 class TestConfigFile:

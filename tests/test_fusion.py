@@ -951,7 +951,7 @@ class TestWeightBundleValidation:
     def test_non_json_index(self, tmp_path):
         directory = _bundle(tmp_path)
         (directory / "index.json").write_text("{not json")
-        with pytest.raises(ConfigError, match=r"index\.json: not valid JSON"):
+        with pytest.raises(InvalidInputError, match=r"index\.json: not valid JSON"):
             load_weights(directory)
 
     def test_parameter_file_name_with_nul(self, tmp_path):
@@ -965,7 +965,7 @@ class TestWeightBundleValidation:
     def test_deeply_nested_index(self, tmp_path):
         directory = _bundle(tmp_path)
         (directory / "index.json").write_text("[" * 100_000)
-        with pytest.raises(ConfigError, match=r"index\.json: not valid JSON"):
+        with pytest.raises(InvalidInputError, match=r"index\.json: not valid JSON"):
             load_weights(directory)
 
     def test_non_object_index(self, tmp_path):

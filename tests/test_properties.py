@@ -16,16 +16,18 @@ from unittest.mock import patch
 
 import numpy as np
 import pytest
+from click.testing import CliRunner
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import test_fusion
 from tapgen import fusion, supervision
-from tapgen.cli import load_proposals
+from tapgen.cli import load_proposals, main
 from tapgen.errors import (
     DataError,
     InvalidInputError,
     ManifestValidationError,
+    TapgenError,
     TensorFormatError,
 )
 from tapgen.fusion import (
@@ -1200,6 +1202,77 @@ def test_proposal_loader_raises_only_invalid_input_error(doc, cut):
     for p in proposals:
         assert math.isfinite(p.start_sec) and p.start_sec < p.end_sec
         assert math.isfinite(p.end_sec) and 0.0 <= p.score <= 1.0
+
+
+# Field names of the four JSON files tapgen reads, so that generated objects
+# reach the field checks as well as the decoder.
+JSON_KEYS = st.sampled_from([
+    "video", "annotations", "snippets", "video_id", "num_frames", "fps", "snippet_len",
+    "index", "t_start_sec", "t_end_sec", "score", "config", "params", "channels", "d_model",
+    "num_heads", "num_layers", "ff_dim", "seed", "workers", "keep_going", "n_videos",
+    "t_max", "d_policy", "sigma", "top_k", "preset", "write_grids",
+]) | st.text(max_size=4)
+json_documents = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(JSON_KEYS, inner, max_size=4),
+    max_leaves=4,
+)
+# file name and reader of each library JSON reader, and the options it decodes with
+JSON_READERS = {
+    "manifest": ("m.json", lambda d: read_manifest(os.path.join(d, "m.json")), {}),
+    "proposals": ("v.proposals.json", lambda d: load_proposals(d, "v"), {"parse_int": float}),
+    "index": ("index.json", load_weights, {}),
+}
+
+
+def decodes(payload: bytes, **options) -> bool:
+    try:
+        json.loads(payload.decode("utf-8"), **options)
+    except (ValueError, RecursionError):
+        return False
+    return True
+
+
+@settings(PROPERTY, max_examples=150)
+@given(
+    kind=st.sampled_from([*JSON_READERS, "config"]),
+    payload=st.binary(max_size=40) | st.one_of(
+        json_documents,
+        st.dictionaries(JSON_KEYS, json_documents, min_size=1, max_size=6),  # top level objects
+        st.lists(st.dictionaries(JSON_KEYS, json_documents, max_size=3), max_size=3),
+    ).map(lambda doc: json.dumps(doc).encode()),
+    cut=st.none() | st.integers(0, 60),
+)
+def test_every_json_reader_returns_or_raises_one_error(kind, payload, cut):
+    """A manifest, proposal file or bundle index loads, or raises a
+    TapgenError or an OSError; a --config file runs, or exits 1 on an
+    `error: config <path>` line. Bytes that do not decode are an
+    InvalidInputError, or that exit, starting with the path."""
+    if cut is not None:
+        payload = payload[:cut]
+    name, read, options = JSON_READERS.get(kind, ("cfg.json", None, {}))
+    with tempfile.TemporaryDirectory() as d:
+        path = os.path.join(d, name)
+        with open(path, "wb") as fh:
+            fh.write(payload)
+        if kind == "config":  # explicit flags win, so any accepted config runs one tiny video
+            r = CliRunner().invoke(main, [
+                "--config", path, "synth", "--n-videos", "1", "--max-actions", "0",
+                "--t-min", "1", "--t-max", "1", "--no-grids", "--out", os.path.join(d, "out"),
+            ], catch_exceptions=False)
+            first = r.stderr.partition("\n")[0]
+            assert r.exit_code == 0 or r.exit_code == 1 and first.startswith(
+                f"error: config {path}: "), r.output
+            assert decodes(payload) or first.startswith(f"error: config {path}: not valid JSON")
+            return
+        try:
+            read(d)
+        except (TapgenError, OSError) as e:
+            if not decodes(payload, **options):
+                assert isinstance(e, InvalidInputError)
+                assert str(e).startswith(f"{path}: not valid JSON")
+            return
+        assert decodes(payload, **options)
 
 
 def reference_synth_boxes(rng: np.random.Generator, max_boxes: int = 2) -> tuple:

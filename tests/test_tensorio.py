@@ -656,21 +656,23 @@ class TestManifest:
     def test_deep_nesting_reported(self, tmp_path):
         path = tmp_path / "deep.json"
         path.write_text("[" * 100_000)
-        with pytest.raises(ManifestValidationError, match="invalid JSON"):
+        with pytest.raises(InvalidInputError, match="not valid JSON") as info:
             read_manifest(path)
+        assert str(info.value).startswith(f"{path}: ")
 
     def test_invalid_json_reported(self, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text("{not json")
-        with pytest.raises(ManifestValidationError, match="invalid JSON"):
+        with pytest.raises(InvalidInputError, match="not valid JSON") as info:
             read_manifest(path)
+        assert str(info.value).startswith(f"{path}: ")
 
     def test_non_utf8_reported_with_file_name(self, tmp_path):
         path = tmp_path / "bad.json"
         path.write_bytes(b"\xff\xfe{}")
-        with pytest.raises(ManifestValidationError, match="invalid JSON") as info:
+        with pytest.raises(InvalidInputError, match="not valid JSON") as info:
             read_manifest(path)
-        assert info.value.path == str(path)
+        assert str(info.value).startswith(f"{path}: ")
 
 
 def columnar_manifest_doc():
