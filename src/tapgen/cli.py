@@ -13,12 +13,15 @@ Each command imports the heavy modules only it uses (fusion, metrics,
 synth, the process pool) itself, so a process pays for no other stage.
 Exit codes: 0 success, 1 validation/data error (on an `error: ...` line),
 2 partial failure under --keep-going or a usage error that click reports.
+The process entry point, run, freezes the collector once main has finished,
+so the exit's collections skip what the command left; callers of main do not.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import functools
+import gc
 import glob
 import os
 import sys
@@ -210,7 +213,10 @@ def _run_batch(ctx, jobs: dict, load, out: str, stage, args: tuple):
     return done, errors
 
 
-def _finish(ctx, out_dir: str, config: dict, done, errors, extra: dict | None = None) -> None:
+def _finish(ctx, out_dir: str, config: dict, done, errors, extra: dict | None = None,
+            line: str | None = None) -> None:
+    """Write run_summary.json, then print line, the run's result, on stdout and
+    each error on stderr; exit 1 or 2 on errors, or 1 if stdout fails."""
     summary = {
         "command": ctx.info_name,
         "config": config,
@@ -223,6 +229,9 @@ def _finish(ctx, out_dir: str, config: dict, done, errors, extra: dict | None = 
         **(extra or {}),
     }
     write_json(os.path.join(out_dir, "run_summary.json"), summary)
+    if line is not None:
+        with _exit_on_error("stdout: "):  # a closed pipe, say
+            click.echo(line)
     if errors:
         for name, msg in sorted(errors.items()):
             click.echo(f"error: {name}: {msg}", err=True)
@@ -465,9 +474,17 @@ def cmd_eval(ctx, manifest_dir, proposal_dir, preset, out):
         result = metrics.evaluate(props, gts, thresholds=thresholds)
     write_json(os.path.join(out, "eval.json"), result.to_dict())
     atomic_write_bytes(os.path.join(out, "eval.csv"), result.to_csv().encode("utf-8"))
-    click.echo(f"AUC: {result.auc:.4f}")
-    _finish(ctx, out, {"preset": preset}, done, errors, extra={"auc": result.auc})
+    _finish(ctx, out, {"preset": preset}, done, errors, extra={"auc": result.auc},
+            line=f"AUC: {result.auc:.4f}")
+
+
+def run() -> None:
+    """The process entry point: main, then freeze the collector for the exit."""
+    try:
+        main()
+    finally:
+        gc.freeze()
 
 
 if __name__ == "__main__":
-    main()
+    run()

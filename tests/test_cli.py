@@ -1,6 +1,7 @@
 """End-to-end tests of the batch command line interface."""
 
 import concurrent.futures
+import gc
 import glob
 import hashlib
 import json
@@ -1101,6 +1102,12 @@ def test_jobs_carry_only_a_manifest_path_and_stage_arguments_reach_a_pool_once(
             "eval": str(proposals) in carried}[stage]
 
 
+def fresh_env() -> dict:
+    """The environment of a fresh interpreter that imports this tapgen."""
+    src = os.path.dirname(os.path.dirname(tapgen.__file__))
+    return {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+
+
 def test_cli_import_loads_no_stage_only_module():
     """Each command imports its heavy modules itself, so a stage process
     starts without the others' (checked in a fresh interpreter)."""
@@ -1108,10 +1115,8 @@ def test_cli_import_loads_no_stage_only_module():
                   "multiprocessing", "numpy.random")
     code = ("import sys, tapgen.cli; "
             f"print(*[m for m in {stage_only!r} if m in sys.modules])")
-    src = os.path.dirname(os.path.dirname(tapgen.__file__))
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
-    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
-                         check=True, timeout=60)
+    out = subprocess.run([sys.executable, "-c", code], env=fresh_env(), capture_output=True,
+                         text=True, check=True, timeout=60)
     assert out.stdout.strip() == ""
 
 
@@ -1136,12 +1141,94 @@ def test_featurize_from_files_loads_neither_openssl_nor_numpy_random(runner, tmp
             "print(*[m for m in ('_hashlib', 'numpy.random') if m in sys.modules])")
     args = ["featurize", "--manifests", str(manifests), "--weights", str(tmp_path / "bundle"),
             *([] if stub else ["--features", str(features)]), "--out", str(tmp_path / "out")]
-    src = os.path.dirname(os.path.dirname(tapgen.__file__))
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
-    out = subprocess.run([sys.executable, "-c", code, *args], env=env, capture_output=True,
-                         text=True, check=True, timeout=60)
+    out = subprocess.run([sys.executable, "-c", code, *args], env=fresh_env(),
+                         capture_output=True, text=True, check=True, timeout=60)
     assert out.stdout.strip() == loaded
     assert len(glob.glob(str(tmp_path / "out" / "*.features.aent"))) == 2
+
+
+class TestProcessEntryPoint:
+    """`python -m tapgen.cli` in a fresh interpreter, through run: the exit
+    codes, stderr and stdout that a shell sees."""
+
+    @staticmethod
+    def tapgen(*args, stdout=subprocess.PIPE):
+        return subprocess.run([sys.executable, "-m", "tapgen.cli", *map(str, args)],
+                              env=fresh_env(), stdout=stdout, stderr=subprocess.PIPE,
+                              text=True, timeout=60)
+
+    @pytest.fixture
+    def corpus(self, runner, tmp_path):
+        """A 3-video oracle corpus and its proposals, made in-process: AUC 100."""
+        invoke(runner, ["synth", "--n-videos", "3", "--max-actions", "1",
+                        "--out", str(tmp_path / "corpus")])
+        invoke(runner, ["infer", "--manifests", str(tmp_path / "corpus/manifests"),
+                        "--grids", str(tmp_path / "corpus/grids"),
+                        "--out", str(tmp_path / "proposals")])
+        return tmp_path
+
+    def test_synth_exits_0(self, tmp_path):
+        p = self.tapgen("synth", "--n-videos", "2", "--out", tmp_path / "corpus")
+        assert p.returncode == 0, p.stderr
+        assert len(os.listdir(tmp_path / "corpus/manifests")) == 2
+
+    def test_labels_on_an_empty_directory_exits_1_on_an_error_line(self, tmp_path):
+        (tmp_path / "empty").mkdir()
+        p = self.tapgen("labels", "--manifests", tmp_path / "empty", "--out", tmp_path / "out")
+        assert p.returncode == 1
+        assert p.stderr.splitlines()[0] == f"error: {tmp_path / 'empty'}: no manifests found"
+
+    def test_keep_going_with_one_bad_manifest_exits_2_and_writes_a_summary(self, corpus):
+        (corpus / "corpus/manifests/bad.json").write_text("{not json")
+        p = self.tapgen("--keep-going", "labels", "--manifests", corpus / "corpus/manifests",
+                        "--out", corpus / "labels")
+        assert p.returncode == 2
+        assert p.stderr.startswith("error: bad: ")
+        summary = json.loads((corpus / "labels/run_summary.json").read_text())
+        assert (summary["num_completed"], list(summary["errors"])) == (3, ["bad"])
+
+    def test_a_flag_value_click_rejects_exits_2_on_its_error_line(self, tmp_path):
+        p = self.tapgen("--workers", "0", "synth", "--out", tmp_path / "corpus")
+        assert p.returncode == 2
+        assert any(line.startswith("Error: Invalid value for '--workers'")
+                   for line in p.stderr.splitlines())
+        assert not (tmp_path / "corpus").exists()
+
+    def test_eval_prints_its_auc_line(self, corpus):
+        p = self.tapgen("eval", "--manifests", corpus / "corpus/manifests",
+                        "--proposals", corpus / "proposals", "--out", corpus / "eval")
+        assert (p.returncode, p.stdout, p.stderr) == (0, "AUC: 100.0000\n", "")
+
+    def test_eval_into_a_closed_pipe_writes_its_summary_and_exits_1_on_an_error_line(
+            self, corpus):
+        """The AUC line cannot be written, but the run already wrote what it ran."""
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            p = self.tapgen("eval", "--manifests", corpus / "corpus/manifests",
+                            "--proposals", corpus / "proposals", "--out", corpus / "eval",
+                            stdout=write_end)
+        finally:
+            os.close(write_end)
+        assert p.returncode == 1
+        assert p.stderr.startswith("error: stdout: ")
+        summary = json.loads((corpus / "eval/run_summary.json").read_text())
+        assert (summary["num_completed"], summary["auc"]) == (3, 100.0)
+
+    def test_run_freezes_the_collector_and_main_in_process_does_not(self, runner, tmp_path):
+        """Objects alive when the command ends are frozen before the exit's
+        collections; a caller of main keeps a normal collector."""
+        code = ("import atexit, gc\nfrom tapgen import cli\n"
+                "atexit.register(lambda: print('frozen', gc.get_freeze_count() > 0))\n"
+                "cli.run()\n")
+        p = subprocess.run([sys.executable, "-c", code, "synth", "--n-videos", "1",
+                            "--out", str(tmp_path / "a")], env=fresh_env(),
+                           capture_output=True, text=True, timeout=60)
+        assert (p.returncode, p.stdout) == (0, "frozen True\n"), p.stderr
+        before = gc.get_freeze_count()
+        r = invoke(runner, ["synth", "--n-videos", "1", "--out", str(tmp_path / "b")])
+        assert r.exit_code == 0, r.output
+        assert gc.get_freeze_count() == before
 
 
 # sha256 per artifact kind. A change that moves a byte of any of them
