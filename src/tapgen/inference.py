@@ -7,13 +7,13 @@ the duration-label cell convention. Its score is
 
     start_prob[t_s] * end_prob[t_e] * sqrt(conf_cls[d, t_s] * conf_reg[d, t_s])
 
-form_proposals returns the candidates as Candidates: start, end and score
-columns in float64, with no object per candidate. Indexing it, and so
-iterating it, yields Proposal, a row view for library callers.
+form_proposals returns Candidates: float64 start, end and score columns in
+pairing order, with no object per candidate. Indexing it, and so iterating
+it, yields Proposal, a row view for library callers.
 
 Soft-NMS decays overlapping survivors by exp(-iou^2 / sigma) instead of
 removing them. It works on those columns (a list of Proposal is turned
-into columns once) and builds a Proposal only for each survivor. Each of
+into columns once) and returns the survivors as Candidates too. Each of
 the at most top_k steps takes one IoU vector against the n candidates, so
 it costs O(top_k * n) time and O(n) memory, never an n x n matrix.
 
@@ -88,7 +88,8 @@ class Candidates(Sequence):
     """Scored intervals in seconds as three float64 columns, one row per proposal.
 
     Rows are not checked here: form_proposals builds them from validated
-    grids, load_proposals from checked entries, Candidates.of from Proposals.
+    grids, soft_nms from its input's rows, load_proposals from checked
+    entries, Candidates.of from Proposals.
     """
 
     starts: np.ndarray
@@ -159,9 +160,10 @@ def form_proposals(
 ) -> Candidates:
     """Pair every start peak with later end peaks within the grids' duration range.
 
-    Output is sorted by score descending, ties broken by (start, end)
-    ascending. Grid entries lie in [0, 1] and durations are positive, so
-    every row is a valid Proposal.
+    Rows come in pairing order, unsorted: each start peak as given, with its
+    end peaks as given; for ascending peaks, as find_peaks returns, that is
+    (start, end) order. Grid entries lie in [0, 1] and durations are
+    positive, so every row is a valid Proposal.
     """
     sp, ep = (np.asarray(p, dtype=np.int64) for p in (start_peaks, end_peaks))
     dur = ep[None, :] - sp[:, None]
@@ -172,9 +174,8 @@ def form_proposals(
         * grids.end_probs[te]
         * np.sqrt(grids.conf_cls[d - 1, ts] * grids.conf_reg[d - 1, ts])
     )
-    order = np.lexsort((te, ts, -scores))
     ss = grid.snippet_seconds  # index * ss is the same double in NumPy as in Python
-    return Candidates(starts=ts[order] * ss, ends=te[order] * ss, scores=scores[order])
+    return Candidates(starts=ts * ss, ends=te * ss, scores=scores)
 
 
 # Contenders after t selections are the rows whose ranking score is at least
@@ -205,24 +206,24 @@ def soft_nms(
     sigma: float = 0.4,
     score_floor: float = 0.001,
     top_k: int = 100,
-) -> list[Proposal]:
+) -> Candidates:
     """Gaussian-decay suppression; returns survivors in selection order.
 
     Repeatedly selects the highest-score remaining proposal (ties by
     (start, end) ascending) and decays every other remaining score by
     exp(-iou^2 / sigma). Stops once top_k are selected or all remaining
     scores fall below score_floor. Takes Candidates or any sequence of
-    Proposal. Options InferenceConfig rejects, NaN among them, raise.
+    Proposal, in any order, and returns Candidates. Options InferenceConfig
+    rejects, NaN among them, raise.
     """
     InferenceConfig(sigma, score_floor, top_k)  # its checks, which NaN fails
     pool = Candidates.of(proposals)
-    # Stable (start, end) order makes argmax's first-index rule the tie-break.
+    # Stable (start, end) order makes argmax's first-index rule the tie-break; one pass if sorted.
     order = np.lexsort((pool.ends, pool.starts))
     starts, ends, exact = pool.starts[order], pool.ends[order], pool.scores[order]
     ranking = exact.copy()
     folded = np.zeros(len(exact), dtype=np.intp)  # selections folded into exact
     chosen = np.empty(min(top_k, len(exact)), dtype=np.intp)  # rows, in selection order
-    selected: list[Proposal] = []
     for t in range(len(chosen)):
         m = ranking.max()
         rows = np.flatnonzero(ranking >= m - (abs(m) * (t + 1) * SLACK + TINY))
@@ -240,20 +241,19 @@ def soft_nms(
         folded[rows] = t
         best = int(rows[np.argmax(exact[rows])])  # rows ascend, so ties go to the first
         if exact[best] < score_floor:
+            chosen = chosen[:t]
             break
-        s, e = starts[best], ends[best]
-        selected.append(Proposal(float(s), float(e), float(exact[best])))
-        chosen[t] = best
+        chosen[t] = best  # its exact score is final: never written again
         ranking[best] = -np.inf  # removed from the pool
-        x = broadcast_iou(s, e, starts, ends)
+        x = broadcast_iou(starts[best], ends[best], starts, ends)
         x[chosen[:t + 1]] = 0.0  # removed rows stay at -inf
         x *= x
         x /= -sigma
         ranking *= np.exp(x, out=x)
-    return selected
+    return Candidates(starts[chosen], ends[chosen], exact[chosen])
 
 
-def infer(grids: ScoreGrids, grid: SnippetGrid, cfg: InferenceConfig = InferenceConfig()) -> list[Proposal]:
+def infer(grids: ScoreGrids, grid: SnippetGrid, cfg: InferenceConfig = InferenceConfig()) -> Candidates:
     """Full inference chain; a pure function of its inputs."""
     if grids.T != grid.T:
         raise InvalidInputError(f"score grids T={grids.T} inconsistent with grid T={grid.T}")

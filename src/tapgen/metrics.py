@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import csv
 import io
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -126,7 +127,7 @@ def _recall_table(proposals_per_video, gts_per_video, thresholds, an_values) -> 
 
 
 def recall_at(
-    proposals_per_video: dict[str, list[Proposal]],
+    proposals_per_video: dict[str, Sequence[Proposal]],
     gts_per_video: dict[str, list[GroundTruthAction]],
     tiou: float,
     an: int,
@@ -136,7 +137,7 @@ def recall_at(
 
 
 def evaluate(
-    proposals_per_video: dict[str, list[Proposal]],
+    proposals_per_video: dict[str, Sequence[Proposal]],
     gts_per_video: dict[str, list[GroundTruthAction]],
     thresholds: tuple[float, ...] = ACTIVITYNET_THRESHOLDS,
     an_values: tuple[int, ...] = DEFAULT_AN_VALUES,

@@ -135,8 +135,15 @@ def gen_boundary_labels(
     if not gts:
         return starts, ends, 1
     times = np.array([(gt.start_sec, gt.end_sec) for gt in gts], dtype=np.float64)
-    # argmin returns the first (earliest) index on exact ties
-    nearest = np.argmin(np.abs(grid.centers - times[:, :, None]), axis=2)
+    # Centers strictly increase, so |c - t| is monotone on each side of t: the
+    # nearest center is the last one below t or the first at or above it, the
+    # earlier on an exact tie, as one argmin over every center gives, in O(G)
+    # memory. (Rounded distances tie a run of centers only ~2^51 snippets past
+    # the last; there argmin takes the run's first, this the last center.)
+    c = grid.centers
+    above = np.searchsorted(c, times)
+    below, above = np.maximum(above - 1, 0), np.minimum(above, grid.T - 1)
+    nearest = np.where(np.abs(c[below] - times) <= np.abs(c[above] - times), below, above)
     starts[nearest[:, 0]] = 1.0
     ends[nearest[:, 1]] = 1.0
     return starts, ends, 0

@@ -557,9 +557,10 @@ def _proposal_path(proposal_dir: str, vid: str) -> str:
 
 
 def write_proposals(proposal_dir: str, vid: str, proposals: Sequence[Proposal]) -> None:
-    """Write one video's proposal file, in the order given."""
-    write_json(_proposal_path(proposal_dir, vid),
-               [dict(zip(PROPOSAL_FIELDS, (p.start_sec, p.end_sec, p.score))) for p in proposals])
+    """Write one video's proposal file from Candidates or Proposals, in the order given."""
+    c = Candidates.of(proposals)
+    rows = zip(c.starts.tolist(), c.ends.tolist(), c.scores.tolist())
+    write_json(_proposal_path(proposal_dir, vid), [dict(zip(PROPOSAL_FIELDS, r)) for r in rows])
 
 
 def load_proposals(proposal_dir: str, vid: str) -> Candidates | None:

@@ -42,7 +42,14 @@ from tapgen.fusion import (
     save_weights,
 )
 
-from tapgen.inference import Candidates, find_peaks, form_proposals, soft_nms
+from tapgen.inference import (
+    Candidates,
+    InferenceConfig,
+    find_peaks,
+    form_proposals,
+    infer,
+    soft_nms,
+)
 from tapgen.metrics import (
     ACTIVITYNET_THRESHOLDS,
     DEFAULT_AN_VALUES,
@@ -80,7 +87,13 @@ from test_fusion import (
     reference_featurize_video,
     write_feature_file,
 )
-from test_inference import mk, reference_find_peaks, reference_form_proposals, reference_soft_nms
+from test_inference import (
+    by_interval,
+    mk,
+    reference_find_peaks,
+    reference_form_proposals,
+    reference_soft_nms,
+)
 from test_metrics import brute_force_match_count, gt, si
 from test_supervision import (
     brute_force_duration_labels,
@@ -176,17 +189,48 @@ def peak_lists(draw, T):
     shape=snippet_shapes,
 )
 def test_form_proposals_matches_the_list_reference(T, data, seed, quantized, shape):
-    """Columns hold the reference's proposals, bit for bit and in its order;
-    durations are bounded by the grids' D rows, which may be fewer than T."""
+    """Columns hold the reference's proposals, bit for bit, in pairing order:
+    each start peak as given, with its end peaks as given. Durations are
+    bounded by the grids' D rows, which may be fewer than T."""
     grids = seeded_grids(seed, T, data.draw(st.integers(1, T)), quantized)
     grid = make_grid(T, *shape)
     starts, ends = data.draw(peak_lists(T)), data.draw(peak_lists(T))
     got = form_proposals(starts, ends, grids, grid)
     want = reference_form_proposals(starts, ends, grids, grid)
+    ss = grid.snippet_seconds
+    assert [p.interval for p in got] == [
+        (s * ss, e * ss) for s in starts for e in ends if 1 <= e - s <= grids.D
+    ]
     assert len(got) == len(want)
+    assert [astuple(got[i]) for i in range(len(got))] == [astuple(p) for p in got]
+    assert [astuple(p) for p in by_interval(got)] == [astuple(p) for p in by_interval(want)]
+
+
+@settings(PROPERTY, max_examples=40)
+@given(
+    T=st.integers(1, 40),
+    seed=st.integers(0, 2**32 - 1),
+    quantized=st.sampled_from([True, True, False]),
+    shape=snippet_shapes,
+    sigma=st.sampled_from([0.2, 0.4, 0.8]),
+    floor=st.sampled_from([0.0, 0.001, 0.05]),
+    top_k=st.integers(1, 12),
+)
+def test_infer_equals_soft_nms_of_the_score_sorted_reference(
+    T, seed, quantized, shape, sigma, floor, top_k
+):
+    """Candidates in pairing order select what the score-sorted list of the
+    reference selects, bit for bit: Soft-NMS breaks ties by (start, end),
+    not by its input's order. Quarter-valued grids tie often."""
+    grids = seeded_grids(seed, T, T, quantized)
+    grid = make_grid(T, *shape)
+    got = infer(grids, grid, InferenceConfig(sigma, floor, top_k))
+    ranked = reference_form_proposals(find_peaks(grids.start_probs), find_peaks(grids.end_probs),
+                                      grids, grid)
+    want = soft_nms(ranked, sigma=sigma, score_floor=floor, top_k=top_k)
+    assert isinstance(got, Candidates) and isinstance(want, Candidates)
     assert [astuple(p) for p in got] == [astuple(p) for p in want]
-    assert [astuple(got[i]) for i in range(len(got))] == [astuple(p) for p in want]
-    assert list(got) == want
+    assert [astuple(p) for p in got] == reference_soft_nms(ranked, sigma, floor, top_k)
 
 
 @settings(PROPERTY, max_examples=20)

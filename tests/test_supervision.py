@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -110,6 +111,30 @@ class TestBoundaryLabels:
             idx = int(np.argmax(starts))
             dists = np.abs(grid.centers - gts[0].start_sec)
             assert dists[idx] == dists.min()
+
+    def test_times_past_the_last_center_label_the_last_snippet(self):
+        """The last center is the nearest to any later time. From about 2^51
+        snippets past it the reference's rounded distances tie over a run of
+        centers, and its argmin takes the run's first (snippet 0 for 1e20 s)."""
+        grid = make_grid(10)  # centers 0.5 .. 9.5
+        for start, end in ((9.6, 9.7), (1e14, 1e15), (2.0**60, 1e20), (1e20, math.inf)):
+            starts, ends, _ = gen_boundary_labels(grid, [GroundTruthAction("a", start, end)])
+            assert np.flatnonzero(starts).tolist() == np.flatnonzero(ends).tolist() == [9]
+        _, ends, _ = reference_boundary_labels(grid, [GroundTruthAction("a", 3.0, 1e20)])
+        assert np.flatnonzero(ends).tolist() == [0]
+
+    def test_memory_grows_with_the_annotations_not_with_annotations_times_snippets(self):
+        # a [G, 2, T] float64 array at this size is 62.5 MiB
+        G, T = 2000, 2048
+        grid = make_grid(T)
+        gts = random_gts(np.random.default_rng(5), T, G)
+        tracemalloc.start()
+        try:
+            gen_boundary_labels(grid, gts)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * 2**20
 
 
 @pytest.mark.parametrize("policy, T, D", [

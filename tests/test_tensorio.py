@@ -843,3 +843,21 @@ def test_write_proposals_round_trips_through_load_proposals(tmp_path):
     text = (tmp_path / "v.proposals.json").read_text()
     assert json.loads(text)[0] == {"score": 0.7, "t_end_sec": 0.3, "t_start_sec": 0.1}
     assert text.startswith('[\n  {\n    "score": 0.7,') and text.endswith("}\n]\n")
+
+
+@pytest.mark.parametrize("rows", [
+    [],
+    [(0.1, 0.1 + 0.2, 1 / 3), (16 / 30, 7 * 16 / 30, 5e-324), (0.0, 1e-300, 1.0), (2.0, 2.5, 0.0)],
+])
+def test_write_proposals_writes_the_same_bytes_from_columns_as_from_their_rows(tmp_path, rows):
+    cols = Candidates(*(np.array([r[k] for r in rows], dtype=np.float64) for k in range(3)))
+    assert list(cols) == [Proposal(*r) for r in rows]
+    written = []
+    for name, proposals in (("columns", cols), ("rows", list(cols))):
+        (tmp_path / name).mkdir()
+        write_proposals(str(tmp_path / name), "v", proposals)
+        written.append((tmp_path / name / "v.proposals.json").read_bytes())
+    assert written[0] == written[1]
+    assert json.loads(written[0]) == [
+        {"t_start_sec": a, "t_end_sec": b, "score": c} for a, b, c in rows
+    ]
