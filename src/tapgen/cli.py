@@ -116,7 +116,7 @@ def _manifest_paths(manifest_dir: str, out: str) -> dict[str, str]:
     with _exit_on_error():
         if os.path.isdir(out) and os.path.samefile(out, manifest_dir):
             raise DataError(f"{out}: is the --manifests directory; give another --out")
-        paths = sorted(glob.glob(os.path.join(manifest_dir, "*.json")))
+        paths = sorted(glob.glob(os.path.join(glob.escape(manifest_dir), "*.json")))
         paths = [p for p in paths if os.path.basename(p) != "run_summary.json"]
         if not paths:
             raise DataError(f"{manifest_dir}: no manifests found")

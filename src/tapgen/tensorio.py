@@ -32,9 +32,9 @@ and manifest_to_dict writes from them. Indexing or iterating them builds
 SnippetEntry values, a row view for library callers.
 
 Every JSON file tapgen writes (manifests, proposal files, eval.json, run
-summaries, a weight bundle's index.json) goes through write_json: indent
-2, sorted keys, a final newline, written atomically. Every JSON file it
-reads (those, and a --config file) goes through read_json.
+summaries, a weight bundle's index.json) goes through write_json: one line,
+sorted keys, a final newline, atomically. read_json reads every JSON file
+(those, indented by earlier versions too, and a --config file).
 """
 
 from __future__ import annotations
@@ -539,9 +539,9 @@ def check_fields(obj: dict, fields, where: str, error=InvalidInputError, prefix:
 
 
 def write_json(destination: str | os.PathLike, doc) -> None:
-    """Write doc as every tapgen JSON file is written (module docstring).
-    A doc is a tree, so json.dumps skips its cycle check; the bytes are the same."""
-    payload = json.dumps(doc, indent=2, sort_keys=True, check_circular=False).encode("utf-8")
+    """Write doc as every tapgen JSON file is written (module docstring), through
+    json's C encoder: no indent, and no cycle check, as a doc is a tree."""
+    payload = json.dumps(doc, sort_keys=True, check_circular=False).encode("utf-8")
     atomic_write_bytes(destination, payload, b"\n")
 
 

@@ -72,9 +72,11 @@ from tapgen.tensorio import (
     Tensor,
     manifest_from_dict,
     manifest_to_dict,
+    read_json,
     read_manifest,
     read_tensor,
     read_tensors,
+    write_json,
     write_manifest,
     write_tensor,
 )
@@ -1246,6 +1248,35 @@ def test_proposal_loader_raises_only_invalid_input_error(doc, cut):
     for p in proposals:
         assert math.isfinite(p.start_sec) and p.start_sec < p.end_sec
         assert math.isfinite(p.end_sec) and 0.0 <= p.score <= 1.0
+
+
+# Documents write_json is given: finite floats, -0.0 and 1e-09 among them,
+# ints beyond 64 bits, and strings outside ASCII.
+written_documents = st.recursive(
+    st.none() | st.booleans() | st.integers(-(2**80), 2**80)
+    | st.floats(allow_nan=False, allow_infinity=False)
+    | st.sampled_from([-0.0, 1e-09, 2**63, -(2**64) - 1]) | st.text(max_size=6),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=4), inner,
+                                                                 max_size=4),
+    max_leaves=10,
+)
+
+
+@PROPERTY
+@given(doc=written_documents)
+@example(doc={"é": ["ü\n", -0.0, 1e-09, 2**63 + 1, True, None], "a": {"z": 0, "b": -(2**70)}})
+def test_write_json_writes_one_line_that_read_json_reads_back(doc):
+    """write_json writes json.dumps(doc, sort_keys=True) and a newline, and
+    read_json gives back the doc: the same values of the same types."""
+    with tempfile.TemporaryDirectory() as d:
+        path = os.path.join(d, "doc.json")
+        write_json(path, doc)
+        with open(path, "rb") as fh:
+            payload = fh.read()
+        assert payload == json.dumps(doc, sort_keys=True).encode("utf-8") + b"\n"
+        assert payload.count(b"\n") == 1
+        back = read_json(path)
+    assert back == doc and json.dumps(back, sort_keys=True) == json.dumps(doc, sort_keys=True)
 
 
 # Field names of the four JSON files tapgen reads, so that generated objects

@@ -28,6 +28,7 @@ from tapgen.tensorio import (
     write_proposals,
     write_tensor,
 )
+from tapgen.fusion import FusionConfig, load_weights, random_weights, save_weights
 from tapgen.inference import Candidates, Proposal
 from tapgen.timeline import GroundTruthAction, VideoMeta
 
@@ -841,8 +842,35 @@ def test_write_proposals_round_trips_through_load_proposals(tmp_path):
     loaded = load_proposals(str(tmp_path), "v")
     assert isinstance(loaded, Candidates) and list(loaded) == props
     text = (tmp_path / "v.proposals.json").read_text()
-    assert json.loads(text)[0] == {"score": 0.7, "t_end_sec": 0.3, "t_start_sec": 0.1}
-    assert text.startswith('[\n  {\n    "score": 0.7,') and text.endswith("}\n]\n")
+    assert text == ('[{"score": 0.7, "t_end_sec": 0.3, "t_start_sec": 0.1}, '
+                    '{"score": 1.0, "t_end_sec": 5.5, "t_start_sec": 2.0}, '
+                    '{"score": 0.0, "t_end_sec": 1e-09, "t_start_sec": 0.0}]\n')
+
+
+def test_files_in_the_earlier_indented_layout_read_as_their_one_line_rewrites(tmp_path):
+    """A manifest, a proposal file and a bundle index.json are written on one
+    line; indented as earlier versions wrote them, they read the same."""
+    write_manifest(manifest_from_dict(columnar_manifest_doc()), tmp_path / "m.json")
+    write_proposals(str(tmp_path), "v", [Proposal(0.1, 0.3, 0.7), Proposal(0.0, 1e-9, 0.0)])
+    cfg = FusionConfig(channels=3, d_model=8, num_heads=2, num_layers=1, ff_dim=4)
+    save_weights(random_weights(cfg, seed=3), tmp_path / "w")
+
+    def read_all():
+        return (read_manifest(tmp_path / "m.json"), load_proposals(str(tmp_path), "v"),
+                load_weights(tmp_path / "w"))
+
+    manifest, proposals, weights = read_all()
+    for path in (tmp_path / "m.json", tmp_path / "v.proposals.json", tmp_path / "w/index.json"):
+        text = path.read_text()
+        assert text.count("\n") == 1 and text.endswith("\n")
+        path.write_text(json.dumps(json.loads(text), indent=2, sort_keys=True) + "\n")
+    got_manifest, got_proposals, got_weights = read_all()
+    assert got_manifest == manifest
+    assert all(np.array_equal(getattr(got_proposals, k), getattr(proposals, k))
+               for k in ("starts", "ends", "scores"))
+    assert got_weights.config == weights.config
+    assert got_weights.params.keys() == weights.params.keys()
+    assert all(np.array_equal(got_weights.params[k], v) for k, v in weights.params.items())
 
 
 @pytest.mark.parametrize("rows", [
