@@ -453,7 +453,8 @@ class FileFeatureSource:
     def get_block(self, video_id: str, indices, feature_files) -> np.ndarray:
         files = list(feature_files)
         named = files.index(None) if None in files else len(files)
-        paths = [os.path.join(self.base_dir, f) for f in files[:named]]
+        prefix = os.path.join(self.base_dir, "")  # so prefix + f is os.path.join's path
+        paths = [f if f.startswith(os.sep) else prefix + f for f in files[:named]]
 
         def check(path: str, dims: tuple[int, ...], first: tuple[int, ...] | None) -> None:
             if len(dims) != 3 or first is not None and dims != first:

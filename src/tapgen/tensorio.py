@@ -2,10 +2,13 @@
 
 A Tensor in memory is one float64 array. Its file layout (little-endian
 throughout) is written as the header and then the array's own buffer,
-copied only when it is not C-contiguous, always as f64. read_tensors
-reads every tensor file, f32 or f64, read_tensor being its one-file
-case: the header (_parse_header), then the payload straight into its
-row, f32 widened bit for bit:
+copied only when it is not C-contiguous, always as f64, through
+atomic_write_bytes, which gives every file tapgen writes open's mode.
+read_tensors reads every tensor file, f32 or f64, read_tensor being its
+one-file case: the header (_parse_header), then the payload straight into
+its row, f32 widened bit for bit. Each file after a block's first is
+read with one readv, and parsed only if its size or header bytes differ
+from the first's. The file layout:
 
     bytes 0..3    magic "AENT"
     u32           version (1)
@@ -39,13 +42,14 @@ sorted keys, a final newline, atomically. read_json reads every JSON file
 
 from __future__ import annotations
 
+import errno
 import itertools
 import json
 import math
 import os
+import stat
 import struct
 import sys
-import tempfile
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 from typing import NoReturn
@@ -61,6 +65,7 @@ VERSION = 1
 _CODE_DTYPES = {1: np.dtype("<f4"), 2: np.dtype("<f8")}  # read; only f64 is written
 _F64 = 2
 _MAX_DIM = 2**32  # sanity cap per axis; desk-scale files are far smaller
+_ONE_READ = 0x7FFFF000  # the most bytes one Linux read returns: a larger file is read checked
 # Cap on the snippet count T of a manifest. Stages allocate [D, T]
 # grids with D up to T, so without it a huge num_frames fails as an
 # allocation deep in a stage. At the cap a [T, T] float64 grid is 2 GiB; a
@@ -113,10 +118,12 @@ class Tensor:
 
 
 def atomic_write_bytes(path: str | os.PathLike, *chunks) -> None:
-    """Write the chunks in order to a temp file in the destination directory, then rename."""
+    """Write the chunks in order to a new temp file in the destination
+    directory, then rename. The file gets the mode open gives a new file:
+    0o666 less the umask."""
     path = os.fspath(path)
-    d = os.path.dirname(path) or "."
-    fd, tmp = tempfile.mkstemp(dir=d, prefix=".tmp-", suffix=".part")
+    tmp = os.path.join(os.path.dirname(path), f".tmp-{os.urandom(8).hex()}.part")
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
         with os.fdopen(fd, "wb") as fh:
             fh.writelines(chunks)
@@ -143,40 +150,58 @@ def read_tensor(source: str | os.PathLike) -> Tensor:
 def read_tensors(paths: Sequence[str | os.PathLike], check=None) -> np.ndarray:
     """Tensor files of one dims as one [B, *dims] float64 array, (0,) for none.
 
-    Each file is opened once, unbuffered. The first file's header is parsed
-    in full, and so is any whose size or header bytes differ from the
-    first's: check(name, dims, first dims or None for the first itself) may
-    then refuse it, and after it the reader refuses other dims than the
-    first's. A file that fails is raised only once the files before it are
-    known to be finite, so the error is always the first refused file's.
+    Each file is opened once. The first is read checked: its header parsed
+    in full, then its payload. Each later file is read with one readv into
+    a header buffer, its own row of the block (an f32 file's through one
+    reused f32 buffer, widened bit for bit) and a sentinel byte past the
+    first file's size. That read stands when it gave exactly the first
+    file's size and header bytes; else the same fd is read checked from its
+    start. check(name, dims, first dims or None for the first itself) may
+    refuse a file read checked, and after it the reader refuses other dims
+    than the first's. A file that fails is raised only once the files
+    before it are known to be finite, so the error is always the first
+    refused file's.
     """
     names = [os.fspath(p) for p in paths]
     block = np.empty(0)
     for i, name in enumerate(names):
         done = ()  # file i's payload, once read in full
         try:
-            with open(name, "rb", buffering=0) as fh:
-                size = os.fstat(fh.fileno()).st_size
-                parsed = i == 0 or size != size0 or fh.read(len(head0)) != head0
+            fd = os.open(name, os.O_RDONLY)
+            try:
+                parsed = True  # read checked
+                if i and size0 < _ONE_READ:
+                    out = block[i]
+                    try:
+                        parsed = (os.readv(fd, [seen, out if wide is None else wide, past])
+                                  != size0 or seen != head0)
+                    except OSError:  # a directory, say: the checked read raises open's error
+                        pass
                 if parsed:
-                    fh.seek(0)
-                    head, dims, np_dtype = _parse_header(fh, size, name)
+                    size, head, dims, np_dtype = _parse_header(fd, name)
                     if i == 0:
                         block = np.empty((len(names), *dims))
-                        size0, head0, dims0, dtype0 = size, head, dims, np_dtype
+                        size0, head0, dims0 = size, head, dims
+                        seen, past = bytearray(len(head)), bytearray(1)
+                        wide = None if np_dtype == block.dtype else np.empty(dims, np_dtype)
+                    # f32, or a file of other dims, goes through a temporary array
+                    out = block[i] if dims == dims0 else np.empty(dims)
+                    buf = out if np_dtype == out.dtype else np.empty(dims, np_dtype)
+                    view, got = memoryview(buf).cast("B"), 0
+                    # each readv stops short of 2 GiB
+                    while got < len(view) and (n := os.readv(fd, [view[got:]])):
+                        got += n
+                    if got != len(view):  # the file shrank after fstat
+                        raise TensorFormatError(f"{name}: payload size mismatch, expected {size} "
+                                                f"bytes, got {size - len(view) + got}")
+                    out[...] = buf  # widened bit for bit; numpy skips assigning out to itself
                 else:
-                    dims, np_dtype = dims0, dtype0
-                # f32, or a file of other dims, goes through a temporary array
-                out = block[i] if dims == dims0 else np.empty(dims)
-                buf = out if np_dtype == out.dtype else np.empty(dims, np_dtype)
-                view, got = memoryview(buf).cast("B"), 0
-                while got < len(view) and (n := fh.readinto(view[got:])):  # stops short of 2 GiB
-                    got += n
-                if got != len(view):  # the file shrank after fstat
-                    raise TensorFormatError(f"{name}: payload size mismatch, expected {size} "
-                                            f"bytes, got {size - len(view) + got}")
-                out[...] = buf  # widened bit for bit; numpy skips assigning out to itself
+                    dims = dims0
+                    if wide is not None:
+                        out[...] = wide  # widened bit for bit
                 done = (out,)
+            finally:
+                os.close(fd)
             if parsed and check is not None:
                 check(name, dims, dims0 if i else None)
             if dims != dims0:
@@ -189,12 +214,17 @@ def read_tensors(paths: Sequence[str | os.PathLike], check=None) -> np.ndarray:
     return block
 
 
-def _parse_header(fh, size: int, name: str) -> tuple[bytes, tuple[int, ...], np.dtype]:
-    """(header bytes, dims, payload dtype) of the tensor file fh of size
-    bytes, read from its start, every header and size check made."""
-    head = fh.read(12)
-    if len(head) == 12:  # the dims block and dtype code, as far as the file holds them
-        head += fh.read(min(8 * struct.unpack_from("<I", head, 8)[0] + 4, size - 12))
+def _parse_header(fd: int, name: str) -> tuple[int, bytes, tuple[int, ...], np.dtype]:
+    """(size, header bytes, dims, payload dtype) of the tensor file open at
+    fd, read from its start, every header and size check made."""
+    st = os.fstat(fd)
+    if stat.S_ISDIR(st.st_mode):  # open's error; os.open opens a directory
+        raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), name)
+    size = st.st_size
+    os.lseek(fd, 0, os.SEEK_SET)
+    head = os.read(fd, 12)
+    if len(head) == 12 and size > 12:  # the dims block and dtype code, as far as the file has them
+        head += os.read(fd, min(8 * struct.unpack_from("<I", head, 8)[0] + 4, size - 12))
     if size < 12:
         raise TensorFormatError(f"{name}: truncated header ({size} bytes)")
     if head[:4] != MAGIC:
@@ -219,7 +249,7 @@ def _parse_header(fh, size: int, name: str) -> tuple[bytes, tuple[int, ...], np.
     if size != expected:
         raise TensorFormatError(f"{name}: payload size mismatch, expected {expected} bytes, "
                                 f"got {size}")
-    return head, tuple(int(d) for d in dims), np_dtype
+    return size, head, tuple(int(d) for d in dims), np_dtype
 
 
 def _raise_first_non_finite(rows, names: Sequence[str]) -> None:

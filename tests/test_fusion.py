@@ -698,6 +698,9 @@ def write_feature_file(path, kind: str, shift: float = 0.0) -> None:
         path.write_bytes(bytes(blob))
     elif kind == "truncated":
         path.write_bytes(layout_bytes(GOOD.shape, "f64", GOOD)[:-8])
+    elif kind in ("trailing-bytes", "trailing-bytes-f32"):  # one byte past a good file's end
+        dtype = "f32" if kind.endswith("f32") else "f64"
+        path.write_bytes(layout_bytes(GOOD.shape, dtype, GOOD + shift) + b"\0")
     elif kind == "directory":
         path.mkdir()
     else:
@@ -706,8 +709,9 @@ def write_feature_file(path, kind: str, shift: float = 0.0) -> None:
 
 class TestFileSourceBlockRead:
     """FileFeatureSource reads a block's files into one array, each opened
-    once; it gives the per-snippet reader's bits, or its error for the
-    first bad snippet, a map of another shape than the first included."""
+    once, through open or os.open; it gives the per-snippet reader's bits,
+    or its error for the first bad snippet, a map of another shape than the
+    first included."""
 
     @pytest.mark.parametrize("kinds, error", [
         (("f64",) * 4, None),
@@ -730,6 +734,10 @@ class TestFileSourceBlockRead:
         (("f64", "other-shape", "directory", "non-finite"), DataError),
         (("f32", "2-d", "f64", "f64"), DataError),
         (("f64", "non-finite-other-shape", "f64", "2-d"), TensorFormatError),
+        (("f64", "trailing-bytes", "f64", "f64"), TensorFormatError),
+        (("f64", "f64", "non-finite", "missing"), TensorFormatError),
+        (("f32", "f32", "f32", "trailing-bytes-f32"), TensorFormatError),
+        (("f32", "non-finite-f32", "missing", "f32"), TensorFormatError),
     ])
     def test_matches_the_per_snippet_source(self, tmp_path, monkeypatch, kinds, error):
         for i, kind in enumerate(kinds):
@@ -744,9 +752,12 @@ class TestFileSourceBlockRead:
         w = random_weights(SMALL_CFG, seed=10)
         opened = []
 
-        def counting_open(path, *args, **kwargs):
-            opened.append(os.path.basename(path))
-            return open(path, *args, **kwargs)
+        def counting(real_open):
+            def counting_open(path, *args, **kwargs):
+                if os.path.dirname(os.fspath(path)) == str(tmp_path):
+                    opened.append(os.path.basename(path))
+                return real_open(path, *args, **kwargs)
+            return counting_open
 
         def outcome(run, source):
             try:
@@ -755,7 +766,8 @@ class TestFileSourceBlockRead:
                 return type(e), str(e)
 
         want = outcome(per_snippet_source_featurize_video, PerSnippetFileSource(tmp_path))
-        monkeypatch.setattr("tapgen.tensorio.open", counting_open, raising=False)
+        monkeypatch.setattr("builtins.open", counting(open))
+        monkeypatch.setattr("os.open", counting(os.open))
         got = outcome(featurize_video, FileFeatureSource(tmp_path))
         monkeypatch.undo()
         if error is None:
@@ -767,7 +779,8 @@ class TestFileSourceBlockRead:
         # each file once, in index order, up to the first whose open, header, size or shape fails
         shapes = [FEATURE_FILE_SHAPES.get(k, GOOD.shape) for k in kinds]
         stop = next((i for i, k in enumerate(kinds) if shapes[i] != shapes[0] or k in (
-            "missing", "directory", "unnamed", "truncated", "bad-version", "2-d")), len(kinds) - 1)
+            "missing", "directory", "unnamed", "truncated", "bad-version", "2-d", "trailing-bytes",
+            "trailing-bytes-f32")), len(kinds) - 1)
         assert opened == [f"s{i}.aent" for i in range(stop + (kinds[stop] != "unnamed"))]
 
     @pytest.mark.parametrize("bad", [0, 1])

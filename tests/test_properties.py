@@ -889,7 +889,8 @@ def test_batched_featurize_missing_file_names_video_and_snippet(tmp_path):
 feature_file_kinds = st.sampled_from(
     ["f64"] * 8 + ["f32"] * 3 + ["other-shape", "same-length-other-shape", "same-length-f32",
                                  "2-d", "non-finite", "non-finite-f32", "non-finite-other-shape",
-                                 "bad-version", "truncated", "directory", "missing", "unnamed"])
+                                 "bad-version", "truncated", "trailing-bytes", "trailing-bytes-f32",
+                                 "directory", "missing", "unnamed"])
 
 
 @settings(PROPERTY, max_examples=80)
@@ -921,6 +922,43 @@ def test_file_source_matches_the_per_snippet_source_on_any_mix_of_files(kinds, b
                 patch.object(test_fusion, "BLOCK_SNIPPETS", block):
             got = outcome(featurize_video, FileFeatureSource(d))
             want = outcome(per_snippet_source_featurize_video, PerSnippetFileSource(d))
+    assert got == want
+
+
+@settings(PROPERTY, max_examples=150)
+@given(first=st.sampled_from(["f64", "f32"]) | feature_file_kinds,
+       rest=st.lists(feature_file_kinds, max_size=5), absolute=st.booleans(), slash=st.booleans())
+def test_a_block_read_gives_the_per_file_reference_bytes_or_error(first, rest, absolute, slash):
+    """FileFeatureSource.get_block gives the bytes of its files read one at a
+    time by the whole-file reference reader, or the error type and message
+    of the first that fails. Its paths are os.path.join's, for a base with
+    or without a final slash and for absolute file names. A valid first
+    file is drawn more often, as only the files after it are read in one
+    readv."""
+    kinds = [first, *rest]
+
+    def outcome(read):
+        try:
+            return "ok", read().tobytes()
+        except Exception as e:  # the type and message are what is compared
+            return type(e), str(e)
+
+    def per_file_block():
+        source, maps = PerSnippetFileSource(base), []
+        with patch.object(test_fusion, "read_tensor", whole_file_read_tensor):
+            for i, f in enumerate(files):
+                entry = SnippetEntry(index=i, feature_file=f)
+                maps.append(source.get("v", i, entry, maps[0].values.shape if maps else None))
+        return np.stack([m.values for m in maps])
+
+    with tempfile.TemporaryDirectory() as d:
+        for i, kind in enumerate(kinds):
+            write_feature_file(pathlib.Path(d) / f"s{i}.aent", kind, shift=i / 3)
+        base = d + "/" if slash else d
+        files = [None if kind == "unnamed" else os.path.join(d, f"s{i}.aent") if absolute
+                 else f"s{i}.aent" for i, kind in enumerate(kinds)]
+        got = outcome(lambda: FileFeatureSource(base).get_block("v", range(len(kinds)), files))
+        want = outcome(per_file_block)
     assert got == want
 
 

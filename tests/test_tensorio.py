@@ -1,9 +1,9 @@
 import dataclasses
-import io
 import json
 import math
 import os
 import pickle
+import stat
 import struct
 import sys
 
@@ -24,6 +24,7 @@ from tapgen.tensorio import (
     read_manifest,
     read_tensor,
     read_tensors,
+    write_json,
     write_manifest,
     write_proposals,
     write_tensor,
@@ -436,19 +437,19 @@ class TestReadTensors:
 
     def test_a_payload_read_in_short_pieces_is_read_whole(self, tmp_path, monkeypatch):
         """One read may return less than it was asked for (on Linux, one
-        read stops short of 2 GiB), so the payload is read until it is full."""
+        read stops short of 2 GiB), so the payload is read until it is full;
+        a later file whose one readv came short is read checked."""
+        real_readv = os.readv
 
-        class ShortReads(io.FileIO):
-            def readinto(self, buffer):
-                with memoryview(buffer) as view:
-                    return super().readinto(view[:7])
+        def short_readv(fd, buffers):
+            return real_readv(fd, [memoryview(buffers[0]).cast("B")[:7]])
 
-        values = np.random.default_rng(6).standard_normal((4, 5))
-        path = tmp_path / "t.aent"
-        path.write_bytes(layout_bytes(values.shape, "f64", values))
-        monkeypatch.setattr("tapgen.tensorio.open", lambda p, *a, **k: ShortReads(p),
-                            raising=False)
-        assert read_tensor(path).array.tobytes() == values.tobytes()
+        values = np.random.default_rng(6).standard_normal((3, 4, 5))
+        paths = [tmp_path / f"t{i}.aent" for i in range(3)]
+        for path, v in zip(paths, values):
+            path.write_bytes(layout_bytes(v.shape, "f64", v))
+        monkeypatch.setattr(os, "readv", short_readv)
+        assert read_tensors(paths).tobytes() == values.tobytes()
 
 
 class TestTensorWrites:
@@ -495,6 +496,24 @@ class TestTensorWrites:
         path = tmp_path / "j.bin"
         atomic_write_bytes(path, b"ab", np.array([1.5]), b"", memoryview(b"cd"))
         assert path.read_bytes() == b"ab" + struct.pack("<d", 1.5) + b"cd"
+
+    @pytest.mark.parametrize("umask", [0o022, 0o077])
+    def test_written_files_get_the_mode_open_gives(self, tmp_path, monkeypatch, umask):
+        """Each write leaves one file, of open's mode under the umask, a
+        replaced file and one named relative to the working directory too."""
+        (tmp_path / "old.json").write_bytes(b"[]\n")
+        os.chmod(tmp_path / "old.json", 0o600)
+        monkeypatch.chdir(tmp_path)
+        old = os.umask(umask)
+        try:
+            write_tensor(Tensor.from_array(np.ones(3)), tmp_path / "t.aent")
+            write_json(tmp_path / "old.json", {"a": 1})
+            write_json("cwd.json", [])
+            (tmp_path / "plain").write_bytes(b"")
+        finally:
+            os.umask(old)
+        modes = {p.name: stat.S_IMODE(p.stat().st_mode) for p in tmp_path.iterdir()}
+        assert modes == dict.fromkeys(["t.aent", "old.json", "cwd.json", "plain"], 0o666 & ~umask)
 
 
 class TestManifest:
