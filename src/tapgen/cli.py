@@ -214,9 +214,10 @@ def _run_batch(ctx, jobs: dict, load, out: str, stage, args: tuple):
 
 
 def _finish(ctx, out_dir: str, config: dict, done, errors, extra: dict | None = None,
-            line: str | None = None) -> None:
+            line: str | None = None, run_error: str | None = None) -> None:
     """Write run_summary.json, then print line, the run's result, on stdout and
-    each error on stderr; exit 1 or 2 on errors, or 1 if stdout fails."""
+    each error on stderr, run_error, an error of the whole run, last; exit 1
+    on run_error, 1 or 2 on errors, or 1 if stdout fails."""
     summary = {
         "command": ctx.info_name,
         "config": config,
@@ -227,14 +228,18 @@ def _finish(ctx, out_dir: str, config: dict, done, errors, extra: dict | None = 
         "workers": ctx.obj["workers_used"],
         "wall_time_sec": time.monotonic() - ctx.obj["t0"],
         **(extra or {}),
+        **({"run_error": run_error} if run_error else {}),
     }
     write_json(os.path.join(out_dir, "run_summary.json"), summary)
     if line is not None:
         with _exit_on_error("stdout: "):  # a closed pipe, say
             click.echo(line)
+    for name, msg in sorted(errors.items()):
+        click.echo(f"error: {name}: {msg}", err=True)
+    if run_error:
+        click.echo(f"error: {run_error}", err=True)
+        sys.exit(1)
     if errors:
-        for name, msg in sorted(errors.items()):
-            click.echo(f"error: {name}: {msg}", err=True)
         sys.exit(2 if ctx.obj["keep_going"] and done else 1)
 
 
@@ -459,22 +464,28 @@ def cmd_eval(ctx, manifest_dir, proposal_dir, preset, out):
     thresholds = (
         metrics.ACTIVITYNET_THRESHOLDS if preset == "activitynet" else metrics.THUMOS_THRESHOLDS
     )
-    done, errors = _run_batch(ctx, _manifest_paths(manifest_dir, out), read_manifest, out,
-                              _eval_one, (proposal_dir,))
+    jobs = _manifest_paths(manifest_dir, out)
+    done, errors = _run_batch(ctx, jobs, read_manifest, out, _eval_one, (proposal_dir,))
+    config = {"preset": preset}
     if not done or errors and not ctx.obj["keep_going"]:  # no AUC over a stopped run
-        _finish(ctx, out, {"preset": preset}, done, errors)  # exits 1
+        _finish(ctx, out, config, done, errors)  # exits 1
     gts = {vid: anns for vid, anns, _ in done.values()}
     props = {vid: loaded or [] for vid, _, loaded in done.values()}  # a missing file means none
     found = sum(loaded is not None for _, _, loaded in done.values())
-    with _exit_on_error():
-        if not any(props.values()):
-            raise DataError(f"no proposals to evaluate: all {found} proposal files that match "
-                            "a manifest video id are empty" if found
-                            else "no proposal files match any manifest video id")
+    try:
+        if not any(props.values()):  # a refused file may have matched: count it apart
+            raise DataError(
+                f"no proposals to evaluate: {len(errors)} of {len(jobs)} videos refused, and "
+                "every other video's proposal file is missing or empty" if errors
+                else f"no proposals to evaluate: all {found} proposal files that match "
+                "a manifest video id are empty" if found
+                else "no proposal files match any manifest video id")
         result = metrics.evaluate(props, gts, thresholds=thresholds)
+    except TapgenError as e:
+        _finish(ctx, out, config, done, errors, run_error=str(e))  # exits 1
     write_json(os.path.join(out, "eval.json"), result.to_dict())
     atomic_write_bytes(os.path.join(out, "eval.csv"), result.to_csv().encode("utf-8"))
-    _finish(ctx, out, {"preset": preset}, done, errors, extra={"auc": result.auc},
+    _finish(ctx, out, config, done, errors, extra={"auc": result.auc},
             line=f"AUC: {result.auc:.4f}")
 
 

@@ -42,7 +42,6 @@ __all__ = [
     "weighted_binary_loss_grad",
     "l2_loss",
     "l2_loss_grad",
-    "total_loss",
 ]
 
 
@@ -53,14 +52,6 @@ class LabelSet:
     starts: np.ndarray  # [T] in {0, 1}
     ends: np.ndarray  # [T] in {0, 1}
     durations: np.ndarray  # [D, T] in {0, 1}
-
-    @property
-    def T(self) -> int:
-        return self.starts.shape[0]
-
-    @property
-    def D(self) -> int:
-        return self.durations.shape[0]
 
 
 @dataclass(frozen=True)
@@ -109,13 +100,11 @@ class LossConfig:
     lambda_reg: float = 10.0
     lambda_1: float = 1.0
     lambda_2: float = 1.0
-    clamp_eps: float = 1e-12
 
     def __post_init__(self):
         # written so that NaN fails each check
-        for name in ("lambda_reg", "clamp_eps"):
-            if not 0 < getattr(self, name) < math.inf:
-                raise InvalidInputError(f"{name} must be finite and positive")
+        if not 0 < self.lambda_reg < math.inf:
+            raise InvalidInputError("lambda_reg must be finite and positive")
         # zero is allowed for the mixing weights so either term can be switched off
         for name in ("lambda_1", "lambda_2"):
             if not 0 <= getattr(self, name) < math.inf:
@@ -283,40 +272,3 @@ def l2_loss_grad(p: np.ndarray, l: np.ndarray, mask: np.ndarray | None = None) -
     grad[~mask] = 0.0
     return grad
 
-
-@dataclass(frozen=True)
-class LossBreakdown:
-    total: float
-    tem: float
-    pem: float
-    tem_start: float
-    tem_end: float
-    pem_cls: float
-    pem_reg: float
-
-
-def total_loss(grids: ScoreGrids, labels: LabelSet, cfg: LossConfig = LossConfig()) -> LossBreakdown:
-    """Boundary terms plus duration terms, combined with the configured weights."""
-    if grids.T != labels.T or grids.D != labels.D:
-        raise InvalidInputError(
-            f"grid shapes (T={grids.T}, D={grids.D}) inconsistent with labels "
-            f"(T={labels.T}, D={labels.D})"
-        )
-    eps = cfg.clamp_eps
-    tem_start = weighted_binary_loss(grids.start_probs, labels.starts, eps=eps)
-    tem_end = weighted_binary_loss(grids.end_probs, labels.ends, eps=eps)
-    mask = valid_cell_mask(labels.T, labels.D)
-    pem_cls = weighted_binary_loss(grids.conf_cls, labels.durations, mask, eps=eps)
-    pem_reg = l2_loss(grids.conf_reg, labels.durations, mask)
-    tem = tem_start + tem_end
-    pem = pem_cls + cfg.lambda_reg * pem_reg
-    total = cfg.lambda_1 * tem + cfg.lambda_2 * pem
-    return LossBreakdown(
-        total=total,
-        tem=tem,
-        pem=pem,
-        tem_start=tem_start,
-        tem_end=tem_end,
-        pem_cls=pem_cls,
-        pem_reg=pem_reg,
-    )

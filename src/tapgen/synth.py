@@ -58,10 +58,7 @@ def _synth_actions(
         if max_d < 1:
             break
         d = int(rng.integers(1, max_d + 1))
-        max_j = T - 1 - d
-        if max_j < cursor:
-            break
-        j = int(rng.integers(cursor, max_j + 1))
+        j = int(rng.integers(cursor, T - d))  # d <= T - 1 - cursor, so j can be cursor
         label = str(rng.choice(LABEL_POOL))
         actions.append(
             GroundTruthAction(

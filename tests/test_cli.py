@@ -785,6 +785,45 @@ class TestErrorHandling:
         assert r.output == ("error: no proposals to evaluate: all 2 proposal files that "
                             "match a manifest video id are empty\n")
 
+    @pytest.mark.parametrize("other", [None, "[]"], ids=["missing", "empty"])
+    def test_eval_refusing_every_proposal_lists_each_video_error_and_writes_a_summary(
+            self, runner, tmp_path, other):
+        invoke(runner, ["--seed", "1", "synth", "--n-videos", "2", "--max-actions", "2",
+                        "--t-min", "8", "--t-max", "12", "--out", str(tmp_path / "corpus")])
+        props = tmp_path / "props"
+        os.makedirs(props)
+        bad = props / "synth_0000.proposals.json"
+        bad.write_text('{"a": 1}')
+        if other is not None:
+            (props / "synth_0001.proposals.json").write_text(other)
+        r = invoke(runner, ["--keep-going", "eval", "--manifests",
+                            str(tmp_path / "corpus/manifests"), "--proposals", str(props),
+                            "--out", str(tmp_path / "eval")])
+        assert r.exit_code == 1
+        assert r.output == (
+            f"error: synth_0000: {bad}: top level must be a list of proposals\n"
+            "error: no proposals to evaluate: 1 of 2 videos refused, and every other "
+            "video's proposal file is missing or empty\n")
+        summary = json.loads((tmp_path / "eval/run_summary.json").read_text())
+        assert summary["completed"] == ["synth_0001"]
+        assert list(summary["errors"]) == ["synth_0000"]
+        assert "auc" not in summary and not (tmp_path / "eval/eval.json").exists()
+
+    def test_eval_of_a_corpus_without_ground_truths_writes_a_summary(self, runner, tmp_path):
+        invoke(runner, ["synth", "--n-videos", "2", "--max-actions", "0",
+                        "--out", str(tmp_path / "corpus")])
+        os.makedirs(tmp_path / "props")
+        for vid in ("synth_0000", "synth_0001"):
+            (tmp_path / "props" / f"{vid}.proposals.json").write_text(json.dumps([self.GOOD]))
+        r = invoke(runner, ["eval", "--manifests", str(tmp_path / "corpus/manifests"),
+                            "--proposals", str(tmp_path / "props"),
+                            "--out", str(tmp_path / "eval")])
+        assert r.exit_code == 1
+        assert r.output == "error: no ground-truth instances in the corpus\n"
+        summary = json.loads((tmp_path / "eval/run_summary.json").read_text())
+        assert summary["completed"] == ["synth_0000", "synth_0001"]
+        assert summary["run_error"] == "no ground-truth instances in the corpus"
+
     @pytest.mark.parametrize("value", ["0", "-3"])
     @pytest.mark.parametrize("via", ["flag", "config"])
     def test_workers_below_one_is_rejected_like_any_bad_option(self, runner, tmp_path, via,

@@ -59,6 +59,29 @@ def zero_layer(d, ff):
     )
 
 
+@pytest.mark.parametrize("build, error, message", [
+    pytest.param(lambda: FeatureMap(np.zeros((2, 2))), InvalidInputError,
+                 "feature map must be [C, H, W], got shape (2, 2)", id="map-not-c-h-w"),
+    pytest.param(lambda: FeatureMap(np.zeros((3, 0, 2))), InvalidInputError,
+                 "feature map dims must be positive, got (3, 0, 2)", id="map-zero-dim"),
+    pytest.param(lambda: FeatureMap(np.full((1, 1, 1), np.nan)), InvalidInputError,
+                 "feature map contains non-finite values", id="map-nan"),
+    pytest.param(lambda: EncoderWeights(layers=(), num_heads=1), ConfigError,
+                 "encoder needs at least one layer", id="encoder-no-layer"),
+    pytest.param(lambda: EncoderWeights(layers=(zero_layer(6, 4),), num_heads=4), ConfigError,
+                 "d_model 6 not divisible by num_heads 4", id="encoder-heads"),
+    pytest.param(lambda: attention_encoder(np.zeros((2, 5)),
+                                           random_weights(SMALL_CFG, 0).agent_encoder),
+                 ConfigError, "token dim 5 != encoder d_model 8", id="token-width"),
+    pytest.param(lambda: ae_fuse(np.zeros(8), np.zeros((2, 8)), random_weights(SMALL_CFG, 0)),
+                 ConfigError, "agents vector shape (2, 8) != (8,)", id="agents-shape"),
+])
+def test_refusals_name_the_bad_value(build, error, message):
+    with pytest.raises(error) as e:
+        build()
+    assert str(e.value) == message
+
+
 class TestStubBackbone:
     def test_deterministic(self):
         a = stub_backbone("vid", 3, (4, 5, 6), seed=42)

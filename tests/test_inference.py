@@ -327,7 +327,19 @@ class TestSoftNms:
         assert (got[1].interval, got[1].score) == ((1.0, 3.0), factor)
 
 
+@pytest.mark.parametrize("score", [1.5, -0.1, math.nan])
+def test_proposal_score_outside_0_1_rejected(score):
+    with pytest.raises(InvalidInputError, match=rf"^score {score} outside \[0, 1\]$"):
+        Proposal(start_sec=0.0, end_sec=1.0, score=score)
+
+
 class TestInfer:
+    def test_grids_of_another_t_rejected(self):
+        grids = grids_from_cells(6, 6, [0], [2], [(2, 0)])
+        with pytest.raises(InvalidInputError,
+                           match="^score grids T=6 inconsistent with grid T=5$"):
+            infer(grids, make_grid(5))
+
     def test_oracle_grids_single_gt_iou_one(self):
         # grid mass exactly on the true cell of a snippet-aligned action
         T, D = 12, 12

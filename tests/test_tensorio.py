@@ -284,6 +284,10 @@ class TestTensorFormat:
         with pytest.raises(InvalidInputError):
             Tensor.from_array(np.array(3.0))
 
+    def test_zero_sized_dims_rejected(self):
+        with pytest.raises(InvalidInputError, match=r"^dims must be positive, got \(2, 0\)$"):
+            Tensor.from_array(np.zeros((2, 0)))
+
     def test_nonfinite_rejected(self):
         with pytest.raises(InvalidInputError):
             Tensor.from_array(np.array([1.0, np.inf]))
@@ -451,6 +455,18 @@ class TestReadTensors:
         monkeypatch.setattr(os, "readv", short_readv)
         assert read_tensors(paths).tobytes() == values.tobytes()
 
+    def test_a_file_that_shrank_after_fstat_is_a_size_mismatch(self, tmp_path, monkeypatch):
+        """A payload read that ends early, as in a file truncated after its
+        size was checked, is refused rather than left part unread."""
+        real_readv = os.readv
+        path = tmp_path / "t.aent"
+        path.write_bytes(ONES)
+        monkeypatch.setattr(os, "readv", lambda fd, buffers: 0 if len(buffers) == 1
+                            else real_readv(fd, buffers))
+        with pytest.raises(TensorFormatError, match=rf"^{path}: payload size mismatch, "
+                                                    r"expected 48 bytes, got 24$"):
+            read_tensors([path])
+
 
 class TestTensorWrites:
     """write_tensor writes a header and then the array's own buffer."""
@@ -611,6 +627,24 @@ class TestManifest:
             mutate(doc)
             with pytest.raises(ManifestValidationError):
                 manifest_from_dict(doc)
+
+    @pytest.mark.parametrize("mutate, message", [
+        pytest.param(lambda d: d.update(video=[]), ".video: must be an object", id="video"),
+        pytest.param(lambda d: d.update(annotations={}), ".annotations: must be a list",
+                     id="annotations"),
+        pytest.param(lambda d: d["annotations"].__setitem__(0, "jump"),
+                     ".annotations[0]: must be an object", id="annotation"),
+        pytest.param(lambda d: d["video"].update(snippet_len=0),
+                     ".video: snippet_len must be positive, got 0", id="snippet_len"),
+    ])
+    def test_manifest_file_refusals_name_the_file_and_field(self, tmp_path, mutate, message):
+        doc = minimal_manifest_doc()
+        mutate(doc)
+        path = tmp_path / "m.json"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ManifestValidationError) as e:
+            read_manifest(path)
+        assert str(e.value) == f"{path}{message}"
 
     @pytest.mark.parametrize("value", [None, 3, "abc", {"index": 0}])
     def test_snippets_must_be_a_list(self, value):
