@@ -11,8 +11,9 @@ stage's arguments reach each process once. eval then pools its stage's
 results, one video's proposals each, into AR@AN.
 Each command imports the heavy modules only it uses (fusion, metrics,
 synth, the process pool) itself, so a process pays for no other stage.
-Exit codes: 0 success, 1 validation/data error (on an `error: ...` line),
-2 partial failure under --keep-going or a usage error that click reports.
+Exit codes: 0 success, 1 validation/data error (on an `error: ...` line: any
+TapgenError or OSError outside a job reaches main's one boundary), 2 partial
+failure under --keep-going or a usage error that click reports.
 The process entry point, run, freezes the collector once main has finished,
 so the exit's collections skip what the command left; callers of main do not.
 """
@@ -83,7 +84,7 @@ def _use_config(ctx, param, path: str | None) -> None:
         for p in cmd.params
         if p.expose_value and not p.required and p.name not in FLAG_ONLY
     }
-    with _exit_on_error("config "):
+    with _exit_on_error("config "):  # click parses options before the group's boundary
         doc = read_json(path)
         if not isinstance(doc, dict):
             raise InvalidInputError(f"{path}: must be a JSON object")
@@ -113,13 +114,12 @@ def _manifest_paths(manifest_dir: str, out: str) -> dict[str, str]:
 
     An out that is manifest_dir is refused: a later stage would read its outputs as manifests.
     """
-    with _exit_on_error():
-        if os.path.isdir(out) and os.path.samefile(out, manifest_dir):
-            raise DataError(f"{out}: is the --manifests directory; give another --out")
-        paths = sorted(glob.glob(os.path.join(glob.escape(manifest_dir), "*.json")))
-        paths = [p for p in paths if os.path.basename(p) != "run_summary.json"]
-        if not paths:
-            raise DataError(f"{manifest_dir}: no manifests found")
+    if os.path.isdir(out) and os.path.samefile(out, manifest_dir):
+        raise DataError(f"{out}: is the --manifests directory; give another --out")
+    paths = sorted(glob.glob(os.path.join(glob.escape(manifest_dir), "*.json")))
+    paths = [p for p in paths if os.path.basename(p) != "run_summary.json"]
+    if not paths:
+        raise DataError(f"{manifest_dir}: no manifests found")
     return {os.path.splitext(os.path.basename(p))[0]: p for p in paths}
 
 
@@ -159,8 +159,7 @@ def _run_batch(ctx, jobs: dict, load, out: str, stage, args: tuple):
     queued jobs are cancelled and the jobs already running finish and are
     reported like the rest.
     """
-    with _exit_on_error():  # an --out that is, or lies under, a file
-        os.makedirs(out, exist_ok=True)
+    os.makedirs(out, exist_ok=True)
     args = (out, *args)
     errors: dict[str, str] = {}
     done: dict = {}
@@ -243,7 +242,15 @@ def _finish(ctx, out_dir: str, config: dict, done, errors, extra: dict | None = 
         sys.exit(2 if ctx.obj["keep_going"] and done else 1)
 
 
-@click.group()
+class _ErrorBoundary(click.Group):
+    """main's group: its invoke runs the command under _exit_on_error, the one boundary."""
+
+    def invoke(self, ctx):
+        with _exit_on_error():
+            return super().invoke(ctx)
+
+
+@click.group(cls=_ErrorBoundary)
 @click.option("--config", type=click.Path(exists=True, dir_okay=False), is_eager=True,
               expose_value=False, callback=_use_config,
               help="JSON object of option defaults, checked like flags; explicit flags win.")
@@ -283,29 +290,27 @@ def cmd_synth(ctx, n_videos, max_actions, t_min, t_max, d_policy, write_grids, o
     from tapgen import synth
 
     seed = ctx.obj["seed"]
-    with _exit_on_error():
-        if not 1 <= n_videos <= MAX_VIDEOS:  # before the job table is built
-            raise InvalidInputError(f"need 1 <= --n-videos <= {MAX_VIDEOS}, got {n_videos}")
-        if not 1 <= t_min <= t_max <= _MAX_SNIPPETS:  # every later stage rejects a longer video
-            raise InvalidInputError(f"need 1 <= --t-min <= --t-max <= {_MAX_SNIPPETS}, "
-                                    f"got --t-min {t_min} and --t-max {t_max}")
-        if not 0 <= max_actions <= _MAX_SNIPPETS:  # no video holds more actions than snippets
-            raise InvalidInputError(f"need 0 <= --max-actions <= {_MAX_SNIPPETS}, "
-                                    f"got {max_actions}")
+    if not 1 <= n_videos <= MAX_VIDEOS:  # before the job table is built
+        raise InvalidInputError(f"need 1 <= --n-videos <= {MAX_VIDEOS}, got {n_videos}")
+    if not 1 <= t_min <= t_max <= _MAX_SNIPPETS:  # every later stage rejects a longer video
+        raise InvalidInputError(f"need 1 <= --t-min <= --t-max <= {_MAX_SNIPPETS}, "
+                                f"got --t-min {t_min} and --t-max {t_max}")
+    if not 0 <= max_actions <= _MAX_SNIPPETS:  # no video holds more actions than snippets
+        raise InvalidInputError(f"need 0 <= --max-actions <= {_MAX_SNIPPETS}, "
+                                f"got {max_actions}")
     manifest_dir = os.path.join(out, "manifests")
     grid_dir = os.path.join(out, "grids")
     jobs = {synth.VIDEO_ID.format(i): i for i in range(n_videos)}
     writes = {manifest_dir: {f"{vid}.json" for vid in jobs},
               grid_dir: {f"{vid}.{part}.aent" for vid in jobs for part in ORACLE_GRIDS}
               if write_grids else set()}
-    with _exit_on_error():  # an --out that is, or lies under, a file
-        for d, names in writes.items():  # a later stage would take an earlier run's files
-            stale = sorted(set(os.listdir(d)) - names) if os.path.isdir(d) else []
-            if stale:
-                raise DataError(f"{os.path.join(d, stale[0])}: not a file this run writes; "
-                                "remove it or give another --out")
-        if write_grids:
-            os.makedirs(grid_dir, exist_ok=True)
+    for d, names in writes.items():  # a later stage would take an earlier run's files
+        stale = sorted(set(os.listdir(d)) - names) if os.path.isdir(d) else []
+        if stale:
+            raise DataError(f"{os.path.join(d, stale[0])}: not a file this run writes; "
+                            "remove it or give another --out")
+    if write_grids:
+        os.makedirs(grid_dir, exist_ok=True)
     load = functools.partial(synth.synth_manifest, seed, max_actions=max_actions,
                              t_min=t_min, t_max=t_max)
     done, errors = _run_batch(ctx, jobs, load, manifest_dir, _synth_one,
@@ -345,12 +350,11 @@ def cmd_featurize(ctx, manifest_dir, features_dir, weights_dir, d_model, heads, 
     from tapgen import fusion
 
     seed = ctx.obj["seed"]
-    with _exit_on_error():  # once per run; every worker gets this one copy
-        if weights_dir:
-            weights = fusion.load_weights(weights_dir)
-        else:
-            weights = fusion.random_weights(fusion.FusionConfig(
-                d_model=d_model, num_heads=heads, num_layers=layers), seed)
+    if weights_dir:  # once per run; every worker gets this one copy
+        weights = fusion.load_weights(weights_dir)
+    else:
+        weights = fusion.random_weights(fusion.FusionConfig(
+            d_model=d_model, num_heads=heads, num_layers=layers), seed)
     ran = weights.config  # a loaded bundle's own config, not the flags
     source = (fusion.FileFeatureSource(features_dir) if features_dir
               else fusion.StubFeatureSource(seed, (ran.channels, 8, 8)))
@@ -427,8 +431,7 @@ def _infer_one(manifest: Manifest, out_dir: str, grid_dir: str, cfg: InferenceCo
 @click.pass_context
 def cmd_infer(ctx, manifest_dir, grid_dir, sigma, score_floor, top_k, out):
     """Run peak pairing, scoring, and Soft-NMS over stored score grids."""
-    with _exit_on_error():  # checked once, before any video
-        cfg = InferenceConfig(sigma=sigma, score_floor=score_floor, top_k=top_k)
+    cfg = InferenceConfig(sigma=sigma, score_floor=score_floor, top_k=top_k)  # before any video
     done, errors = _run_batch(ctx, _manifest_paths(manifest_dir, out), read_manifest, out,
                               _infer_one, (grid_dir, cfg))
     _finish(ctx, out, dataclasses.asdict(cfg), done, errors)

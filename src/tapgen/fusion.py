@@ -370,10 +370,8 @@ def attention_encoder(tokens: np.ndarray, w: EncoderWeights) -> np.ndarray:
     permutation-equivariant.
     """
     x = np.asarray(tokens, dtype=np.float64)
-    if x.ndim == 1:
-        x = x[None, :]
-    if x.shape[-2] < 1:
-        raise InvalidInputError("attention_encoder needs at least one token")
+    if x.ndim < 2 or x.shape[-2] < 1:
+        raise InvalidInputError(f"tokens must be [..., n >= 1, d_model], got shape {x.shape}")
     d = w.layers[0]["wq"].shape[0]
     if x.shape[-1] != d:
         raise ConfigError(f"token dim {x.shape[-1]} != encoder d_model {d}")

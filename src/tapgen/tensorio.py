@@ -65,7 +65,6 @@ VERSION = 1
 _CODE_DTYPES = {1: np.dtype("<f4"), 2: np.dtype("<f8")}  # read; only f64 is written
 _F64 = 2
 _MAX_DIM = 2**32  # sanity cap per axis; desk-scale files are far smaller
-_ONE_READ = 0x7FFFF000  # the most bytes one Linux read returns: a larger file is read checked
 # Cap on the snippet count T of a manifest. Stages allocate [D, T]
 # grids with D up to T, so without it a huge num_frames fails as an
 # allocation deep in a stage. At the cap a [T, T] float64 grid is 2 GiB; a
@@ -170,7 +169,7 @@ def read_tensors(paths: Sequence[str | os.PathLike], check=None) -> np.ndarray:
             fd = os.open(name, os.O_RDONLY)
             try:
                 parsed = True  # read checked
-                if i and size0 < _ONE_READ:
+                if i:
                     out = block[i]
                     try:
                         parsed = (os.readv(fd, [seen, out if wide is None else wide, past])

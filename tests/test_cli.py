@@ -926,6 +926,32 @@ class TestErrorHandling:
         assert r.exit_code == 1
         assert r.output.startswith("error: ") and str(tmp_path / "afile") in r.output
 
+    @pytest.mark.parametrize("stage, blocked", [
+        ("synth", "run_summary.json"), ("labels", "run_summary.json"),
+        ("featurize", "run_summary.json"), ("infer", "run_summary.json"),
+        ("eval", "run_summary.json"), ("eval", "eval.json"), ("eval", "eval.csv"),
+    ])
+    def test_a_run_level_output_that_cannot_be_written_exits_1_naming_it(
+            self, runner, tmp_path, stage, blocked):
+        """The run summary and eval's outputs are written outside every job, so
+        a write of one that fails is the run's one error line."""
+        invoke(runner, ["synth", "--n-videos", "2", "--out", str(tmp_path / "corpus")])
+        manifests = ["--manifests", str(tmp_path / "corpus/manifests")]
+        grids = ["--grids", str(tmp_path / "corpus/grids")]
+        invoke(runner, ["infer", *manifests, *grids, "--out", str(tmp_path / "props")])
+        args = {"synth": [], "labels": manifests,
+                "featurize": [*manifests, "--d-model", "16", "--heads", "2"],
+                "infer": [*manifests, *grids],
+                "eval": [*manifests, "--proposals", str(tmp_path / "props")]}[stage]
+        out = tmp_path / "out"
+        (out / blocked).mkdir(parents=True)  # a directory where the file goes
+        # catch_exceptions=False: a traceback would fail the test
+        r = invoke(runner, [stage, *args, "--out", str(out)])
+        assert r.exit_code == 1, r.output
+        first = r.stderr.splitlines()[0]
+        assert first.startswith("error: ") and str(out / blocked) in first
+        assert "Traceback" not in r.output
+
     def test_missing_manifest_dir_contents(self, runner, tmp_path):
         os.makedirs(tmp_path / "empty")
         (tmp_path / "empty/run_summary.json").write_text("{}")  # a summary is not a manifest

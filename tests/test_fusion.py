@@ -73,6 +73,12 @@ def zero_layer(d, ff):
     pytest.param(lambda: attention_encoder(np.zeros((2, 5)),
                                            random_weights(SMALL_CFG, 0).agent_encoder),
                  ConfigError, "token dim 5 != encoder d_model 8", id="token-width"),
+    pytest.param(lambda: attention_encoder(np.zeros(8), random_weights(SMALL_CFG, 0).agent_encoder),
+                 InvalidInputError, "tokens must be [..., n >= 1, d_model], got shape (8,)",
+                 id="tokens-1-d"),
+    pytest.param(lambda: attention_encoder(0.0, random_weights(SMALL_CFG, 0).agent_encoder),
+                 InvalidInputError, "tokens must be [..., n >= 1, d_model], got shape ()",
+                 id="tokens-0-d"),
     pytest.param(lambda: ae_fuse(np.zeros(8), np.zeros((2, 8)), random_weights(SMALL_CFG, 0)),
                  ConfigError, "agents vector shape (2, 8) != (8,)", id="agents-shape"),
 ])
