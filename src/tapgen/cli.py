@@ -157,7 +157,8 @@ def _run_batch(ctx, jobs: dict, load, out: str, stage, args: tuple):
     order in jobs, and without --keep-going the batch stops at the first
     error, a clash included: serially, no later job starts; in a pool,
     queued jobs are cancelled and the jobs already running finish and are
-    reported like the rest.
+    reported like the rest. The errors go to stderr, by name, as the batch
+    ends: before any run-level write, which may fail.
     """
     os.makedirs(out, exist_ok=True)
     args = (out, *args)
@@ -209,14 +210,16 @@ def _run_batch(ctx, jobs: dict, load, out: str, stage, args: tuple):
         for name, key in jobs.items():
             if not record(name, lambda: _run_one(key)):
                 break
+    for name, msg in sorted(errors.items()):
+        click.echo(f"error: {name}: {msg}", err=True)
     return done, errors
 
 
 def _finish(ctx, out_dir: str, config: dict, done, errors, extra: dict | None = None,
             line: str | None = None, run_error: str | None = None) -> None:
     """Write run_summary.json, then print line, the run's result, on stdout and
-    each error on stderr, run_error, an error of the whole run, last; exit 1
-    on run_error, 1 or 2 on errors, or 1 if stdout fails."""
+    run_error, an error of the whole run, on stderr; exit 1 on run_error, 1 or
+    2 on errors (which _run_batch printed), or 1 if stdout fails."""
     summary = {
         "command": ctx.info_name,
         "config": config,
@@ -233,8 +236,6 @@ def _finish(ctx, out_dir: str, config: dict, done, errors, extra: dict | None = 
     if line is not None:
         with _exit_on_error("stdout: "):  # a closed pipe, say
             click.echo(line)
-    for name, msg in sorted(errors.items()):
-        click.echo(f"error: {name}: {msg}", err=True)
     if run_error:
         click.echo(f"error: {run_error}", err=True)
         sys.exit(1)

@@ -101,17 +101,13 @@ class FeatureMap:
 
     def __post_init__(self):
         v = np.asarray(self.values, dtype=np.float64)
-        _check_map_shape(v.shape)
+        if v.ndim != 3:
+            raise InvalidInputError(f"feature map must be [C, H, W], got shape {v.shape}")
+        if v.size == 0:
+            raise InvalidInputError(f"feature map dims must be positive, got {v.shape}")
         if not np.all(np.isfinite(v)):
             raise InvalidInputError("feature map contains non-finite values")
         object.__setattr__(self, "values", v)
-
-
-def _check_map_shape(shape: tuple[int, ...]) -> None:
-    if len(shape) != 3:
-        raise InvalidInputError(f"feature map must be [C, H, W], got shape {shape}")
-    if any(d < 1 for d in shape):
-        raise InvalidInputError(f"feature map dims must be positive, got {shape}")
 
 
 # Past these, weights fail to allocate or grow layer by layer until memory runs out.
@@ -214,18 +210,17 @@ _stub_rng = None
 _ZERO4 = np.zeros(4, dtype=np.uint64)
 
 
-def stub_backbone(video_id: str, snippet_index, dims: tuple[int, int, int], seed: int):
+def stub_backbone(video_id: str, indices, dims: tuple[int, int, int], seed: int) -> np.ndarray:
     """Deterministic stand-in for the convolutional backbone.
 
-    A counter-mode generator keyed on (seed, video_id, snippet_index)
+    A counter-mode generator keyed on (seed, video_id, snippet index)
     produces bit-identical maps across platforms and processes. The key
     is the first 16 bytes of a SHA-256 of the three. Values equal
     Generator(Philox(key=key)).random((c, h, w)): the process's one
     Philox generator is re-keyed with counter 0 and an empty buffer,
     which is exactly the state a new Philox(key=key) starts from.
 
-    Returns a FeatureMap for one index; for a sequence of B indices, the
-    maps in that order as one [B, c, h, w] array.
+    Returns the maps of the B indices, in their order, as one [B, c, h, w] array.
     """
     global _stub_rng
     import hashlib  # here, its one user: a stage that reads feature files never maps OpenSSL
@@ -233,8 +228,6 @@ def stub_backbone(video_id: str, snippet_index, dims: tuple[int, int, int], seed
     c, h, w = dims
     if c < 1 or h < 1 or w < 1:
         raise InvalidInputError(f"stub dims must be positive, got {dims}")
-    single = np.ndim(snippet_index) == 0
-    indices = (snippet_index,) if single else snippet_index
     block = np.empty((len(indices), c, h, w), dtype=np.float64)
     with _stub_lock:
         if _stub_rng is None:
@@ -247,8 +240,6 @@ def stub_backbone(video_id: str, snippet_index, dims: tuple[int, int, int], seed
                 "buffer": _ZERO4, "buffer_pos": 4, "has_uint32": 0, "uinteger": 0,
             }
             _stub_rng.random(out=block[k])
-    if single:
-        return FeatureMap(values=block[0])
     return block
 
 
@@ -259,22 +250,18 @@ def _softmax(x: np.ndarray) -> np.ndarray:
     return e / np.sum(e, axis=-1, keepdims=True)
 
 
-def environment_pathway(fmap, w: FusionWeights) -> np.ndarray:
+def environment_pathway(maps: np.ndarray, w: FusionWeights) -> np.ndarray:
     """Global average pool over H x W, one affine layer, softmax.
 
-    Returns the scene descriptor as a probability vector of length
-    d_model. Batched form: a [B, C, H, W] array gives one row per map,
-    [B, d_model].
+    maps [B, C, H, W] gives each map's scene descriptor, a probability
+    vector of length d_model, as one row of [B, d_model].
     """
-    single = isinstance(fmap, FeatureMap)
-    maps = fmap.values[None] if single else fmap
-    if maps.shape[1] != w.config.channels:
-        raise ConfigError(
-            f"feature map has {maps.shape[1]} channels, weights expect {w.config.channels}"
-        )
-    p = w.params
-    out = _softmax(maps.mean(axis=(2, 3)) @ p["env_affine.0.weight"].T + p["env_affine.0.bias"])
-    return out[0] if single else out
+    c, p = w.config.channels, w.params
+    if maps.ndim != 4:
+        raise ConfigError(f"feature maps must be [B, {c}, H, W], got shape {maps.shape}")
+    if maps.shape[1] != c:
+        raise ConfigError(f"feature map has {maps.shape[1]} channels, weights expect {c}")
+    return _softmax(maps.mean(axis=(2, 3)) @ p["env_affine.0.weight"].T + p["env_affine.0.bias"])
 
 
 def _bin_weights(lo: np.ndarray, hi: np.ndarray, size: int, bins: int, samples: int) -> np.ndarray:
@@ -410,19 +397,16 @@ def agent_fusion(patches, w: FusionWeights) -> np.ndarray | None:
 def ae_fuse(env: np.ndarray, agents: np.ndarray | None, w: FusionWeights) -> np.ndarray:
     """Re-weight scene vs agent information through the fusion encoder.
 
-    env [d_model] (agents the same, or None); or [B, d_model] rows, each
-    fused with the agents row of the same index.
+    env [B, d_model] rows, each fused with the agents row of the same
+    index (agents the same shape, or None); returns [B, d_model].
     """
     d = w.config.d_model
-    if env.ndim not in (1, 2) or env.shape[-1] != d:
-        raise ConfigError(f"env vector shape {env.shape} != ({d},)")
-    if agents is None:
-        tokens = env[..., None, :]
-    else:
-        if agents.shape != env.shape:
-            raise ConfigError(f"agents vector shape {agents.shape} != {env.shape}")
-        tokens = np.stack([env, agents], axis=-2)
-    return attention_encoder(tokens, w.fuse_encoder).mean(axis=-2)
+    if env.ndim != 2 or env.shape[1] != d:
+        raise ConfigError(f"env shape {env.shape} != (B, {d})")
+    if agents is not None and agents.shape != env.shape:
+        raise ConfigError(f"agents vector shape {agents.shape} != {env.shape}")
+    tokens = env[:, None] if agents is None else np.stack([env, agents], axis=1)
+    return attention_encoder(tokens, w.fuse_encoder).mean(axis=1)
 
 
 # ---------------------------------------------------------------------------

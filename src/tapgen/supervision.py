@@ -12,8 +12,8 @@ labels are those of one whole-matrix search, bit for bit.
 
 The weighted binary loss is the standard class-balanced negative
 log-likelihood: -(1/N) sum [a+ l log p + a- (1-l) log(1-p)] with
-a+ = N/N+ and a- = N/N-. Probabilities are clamped to [eps, 1-eps];
-gradients are zero inside the clamped zones.
+a+ = N/N+ and a- = N/N-. Probabilities are clamped to [CLAMP_EPS,
+1 - CLAMP_EPS]; gradients are zero inside the clamped zones.
 """
 
 from __future__ import annotations
@@ -43,6 +43,8 @@ __all__ = [
     "l2_loss",
     "l2_loss_grad",
 ]
+
+CLAMP_EPS = 1e-12  # the weighted binary loss's clamp on probabilities (module docstring)
 
 
 @dataclass(frozen=True)
@@ -235,27 +237,24 @@ def _class_weights(l: np.ndarray, mask: np.ndarray, n: int) -> tuple[float, floa
     return n / n_pos, n / n_neg
 
 
-def weighted_binary_loss(
-    p: np.ndarray, l: np.ndarray, mask: np.ndarray | None = None, eps: float = 1e-12
-) -> float:
+def weighted_binary_loss(p: np.ndarray, l: np.ndarray, mask: np.ndarray | None = None) -> float:
     """Class-balanced negative log-likelihood over the masked entries."""
     p, l, mask, n = _prepare(p, l, mask)
     a_pos, a_neg = _class_weights(l, mask, n)
-    pc = np.clip(p, eps, 1.0 - eps)
+    pc = np.clip(p, CLAMP_EPS, 1.0 - CLAMP_EPS)
     terms = a_pos * l * np.log(pc) + a_neg * (1.0 - l) * np.log(1.0 - pc)
     return float(-(terms[mask].sum()) / n)
 
 
-def weighted_binary_loss_grad(
-    p: np.ndarray, l: np.ndarray, mask: np.ndarray | None = None, eps: float = 1e-12
-) -> np.ndarray:
+def weighted_binary_loss_grad(p: np.ndarray, l: np.ndarray,
+                              mask: np.ndarray | None = None) -> np.ndarray:
     """dLoss/dp, zero where masked out or inside the clamped zones."""
     p, l, mask, n = _prepare(p, l, mask)
     a_pos, a_neg = _class_weights(l, mask, n)
-    pc = np.clip(p, eps, 1.0 - eps)
+    pc = np.clip(p, CLAMP_EPS, 1.0 - CLAMP_EPS)
     grad = -(a_pos * l / pc - a_neg * (1.0 - l) / (1.0 - pc)) / n
     grad[~mask] = 0.0
-    grad[(p < eps) | (p > 1.0 - eps)] = 0.0
+    grad[(p < CLAMP_EPS) | (p > 1.0 - CLAMP_EPS)] = 0.0
     return grad
 
 

@@ -952,6 +952,55 @@ class TestErrorHandling:
         assert first.startswith("error: ") and str(out / blocked) in first
         assert "Traceback" not in r.output
 
+    def _one_refused_video(self, runner, tmp_path, stage):
+        """A 2-video corpus and the arguments under which one video of stage is
+        refused: a manifest that is no JSON, or a proposal file that is no list.
+        Returns (args, the refused video's error line)."""
+        invoke(runner, ["synth", "--n-videos", "2", "--out", str(tmp_path / "corpus")])
+        manifests = tmp_path / "corpus/manifests"
+        if stage == "labels":
+            bad = manifests / "bad.json"
+            bad.write_text("{not json")
+            return ["--manifests", str(manifests)], f"error: bad: {bad}: not valid JSON"
+        invoke(runner, ["infer", "--manifests", str(manifests), "--grids",
+                        str(tmp_path / "corpus/grids"), "--out", str(tmp_path / "props")])
+        bad = tmp_path / "props/synth_0001.proposals.json"
+        bad.write_text('{"a": 1}')
+        return (["--manifests", str(manifests), "--proposals", str(tmp_path / "props")],
+                f"error: synth_0001: {bad}: top level must be a list of proposals")
+
+    @pytest.mark.parametrize("stage, blocked", [
+        ("labels", "run_summary.json"), ("eval", "run_summary.json"), ("eval", "eval.json"),
+    ])
+    def test_a_video_error_prints_before_a_run_level_write_that_fails(
+            self, runner, tmp_path, stage, blocked):
+        """Under --keep-going a refused video is named on stderr even when the
+        run then fails on an output of its own."""
+        args, video_error = self._one_refused_video(runner, tmp_path, stage)
+        out = tmp_path / "out"
+        (out / blocked).mkdir(parents=True)  # a directory where the file goes
+        r = invoke(runner, ["--keep-going", stage, *args, "--out", str(out)])
+        assert r.exit_code == 1, r.output
+        video_line, run_line = r.stderr.splitlines()
+        assert video_line.startswith(video_error)
+        assert run_line.startswith("error: [Errno 21] ") and str(out / blocked) in run_line
+
+    def test_a_video_error_prints_before_a_closed_stdout_fails_the_run(self, runner, tmp_path):
+        args, video_error = self._one_refused_video(runner, tmp_path, "eval")
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            p = subprocess.run([sys.executable, "-m", "tapgen.cli", "--keep-going", "eval",
+                                *args, "--out", str(tmp_path / "eval")],
+                               env=fresh_env(), stdout=write_end, stderr=subprocess.PIPE,
+                               text=True, timeout=60)
+        finally:
+            os.close(write_end)
+        assert p.returncode == 1
+        assert p.stderr.splitlines() == [video_error, "error: stdout: [Errno 32] Broken pipe"]
+        summary = json.loads((tmp_path / "eval/run_summary.json").read_text())
+        assert (summary["completed"], list(summary["errors"])) == (["synth_0000"], ["synth_0001"])
+
     def test_missing_manifest_dir_contents(self, runner, tmp_path):
         os.makedirs(tmp_path / "empty")
         (tmp_path / "empty/run_summary.json").write_text("{}")  # a summary is not a manifest

@@ -79,8 +79,13 @@ def zero_layer(d, ff):
     pytest.param(lambda: attention_encoder(0.0, random_weights(SMALL_CFG, 0).agent_encoder),
                  InvalidInputError, "tokens must be [..., n >= 1, d_model], got shape ()",
                  id="tokens-0-d"),
-    pytest.param(lambda: ae_fuse(np.zeros(8), np.zeros((2, 8)), random_weights(SMALL_CFG, 0)),
-                 ConfigError, "agents vector shape (2, 8) != (8,)", id="agents-shape"),
+    pytest.param(lambda: ae_fuse(np.zeros((1, 8)), np.zeros((2, 8)), random_weights(SMALL_CFG, 0)),
+                 ConfigError, "agents vector shape (2, 8) != (1, 8)", id="agents-shape"),
+    pytest.param(lambda: ae_fuse(np.zeros(8), None, random_weights(SMALL_CFG, 0)),
+                 ConfigError, "env shape (8,) != (B, 8)", id="env-1-d"),
+    pytest.param(lambda: environment_pathway(np.zeros((4, 3, 4)), random_weights(SMALL_CFG, 0)),
+                 ConfigError, "feature maps must be [B, 3, H, W], got shape (4, 3, 4)",
+                 id="maps-3-d"),
 ])
 def test_refusals_name_the_bad_value(build, error, message):
     with pytest.raises(error) as e:
@@ -90,26 +95,26 @@ def test_refusals_name_the_bad_value(build, error, message):
 
 class TestStubBackbone:
     def test_deterministic(self):
-        a = stub_backbone("vid", 3, (4, 5, 6), seed=42)
-        b = stub_backbone("vid", 3, (4, 5, 6), seed=42)
-        np.testing.assert_array_equal(a.values, b.values)
+        a = stub_backbone("vid", [3], (4, 5, 6), seed=42)
+        b = stub_backbone("vid", [3], (4, 5, 6), seed=42)
+        np.testing.assert_array_equal(a, b)
 
     def test_seeds_decorrelate(self):
-        a = stub_backbone("vid", 0, (8, 8, 8), seed=1)
-        b = stub_backbone("vid", 0, (8, 8, 8), seed=2)
-        frac_diff = np.mean(a.values != b.values)
+        a = stub_backbone("vid", [0], (8, 8, 8), seed=1)
+        b = stub_backbone("vid", [0], (8, 8, 8), seed=2)
+        frac_diff = np.mean(a != b)
         assert frac_diff >= 0.99
 
     def test_snippet_and_video_keys_matter(self):
-        a = stub_backbone("vid", 0, (2, 3, 3), seed=1)
-        b = stub_backbone("vid", 1, (2, 3, 3), seed=1)
-        c = stub_backbone("other", 0, (2, 3, 3), seed=1)
-        assert not np.array_equal(a.values, b.values)
-        assert not np.array_equal(a.values, c.values)
+        a = stub_backbone("vid", [0], (2, 3, 3), seed=1)
+        b = stub_backbone("vid", [1], (2, 3, 3), seed=1)
+        c = stub_backbone("other", [0], (2, 3, 3), seed=1)
+        assert not np.array_equal(a, b)
+        assert not np.array_equal(a, c)
 
     def test_degenerate_dims_rejected(self):
         with pytest.raises(InvalidInputError):
-            stub_backbone("vid", 0, (0, 4, 4), seed=1)
+            stub_backbone("vid", [0], (0, 4, 4), seed=1)
 
     @pytest.mark.parametrize("seed", [0, 1, 42, 2**40])
     def test_equals_a_fresh_philox_generator_per_snippet(self, seed):
@@ -118,27 +123,22 @@ class TestStubBackbone:
                 key_material = f"{seed}\x00{vid}\x00{index}".encode("utf-8")
                 key = np.frombuffer(hashlib.sha256(key_material).digest()[:16], dtype=np.uint64)
                 expected = np.random.Generator(np.random.Philox(key=key)).random(dims)
-                got = stub_backbone(vid, index, dims, seed).values
-                assert got.tobytes() == expected.tobytes()
+                got = stub_backbone(vid, [index], dims, seed)
+                assert got.shape == (1, *dims) and got.tobytes() == expected.tobytes()
 
     @pytest.mark.parametrize("indices", [[0], [3, 1, 2], list(range(BLOCK_SNIPPETS + 1)), []])
     def test_block_equals_one_call_per_snippet(self, indices):
         block = stub_backbone("vid", indices, (3, 5, 4), 9)
         assert block.shape == (len(indices), 3, 5, 4)
         for k, i in enumerate(indices):
-            assert block[k].tobytes() == stub_backbone("vid", i, (3, 5, 4), 9).values.tobytes()
-
-    def test_one_index_gives_a_feature_map(self):
-        assert isinstance(stub_backbone("vid", np.int64(2), (3, 5, 4), 9), FeatureMap)
-        assert isinstance(stub_backbone("vid", range(2, 3), (3, 5, 4), 9), np.ndarray)
+            assert block[k].tobytes() == stub_backbone("vid", [i], (3, 5, 4), 9).tobytes()
 
     def test_interleaved_videos_give_the_same_maps(self):
         dims = (4, 3, 5)
-        alone = {vid: [stub_backbone(vid, i, dims, 7).values for i in range(6)]
-                 for vid in ("a", "b")}
+        alone = {vid: [stub_backbone(vid, [i], dims, 7) for i in range(6)] for vid in ("a", "b")}
         for i in range(6):
             for vid in ("b", "a") if i % 2 else ("a", "b"):
-                assert stub_backbone(vid, i, dims, 7).values.tobytes() == alone[vid][i].tobytes()
+                assert stub_backbone(vid, [i], dims, 7).tobytes() == alone[vid][i].tobytes()
 
 
 class TestEnvironmentPathway:
@@ -148,17 +148,15 @@ class TestEnvironmentPathway:
         w = random_weights(cfg, seed=0)
         w = FusionWeights(cfg, {**w.params, "env_affine.0.weight": np.eye(d),
                                 "env_affine.0.bias": np.zeros(d)})
-        fmap = FeatureMap(values=np.full((d, 3, 3), 2.5))
-        out = environment_pathway(fmap, w)
-        np.testing.assert_allclose(out, np.full(d, 1.0 / d), atol=1e-12)
+        out = environment_pathway(np.full((1, d, 3, 3), 2.5), w)
+        np.testing.assert_allclose(out, np.full((1, d), 1.0 / d), atol=1e-12)
 
     def test_output_is_probability_vector(self):
         rng = np.random.default_rng(0)
         w = random_weights(SMALL_CFG, seed=3)
         for _ in range(20):
-            fmap = FeatureMap(values=rng.standard_normal((3, 4, 5)))
-            out = environment_pathway(fmap, w)
-            assert abs(out.sum() - 1.0) < 1e-12
+            out = environment_pathway(rng.standard_normal((1, 3, 4, 5)), w)
+            assert out.shape == (1, 8) and abs(out.sum() - 1.0) < 1e-12
             assert np.all(out > 0)
 
     def test_hand_computed_chain(self):
@@ -178,13 +176,13 @@ class TestEnvironmentPathway:
         logit1 = 2.0 * pooled0 + 0.25 * pooled1 - 0.2
         e0, e1 = math.exp(logit0), math.exp(logit1)
         expected = np.array([e0 / (e0 + e1), e1 / (e0 + e1)])
-        out = environment_pathway(FeatureMap(values=vals), w)
-        np.testing.assert_allclose(out, expected, atol=1e-12)
+        out = environment_pathway(vals[None], w)
+        np.testing.assert_allclose(out, expected[None], atol=1e-12)
 
     def test_channel_mismatch(self):
         w = random_weights(SMALL_CFG, seed=3)
         with pytest.raises(ConfigError):
-            environment_pathway(FeatureMap(values=np.ones((5, 2, 2))), w)
+            environment_pathway(np.ones((1, 5, 2, 2)), w)
 
 
 def brute_force_roi_align(values, box, out_grid, samples_per_bin):
@@ -435,9 +433,9 @@ class TestAgentFusion:
 class TestAeFuse:
     def test_absent_agents_single_token_path(self):
         w = random_weights(SMALL_CFG, seed=4)
-        env = np.random.default_rng(1).random(8)
+        env = np.random.default_rng(1).random((1, 8))
         env /= env.sum()
-        expected = attention_encoder(env[None, :], w.fuse_encoder)[0]
+        expected = attention_encoder(env, w.fuse_encoder)
         np.testing.assert_allclose(ae_fuse(env, None, w), expected, atol=1e-12)
 
     def test_identical_tokens_symmetry(self):
@@ -445,12 +443,12 @@ class TestAeFuse:
         vec = np.random.default_rng(2).random(8)
         paired = attention_encoder(np.stack([vec, vec]), w.fuse_encoder)
         np.testing.assert_allclose(paired[0], paired[1], atol=1e-12)
-        np.testing.assert_allclose(ae_fuse(vec, vec, w), paired[0], atol=1e-12)
+        np.testing.assert_allclose(ae_fuse(vec[None], vec[None], w), paired[:1], atol=1e-12)
 
     def test_length_mismatch(self):
         w = random_weights(SMALL_CFG, seed=4)
         with pytest.raises(ConfigError):
-            ae_fuse(np.zeros(5), None, w)
+            ae_fuse(np.zeros((1, 5)), None, w)
 
 
 def tiny_manifest(T=3, boxes=((0.1, 0.1, 0.6, 0.7),)):
@@ -469,17 +467,18 @@ def reference_featurize_video(manifest, w, source):
     for i in range(len(out)):
         entry = smap.get(i)
         fmap = source.get(manifest.video.video_id, i, entry)
-        env = environment_pathway(fmap, w)
+        env = environment_pathway(fmap.values[None], w)
         boxes = entry.agent_boxes if entry is not None else ()
         patches = [roi_align(fmap, b, ROI_GRID, ROI_SAMPLES) for b in boxes]
-        out[i] = ae_fuse(env, agent_fusion(patches, w), w)
+        agents = agent_fusion(patches, w)
+        out[i] = ae_fuse(env, None if agents is None else agents[None], w)[0]
     return out
 
 
 # featurize_video and the two sources as they were when a source handed out
-# one FeatureMap per get call, verbatim but for the names and the rule that a
-# video's maps share one shape: the reference for the block sources, which
-# must give the same bits, or the same error.
+# one FeatureMap per get call, verbatim but for the names, the stub's B = 1
+# call and the rule that a video's maps share one shape: the reference for
+# the block sources, which must give the same bits, or the same error.
 
 class PerSnippetStubSource:
     """Seeded deterministic maps, keyed per (video, snippet)."""
@@ -489,7 +488,8 @@ class PerSnippetStubSource:
         self.dims = dims
 
     def get(self, video_id: str, snippet_index: int, entry, shape=None) -> FeatureMap:
-        return stub_backbone(video_id, snippet_index, self.dims, self.seed)  # shape: always dims
+        # shape: always dims
+        return FeatureMap(stub_backbone(video_id, [snippet_index], self.dims, self.seed)[0])
 
 
 class PerSnippetFileSource:
