@@ -42,13 +42,11 @@ The weights are one table: FusionWeights maps each bundle parameter name
 (_param_shapes) to its array, and the layers read their parameters from it
 by name. An encoder is a view whose layers refer to the table's arrays.
 
-The stub backbone keys one counter-based Philox stream per (seed, video,
-snippet). A process builds a single Philox generator, on its first stub
-call, and re-keys it for every snippet: counter 0, empty output buffer.
+The stub backbone keys one counter-based Philox stream per (seed, video).
 Philox output is a pure function of key and counter (Salmon et al.,
-SC 2011), so this gives the same bits as a fresh generator per snippet,
-at well under half the cost. Building it lazily keeps numpy.random out
-of stages that never run the stub.
+SC 2011), so a block of snippets is one draw after advancing the stream to
+its first snippet's counter: each map starts on a counter boundary of its
+own, and depends on (seed, video, snippet) alone, not on the block edges.
 """
 
 from __future__ import annotations
@@ -56,7 +54,6 @@ from __future__ import annotations
 import math
 import operator
 import os
-import threading
 from collections.abc import Mapping
 from dataclasses import asdict, dataclass, fields
 
@@ -203,44 +200,31 @@ class FusionWeights:
         return EncoderWeights(layers, self.config.num_heads)
 
 
-# The stub's one generator per process, built on first use (module
-# docstring). Every call overwrites its whole state under the lock.
-_stub_lock = threading.Lock()
-_stub_rng = None
-_ZERO4 = np.zeros(4, dtype=np.uint64)
+def stub_backbone(video_id: str, start: int, stop: int, dims: tuple[int, int, int],
+                  seed: int) -> np.ndarray:
+    """Deterministic stand-in for the convolutional backbone: the maps of
+    snippets start .. stop - 1, in order, as one [stop - start, c, h, w] array.
 
-
-def stub_backbone(video_id: str, indices, dims: tuple[int, int, int], seed: int) -> np.ndarray:
-    """Deterministic stand-in for the convolutional backbone.
-
-    A counter-mode generator keyed on (seed, video_id, snippet index)
-    produces bit-identical maps across platforms and processes. The key
-    is the first 16 bytes of a SHA-256 of the three. Values equal
-    Generator(Philox(key=key)).random((c, h, w)): the process's one
-    Philox generator is re-keyed with counter 0 and an empty buffer,
-    which is exactly the state a new Philox(key=key) starts from.
-
-    Returns the maps of the B indices, in their order, as one [B, c, h, w] array.
+    One Philox stream per (seed, video_id), keyed on the first 16 bytes of
+    a SHA-256 of the two, gives bit-identical maps across platforms and
+    processes. A counter yields four doubles, so with k = ceil(c*h*w / 4)
+    snippet i's map is the first c*h*w doubles of counters i*k .. (i+1)*k - 1.
     """
-    global _stub_rng
     import hashlib  # here, its one user: a stage that reads feature files never maps OpenSSL
 
     c, h, w = dims
     if c < 1 or h < 1 or w < 1:
         raise InvalidInputError(f"stub dims must be positive, got {dims}")
-    block = np.empty((len(indices), c, h, w), dtype=np.float64)
-    with _stub_lock:
-        if _stub_rng is None:
-            _stub_rng = np.random.Generator(np.random.Philox(0))
-        for k, index in enumerate(indices):
-            digest = hashlib.sha256(f"{seed}\x00{video_id}\x00{index}".encode("utf-8")).digest()
-            _stub_rng.bit_generator.state = {
-                "bit_generator": "Philox",
-                "state": {"counter": _ZERO4, "key": np.frombuffer(digest[:16], dtype=np.uint64)},
-                "buffer": _ZERO4, "buffer_pos": 4, "has_uint32": 0, "uinteger": 0,
-            }
-            _stub_rng.random(out=block[k])
-    return block
+    if start < 0 or stop < start:
+        raise InvalidInputError(
+            f"stub snippets need 0 <= start <= stop, got start {start}, stop {stop}")
+    cells = c * h * w
+    k = -(-cells // 4)
+    digest = hashlib.sha256(f"{seed}\x00{video_id}".encode("utf-8")).digest()
+    stream = np.random.Philox(key=np.frombuffer(digest[:16], dtype=np.uint64))
+    stream.advance(start * k)
+    draw = np.random.Generator(stream).random((stop - start, 4 * k))
+    return np.ascontiguousarray(draw[:, :cells]).reshape(stop - start, c, h, w)
 
 
 def _softmax(x: np.ndarray) -> np.ndarray:
@@ -414,14 +398,14 @@ def ae_fuse(env: np.ndarray, agents: np.ndarray | None, w: FusionWeights) -> np.
 # ---------------------------------------------------------------------------
 
 class StubFeatureSource:
-    """Seeded deterministic maps, keyed per (video, snippet)."""
+    """Seeded deterministic maps: one Philox stream per video (stub_backbone)."""
 
     def __init__(self, seed: int, dims: tuple[int, int, int]):
         self.seed = seed
         self.dims = dims
 
     def get_block(self, video_id: str, indices, feature_files) -> np.ndarray:
-        return stub_backbone(video_id, indices, self.dims, self.seed)
+        return stub_backbone(video_id, indices.start, indices.stop, self.dims, self.seed)
 
 
 class FileFeatureSource:
@@ -459,8 +443,8 @@ def featurize_video(manifest, w: FusionWeights, source) -> np.ndarray:
     Returns the [T, d_model] feature matrix with rows in snippet order.
     Snippets absent from the manifest contribute no agent boxes. Snippets
     go through the layers BLOCK_SNIPPETS at a time (module docstring):
-    source.get_block(video_id, indices, feature_files) gives a block's
-    maps as one [B, C, H, W] array in index order; feature_files holds
+    source.get_block(video_id, indices, feature_files) gives the maps of
+    the block's range of snippets as one [B, C, H, W] array; feature_files holds
     each snippet's file name, None where the manifest names none. Every
     block's maps must have the first block's [C, H, W] shape.
     """

@@ -86,6 +86,12 @@ def zero_layer(d, ff):
     pytest.param(lambda: environment_pathway(np.zeros((4, 3, 4)), random_weights(SMALL_CFG, 0)),
                  ConfigError, "feature maps must be [B, 3, H, W], got shape (4, 3, 4)",
                  id="maps-3-d"),
+    pytest.param(lambda: stub_backbone("vid", -1, 2, (2, 2, 2), 0), InvalidInputError,
+                 "stub snippets need 0 <= start <= stop, got start -1, stop 2",
+                 id="stub-negative-start"),
+    pytest.param(lambda: stub_backbone("vid", 5, 3, (2, 2, 2), 0), InvalidInputError,
+                 "stub snippets need 0 <= start <= stop, got start 5, stop 3",
+                 id="stub-stop-before-start"),
 ])
 def test_refusals_name_the_bad_value(build, error, message):
     with pytest.raises(error) as e:
@@ -95,50 +101,69 @@ def test_refusals_name_the_bad_value(build, error, message):
 
 class TestStubBackbone:
     def test_deterministic(self):
-        a = stub_backbone("vid", [3], (4, 5, 6), seed=42)
-        b = stub_backbone("vid", [3], (4, 5, 6), seed=42)
+        a = stub_backbone("vid", 3, 4, (4, 5, 6), seed=42)
+        b = stub_backbone("vid", 3, 4, (4, 5, 6), seed=42)
         np.testing.assert_array_equal(a, b)
 
     def test_seeds_decorrelate(self):
-        a = stub_backbone("vid", [0], (8, 8, 8), seed=1)
-        b = stub_backbone("vid", [0], (8, 8, 8), seed=2)
+        a = stub_backbone("vid", 0, 1, (8, 8, 8), seed=1)
+        b = stub_backbone("vid", 0, 1, (8, 8, 8), seed=2)
         frac_diff = np.mean(a != b)
         assert frac_diff >= 0.99
 
     def test_snippet_and_video_keys_matter(self):
-        a = stub_backbone("vid", [0], (2, 3, 3), seed=1)
-        b = stub_backbone("vid", [1], (2, 3, 3), seed=1)
-        c = stub_backbone("other", [0], (2, 3, 3), seed=1)
+        a = stub_backbone("vid", 0, 1, (2, 3, 3), seed=1)
+        b = stub_backbone("vid", 1, 2, (2, 3, 3), seed=1)
+        c = stub_backbone("other", 0, 1, (2, 3, 3), seed=1)
         assert not np.array_equal(a, b)
         assert not np.array_equal(a, c)
 
     def test_degenerate_dims_rejected(self):
         with pytest.raises(InvalidInputError):
-            stub_backbone("vid", [0], (0, 4, 4), seed=1)
+            stub_backbone("vid", 0, 1, (0, 4, 4), seed=1)
 
     @pytest.mark.parametrize("seed", [0, 1, 42, 2**40])
-    def test_equals_a_fresh_philox_generator_per_snippet(self, seed):
+    def test_equals_a_keyed_philox_stream_advanced_to_the_snippet(self, seed):
+        # c*h*w mod 4 is 0, 1, 2, 3 and 1: a map that fills its last counter
+        # only in part still starts the next map on a counter boundary
+        cases = ((0, (8, 8, 8)), (1, (3, 5, 7)), (63, (2, 3, 3)), (64, (3, 5, 1)), (300, (1, 1, 1)))
         for vid in ("vid", "v_0007", "é"):
-            for index, dims in ((0, (8, 8, 8)), (1, (3, 5, 7)), (63, (1, 1, 1)), (64, (2, 9, 4))):
-                key_material = f"{seed}\x00{vid}\x00{index}".encode("utf-8")
-                key = np.frombuffer(hashlib.sha256(key_material).digest()[:16], dtype=np.uint64)
-                expected = np.random.Generator(np.random.Philox(key=key)).random(dims)
-                got = stub_backbone(vid, [index], dims, seed)
+            key_material = f"{seed}\x00{vid}".encode("utf-8")
+            key = np.frombuffer(hashlib.sha256(key_material).digest()[:16], dtype=np.uint64)
+            for index, dims in cases:
+                cells = math.prod(dims)
+                counters = math.ceil(cells / 4)
+                stream = np.random.Philox(key=key)
+                stream.advance(index * counters)
+                expected = np.random.Generator(stream).random(4 * counters)[:cells]
+                got = stub_backbone(vid, index, index + 1, dims, seed)
                 assert got.shape == (1, *dims) and got.tobytes() == expected.tobytes()
 
-    @pytest.mark.parametrize("indices", [[0], [3, 1, 2], list(range(BLOCK_SNIPPETS + 1)), []])
-    def test_block_equals_one_call_per_snippet(self, indices):
-        block = stub_backbone("vid", indices, (3, 5, 4), 9)
-        assert block.shape == (len(indices), 3, 5, 4)
-        for k, i in enumerate(indices):
-            assert block[k].tobytes() == stub_backbone("vid", [i], (3, 5, 4), 9).tobytes()
+    @pytest.mark.parametrize("start, stop", [(0, 0), (7, 7), (5, 6), (0, BLOCK_SNIPPETS + 1),
+                                             (BLOCK_SNIPPETS - 2, BLOCK_SNIPPETS + 3)])
+    def test_block_equals_one_call_per_snippet(self, start, stop):
+        block = stub_backbone("vid", start, stop, (3, 5, 3), 9)
+        assert block.shape == (stop - start, 3, 5, 3) and block.flags.c_contiguous
+        for k, i in enumerate(range(start, stop)):
+            assert block[k].tobytes() == stub_backbone("vid", i, i + 1, (3, 5, 3), 9).tobytes()
 
     def test_interleaved_videos_give_the_same_maps(self):
         dims = (4, 3, 5)
-        alone = {vid: [stub_backbone(vid, [i], dims, 7) for i in range(6)] for vid in ("a", "b")}
+        alone = {vid: [stub_backbone(vid, i, i + 1, dims, 7) for i in range(6)]
+                 for vid in ("a", "b")}
         for i in range(6):
             for vid in ("b", "a") if i % 2 else ("a", "b"):
-                assert stub_backbone(vid, [i], dims, 7).tobytes() == alone[vid][i].tobytes()
+                assert stub_backbone(vid, i, i + 1, dims, 7).tobytes() == alone[vid][i].tobytes()
+
+    def test_stream_bytes_are_pinned(self):
+        """The maps are Philox output with no sum in between, so their bytes,
+        unlike features', are the same on every platform: a NumPy release
+        that changed the stream would change every stub-driven feature."""
+        want = {(8, 8, 8): "d5c390f90af8af0db57cbaa2fc48dc52f8125c15e0c2954d42bd2e4b84211c60",
+                (3, 5, 3): "7f84ac3c35e58dd8e6efb9e46d95a14bdbd08a61bb41b37c96e110bb1313ee23"}
+        got = {dims: hashlib.sha256(stub_backbone("synth_0000", 0, 300, dims, 0).tobytes())
+               .hexdigest() for dims in want}
+        assert got == want
 
 
 class TestEnvironmentPathway:
@@ -481,7 +506,7 @@ def reference_featurize_video(manifest, w, source):
 # the block sources, which must give the same bits, or the same error.
 
 class PerSnippetStubSource:
-    """Seeded deterministic maps, keyed per (video, snippet)."""
+    """Seeded deterministic maps, one one-snippet stub call per snippet."""
 
     def __init__(self, seed: int, dims: tuple[int, int, int]):
         self.seed = seed
@@ -489,7 +514,8 @@ class PerSnippetStubSource:
 
     def get(self, video_id: str, snippet_index: int, entry, shape=None) -> FeatureMap:
         # shape: always dims
-        return FeatureMap(stub_backbone(video_id, [snippet_index], self.dims, self.seed)[0])
+        return FeatureMap(stub_backbone(video_id, snippet_index, snippet_index + 1,
+                                        self.dims, self.seed)[0])
 
 
 class PerSnippetFileSource:

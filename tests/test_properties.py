@@ -744,6 +744,18 @@ def test_a_saved_bundle_loads_as_the_same_model(cfg, seed, video):
             == featurize_video(manifest, w, source).tobytes())
 
 
+@settings(PROPERTY, max_examples=40)
+@given(T=st.integers(0, 2 * BLOCK_SNIPPETS + 2), dims=st.tuples(*[st.integers(1, 4)] * 3),
+       seed=st.integers(0, 2**64), video=st.text(max_size=8), data=st.data())
+def test_any_cut_into_stub_blocks_gives_the_bytes_of_one_call(T, dims, seed, video, data):
+    """Cutting [0, T) into contiguous blocks, empty ones included, gives the
+    stub maps of one call over [0, T): a map depends on its snippet alone."""
+    edges = [0, *sorted(data.draw(st.lists(st.integers(0, T), max_size=6))), T]
+    whole = fusion.stub_backbone(video, 0, T, dims, seed)
+    blocks = [fusion.stub_backbone(video, a, b, dims, seed) for a, b in zip(edges, edges[1:])]
+    assert np.concatenate(blocks).tobytes() == whole.tobytes()
+
+
 @pytest.mark.parametrize("T, block", BLOCK_EDGES)
 def test_block_sources_match_the_per_snippet_sources_bit_for_bit(T, block):
     """The stub, file and in-memory sources, handing over a block of maps
