@@ -22,10 +22,10 @@ checked at load, with errors naming the offending field path. Snippet
 entries are checked as whole lists: entry types and keys, indices (type,
 range, duplicates), feature file and box list types, then all agent boxes
 as one array. Types are checked once per distinct type, so a dict, list,
-str, int or float subclass passes as its base type does. Only when one of
-these checks fails are the entries checked again one by one, to raise the
-first failure with its field named. A manifest may describe at most
-_MAX_SNIPPETS snippets; that is checked before its snippets.
+str, int or float subclass passes as its base type does. A check that
+fails names its first offender; the same checks, run on shorter prefixes,
+locate the first failure. A manifest may describe at most _MAX_SNIPPETS
+snippets, checked first. No file name holds NUL or a lone surrogate.
 
 A Manifest always holds its snippets as Snippets columns, with no object
 per entry: indices, feature file names, box counts, and the [N, 4]
@@ -42,17 +42,18 @@ sorted keys, a final newline, atomically. read_json reads every JSON file
 
 from __future__ import annotations
 
+import bisect
 import errno
 import itertools
 import json
 import math
 import os
+import re
 import stat
 import struct
 import sys
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
-from typing import NoReturn
 
 import numpy as np
 
@@ -375,6 +376,8 @@ def manifest_from_dict(doc: dict, name: str = "manifest") -> Manifest:
         raise ManifestValidationError(f"{vpath}.video_id", "must be a non-empty string")
     if any(c and c in v["video_id"] for c in (os.sep, os.altsep, "\0")):  # it names output files
         raise ManifestValidationError(f"{vpath}.video_id", "must hold no path separator or NUL")
+    if _UNNAMEABLE.search(v["video_id"]):  # a NUL is refused above
+        raise ManifestValidationError(f"{vpath}.video_id", "must hold no lone surrogate")
     try:
         video = VideoMeta(
             video_id=v["video_id"],
@@ -423,13 +426,22 @@ def manifest_from_dict(doc: dict, name: str = "manifest") -> Manifest:
     raw_snippets = doc.get("snippets", [])
     if not isinstance(raw_snippets, list):
         raise ManifestValidationError(f"{name}.snippets", "must be a list")
-    snippets = _snippets_at_once(raw_snippets, T)
-    if snippets is None:  # a check failed: repeat them in order, to raise the first
-        _raise_first_failure(raw_snippets, T, name)
+    try:
+        snippets = _snippets_at_once(raw_snippets, T, name)
+    except ManifestValidationError:  # a check's first offender; the same checks on shorter
+        # prefixes find the list's first failure: its entry i, then its box j in that entry
+        i = _first_offender(raw_snippets, lambda entries: _passes(entries, T))
+        head, last = raw_snippets[:i], raw_snippets[i]
+        if isinstance(last, dict) and isinstance(boxes := last.get("agent_boxes"), list):
+            j = _first_offender(boxes, lambda v: _passes([*head, {**last, "agent_boxes": v}], T))
+            last = {**last, "agent_boxes": boxes[:j + 1]}
+        _snippets_at_once([*head, last], T, name)  # raises that failure, the one fault left
+        raise
     return Manifest(video=video, annotations=tuple(annotations), snippets=snippets)
 
 
 _SNIPPET_KEYS = frozenset({"index", "feature_file", "agent_boxes"})
+_UNNAMEABLE = re.compile("[\0\ud800-\udfff]")  # NUL, or a lone surrogate, which UTF-8 cannot encode
 
 
 def _of_types(values, *kinds) -> bool:
@@ -438,85 +450,97 @@ def _of_types(values, *kinds) -> bool:
     return all(issubclass(t, kinds) and t is not bool for t in set(map(type, values)))
 
 
-def _snippets_at_once(raw_snippets: list, T: int) -> Snippets | None:
-    """The snippets as columns, each check made once over the whole list;
-    None if any fails.
+def _first_offender(values: list, passes) -> int | None:
+    """None if values pass passes, a check of a whole list; else the index of
+    its first offender, the end of the shortest prefix that fails, found by
+    bisection, as a prefix fails once it holds an offender."""
+    if passes(values):
+        return None
+    return bisect.bisect_left(range(1, len(values) + 1), True, key=lambda k: not passes(values[:k]))
+
+
+def _keyed(entries: list) -> bool:
+    """Whether entries are dicts that hold an index and no key but _SNIPPET_KEYS."""
+    return (_of_types(entries, dict) and all("index" in s for s in entries)
+            and _SNIPPET_KEYS.issuperset(itertools.chain.from_iterable(entries)))
+
+
+def _nameable(files: list) -> bool:
+    """Whether each of files is None or a str that can name a file."""
+    named = [f for f in files if f is not None]
+    return _of_types(named, str) and not _UNNAMEABLE.search("".join(named))
+
+
+def _unit_boxes(rows: list) -> np.ndarray | None:
+    """rows, lists of four, as an [N, 4] float64 array if each coordinate is
+    an int or float (not a bool) in [0, 1], else None."""
+    if not _of_types(itertools.chain.from_iterable(rows), int, float):  # numpy parses a str
+        return None
+    try:
+        a = np.array(rows, dtype=np.float64).reshape(-1, 4)
+    except OverflowError:  # an int beyond float
+        return None
+    return a if ((a >= 0.0) & (a <= 1.0)).all() else None  # NaN fails too
+
+
+def _snippets_at_once(raw_snippets: list, T: int, name: str) -> Snippets:
+    """The snippets as columns, each check made once over the whole list.
 
     Entries must be dicts, indices ints (not bools), feature files strs or
     None, box lists and boxes lists, and coordinates ints or floats (not
-    bools), subclasses included, as _raise_first_failure requires. An int
-    beyond float range fails its range check or its conversion. So this
-    accepts every list _raise_first_failure accepts, and no other.
+    bools), subclasses included. A check that fails raises the error of its
+    first offender, worded as one entry's fields are checked in order.
     """
-    if not (_of_types(raw_snippets, dict)
-            and _SNIPPET_KEYS.issuperset(itertools.chain.from_iterable(raw_snippets))
-            and all("index" in s for s in raw_snippets)):
-        return None
+    at = f"{name}.snippets"
+    if (i := _first_offender(raw_snippets, _keyed)) is not None:
+        if not isinstance(raw_snippets[i], dict):
+            raise ManifestValidationError(f"{at}[{i}]", "must be an object")
+        _require_keys(raw_snippets[i], _SNIPPET_KEYS, {"index"}, f"{at}[{i}]")
     indices = [s["index"] for s in raw_snippets]
-    if not _of_types(indices, int):
-        return None
-    if indices and not (min(indices) >= 0 and max(indices) < T
-                        and len(set(indices)) == len(indices)):
-        return None
+    if (i := _first_offender(indices, lambda v: _of_types(v, int)
+                             and (not v or min(v) >= 0 and max(v) < T))) is not None:
+        _check_number(indices[i], f"{at}[{i}].index", integer=True)
+        raise ManifestValidationError(f"{at}[{i}].index", f"index {indices[i]} outside [0, {T})")
+    if (i := _first_offender(indices, lambda v: len(set(v)) == len(v))) is not None:
+        raise ManifestValidationError(f"{at}[{i}].index", f"duplicate snippet index {indices[i]}")
     files = [s.get("feature_file") for s in raw_snippets]
+    if (i := _first_offender(files, _nameable)) is not None:
+        raise ManifestValidationError(f"{at}[{i}].feature_file", (
+            "must be a string path" if not isinstance(files[i], str) else
+            "must hold no NUL" if "\0" in files[i] else "must hold no lone surrogate"))
     box_lists = [s.get("agent_boxes", []) for s in raw_snippets]
-    if not (all(f is None or (isinstance(f, str) and "\0" not in f) for f in files)
-            and _of_types(box_lists, list)):
-        return None
+    if (i := _first_offender(box_lists, lambda v: _of_types(v, list))) is not None:
+        raise ManifestValidationError(f"{at}[{i}].agent_boxes", "must be a list")
+    counts = np.array([len(b) for b in box_lists], dtype=np.intp)
     raw = [b for boxes in box_lists for b in boxes]
-    if not (_of_types(raw, list) and set(map(len, raw)) <= {4}
-            and _of_types(itertools.chain.from_iterable(raw), int, float)):
-        return None
+
+    def box_path(r: int) -> str:  # raw[r]'s field path
+        i = int(np.searchsorted(np.cumsum(counts), r, side="right"))
+        return f"{at}[{i}].agent_boxes[{r - counts[:i].sum()}]"
+
+    if (r := _first_offender(raw, lambda v: _of_types(v, list)
+                             and set(map(len, v)) <= {4})) is not None:
+        raise ManifestValidationError(box_path(r), "box must be [x1, y1, x2, y2]")
+    if (a := _unit_boxes(raw)) is None:
+        r = _first_offender(raw, lambda v: _unit_boxes(v) is not None)
+        for k, c in enumerate(raw[r]):  # each coordinate's type and finiteness first
+            _check_number(c, f"{box_path(r)}[{k}]")
+        raise ManifestValidationError(box_path(r), f"coordinates outside [0, 1]: {raw[r]}")
+    x_ok, y_ok = a[:, 0] < a[:, 2], a[:, 1] < a[:, 3]
+    if not (x_ok.all() and y_ok.all()):
+        r = int(np.argmin(x_ok & y_ok))
+        raise ManifestValidationError(box_path(r), ("y1 >= y2" if x_ok[r] else "x1 >= x2")
+                                      + f" in {raw[r]}")
+    return Snippets(np.array(indices, dtype=np.intp), tuple(files), counts, a)
+
+
+def _passes(entries: list, T: int) -> bool:
+    """Whether _snippets_at_once accepts entries."""
     try:
-        a = np.array(raw, dtype=np.float64).reshape(-1, 4)
-        columns = Snippets(np.array(indices, dtype=np.intp), tuple(files),
-                           np.array([len(b) for b in box_lists], dtype=np.intp), a)
-    except OverflowError:  # a coordinate beyond float
-        return None
-    if not (((a >= 0.0) & (a <= 1.0)).all()  # NaN fails too
-            and (a[:, 0] < a[:, 2]).all() and (a[:, 1] < a[:, 3]).all()):
-        return None
-    return columns
-
-
-def _raise_first_failure(raw_snippets: list, T: int, name: str) -> NoReturn:
-    """Check the snippets entry by entry and box by box, and raise the first
-    failure, naming its field down to snippets[i].agent_boxes[j][k].
-
-    Called only on a list _snippets_at_once rejected, which always holds one.
-    """
-    seen: set[int] = set()
-    for i, s in enumerate(raw_snippets):
-        spath = f"{name}.snippets[{i}]"
-        if not isinstance(s, dict):
-            raise ManifestValidationError(spath, "must be an object")
-        _require_keys(s, _SNIPPET_KEYS, {"index"}, spath)
-        idx = int(_check_number(s["index"], f"{spath}.index", integer=True))
-        if not 0 <= idx < T:
-            raise ManifestValidationError(f"{spath}.index", f"index {idx} outside [0, {T})")
-        if idx in seen:
-            raise ManifestValidationError(f"{spath}.index", f"duplicate snippet index {idx}")
-        seen.add(idx)
-        feature_file = s.get("feature_file")
-        if feature_file is not None and not isinstance(feature_file, str):
-            raise ManifestValidationError(f"{spath}.feature_file", "must be a string path")
-        if feature_file is not None and "\0" in feature_file:
-            raise ManifestValidationError(f"{spath}.feature_file", "must hold no NUL")
-        raw_boxes = s.get("agent_boxes", [])
-        if not isinstance(raw_boxes, list):
-            raise ManifestValidationError(f"{spath}.agent_boxes", "must be a list")
-        for j, b in enumerate(raw_boxes):
-            bpath = f"{spath}.agent_boxes[{j}]"
-            if not isinstance(b, list) or len(b) != 4:
-                raise ManifestValidationError(bpath, "box must be [x1, y1, x2, y2]")
-            x1, y1, x2, y2 = (float(_check_number(c, f"{bpath}[{k}]")) for k, c in enumerate(b))
-            if not all(0.0 <= c <= 1.0 for c in (x1, y1, x2, y2)):
-                raise ManifestValidationError(bpath, f"coordinates outside [0, 1]: {b}")
-            if not x1 < x2:
-                raise ManifestValidationError(bpath, f"x1 >= x2 in {b}")
-            if not y1 < y2:
-                raise ManifestValidationError(bpath, f"y1 >= y2 in {b}")
-    raise AssertionError(f"{name}.snippets: rejected as a list, but no entry fails")
+        _snippets_at_once(entries, T, "")
+    except ManifestValidationError:
+        return False
+    return True
 
 
 def read_manifest(source: str | os.PathLike) -> Manifest:

@@ -541,6 +541,22 @@ class TestErrorHandling:
                             "must hold no path separator or NUL\n")
         assert {os.path.dirname(f) for f in files() - before} == {str(out)}
 
+    @pytest.mark.parametrize("stage", ["labels", "featurize"])
+    def test_video_id_with_a_lone_surrogate_is_one_error_line(self, runner, tmp_path, stage):
+        """JSON's "\\ud800" reads as an id that UTF-8 cannot encode: refused when
+        the manifest is read, before it names an output file or keys the stub."""
+        invoke(runner, ["synth", "--n-videos", "1", "--out", str(tmp_path / "corpus")])
+        path = tmp_path / "corpus" / "manifests" / "synth_0000.json"
+        doc = json.loads(path.read_text())
+        doc["video"]["video_id"] = "\ud800x"
+        path.write_text(json.dumps(doc))
+        # catch_exceptions=False: a traceback would fail the test
+        r = invoke(runner, [stage, "--manifests", str(path.parent), "--out", str(tmp_path / "out")])
+        assert r.exit_code == 1, r.output
+        assert r.output == (f"error: synth_0000: {path}.video.video_id: "
+                            "must hold no lone surrogate\n")
+        assert "Traceback" not in r.output
+
     def test_feature_file_with_nul_is_a_per_video_error_naming_it(self, runner, tmp_path):
         invoke(runner, ["synth", "--n-videos", "1", "--out", str(tmp_path / "corpus")])
         path = tmp_path / "corpus" / "manifests" / "synth_0000.json"

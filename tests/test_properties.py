@@ -1247,7 +1247,8 @@ def valid_entries(draw):
     """A valid tuple of SnippetEntry with float boxes, indices in any order."""
     T = draw(st.integers(1, 12))
     indices = draw(st.lists(st.integers(0, T - 1), unique=True, max_size=T))
-    files = st.none() | st.text(st.characters(exclude_characters="\0"), max_size=6)
+    # names a file may hold: no NUL, and no lone surrogate, which UTF-8 cannot encode
+    files = st.none() | st.text(st.characters(codec="utf-8", exclude_characters="\0"), max_size=6)
     entries = tuple(SnippetEntry(i, draw(files), tuple(draw(st.lists(float_box, max_size=3))))
                     for i in indices)
     return T, entries

@@ -1,3 +1,4 @@
+import copy
 import dataclasses
 import json
 import math
@@ -13,6 +14,7 @@ import pytest
 from tapgen.errors import InvalidInputError, ManifestValidationError, TensorFormatError
 from tapgen.tensorio import (
     _MAX_SNIPPETS,
+    _snippets_at_once,
     Manifest,
     SnippetEntry,
     Snippets,
@@ -106,7 +108,8 @@ def read_outcome(read, path):
 
 # ---------------------------------------------------------------------------
 # Reference: manifest_from_dict as it was before boxes were checked as one
-# array, kept verbatim (helpers renamed), box by box in document order.
+# array, kept verbatim (helpers renamed), box by box in document order, with
+# one rule added since: a video_id or feature_file must hold no lone surrogate.
 # ---------------------------------------------------------------------------
 
 def _ref_require_keys(obj: dict, allowed: set[str], required: set[str], path: str) -> None:
@@ -126,6 +129,14 @@ def _ref_check_number(v, path: str, *, integer: bool = False) -> float:
     if not -sys.float_info.max <= v <= sys.float_info.max:  # NaN, inf, or an int beyond float
         raise ManifestValidationError(path, "expected a finite number")
     return v
+
+
+def _ref_encodes(s: str) -> bool:
+    try:
+        s.encode("utf-8")
+    except UnicodeEncodeError:
+        return False
+    return True
 
 
 def reference_manifest_from_dict(doc: dict, name: str = "manifest") -> Manifest:
@@ -148,6 +159,8 @@ def reference_manifest_from_dict(doc: dict, name: str = "manifest") -> Manifest:
         raise ManifestValidationError(f"{vpath}.video_id", "must be a non-empty string")
     if any(c and c in v["video_id"] for c in (os.sep, os.altsep, "\0")):
         raise ManifestValidationError(f"{vpath}.video_id", "must hold no path separator or NUL")
+    if not _ref_encodes(v["video_id"]):
+        raise ManifestValidationError(f"{vpath}.video_id", "must hold no lone surrogate")
     try:
         video = VideoMeta(
             video_id=v["video_id"],
@@ -210,6 +223,8 @@ def reference_manifest_from_dict(doc: dict, name: str = "manifest") -> Manifest:
             raise ManifestValidationError(f"{spath}.feature_file", "must be a string path")
         if feature_file is not None and "\0" in feature_file:
             raise ManifestValidationError(f"{spath}.feature_file", "must hold no NUL")
+        if feature_file is not None and not _ref_encodes(feature_file):
+            raise ManifestValidationError(f"{spath}.feature_file", "must hold no lone surrogate")
         boxes = []
         raw_boxes = s.get("agent_boxes", [])
         if not isinstance(raw_boxes, list):
@@ -569,6 +584,46 @@ class TestManifest:
         with pytest.raises(ManifestValidationError,
                            match=r"^m\.snippets\[0\]\.feature_file: must hold no NUL$"):
             manifest_from_dict(doc, name="m")
+
+    @pytest.mark.parametrize("field, path", [("video_id", "video.video_id"),
+                                             ("feature_file", "snippets[0].feature_file")])
+    def test_name_with_a_lone_surrogate_is_refused(self, tmp_path, field, path):
+        """JSON's "\\ud800" reads as a str that UTF-8 cannot encode, so it
+        can name no file; a surrogate pair reads as one character and can."""
+        doc = minimal_manifest_doc()
+        where = doc["video"] if field == "video_id" else doc["snippets"][0]
+        where[field] = "\ud800x"
+        file = tmp_path / "m.json"
+        file.write_text(json.dumps(doc))
+        assert '"\\ud800x"' in file.read_text()
+        with pytest.raises(ManifestValidationError) as info:
+            read_manifest(file)
+        assert str(info.value) == f"{file}.{path}: must hold no lone surrogate"
+        where[field] = "\ud83d\ude00"  # escaped apart, as a pair
+        file.write_text(json.dumps(doc))
+        m = read_manifest(file)
+        got = m.video.video_id if field == "video_id" else m.snippets[0].feature_file
+        assert got == "\U0001f600"
+
+    def test_first_failure_at_the_snippet_cap(self):
+        """Of two faulty boxes in the last of _MAX_SNIPPETS entries, the
+        earlier is named, as the reference names it, though the whole-list
+        coordinate check meets the later one's string first."""
+        doc = minimal_manifest_doc()
+        doc["video"]["num_frames"] = 16 * _MAX_SNIPPETS
+        box = [0.1, 0.2, 0.5, 0.6]
+        doc["snippets"] = [{"index": i, "agent_boxes": [box]} for i in range(_MAX_SNIPPETS)]
+        doc["snippets"][-1]["agent_boxes"] = [box, [0.5, 0.2, 0.5, 0.6], box, [0.1, "0.2", 0.5, 0.6]]
+        want = (f"m.snippets[{_MAX_SNIPPETS - 1}].agent_boxes[1]: "
+                "x1 >= x2 in [0.5, 0.2, 0.5, 0.6]")
+        for parse in (manifest_from_dict, reference_manifest_from_dict):
+            with pytest.raises(ManifestValidationError) as info:
+                parse(copy.deepcopy(doc), name="m")
+            assert str(info.value) == want
+        with pytest.raises(ManifestValidationError) as info:
+            _snippets_at_once(doc["snippets"], _MAX_SNIPPETS, "m")
+        assert str(info.value) == (f"m.snippets[{_MAX_SNIPPETS - 1}].agent_boxes[3][1]: "
+                                   "expected a number, got str")
 
     def test_validation_error_survives_pickling(self):
         # pool workers send it to the parent process this way
