@@ -13,9 +13,13 @@ it, yields Proposal, a row view for library callers.
 
 Soft-NMS decays overlapping survivors by exp(-iou^2 / sigma) instead of
 removing them. It works on those columns (a list of Proposal is turned
-into columns once) and returns the survivors as Candidates too. Each of
-the at most top_k steps takes one IoU vector against the n candidates, so
-it costs O(top_k * n) time and O(n) memory, never an n x n matrix.
+into columns once) and returns the survivors as Candidates too. Rows are
+kept in (start, end) order, so the rows a selection can overlap form one
+window: those starting before its end, from the first whose running
+maximum of ends passes its start. Every other row's factor would be
+exactly 1. Each of the at most top_k steps costs the contender scan (two
+passes over the n ranking scores, below) plus one IoU vector over its
+window, and O(n) memory, never an n x n matrix.
 
 Results must stay bit-identical to the scalar reference, whose factors
 come from math.exp. np.exp differs from math.exp by an ulp on a few
@@ -26,15 +30,18 @@ row keeps two scores:
   bound of the top ranking score (see SLACK). The true top row is always
   among them.
 - Its exact score is kept lazily. Each row counts the selections already
-  folded into it, and only when it becomes a contender are the missing
-  math.exp factors multiplied in, in selection order: the reference's
+  folded into it, and the missing math.exp factors are multiplied in, in
+  selection order, only when the exact score is read: the reference's
   products, rounded the same way. An exact score of 0 stays 0 under any
-  factor, so it is never caught up.
-The selection is the argmax of the contenders' exact scores, and the floor
-check reads the exact score. On noisy dense grids a step's one contender
-is mostly its winner, caught up over the earlier selections: math.exp runs
-once per earlier selection that overlapped it, not once per row the step
-overlaps.
+  factor, so a contender at 0 is not caught up.
+A step reads exact scores only when it must: when several rows contend,
+the selection is the argmax of their exact scores, and the floor check
+reads the winner's. A lone contender whose ranking score clears the floor
+by more than the error bound wins without being caught up, as on noisy
+dense grids nearly every step does. Each selection's exact score is then
+completed once, after the loop, over the selections before it. So
+math.exp runs once per earlier selection that overlapped a row read, not
+once per row a step overlaps.
 """
 
 from __future__ import annotations
@@ -187,7 +194,9 @@ def form_proposals(
 # plus t times the absolute error of a subnormal result (np.exp may flush
 # one to zero, an error below 2.3e-308). The row with the top exact score
 # ranks at most that error below it, and m exceeds it by at most the same,
-# so the row lies within twice the per-row error of m. SLACK allows
+# so the row lies within twice the per-row error of m. By the same bound,
+# a lone contender whose m clears the floor by that margin has an exact
+# score at or above the floor, and needs no catch-up to pass. SLACK allows
 # thousands of ulps per step, and TINY some 10^17 subnormal flushes.
 SLACK = 1e-12
 TINY = 1e-290
@@ -199,6 +208,23 @@ BLOCK_CELLS = 1 << 14
 def _gaussian_decay(iou: np.ndarray, sigma: float) -> np.ndarray:
     """math.exp(-iou^2 / sigma) per entry: the reference's factors, bit for bit."""
     return np.fromiter(map(math.exp, (-(iou * iou) / sigma).tolist()), np.float64, iou.size)
+
+
+def _catch_up(exact, rows, since, until, chosen, starts, ends, sigma) -> None:
+    """Multiply into each exact[rows[i]] the math.exp factors of selections
+    since[i] .. until[i] - 1 (one until for all rows, or one each), in selection
+    order: the reference's products, rounded the same way."""
+    until = np.broadcast_to(until, rows.shape)
+    width = max(1, BLOCK_CELLS // max(int(until.max(initial=0)), 1))  # cols < until.max()
+    for i in range(0, rows.size, width):  # blocks of rows
+        block, lo, hi = rows[i:i + width], since[i:i + width], until[i:i + width]
+        cols = np.arange(lo.min(), hi.max())
+        past = chosen[cols]
+        iou = broadcast_iou(starts[past], ends[past], starts[block, None], ends[block, None])
+        iou[(cols < lo[:, None]) | (cols >= hi[:, None])] = 0.0  # not this row's to fold
+        r, c = np.nonzero(iou)  # row-major: each row's hits in selection order
+        # multiply.at is unbuffered: a row takes its factors one by one, in order
+        np.multiply.at(exact, block[r], _gaussian_decay(iou[r, c], sigma))
 
 
 def soft_nms(
@@ -224,32 +250,35 @@ def soft_nms(
     ranking = exact.copy()
     folded = np.zeros(len(exact), dtype=np.intp)  # selections folded into exact
     chosen = np.empty(min(top_k, len(exact)), dtype=np.intp)  # rows, in selection order
+    removed = np.zeros(len(exact), dtype=bool)  # the chosen rows
+    reach = np.maximum.accumulate(ends)  # the latest end of the rows up to each
     for t in range(len(chosen)):
         m = ranking.max()
-        rows = np.flatnonzero(ranking >= m - (abs(m) * (t + 1) * SLACK + TINY))
-        lag = rows[(folded[rows] < t) & (exact[rows] != 0)]  # 0 times a factor is 0
-        width = max(1, BLOCK_CELLS // max(t, 1))  # rows per catch-up block
-        for i in range(0, lag.size, width):
-            block = lag[i:i + width]
-            since = folded[block]
-            past = chosen[since.min():t]
-            iou = broadcast_iou(starts[past], ends[past], starts[block, None], ends[block, None])
-            iou[np.arange(t - past.size, t) < since[:, None]] = 0.0  # folded in already
-            r, c = np.nonzero(iou)  # row-major: each row's hits in selection order
-            # multiply.at is unbuffered: a row takes its factors one by one, in order
-            np.multiply.at(exact, block[r], _gaussian_decay(iou[r, c], sigma))
-        folded[rows] = t
-        best = int(rows[np.argmax(exact[rows])])  # rows ascend, so ties go to the first
-        if exact[best] < score_floor:
-            chosen = chosen[:t]
-            break
-        chosen[t] = best  # its exact score is final: never written again
-        ranking[best] = -np.inf  # removed from the pool
-        x = broadcast_iou(starts[best], ends[best], starts, ends)
-        x[chosen[:t + 1]] = 0.0  # removed rows stay at -inf
+        err = abs(m) * (t + 1) * SLACK + TINY
+        rows = np.flatnonzero(ranking >= m - err)
+        if rows.size == 1 and m - err >= score_floor:
+            best = int(rows[0])  # wins, and its exact score clears the floor: no catch-up
+        else:
+            lag = rows[(folded[rows] < t) & (exact[rows] != 0)]  # 0 times a factor is 0
+            _catch_up(exact, lag, folded[lag], t, chosen, starts, ends, sigma)
+            folded[rows] = t
+            best = int(rows[np.argmax(exact[rows])])  # rows ascend, so ties go to the first
+            if exact[best] < score_floor:
+                chosen = chosen[:t]
+                break
+        chosen[t] = best
+        ranking[best], removed[best] = -np.inf, True  # removed from the pool
+        # Rows from hi on start at or after the selection's end, and rows
+        # before lo end by its start: their factor would be exactly 1.
+        s, e = starts[best], ends[best]
+        lo, hi = reach.searchsorted(s, "right"), starts.searchsorted(e)
+        x = broadcast_iou(s, e, starts[lo:hi], ends[lo:hi])
+        x[removed[lo:hi]] = 0.0  # a factor of 1 keeps them at -inf, where 0 would give NaN
         x *= x
         x /= -sigma
-        ranking *= np.exp(x, out=x)
+        ranking[lo:hi] *= np.exp(x, out=x)
+    # each selection's exact score, folded up to the step that chose it
+    _catch_up(exact, chosen, folded[chosen], np.arange(len(chosen)), chosen, starts, ends, sigma)
     return Candidates(starts[chosen], ends[chosen], exact[chosen])
 
 

@@ -4,11 +4,11 @@ Boundary labels mark, for each annotated action, the snippet whose center
 is nearest to the action's start (end) timestamp. Duration labels live in
 a D x T matrix whose cell (d, j), 1 <= d <= D, stands for the candidate
 proposal covering snippets j .. j+d-1; cells achieving a ground truth's
-maximum IoU are set to 1. The search, like ScoreGrids' check of invalid
-cells, walks the matrix in row blocks of at most _BLOCK_CELLS cells (one
-block up to 256 snippets); each ground truth carries its running best IoU
-and the cells holding it across blocks. Max and == are exact, so the
-labels are those of one whole-matrix search, bit for bit.
+maximum IoU are set to 1. The search visits each ground truth's rows in
+descending order of an IoU bound and mostly stops after a few of the D
+(gen_duration_labels); the labels are those of one whole-matrix search,
+bit for bit. ScoreGrids' check of invalid cells walks the matrix in row
+blocks of at most _BLOCK_CELLS cells (one block up to 256 snippets).
 
 The weighted binary loss is the standard class-balanced negative
 log-likelihood: -(1/N) sum [a+ l log p + a- (1-l) log(1-p)] with
@@ -18,7 +18,6 @@ a+ = N/N+ and a- = N/N-. Probabilities are clamped to [CLAMP_EPS,
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -170,6 +169,16 @@ def max_duration(T: int, d_policy: str) -> int:
     return T if d_policy == "full" else max(1, T // 2)
 
 
+# Relative slack on a row's IoU bound (gen_duration_labels). A computed
+# IoU can exceed its row's computed bound by rounding alone: cell edges
+# j * ss and (j + d) * ss are rounded, so a cell's length differs from
+# d * ss by up to about T ulps of it, and the IoU's few operations add a
+# few ulps more. 1e-6 stays far above that for any T below ~10^9;
+# BOUND_TINY covers results in the subnormal range, where ulps are absolute.
+BOUND_SLACK = 1e-6
+BOUND_TINY = 1e-300
+
+
 def gen_duration_labels(
     grid: SnippetGrid, gts: list[GroundTruthAction], D: int
 ) -> np.ndarray:
@@ -177,27 +186,37 @@ def gen_duration_labels(
 
     Cell (d, j) covers [left edge of snippet j, right edge of snippet
     j+d-1]; the union over ground truths is returned.
+
+    No cell of row d has an IoU above min(d*ss, L) / max(d*ss, L) with a
+    ground truth of length L, so rows are searched in descending order of
+    that bound and the search stops before the first row whose bound, with
+    its slack, falls below the best IoU found: such a row can neither beat
+    nor tie it. Max and == are exact, so the labels are those of one
+    whole-matrix search, bit for bit.
     """
     T = grid.T
     if D < 1 or D > T:
         raise InvalidInputError(f"max duration D={D} outside [1, {T}]")
-    j = np.arange(T)
-    lo = j * grid.snippet_seconds
-    best = [0.0] * len(gts)  # each ground truth's running best IoU
-    wins: list[list[np.ndarray]] = [[] for _ in gts]  # flat indices of the cells holding it
-    for d0, d, invalid in _row_blocks(D, T):
-        hi = (j + d) * grid.snippet_seconds
-        for g, gt in enumerate(gts):
-            ious = broadcast_iou(lo, hi, gt.start_sec, gt.end_sec)
-            ious[invalid] = 0.0  # cells past the video end never win the argmax
-            top = ious.max()
-            if top > best[g]:
-                best[g], wins[g] = top, []
-            if top == best[g] > 0:
-                wins[g].append(np.flatnonzero(ious == top) + d0 * T)
+    edges = np.arange(T + 1) * grid.snippet_seconds  # edges[j] is snippet j's left edge
+    lengths = np.arange(1, D + 1) * grid.snippet_seconds
     labels = np.zeros((D, T), dtype=np.float64)
-    for cells in itertools.chain.from_iterable(wins):
-        labels.flat[cells] = 1.0
+    for gt in gts:
+        length = gt.end_sec - gt.start_sec
+        bound = np.minimum(lengths, length) / np.maximum(lengths, length)
+        ceiling = bound * (1.0 + BOUND_SLACK) + BOUND_TINY
+        best, wins = 0.0, []  # the best IoU so far and the (row, cells) holding it
+        for row in np.argsort(-bound, kind="stable").tolist():
+            if ceiling[row] < best:
+                break
+            cells = T - row  # the row's valid cells, j + d <= T
+            ious = broadcast_iou(edges[:cells], edges[row + 1:], gt.start_sec, gt.end_sec)
+            top = ious.max()
+            if top > best:
+                best, wins = top, []
+            if top == best > 0:
+                wins.append((row, np.flatnonzero(ious == top)))
+        for row, cells in wins:
+            labels[row, cells] = 1.0
     return labels
 
 

@@ -326,6 +326,26 @@ class TestSoftNms:
         )
         assert (got[1].interval, got[1].score) == ((1.0, 3.0), factor)
 
+    def test_a_lone_contender_at_the_floor_is_checked_on_its_math_exp_score(self):
+        """A = [0, 2] is selected first, and B = [1, 3], left alone in the
+        pool, overlaps it with IoU 1/3. The sigma is searched for at run time
+        so that np.exp gives an ulp more than math.exp there, and the floor
+        is B's ranking score: B's exact score, an ulp below it, must decide,
+        and it stops the run. A lone contender skips its catch-up only when
+        its ranking score clears the floor by the error bound."""
+        iou = temporal_iou((0.0, 2.0), (1.0, 3.0))
+        sigmas = np.linspace(0.05, 5.0, 20001)
+        args = -(iou * iou) / sigmas
+        ranked = np.exp(args)
+        higher = np.flatnonzero(ranked > np.array([math.exp(a) for a in args.tolist()]))
+        if not higher.size:
+            pytest.skip("np.exp is never above math.exp on the searched arguments")
+        sigma, floor = float(sigmas[higher[0]]), float(ranked[higher[0]])
+        props = [mk(0, 2, 1.0), mk(1, 3, 1.0)]
+        got = soft_nms(props, sigma=sigma, score_floor=floor, top_k=2)
+        want = reference_soft_nms(props, sigma, floor, 2)
+        assert [(p.start_sec, p.end_sec, p.score) for p in got] == want == [(0.0, 2.0, 1.0)]
+
 
 @pytest.mark.parametrize("score", [1.5, -0.1, math.nan])
 def test_proposal_score_outside_0_1_rejected(score):

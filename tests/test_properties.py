@@ -61,6 +61,7 @@ from tapgen.supervision import (
     ScoreGrids,
     gen_boundary_labels,
     gen_duration_labels,
+    max_duration,
     valid_cell_mask,
 )
 from tapgen.timeline import GroundTruthAction, broadcast_iou
@@ -130,9 +131,35 @@ def snippet_proposals(draw):
     return [mk(a, a + length, score, snippet) for a, length, score in rows]
 
 
-@settings(PROPERTY, max_examples=20)
+@st.composite
+def window_edge_proposals(draw):
+    """Short disjoint selections, 4 snippets apart, so that each one's window
+    leaves rows out on both sides. Around each, rows that touch its edges
+    (start at its end, or end at its start: IoU 0) and rows that overlap it
+    as the first or the last row of its window; and rows spanning many
+    selections, which become contenders only after up to 70 have passed."""
+    snippet = draw(st.sampled_from([1.0, 0.5, 16 / 30]))
+    n = draw(st.integers(1, 70))
+    props = []
+    for i in range(n):
+        a, w = 4 * i + 2, draw(st.integers(1, 2))
+        props.append(mk(a, a + w, draw(st.sampled_from([1.0, 0.999, 0.99])), snippet))
+        for kind in draw(st.lists(st.sampled_from(["before", "after", "first", "last"]),
+                                  max_size=2)):
+            k = draw(st.integers(1, 2))
+            lo, hi = {"before": (a - k, a), "after": (a + w, a + w + k),
+                      "first": (a - k, a + 1), "last": (a + w - 1, a + w + k)}[kind]
+            props.append(mk(lo, hi, draw(tied_scores | st.floats(0.9, 1.0)), snippet))
+    for _ in range(draw(st.integers(0, 3))):
+        a = draw(st.integers(0, 4 * n))
+        props.append(mk(a, a + draw(st.integers(1, 4 * n + 4)),
+                        draw(st.sampled_from([0.5, 0.3, 0.3])), snippet))
+    return props
+
+
+@settings(PROPERTY, max_examples=40)
 @given(
-    props=snippet_proposals(),
+    props=snippet_proposals() | window_edge_proposals(),
     sigma=st.sampled_from([0.2, 0.4, 0.8]),
     floor=st.sampled_from([0.0, 0.001, 0.05]),
     top_k=st.integers(1, 200),
@@ -306,7 +333,7 @@ def near_tie_proposals(draw):
 
 @PROPERTY
 @given(
-    props=near_tie_proposals(),
+    props=near_tie_proposals() | window_edge_proposals(),
     sigma=st.sampled_from([1e-300, 1e-3, 0.4, 50.0]),
     floor=st.sampled_from([-1.0, 0.0, 0.001]),
     top_k=st.sampled_from([1, 5, "above n"]),
@@ -437,20 +464,62 @@ def test_evaluate_matches_the_object_reference_bit_for_bit(videos, thresholds, a
     assert res.auc.hex() == auc.hex()
 
 
+def bound_edge_ground_truths(recipes, T, D, ss):
+    """Ground truths at the edges of the bound-ordered label search, from
+    (kind, u, v) recipes whose integers pick quarter-snippet spans:
+    - long: longer than D snippets, so the search starts at row D; where it
+      spans several cells of row D, they tie at its maximum, a plateau;
+    - short: shorter than one snippet;
+    - grid: both edges on snippet edges;
+    - shared: two of one length, whose best cells lie in one row;
+    - tie: from n + 1/4 snippets before the video end to 2n - 1/4 past it,
+      so that rows n and n + 1 tie at IoU 1/3, row n's bound."""
+    q = ss / 4
+    spans = []
+    for kind, u, v in recipes:
+        if kind == "long":
+            spans.append((u % (4 * T), 4 * D + 1 + v % (4 * T)))
+        elif kind == "short":
+            spans.append((u % (4 * T + 4), 1 + v % 3))
+        elif kind == "grid":
+            spans.append((4 * (u % (T + 1)), 4 * (1 + v % (T + 1))))
+        elif kind == "shared":
+            spans += [(u % (4 * T), 1 + v % (4 * T)), (v % (4 * T), 1 + v % (4 * T))]
+        elif min(D, T) >= 2:  # tie
+            n = 1 + u % (min(D, T) - 1)
+            spans.append((4 * (T - n) - 1, 12 * n))
+    return [GroundTruthAction("g", a * q, (a + n) * q) for a, n in spans]
+
+
 @PROPERTY
 @given(
     T=st.integers(1, 40),
-    d_frac=st.floats(0.01, 1.0),
+    d_frac=st.floats(0.01, 1.0) | st.just("half"),
     seed=st.integers(0, 2**32 - 1),
     n_gts=st.integers(0, 4),
     overhang=st.sampled_from([1.0, 1.5]),
+    shape=snippet_shapes,
+    recipes=st.lists(st.tuples(st.sampled_from(["long", "short", "grid", "shared", "tie"]),
+                               st.integers(0, 2**16), st.integers(0, 2**16)), max_size=3),
 )
-def test_duration_labels_match_exhaustive_scan(T, d_frac, seed, n_gts, overhang):
+@example(T=1, d_frac="half", seed=0, n_gts=1, overhang=1.5, shape=(16, 30.0),
+         recipes=[("short", 1, 1), ("grid", 0, 0)])
+@example(T=9, d_frac="half", seed=0, n_gts=0, overhang=1.0, shape=(1, 1.0),
+         recipes=[("long", 0, 4), ("shared", 3, 9)])
+# rows 3 and 4 tie at 1/3, row 3's bound; at 16/30 s a snippet, rounding lifts
+# the IoU of row 1's cell 3 ulps above that row's bound, which only the slack covers
+@example(T=12, d_frac=1.0, seed=0, n_gts=0, overhang=1.0, shape=(1, 1.0),
+         recipes=[("tie", 2, 0)])
+@example(T=6, d_frac=1.0, seed=0, n_gts=0, overhang=1.0, shape=(16, 30.0),
+         recipes=[("tie", 0, 0)])
+def test_duration_labels_match_exhaustive_scan(T, d_frac, seed, n_gts, overhang, shape,
+                                               recipes):
     # overhang > 1 lets ground truths run past the video end, where only the
     # invalid-cell mask keeps cells beyond T out of the argmax
-    grid = make_grid(T)
-    D = max(1, int(T * d_frac))
+    grid = make_grid(T, *shape)
+    D = max_duration(T, d_frac) if d_frac == "half" else max(1, int(T * d_frac))
     gts = random_gts(np.random.default_rng(seed), overhang * T * grid.snippet_seconds, n_gts)
+    gts += bound_edge_ground_truths(recipes, T, D, grid.snippet_seconds)
     want = brute_force_duration_labels(grid, gts, D)
     assert np.array_equal(gen_duration_labels(grid, gts, D), want)
 
@@ -483,23 +552,22 @@ def test_boundary_labels_match_one_argmin_per_timestamp(T, shape, halves, floats
     quarters=st.lists(st.tuples(st.integers(0, 110), st.integers(1, 40)), max_size=4),
     seed=st.integers(0, 2**32 - 1),
     n_random=st.integers(0, 2),
-    cells=st.integers(1, 64),
 )
-# one ground truth, past the end, whose best IoU ties in rows 1 and 2: one row per block
-@example(T=8, d_frac=1.0, quarters=[(27, 12)], seed=0, n_random=0, cells=8)
-def test_blocked_duration_labels_equal_the_whole_grid_search(T, d_frac, quarters, seed,
-                                                             n_random, cells):
-    """Row blocks of at most `cells` cells, so most videos take several,
-    give the labels of one whole-matrix search, bit for bit. Ends on
-    quarter snippets make exact ties common; many lie past the video end."""
+# one ground truth, past the end, whose best IoU ties in rows 1 and 2
+@example(T=8, d_frac=1.0, quarters=[(27, 12)], seed=0, n_random=0)
+def test_bound_ordered_duration_labels_equal_the_whole_grid_search(T, d_frac, quarters, seed,
+                                                                   n_random):
+    """The search that stops at the first row whose bound falls below the
+    best IoU gives the labels of one whole-matrix search, bit for bit. Ends
+    on quarter snippets make exact ties common, across rows too; many lie
+    past the video end."""
     grid = make_grid(T)
     D = max(1, int(T * d_frac))
     q = grid.snippet_seconds / 4
     gts = [GroundTruthAction("g", a * q, (a + n) * q) for a, n in quarters]
     gts += random_gts(np.random.default_rng(seed), 1.5 * T * grid.snippet_seconds, n_random)
     want = whole_grid_duration_labels(grid, gts, D)
-    with patch.object(supervision, "_BLOCK_CELLS", cells):
-        got = gen_duration_labels(grid, gts, D)
+    got = gen_duration_labels(grid, gts, D)
     assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
 
 

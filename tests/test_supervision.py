@@ -199,7 +199,7 @@ class TestDurationLabels:
 
 def whole_grid_duration_labels(grid, gts, D):
     """gen_duration_labels as one search over the whole [D, T] matrix per
-    ground truth, before the search went in row blocks."""
+    ground truth, before the search skipped rows."""
     T = grid.T
     d = np.arange(1, D + 1)[:, None]
     j = np.arange(T)[None, :]
