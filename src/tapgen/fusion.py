@@ -40,7 +40,7 @@ square of that.
 
 The weights are one table: FusionWeights maps each bundle parameter name
 (_param_shapes) to its array, and the layers read their parameters from it
-by name. An encoder is a view whose layers refer to the table's arrays.
+by name. Each encoder is a view built once, its layers the table's arrays.
 
 The stub backbone keys one counter-based Philox stream per (seed, video).
 Philox output is a pure function of key and counter (Salmon et al.,
@@ -55,7 +55,7 @@ import math
 import operator
 import os
 from collections.abc import Mapping
-from dataclasses import asdict, dataclass, fields
+from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
@@ -90,7 +90,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FeatureMap:
     """Backbone output for one snippet: values of shape [C, H, W]."""
 
@@ -151,7 +151,7 @@ _LAYER_PARAMS = ("wq", "bq", "wk", "bk", "wv", "bv", "wo", "bo", "ff1_w", "ff1_b
                  "ln1_scale", "ln1_shift", "ln2_scale", "ln2_shift")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class EncoderWeights:
     layers: tuple[Mapping[str, np.ndarray], ...]  # each keyed by _LAYER_PARAMS
     num_heads: int
@@ -164,7 +164,7 @@ class EncoderWeights:
             raise ConfigError(f"d_model {d} not divisible by num_heads {self.num_heads}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FusionWeights:
     """All learnable parameters of the two pathways and the fusion stage,
     by bundle name: `env_affine.0.weight`, `patch_proj.bias`,
@@ -172,10 +172,12 @@ class FusionWeights:
 
     config: FusionConfig
     params: dict[str, np.ndarray]
+    agent_encoder: EncoderWeights = field(init=False, repr=False)
+    fuse_encoder: EncoderWeights = field(init=False, repr=False)
 
     def __post_init__(self):
         """Hold every parameter to _param_shapes(config), in name order, so a
-        saved bundle is this model."""
+        saved bundle is this model; then build the encoder views (module docstring)."""
         got = {name: np.shape(arr) for name, arr in self.params.items()}
         want = _param_shapes(self.config)
         for name in sorted(got.keys() | want.keys()):
@@ -184,20 +186,10 @@ class FusionWeights:
             if got.get(name) != want[name]:
                 shape = f"shape {got[name]}" if name in got else "no value"
                 raise ConfigError(f"parameter {name!r} has {shape}, expected {want[name]}")
-
-    @property
-    def agent_encoder(self) -> EncoderWeights:
-        return self._encoder("agent_encoder")
-
-    @property
-    def fuse_encoder(self) -> EncoderWeights:
-        return self._encoder("fuse_encoder")
-
-    def _encoder(self, name: str) -> EncoderWeights:
-        """A view of one encoder: its layers refer to the arrays in params."""
-        layers = tuple({p: self.params[f"{name}.{li}.{p}"] for p in _LAYER_PARAMS}
-                       for li in range(self.config.num_layers))
-        return EncoderWeights(layers, self.config.num_heads)
+        for enc in ("agent_encoder", "fuse_encoder"):
+            layers = tuple({p: self.params[f"{enc}.{li}.{p}"] for p in _LAYER_PARAMS}
+                           for li in range(self.config.num_layers))
+            object.__setattr__(self, enc, EncoderWeights(layers, self.config.num_heads))
 
 
 def stub_backbone(video_id: str, start: int, stop: int, dims: tuple[int, int, int],

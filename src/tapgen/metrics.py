@@ -13,7 +13,8 @@ exactly when no augmenting path exists, so adding the next-ranked
 proposal grows the maximum matching by at most one, along a path that
 starts at that proposal. One search per proposal therefore yields the
 maximum matching of every top-an prefix, for every an at once; since the
-maximum size is unique, the counts equal fresh per-an matchings.
+maximum size is unique, the counts equal fresh per-an matchings. The sweep
+stops once every claimed ground truth is matched: no path is left then.
 """
 
 from __future__ import annotations
@@ -45,7 +46,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class EvalResult:
     ar_at_an: dict[int, float]
     auc: float
@@ -94,10 +95,13 @@ def _match_sizes(hits: np.ndarray) -> list[int]:
                 return True
         return False
 
+    claimed = len(set(cols))  # no matching holds more
     sizes = [0]
     for i in range(len(claims)):
+        if sizes[-1] == claimed:
+            break
         sizes.append(sizes[-1] + augment(i, set()))
-    return sizes
+    return sizes + sizes[-1:] * (len(claims) + 1 - len(sizes))
 
 
 def _recall_table(proposals_per_video, gts_per_video, thresholds, an_values) -> np.ndarray:

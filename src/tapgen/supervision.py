@@ -46,7 +46,7 @@ __all__ = [
 CLAMP_EPS = 1e-12  # the weighted binary loss's clamp on probabilities (module docstring)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LabelSet:
     """Supervision targets for one video."""
 
@@ -55,7 +55,7 @@ class LabelSet:
     durations: np.ndarray  # [D, T] in {0, 1}
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ScoreGrids:
     """Inference-side probabilities: boundaries plus two confidence matrices."""
 
@@ -192,7 +192,8 @@ def gen_duration_labels(
     that bound and the search stops before the first row whose bound, with
     its slack, falls below the best IoU found: such a row can neither beat
     nor tie it. Max and == are exact, so the labels are those of one
-    whole-matrix search, bit for bit.
+    whole-matrix search, bit for bit. A ground truth from the last snippet's
+    right edge on (trailing frames) overlaps no cell, so it is skipped.
     """
     T = grid.T
     if D < 1 or D > T:
@@ -201,6 +202,8 @@ def gen_duration_labels(
     lengths = np.arange(1, D + 1) * grid.snippet_seconds
     labels = np.zeros((D, T), dtype=np.float64)
     for gt in gts:
+        if gt.start_sec >= edges[T]:
+            continue
         length = gt.end_sec - gt.start_sec
         bound = np.minimum(lengths, length) / np.maximum(lengths, length)
         ceiling = bound * (1.0 + BOUND_SLACK) + BOUND_TINY

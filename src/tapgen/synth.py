@@ -32,7 +32,7 @@ VIDEO_ID = "synth_{:04d}"  # of video i of a corpus
 __all__ = ["SynthVideo", "synth_manifest", "synth_corpus", "oracle_grids"]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SynthVideo:
     manifest: Manifest
     grids: ScoreGrids

@@ -32,7 +32,8 @@ per entry: indices, feature file names, box counts, and the [N, 4]
 float64 agent boxes of all entries in entry order. Parsing builds them in
 the box checks, a Manifest given SnippetEntry values converts them once,
 and manifest_to_dict writes from them. Indexing or iterating them builds
-SnippetEntry values, a row view for library callers.
+SnippetEntry values, a row view for library callers. Like every tapgen type
+that holds an array, Snippets and Manifest compare and hash by identity.
 
 Every JSON file tapgen writes (manifests, proposal files, eval.json, run
 summaries, a weight bundle's index.json) goes through write_json: one line,
@@ -313,15 +314,8 @@ class Snippets(Sequence):
         return (SnippetEntry(i, f, tuple(itertools.islice(rows, n))) for i, f, n in
                 zip(self.indices.tolist(), self.feature_files, self.box_counts.tolist()))
 
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, Snippets):
-            return NotImplemented
-        return (self.feature_files == other.feature_files
-                and all(np.array_equal(getattr(self, k), getattr(other, k))
-                        for k in ("indices", "box_counts", "boxes")))
 
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Manifest:
     """One video's metadata, annotations, and per-snippet agent boxes.
 

@@ -62,7 +62,7 @@ class VideoMeta:
         return self.snippet_len / self.fps
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SnippetGrid:
     """Snippet decomposition of a video: count T and per-snippet center times."""
 

@@ -988,10 +988,12 @@ class TestFusionWeightsValidation:
         assert str(e.value) == message
 
     def test_encoders_are_views_of_the_parameter_table(self):
+        """Built once with the weights: every access gives the same view."""
         cfg = FusionConfig(channels=3, d_model=8, num_heads=4, num_layers=2, ff_dim=16)
         w = random_weights(cfg, 0)
         for name in ("agent_encoder", "fuse_encoder"):
             enc = getattr(w, name)
+            assert enc is getattr(w, name)
             assert enc.num_heads == 4 and len(enc.layers) == 2
             for li, layer in enumerate(enc.layers):
                 assert list(layer) == list(_LAYER_PARAMS)

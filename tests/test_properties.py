@@ -430,6 +430,48 @@ def reference_recall_table(proposals_per_video, gts_per_video, thresholds, an_va
     return matched / total
 
 
+def sweep_without_stop(hits):
+    """metrics._match_sizes before it stopped at the claimed columns, kept
+    verbatim: one augmenting-path search for every proposal."""
+    rows, cols = np.nonzero(hits)
+    edges = np.searchsorted(rows, np.arange(len(hits) + 1)).tolist()
+    cols = cols.tolist()
+    claims = [cols[a:b] for a, b in zip(edges, edges[1:])]
+    owner = [-1] * hits.shape[1]
+
+    def augment(i, visited):
+        for g in claims[i]:
+            if g in visited:
+                continue
+            visited.add(g)
+            if owner[g] < 0 or augment(owner[g], visited):
+                owner[g] = i
+                return True
+        return False
+
+    sizes = [0]
+    for i in range(len(claims)):
+        sizes.append(sizes[-1] + augment(i, set()))
+    return sizes
+
+
+@st.composite
+def hit_matrices(draw):
+    """Boolean proposal x ground-truth matrices, dense or sparse, with
+    columns that no proposal claims among them."""
+    n, g = draw(st.integers(0, 30)), draw(st.integers(0, 10))
+    cell = draw(st.sampled_from([st.booleans(), st.sampled_from([False, False, False, True])]))
+    return np.array(draw(st.lists(cell, min_size=n * g, max_size=n * g)), dtype=bool).reshape(n, g)
+
+
+@settings(PROPERTY, max_examples=300)
+@given(hits=hit_matrices())
+@example(hits=np.ones((5, 1), dtype=bool))  # saturated by the first proposal
+@example(hits=np.array([[1, 1, 0], [1, 0, 0], [0, 0, 0], [0, 1, 1], [1, 1, 1]], dtype=bool))
+def test_match_sizes_equal_the_sweep_without_its_stop(hits):
+    assert _match_sizes(hits) == sweep_without_stop(hits)
+
+
 seconds = st.integers(0, 30).map(float) | st.floats(0.0, 30.0)
 real_intervals = st.tuples(seconds, st.sampled_from([0.5, 1.0, 2.0]) | st.floats(0.01, 8.0)).map(
     lambda r: (r[0], r[0] + r[1]))
@@ -473,7 +515,9 @@ def bound_edge_ground_truths(recipes, T, D, ss):
     - grid: both edges on snippet edges;
     - shared: two of one length, whose best cells lie in one row;
     - tie: from n + 1/4 snippets before the video end to 2n - 1/4 past it,
-      so that rows n and n + 1 tie at IoU 1/3, row n's bound."""
+      so that rows n and n + 1 tie at IoU 1/3, row n's bound;
+    - trailing: from the last snippet's right edge, or up to 3/4 snippet
+      past it, so that it overlaps no cell and sets no label."""
     q = ss / 4
     spans = []
     for kind, u, v in recipes:
@@ -485,6 +529,8 @@ def bound_edge_ground_truths(recipes, T, D, ss):
             spans.append((4 * (u % (T + 1)), 4 * (1 + v % (T + 1))))
         elif kind == "shared":
             spans += [(u % (4 * T), 1 + v % (4 * T)), (v % (4 * T), 1 + v % (4 * T))]
+        elif kind == "trailing":
+            spans.append((4 * T + u % 4, 1 + v % 8))
         elif min(D, T) >= 2:  # tie
             n = 1 + u % (min(D, T) - 1)
             spans.append((4 * (T - n) - 1, 12 * n))
@@ -499,7 +545,8 @@ def bound_edge_ground_truths(recipes, T, D, ss):
     n_gts=st.integers(0, 4),
     overhang=st.sampled_from([1.0, 1.5]),
     shape=snippet_shapes,
-    recipes=st.lists(st.tuples(st.sampled_from(["long", "short", "grid", "shared", "tie"]),
+    recipes=st.lists(st.tuples(st.sampled_from(["long", "short", "grid", "shared", "tie",
+                                                "trailing"]),
                                st.integers(0, 2**16), st.integers(0, 2**16)), max_size=3),
 )
 @example(T=1, d_frac="half", seed=0, n_gts=1, overhang=1.5, shape=(16, 30.0),
@@ -512,6 +559,9 @@ def bound_edge_ground_truths(recipes, T, D, ss):
          recipes=[("tie", 2, 0)])
 @example(T=6, d_frac=1.0, seed=0, n_gts=0, overhang=1.0, shape=(16, 30.0),
          recipes=[("tie", 0, 0)])
+# one ground truth from the video end exactly, one past it, and one inside
+@example(T=7, d_frac=1.0, seed=0, n_gts=1, overhang=1.0, shape=(16, 30.0),
+         recipes=[("trailing", 0, 3), ("trailing", 2, 0)])
 def test_duration_labels_match_exhaustive_scan(T, d_frac, seed, n_gts, overhang, shape,
                                                recipes):
     # overhang > 1 lets ground truths run past the video end, where only the
@@ -896,7 +946,8 @@ def snippet_columns_property(T, data, cfg):
     with tempfile.TemporaryDirectory() as d:
         write_manifest(manifest, os.path.join(d, "m.json"))
         columns = read_manifest(os.path.join(d, "m.json"))
-        assert isinstance(columns.snippets, Snippets) and columns == manifest
+        assert isinstance(columns.snippets, Snippets)
+        assert manifest_to_dict(columns) == manifest_to_dict(manifest)
         for i, fmap in enumerate(maps.maps):
             write_tensor(Tensor.from_array(fmap.values), os.path.join(d, f"s{i}.aent"))
         sources = (maps, StubFeatureSource(seed, (cfg.channels, *size)), FileFeatureSource(d))
@@ -1186,7 +1237,7 @@ def test_manifest_boxes_match_the_box_by_box_reference(snippets):
             m = parse(copy.deepcopy(doc))
         except Exception as e:  # the type and message are what is compared
             return type(e), str(e)
-        return "ok", m
+        return "ok", manifest_to_dict(m)
 
     assert outcome(manifest_from_dict) == outcome(reference_manifest_from_dict)
 
@@ -1235,7 +1286,7 @@ def test_manifest_snippet_checks_match_the_entry_by_entry_reference(snippets):
             m = parse(copy.deepcopy(doc))
         except Exception as e:  # the type and message are what is compared
             return type(e), str(e)
-        return "ok", m
+        return "ok", manifest_to_dict(m)
 
     assert outcome(manifest_from_dict) == outcome(reference_manifest_from_dict)
 
@@ -1290,7 +1341,7 @@ def test_manifest_snippets_are_columns_or_the_reference_error(snippets):
         assert (type(got.value), str(got.value)) == (type(e), str(e))
         return
     m = manifest_from_dict(doc)
-    assert isinstance(m.snippets, Snippets) and m.snippets == want.snippets
+    assert isinstance(m.snippets, Snippets) and manifest_to_dict(m) == manifest_to_dict(want)
 
 
 def reference_snippet_dicts(entries) -> list:
@@ -1339,7 +1390,7 @@ def test_manifest_writer_matches_the_entry_reference_and_round_trips(video, anno
     with tempfile.TemporaryDirectory() as d:
         write_manifest(m, os.path.join(d, "m.json"))
         back = read_manifest(os.path.join(d, "m.json"))
-    assert back == m and tuple(back.snippets) == entries
+    assert manifest_to_dict(back) == manifest_to_dict(m) and tuple(back.snippets) == entries
 
 
 proposal_numbers = st.floats() | json_values

@@ -164,6 +164,33 @@ class TestDurationLabels:
         want = brute_force_duration_labels(grid, [gt], 6)
         np.testing.assert_array_equal(got, want)
 
+    def test_a_ground_truth_in_the_trailing_frames_computes_no_iou_row(self, monkeypatch):
+        """A manifest may annotate the frames past the last snippet: such a
+        ground truth overlaps no cell, so it is skipped before any row."""
+        import tapgen.supervision as supervision
+
+        meta = VideoMeta(video_id="v", num_frames=8 * 16 + 15, fps=16.0, snippet_len=16)
+        grid = build_grid(meta)
+        end = grid.T * grid.snippet_seconds  # the last snippet's right edge
+        inside = GroundTruthAction("a", 2.0, 5.0)
+        trailing = [GroundTruthAction("t", end, meta.duration_seconds),
+                    GroundTruthAction("t", end + 0.25, meta.duration_seconds)]
+        rows = []
+
+        def spy(*args):
+            rows.append(args)
+            return broadcast_iou(*args)
+
+        monkeypatch.setattr(supervision, "broadcast_iou", spy)
+        assert not gen_duration_labels(grid, trailing, grid.T).any()
+        assert rows == []
+        got = gen_duration_labels(grid, [trailing[0], inside, trailing[1]], grid.T)
+        searched = len(rows)
+        rows.clear()
+        np.testing.assert_array_equal(got, gen_duration_labels(grid, [inside], grid.T))
+        assert len(rows) == searched > 0
+        np.testing.assert_array_equal(got, brute_force_duration_labels(grid, [inside], grid.T))
+
     def test_empty_gts_all_zero(self):
         assert gen_duration_labels(make_grid(5), [], D=5).sum() == 0
 

@@ -813,7 +813,8 @@ class TestSnippets:
     def parsed(self):
         doc = columnar_manifest_doc()
         m = manifest_from_dict(doc)
-        assert isinstance(m.snippets, Snippets) and m == reference_manifest_from_dict(doc)
+        assert isinstance(m.snippets, Snippets)
+        assert manifest_to_dict(m) == manifest_to_dict(reference_manifest_from_dict(doc))
         return m.snippets, COLUMNAR_ENTRIES
 
     def test_columns(self):
@@ -840,32 +841,11 @@ class TestSnippets:
             assert all(type(c) is float for box in entry.agent_boxes for c in box)
         assert got[0].agent_boxes[1] == (0.0, 0.25, 1.0, 0.75)
 
-    def test_equality(self):
-        got, want = self.parsed()
-        assert got == Snippets.of(want) and Snippets.of(want) == got
-        assert not (got != Snippets.of(want))
-        first = want[0]
-        for other in (
-            want[:-1] + (dataclasses.replace(want[-1], index=2),),
-            want[:-1] + (dataclasses.replace(want[-1], feature_file="c.aent"),),
-            (dataclasses.replace(first, agent_boxes=((0.1, 0.2, 0.5, 0.6),
-                                                     (0.0, 0.25, 1.0, 0.7500000000000001))),
-             *want[1:]),
-            # the same boxes in the same order, one moved to the next entry
-            (dataclasses.replace(first, agent_boxes=first.agent_boxes[:1]),
-             dataclasses.replace(want[1], agent_boxes=first.agent_boxes[1:]), *want[2:]),
-            want[:-1],
-        ):
-            assert got != Snippets.of(other) and Snippets.of(other) != got
-        for other in (want, list(want), 3, "snippets"):  # columns equal no sequence
-            assert got != other and other != got
-        assert Snippets.of(()) == Snippets.of([]) != ()
-
     def test_of_round_trips(self):
         got, want = self.parsed()
         columns = Snippets.of(want)
         assert Snippets.of(got) is got
-        assert tuple(columns) == want and columns == got
+        assert tuple(columns) == want
         for name in ("indices", "box_counts", "boxes"):
             assert np.array_equal(getattr(columns, name), getattr(got, name))
         assert columns.feature_files == got.feature_files
@@ -873,7 +853,7 @@ class TestSnippets:
     def test_manifest_value_does_not_depend_on_the_path(self):
         doc = columnar_manifest_doc()
         m, ref = manifest_from_dict(doc), reference_manifest_from_dict(doc)
-        assert m == ref and ref == m
+        assert manifest_to_dict(m) == manifest_to_dict(ref)
         assert list(m.snippets) == list(ref.snippets)
 
     def test_dataclasses_replace_on_entries_and_manifest(self):
@@ -885,8 +865,9 @@ class TestSnippets:
         assert [e.agent_boxes for e in renamed] == [e.agent_boxes for e in m.snippets]
         m2 = dataclasses.replace(m, snippets=renamed)
         assert isinstance(m2.snippets, Snippets) and tuple(m2.snippets) == renamed
-        assert m2.snippets == Snippets.of(renamed) and m2 != m
-        assert dataclasses.replace(m, snippets=tuple(m.snippets)) == m
+        assert manifest_to_dict(m2) != manifest_to_dict(m)
+        assert manifest_to_dict(dataclasses.replace(m, snippets=tuple(m.snippets))) == \
+            manifest_to_dict(m)
 
     def test_every_manifest_holds_columns(self, tmp_path):
         """Read, synth, tuple-built and replaced manifests alike, and one
@@ -899,8 +880,9 @@ class TestSnippets:
                   dataclasses.replace(built, snippets=list(COLUMNAR_ENTRIES)),
                   Manifest(built.video, ())):
             assert isinstance(m.snippets, Snippets)
-        assert built.snippets == Snippets.of(COLUMNAR_ENTRIES)
-        assert Manifest(built.video, (), iter(COLUMNAR_ENTRIES)) == built
+        assert tuple(built.snippets) == COLUMNAR_ENTRIES
+        assert manifest_to_dict(Manifest(built.video, (), iter(COLUMNAR_ENTRIES))) == \
+            manifest_to_dict(built)
         assert len(Manifest(built.video, ()).snippets) == 0
 
     def test_writer_builds_no_entry_and_writes_coordinates_as_floats(self, monkeypatch):
@@ -927,7 +909,7 @@ class TestSnippets:
             write_manifest(sv.manifest, first)
             back = read_manifest(first)
             assert all(isinstance(m.snippets, Snippets) for m in (back, sv.manifest))
-            assert back == sv.manifest
+            assert manifest_to_dict(back) == manifest_to_dict(sv.manifest)
             write_manifest(back, second)
             assert second.read_bytes() == first.read_bytes()
 
@@ -973,7 +955,7 @@ def test_files_in_the_earlier_indented_layout_read_as_their_one_line_rewrites(tm
         assert text.count("\n") == 1 and text.endswith("\n")
         path.write_text(json.dumps(json.loads(text), indent=2, sort_keys=True) + "\n")
     got_manifest, got_proposals, got_weights = read_all()
-    assert got_manifest == manifest
+    assert manifest_to_dict(got_manifest) == manifest_to_dict(manifest)
     assert all(np.array_equal(getattr(got_proposals, k), getattr(proposals, k))
                for k in ("starts", "ends", "scores"))
     assert got_weights.config == weights.config
